@@ -65,10 +65,15 @@ def half_wavelength_spacing(frequency: float, sound_speed: float = 1500.0) -> fl
     return sound_speed / (2.0 * frequency)
 
 
+def full_sector(convention: str = "broadside") -> tuple[float, float]:
+    """Every angle a convention covers: the default sector."""
+    return (-90.0, 90.0) if convention == "broadside" else (0.0, 180.0)
+
+
 def _check_angles(theta_deg: np.ndarray, convention: str) -> None:
     if convention not in CONVENTIONS:
         raise ConfigError(f"unknown convention {convention!r}; use one of {CONVENTIONS}")
-    lo, hi = (-90.0, 90.0) if convention == "broadside" else (0.0, 180.0)
+    lo, hi = full_sector(convention)
     if theta_deg.size and (theta_deg.min() < lo - 1e-9 or theta_deg.max() > hi + 1e-9):
         raise ConfigError(
             f"{convention} angles must lie in [{lo}, {hi}] degrees, "

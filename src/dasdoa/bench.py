@@ -24,9 +24,9 @@ from scipy.optimize import linear_sum_assignment
 
 from .arrays import build_dictionary, perturb_geometry, uniform_line_array
 from .errors import ConfigError, ToolkitError
-from .estimators import SolverConfig, cbf_spectrum, music_spectrum, peak_pick, \
-    qspice_solve, _pick
-from .refine import RefineConfig, gnr2_estimate
+from .estimators import ESTIMATORS, SolverConfig
+from .frontend import sample_covariance
+from .refine import RefineConfig, narrowband_estimate
 from .simulate import NoiseModel, SourceSpec, synthesize
 
 SUCCESS_THRESHOLD_DEG = 0.3
@@ -109,7 +109,7 @@ class ScenarioConfig:
     sector: tuple = (-90.0, 90.0)
     baseline_step: float = 0.5
     cbf_guard: float = 1.0
-    methods: tuple = ("cbf", "music", "spice", "qspice", "gnr2")
+    methods: tuple = ESTIMATORS
     r: float = 1.0
     q: float = 2.0
     max_iter: int = 500
@@ -172,53 +172,26 @@ PRESETS = {
 # -----------------------------
 # Estimator wiring
 # -----------------------------
-def _run_cbf(r_hat, ctx):
-    return peak_pick(cbf_spectrum(r_hat, ctx["dictionary"]), ctx["k"],
-                     ctx["cfg"].cbf_guard)
+def _builtin(name: str):
+    """A registry estimator as a bench method."""
+    def run(r_hat, ctx):
+        cfg = ctx["cfg"]
+        _, angles, shortfall = narrowband_estimate(
+            name, r_hat, ctx["dictionary"], cfg.sector, ctx["k"], ctx["solver"],
+            ctx["refine"], cfg.cbf_guard)
+        return angles, shortfall
+    return run
 
 
-def _run_music(r_hat, ctx):
-    return peak_pick(music_spectrum(r_hat, ctx["dictionary"], ctx["k"]), ctx["k"])
-
-
-def _run_spice(r_hat, ctx):
-    cfg = ctx["cfg"]
-    solver = SolverConfig(r=1.0, q=1.0, max_iter=cfg.max_iter, rel_tol=cfg.rel_tol)
-    res = qspice_solve(r_hat, ctx["dictionary"], solver)
-    return _pick(res.powers.signal, ctx["dictionary"].angles, ctx["k"])
-
-
-def _run_qspice(r_hat, ctx):
-    cfg = ctx["cfg"]
-    solver = SolverConfig(r=cfg.r, q=cfg.q, max_iter=cfg.max_iter, rel_tol=cfg.rel_tol)
-    res = qspice_solve(r_hat, ctx["dictionary"], solver)
-    return _pick(res.powers.signal, ctx["dictionary"].angles, ctx["k"])
-
-
-def _run_gnr2(r_hat, ctx):
-    cfg = ctx["cfg"]
-    solver = SolverConfig(r=cfg.r, q=cfg.q, max_iter=cfg.max_iter, rel_tol=cfg.rel_tol)
-    refine = RefineConfig(initial_step=cfg.refine_initial_step,
-                          target_step=cfg.refine_target_step)
-    res = gnr2_estimate(r_hat, ctx["geometry"], cfg.carrier_hz, ctx["k"],
-                        ctx["cfg"].sector, "broadside", solver, refine)
-    return res.angles, res.shortfall
-
-
-METHODS = {
-    "cbf": _run_cbf,
-    "music": _run_music,
-    "spice": _run_spice,
-    "qspice": _run_qspice,
-    "gnr2": _run_gnr2,
-}
+METHODS = {name: _builtin(name) for name in ESTIMATORS}
 
 
 def register_method(name: str, fn) -> None:
     """Plug in an external estimator: fn(r_hat, ctx) -> (angles, shortfall).
 
-    ctx carries 'dictionary', 'geometry', 'k', and the ScenarioConfig as
-    'cfg'. Lets externally implemented baselines join the harness.
+    ctx carries 'dictionary', 'geometry', 'k', the ScenarioConfig as 'cfg',
+    and its SolverConfig and RefineConfig as 'solver' and 'refine'. Lets
+    externally implemented baselines join the harness.
     """
     if name in METHODS:
         raise ConfigError(f"method {name!r} already registered")
@@ -241,8 +214,12 @@ def _make_context(cfg: ScenarioConfig):
                                   spacing=1500.0 / (2 * cfg.carrier_hz))
     dictionary = build_dictionary(geometry, cfg.carrier_hz, cfg.sector,
                                   cfg.baseline_step)
+    solver = SolverConfig(r=cfg.r, q=cfg.q, max_iter=cfg.max_iter,
+                          rel_tol=cfg.rel_tol)
+    refine = RefineConfig(initial_step=cfg.refine_initial_step,
+                          target_step=cfg.refine_target_step)
     return {"geometry": geometry, "dictionary": dictionary,
-            "k": len(cfg.doas), "cfg": cfg}
+            "k": len(cfg.doas), "cfg": cfg, "solver": solver, "refine": refine}
 
 
 def _noise_model(cfg: ScenarioConfig) -> NoiseModel:
@@ -269,7 +246,7 @@ def run_trial(cfg: ScenarioConfig, sweep_idx: int, trial: int, ctx=None):
                          snapshot_rate=cfg.snapshot_rate)
     block = synthesize(geometry, sources, _noise_model(cfg), snr, n, rng,
                        dictionary_frequency=cfg.carrier_hz)
-    r_hat = block.data @ block.data.conj().T / n
+    r_hat = sample_covariance(block.data)
     out = {}
     for name in cfg.methods:
         t0 = time.perf_counter()

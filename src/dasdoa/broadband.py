@@ -12,16 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, angle_grid, steering_matrix
+from .arrays import ArrayGeometry, Dictionary, angle_grid, full_sector, steering_matrix
 from .errors import ConfigError
-from .estimators import SolverConfig, SpatialSpectrum, cbf_spectrum, music_spectrum, \
-    qspice_solve
+from .estimators import SolverConfig, SpatialSpectrum, check_estimator, \
+    fixed_grid_spectrum, qspice_solve
 from .frontend import FrequencyBinSet, band_for, band_transform, bin_covariances, \
     frame_count, select_bins
 from .refine import RefineConfig, RefineResult, refine_loop
 from .simulate import SnapshotMatrix
-
-ESTIMATORS = ("cbf", "music", "spice", "qspice", "gnr2")
 
 
 def fuse_spectra(spectra, weights=None) -> SpatialSpectrum:
@@ -50,36 +48,19 @@ def fuse_spectra(spectra, weights=None) -> SpatialSpectrum:
     return SpatialSpectrum(angles, fused, spectra[0].estimator, freq)
 
 
-def _per_bin_spectra(covs, freqs, geometry, angles, convention, estimator,
-                     k=None, solver_cfg=None):
-    out = []
-    for R, f in zip(covs, freqs):
-        A = steering_matrix(geometry, f, angles, convention)
-        if estimator == "cbf":
-            power = cbf_spectrum(R, A).power
-        elif estimator == "music":
-            power = music_spectrum(R, A, k).power
-        else:  # spice / qspice
-            cfg = solver_cfg or (SolverConfig(r=1, q=1) if estimator == "spice"
-                                 else SolverConfig())
-            power = qspice_solve(R, A, cfg).powers.signal
-        out.append(SpatialSpectrum(np.asarray(angles, dtype=float), power,
-                                   estimator, float(f)))
-    return out
-
-
 def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
                        convention: str = "broadside", estimator: str = "cbf",
                        k: int | None = None,
                        solver_cfg: SolverConfig | None = None,
                        weights=None) -> SpatialSpectrum:
     """Fused spectrum of a fixed-grid estimator over the given bins."""
-    if estimator not in ("cbf", "music", "spice", "qspice"):
-        raise ConfigError(f"unknown fixed-grid estimator {estimator!r}")
-    if estimator == "music" and k is None:
-        raise ConfigError("music needs the source count k")
-    spectra = _per_bin_spectra(covs, freqs, geometry, angles, convention,
-                               estimator, k, solver_cfg)
+    check_estimator(estimator, k)
+    grid = np.asarray(angles, dtype=float)
+    spectra = []
+    for R, f in zip(covs, freqs):
+        A = steering_matrix(geometry, f, grid, convention)
+        dictionary = Dictionary(grid, A, float(f), convention, geometry)
+        spectra.append(fixed_grid_spectrum(estimator, R, dictionary, k, solver_cfg))
     fused = fuse_spectra(spectra, weights)
     return SpatialSpectrum(fused.angles, fused.power, estimator, 0.0)
 
@@ -120,29 +101,41 @@ class BearingTimeRecord:
     estimates: tuple = ()       # per-frame refined angles (gnr2 only)
 
 
-def _frame_pipeline(segment, geometry, bins, estimator, k, angles, convention,
-                    select_count, solver_cfg, refine_cfg):
-    """One analysis frame: transform -> covariances -> select -> fused spectrum."""
-    snaps = band_transform(segment, bins)
-    covs = bin_covariances(snaps)
-    freqs = bins.frequencies
-    if select_count is not None:
-        # rank by dominant-component gap: a tonal/harmonic bin carries one
-        # source's line, so single-component dominance marks the informative
-        # bins; ranking by the k-source gap instead favors continuum bins
-        # where close sources blur together
-        pos = select_bins(covs, 1, select_count)
-        covs, freqs = covs[pos], freqs[pos]
-    if estimator == "gnr2":
-        sector = (angles[0], angles[-1])
-        res = broadband_gnr2(covs, freqs, geometry, k, sector, convention,
-                             solver_cfg, refine_cfg)
-        power = np.interp(angles, res.spectrum.angles, res.spectrum.power)
-        fused = SpatialSpectrum(angles, power, "qspice-gnr2", 0.0)
-        return fused, tuple(res.angles)
-    fused = broadband_spectrum(covs, freqs, geometry, angles, convention,
-                               estimator, k, solver_cfg)
-    return fused, ()
+def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
+                    convention, select_count, solver_cfg, refine_cfg):
+    """Validate a broadband request. Returns its angle grid and the pipeline
+    of one analysis frame, segment -> (fused spectrum, estimates)."""
+    if record.domain != "time":
+        raise ConfigError("broadband estimation expects a time-domain record")
+    check_estimator(estimator, k)
+    if select_count is not None and k is None:
+        raise ConfigError("bin selection needs the source count k")
+    if not isinstance(bins, FrequencyBinSet):
+        bins = band_for(bins, n_fft, record.sample_rate)
+    angles = angle_grid(full_sector(convention) if sector is None else sector, step)
+
+    def frame(segment):
+        """transform -> covariances -> select -> fused spectrum."""
+        snaps = band_transform(segment, bins)
+        covs = bin_covariances(snaps)
+        freqs = bins.frequencies
+        if select_count is not None:
+            # rank by dominant-component gap: a tonal/harmonic bin carries one
+            # source's line, so single-component dominance marks the informative
+            # bins; ranking by the k-source gap instead favors continuum bins
+            # where close sources blur together
+            pos = select_bins(covs, 1, select_count)
+            covs, freqs = covs[pos], freqs[pos]
+        if estimator == "gnr2":
+            res = broadband_gnr2(covs, freqs, geometry, k, (angles[0], angles[-1]),
+                                 convention, solver_cfg, refine_cfg)
+            power = np.interp(angles, res.spectrum.angles, res.spectrum.power)
+            fused = SpatialSpectrum(angles, power, "qspice-gnr2", 0.0)
+            return fused, tuple(res.angles)
+        fused = broadband_spectrum(covs, freqs, geometry, angles, convention,
+                                   estimator, k, solver_cfg)
+        return fused, ()
+    return angles, frame
 
 
 def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
@@ -158,21 +151,10 @@ def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
     Returns (SpatialSpectrum, estimates tuple); estimates are non-empty for
     the refinement estimator only.
     """
-    if record.domain != "time":
-        raise ConfigError("broadband_estimate expects a time-domain record")
-    if estimator not in ESTIMATORS:
-        raise ConfigError(f"unknown estimator {estimator!r}; use one of {ESTIMATORS}")
-    if estimator in ("music", "gnr2") and k is None:
-        raise ConfigError(f"{estimator} needs the source count k")
-    if select_count is not None and k is None:
-        raise ConfigError("bin selection needs the source count k")
-    if not isinstance(bins, FrequencyBinSet):
-        bins = band_for(bins, n_fft, record.sample_rate)
-    if sector is None:
-        sector = (-90.0, 90.0) if convention == "broadside" else (0.0, 180.0)
-    angles = angle_grid(sector, step)
-    return _frame_pipeline(record.data, geometry, bins, estimator, k, angles,
-                           convention, select_count, solver_cfg, refine_cfg)
+    _, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
+                               sector, step, convention, select_count,
+                               solver_cfg, refine_cfg)
+    return frame(record.data)
 
 
 def btr(record: SnapshotMatrix, geometry: ArrayGeometry,
@@ -189,21 +171,10 @@ def btr(record: SnapshotMatrix, geometry: ArrayGeometry,
     select_count None processes all bins (default). A record exactly one
     frame long produces a single row equal to the single-shot pipeline.
     """
-    if record.domain != "time":
-        raise ConfigError("btr expects a time-domain record")
-    if estimator not in ESTIMATORS:
-        raise ConfigError(f"unknown estimator {estimator!r}; use one of {ESTIMATORS}")
-    if estimator in ("music", "gnr2") and k is None:
-        raise ConfigError(f"{estimator} needs the source count k")
-    if select_count is not None and k is None:
-        raise ConfigError("bin selection needs the source count k")
+    angles, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
+                                    sector, step, convention, select_count,
+                                    solver_cfg, refine_cfg)
     fs = record.sample_rate
-    if not isinstance(bins, FrequencyBinSet):
-        bins = band_for(bins, n_fft, fs)
-    if sector is None:
-        sector = (-90.0, 90.0) if convention == "broadside" else (0.0, 180.0)
-    angles = angle_grid(sector, step)
-
     frame_len = int(round(frame_seconds * fs))
     hop = max(int(round(frame_len * frame_hop_fraction)), 1)
     n_frames = frame_count(record.n_samples, frame_len, hop)
@@ -211,10 +182,7 @@ def btr(record: SnapshotMatrix, geometry: ArrayGeometry,
     rows = np.empty((n_frames, angles.size))
     all_est = []
     for i in range(n_frames):
-        segment = record.data[:, i * hop: i * hop + frame_len]
-        fused, est = _frame_pipeline(segment, geometry, bins, estimator, k,
-                                     angles, convention, select_count,
-                                     solver_cfg, refine_cfg)
+        fused, est = frame(record.data[:, i * hop: i * hop + frame_len])
         rows[i] = fused.power_db
         all_est.append(est)
     return BearingTimeRecord(times, angles, rows, estimator, tuple(all_est))

@@ -16,18 +16,17 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .arrays import ArrayGeometry, build_dictionary, half_wavelength_spacing, \
-    uniform_line_array
+from .arrays import CONVENTIONS, ArrayGeometry, build_dictionary, full_sector, \
+    half_wavelength_spacing, uniform_line_array
 from .bench import PRESETS, run_monte_carlo
 from .broadband import broadband_estimate, btr
 from .cable import FiberSpec, MandrelSpec, cable_sensitivity, \
     mandrel_radial_displacement
 from .errors import ConfigError, DataError, EstimationError, ToolkitError
-from .estimators import SolverConfig, cbf_spectrum, music_spectrum, peak_pick, \
-    qspice_solve, _pick
+from .estimators import ESTIMATORS, SolverConfig, peak_pick
 from .recordio import load_config, load_record, render_table, save_record, \
     save_table, save_timing_table, scenario_from_dict, write_gnuplot
-from .refine import RefineConfig, gnr2_estimate
+from .refine import RefineConfig, narrowband_estimate
 from .simulate import NoiseModel, SourceSpec, synthesize
 
 JOBS_ENV = "DASDOA_JOBS"
@@ -133,76 +132,53 @@ def _cmd_simulate(args) -> int:
 
 
 # -----------------------------
-# estimate
+# estimate and btr
 # -----------------------------
-def _narrowband_estimate(r_hat, dictionary, estimator, k, opt: _Options):
-    if estimator == "cbf":
-        spectrum = cbf_spectrum(r_hat, dictionary)
-        est = peak_pick(spectrum, k, opt.get("peak_guard", 1.0)) if k else ((), False)
-    elif estimator == "music":
-        if not k:
-            raise ConfigError("music needs the source count --k")
-        spectrum = music_spectrum(r_hat, dictionary, k)
-        est = peak_pick(spectrum, k)
-    else:
-        r, q = (1.0, 1.0) if estimator == "spice" else (None, None)
-        scfg = _solver_config(opt)
-        if r is not None:
-            scfg = SolverConfig(r=r, q=q, max_iter=scfg.max_iter,
-                                rel_tol=scfg.rel_tol)
-        res = qspice_solve(r_hat, dictionary, scfg)
-        spectrum = res.spectrum
-        est = (_pick(res.powers.signal, dictionary.angles, k)
-               if k else ((), False))
-    return spectrum, est
+def _pipeline_options(opt: _Options, default_estimator: str,
+                      fixed_grid_step: float) -> dict:
+    """The options estimate and btr share, as keyword arguments of
+    broadband_estimate and btr; gnr2's coarse grid defaults to 1 deg."""
+    estimator = opt.get("estimator", default_estimator)
+    k = opt.get("k")
+    sector = opt.get("sector")
+    select = opt.get("select_bins")
+    return dict(bins=tuple(opt.get("band", (50.0, 1050.0))),
+                n_fft=int(opt.get("n_fft", 512)), estimator=estimator,
+                k=int(k) if k is not None else None,
+                sector=tuple(sector) if sector else None,
+                step=opt.get("step", 1.0 if estimator == "gnr2" else fixed_grid_step),
+                convention=opt.get("convention", "broadside"),
+                select_count=int(select) if select else None,
+                solver_cfg=_solver_config(opt), refine_cfg=_refine_config(opt))
 
 
 def _cmd_estimate(args) -> int:
     opt = _Options(args)
     record = load_record(args.input, opt.get("format", "binary"))
-    estimator = opt.get("estimator", "qspice")
-    k = opt.get("k")
-    k = int(k) if k is not None else None
-    convention = opt.get("convention", "broadside")
-    sector = opt.get("sector")
-    step = opt.get("step", 1.0 if estimator == "gnr2" else 0.5)
+    kw = _pipeline_options(opt, "qspice", 0.5)
+    estimator, k = kw["estimator"], kw["k"]
+    frequency = opt.get("frequency")
 
     if record.domain == "time":
-        frequency = opt.get("frequency")
         geometry = _geometry(opt, record.n_channels, frequency)
-        select = opt.get("select_bins")
-        spectrum, estimates = broadband_estimate(
-            record, geometry, bins=tuple(opt.get("band", (50.0, 1050.0))),
-            n_fft=int(opt.get("n_fft", 512)), estimator=estimator, k=k,
-            sector=tuple(sector) if sector else None, step=step,
-            convention=convention,
-            select_count=int(select) if select else None,
-            solver_cfg=_solver_config(opt), refine_cfg=_refine_config(opt))
+        spectrum, estimates = broadband_estimate(record, geometry, **kw)
         shortfall = bool(k) and len(estimates) < k
         if estimator != "gnr2" and k:
             estimates, shortfall = peak_pick(spectrum, k)
     else:
-        frequency = opt.get("frequency")
         if frequency is None:
             raise ConfigError("snapshot-domain records need --frequency for "
                               "the steering dictionary")
         geometry = _geometry(opt, record.n_channels, frequency)
-        if sector is None:
-            sector = (-90.0, 90.0) if convention == "broadside" else (0.0, 180.0)
+        sector = kw["sector"] or full_sector(kw["convention"])
+        # kept in the record's dtype (complex64): frontend.sample_covariance
+        # would symmetrize in it and change the low digits of every result
         r_hat = record.data @ record.data.conj().T / record.n_samples
-        if estimator == "gnr2":
-            if not k:
-                raise ConfigError("gnr2 needs the source count --k")
-            res = gnr2_estimate(r_hat, geometry, frequency, k, tuple(sector),
-                                convention, _solver_config(opt),
-                                _refine_config(opt))
-            spectrum, (estimates, shortfall) = res.spectrum, (res.angles,
-                                                              res.shortfall)
-        else:
-            dictionary = build_dictionary(geometry, frequency, tuple(sector),
-                                          step, convention)
-            spectrum, (estimates, shortfall) = _narrowband_estimate(
-                r_hat, dictionary, estimator, k, opt)
+        dictionary = build_dictionary(geometry, frequency, sector, kw["step"],
+                                      kw["convention"])
+        spectrum, estimates, shortfall = narrowband_estimate(
+            estimator, r_hat, dictionary, sector, k, kw["solver_cfg"],
+            kw["refine_cfg"], opt.get("peak_guard", 1.0))
 
     if args.out:
         save_table(spectrum, args.out)
@@ -219,29 +195,14 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-# -----------------------------
-# btr
-# -----------------------------
 def _cmd_btr(args) -> int:
     opt = _Options(args)
     record = load_record(args.input, opt.get("format", "binary"))
-    estimator = opt.get("estimator", "cbf")
-    k = opt.get("k")
-    k = int(k) if k is not None else None
-    sector = opt.get("sector")
-    select = opt.get("select_bins")
     geometry = _geometry(opt, record.n_channels, None)
-    result = btr(record, geometry, bins=tuple(opt.get("band", (50.0, 1050.0))),
-                 n_fft=int(opt.get("n_fft", 512)),
+    result = btr(record, geometry,
                  frame_seconds=opt.get("frame_seconds", 1.0),
                  frame_hop_fraction=opt.get("hop_fraction", 0.5),
-                 estimator=estimator, k=k,
-                 sector=tuple(sector) if sector else None,
-                 step=opt.get("step", 1.0),
-                 convention=opt.get("convention", "broadside"),
-                 select_count=int(select) if select else None,
-                 solver_cfg=_solver_config(opt),
-                 refine_cfg=_refine_config(opt))
+                 **_pipeline_options(opt, "cbf", 1.0))
     save_table(result, args.out)
     if args.gnuplot:
         write_gnuplot(args.out, args.out + ".gp", "btr")
@@ -308,6 +269,26 @@ def _cmd_cable(args) -> int:
 # -----------------------------
 # Parser
 # -----------------------------
+def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
+    """The flags estimate and btr share."""
+    p.add_argument("--config")
+    p.add_argument("--input", required=True)
+    p.add_argument("--format", choices=("binary", "csv"))
+    p.add_argument("--estimator", choices=ESTIMATORS)
+    p.add_argument("--k", type=int,
+                   help="source count (music, gnr2, --select-bins; estimate "
+                        "then picks peaks)")
+    p.add_argument("--band", type=_floats)
+    p.add_argument("--n-fft", dest="n_fft", type=int)
+    p.add_argument("--select-bins", dest="select_bins", type=int)
+    p.add_argument("--sector", type=_floats)
+    p.add_argument("--step", type=float)
+    p.add_argument("--convention", choices=CONVENTIONS)
+    p.add_argument("--spacing", type=float)
+    p.add_argument("--offsets", type=_floats)
+    p.add_argument("--gnuplot", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dasdoa",
@@ -337,44 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(fn=_cmd_simulate)
 
     est = sub.add_parser("estimate", help="bearing spectrum from a record")
-    est.add_argument("--config")
-    est.add_argument("--input", required=True)
-    est.add_argument("--format", choices=("binary", "csv"))
-    est.add_argument("--estimator", choices=("cbf", "music", "spice",
-                                             "qspice", "gnr2"))
-    est.add_argument("--k", type=int, help="source count (enables peak picking)")
+    _add_pipeline_args(est)
     est.add_argument("--frequency", type=float)
-    est.add_argument("--band", type=_floats)
-    est.add_argument("--n-fft", dest="n_fft", type=int)
-    est.add_argument("--select-bins", dest="select_bins", type=int)
-    est.add_argument("--sector", type=_floats)
-    est.add_argument("--step", type=float)
-    est.add_argument("--convention", choices=("broadside", "endfire"))
-    est.add_argument("--spacing", type=float)
-    est.add_argument("--offsets", type=_floats)
     est.add_argument("--out", help="write the spectrum as CSV")
-    est.add_argument("--gnuplot", action="store_true")
     est.set_defaults(fn=_cmd_estimate)
 
     btr_p = sub.add_parser("btr", help="bearing-time record from a time record")
-    btr_p.add_argument("--config")
-    btr_p.add_argument("--input", required=True)
-    btr_p.add_argument("--format", choices=("binary", "csv"))
-    btr_p.add_argument("--estimator", choices=("cbf", "music", "spice",
-                                               "qspice", "gnr2"))
-    btr_p.add_argument("--k", type=int)
-    btr_p.add_argument("--band", type=_floats)
-    btr_p.add_argument("--n-fft", dest="n_fft", type=int)
-    btr_p.add_argument("--select-bins", dest="select_bins", type=int)
+    _add_pipeline_args(btr_p)
     btr_p.add_argument("--frame-seconds", dest="frame_seconds", type=float)
     btr_p.add_argument("--hop-fraction", dest="hop_fraction", type=float)
-    btr_p.add_argument("--sector", type=_floats)
-    btr_p.add_argument("--step", type=float)
-    btr_p.add_argument("--convention", choices=("broadside", "endfire"))
-    btr_p.add_argument("--spacing", type=float)
-    btr_p.add_argument("--offsets", type=_floats)
     btr_p.add_argument("--out", required=True)
-    btr_p.add_argument("--gnuplot", action="store_true")
     btr_p.set_defaults(fn=_cmd_btr)
 
     ben = sub.add_parser("bench", help="Monte Carlo accuracy benchmark")

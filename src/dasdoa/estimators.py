@@ -28,7 +28,7 @@ Setting r = q = 1 recovers SPICE exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, get_lapack_funcs
@@ -37,6 +37,9 @@ from .arrays import Dictionary
 from .errors import ConfigError, DegenerateInputError
 
 DB_FLOOR = 1e-300
+# every estimator the toolkit runs; all but gnr2 (grid refinement, see
+# refine.narrowband_estimate) give a spectrum on a fixed grid
+ESTIMATORS = ("cbf", "music", "spice", "qspice", "gnr2")
 
 
 @dataclass(frozen=True)
@@ -367,3 +370,35 @@ def peak_pick(spectrum: SpatialSpectrum, k: int, guard_deg: float = 0.0):
     if guard_deg < 0:
         raise ConfigError("guard must be non-negative")
     return _pick(spectrum.power, spectrum.angles, k, guard_deg)
+
+
+# -----------------------------
+# Estimator registry
+# -----------------------------
+def check_estimator(name: str, k: int | None) -> None:
+    """Reject an unknown estimator name, or a missing source count k for
+    the estimators that need one (MUSIC and GNR²)."""
+    if name not in ESTIMATORS:
+        raise ConfigError(f"unknown estimator {name!r}; use one of {ESTIMATORS}")
+    if name in ("music", "gnr2") and k is None:
+        raise ConfigError(f"{name} needs the source count k")
+
+
+def fixed_grid_spectrum(name: str, R_hat, dictionary: Dictionary, k: int | None = None,
+                        solver_cfg: SolverConfig | None = None) -> SpatialSpectrum:
+    """Spectrum of a fixed-grid estimator on `dictionary`, tagged `name`.
+
+    SPICE is the solver at r = q = 1 with solver_cfg's max_iter and rel_tol;
+    qspice runs solver_cfg as given. Both keep the solver's power floor as
+    their dB floor.
+    """
+    if name == "cbf":
+        return cbf_spectrum(R_hat, dictionary)
+    if name == "music":
+        return music_spectrum(R_hat, dictionary, k)
+    if name not in ("spice", "qspice"):
+        raise ConfigError(f"{name!r} is not a fixed-grid estimator")
+    cfg = solver_cfg or SolverConfig()
+    if name == "spice":
+        cfg = replace(cfg, r=1.0, q=1.0)
+    return replace(qspice_solve(R_hat, dictionary, cfg).spectrum, estimator=name)

@@ -178,10 +178,7 @@ def _meta_hash(*parts) -> str:
 
 def save_table(result, path, seed="na") -> None:
     """Write a result as deterministic CSV with a manifest comment."""
-    try:
-        text = render_table(result, seed)
-    except ConfigError:
-        raise
+    text = render_table(result, seed)
     try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
@@ -193,7 +190,7 @@ def render_table(result, seed="na") -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if isinstance(result, SpatialSpectrum):
-        freq = "na" if result.frequency is None else _fmt(float(result.frequency))
+        freq = _fmt(float(result.frequency))
         buf.write(f"# spectrum estimator={result.estimator} frequency={freq}\n")
         buf.write(_manifest_line(
             _meta_hash(result.estimator, freq, result.angles.tobytes()), seed))

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, angle_grid, steering_matrix
+from .arrays import ArrayGeometry, Dictionary, angle_grid, steering_matrix
 from .errors import ConfigError
-from .estimators import SolverConfig, SpatialSpectrum, _pick, qspice_solve
+from .estimators import SolverConfig, SpatialSpectrum, _pick, check_estimator, \
+    fixed_grid_spectrum, peak_pick, qspice_solve
 
 
 @dataclass(frozen=True)
@@ -149,3 +150,28 @@ def gnr2_estimate(data, geometry: ArrayGeometry, frequency: float, k: int,
     est, shortfall, rounds, grid, power = refine_loop(solve, sector, k, rcfg)
     spectrum = SpatialSpectrum(grid, power, "qspice-gnr2", frequency)
     return RefineResult(est, spectrum, rounds, shortfall)
+
+
+def narrowband_estimate(name: str, data, dictionary: Dictionary, sector,
+                        k: int | None = None,
+                        solver_cfg: SolverConfig | None = None,
+                        refine_cfg: RefineConfig | None = None,
+                        cbf_guard: float = 1.0):
+    """Any estimator of estimators.ESTIMATORS on one snapshot or covariance.
+
+    The fixed-grid estimators run on `dictionary`; gnr2 refines over
+    `sector` with the dictionary's geometry, frequency and convention. With
+    a source count k, picks the k strongest peaks, at least `cbf_guard`
+    degrees apart for CBF and with no guard otherwise.
+    Returns (spectrum, angles, shortfall); without k, angles is empty.
+    """
+    check_estimator(name, k)
+    if name == "gnr2":
+        res = gnr2_estimate(data, dictionary.geometry, dictionary.frequency, k,
+                            sector, dictionary.convention, solver_cfg, refine_cfg)
+        return res.spectrum, res.angles, res.shortfall
+    spectrum = fixed_grid_spectrum(name, data, dictionary, k, solver_cfg)
+    if not k:
+        return spectrum, (), False
+    angles, shortfall = peak_pick(spectrum, k, cbf_guard if name == "cbf" else 0.0)
+    return spectrum, angles, shortfall

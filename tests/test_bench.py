@@ -156,6 +156,13 @@ def test_register_method_plugs_into_harness():
         METHODS.pop(name, None)
 
 
+def test_invalid_solver_settings_fail_the_run():
+    with pytest.raises(ConfigError):
+        run_monte_carlo(_tiny_config(r=0.5))
+    with pytest.raises(ConfigError):
+        run_monte_carlo(_tiny_config(refine_initial_step=0.01))
+
+
 def test_timing_ratios_reference_fallback():
     cfg = _tiny_config(trials=2)
     res = run_monte_carlo(cfg)

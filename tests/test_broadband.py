@@ -141,6 +141,18 @@ def test_btr_single_frame_matches_single_shot():
     assert rec.times[0] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("estimator", ["cbf", "music", "spice", "qspice", "gnr2"])
+def test_btr_one_frame_is_the_single_shot_run(estimator):
+    block, geom = _record([-20.0, 12.0], seed=36, duration=0.5)
+    kw = dict(bins=BAND, estimator=estimator, k=2, select_count=4)
+    spec, estimates = broadband_estimate(block, geom, **kw)
+    rec = btr(block, geom, frame_seconds=0.5, **kw)
+    assert rec.times.size == 1
+    if estimator != "gnr2":
+        assert rec.power_db[0].tobytes() == spec.power_db.tobytes()
+    assert rec.estimates[0] == tuple(estimates)
+
+
 def test_btr_stationary_source_gives_constant_ridge():
     block, geom = _record([20.0], seed=34, duration=3.0, snr=15.0)
     rec = btr(block, geom, bins=BAND, frame_seconds=1.0,

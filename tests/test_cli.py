@@ -3,6 +3,9 @@ import json
 import pytest
 
 from dasdoa import cli
+from dasdoa.arrays import uniform_line_array
+from dasdoa.broadband import broadband_estimate
+from dasdoa.recordio import load_record, render_table
 
 
 def _simulate_snapshot(tmp_path, **extra):
@@ -58,6 +61,27 @@ def test_estimate_broadband_time_record(tmp_path, capsys):
                      "--out", str(out)])
     assert code == 0
     assert out.exists()
+
+
+def test_estimate_spice_runs_spice_and_says_so(tmp_path, capsys):
+    # a time record: the CLI solves at r = q = 1, as the API does
+    record = _simulate_time(tmp_path)
+    out = tmp_path / "spice.csv"
+    code = cli.main(["estimate", "--input", str(record), "--estimator", "spice",
+                     "--band", "100,1000", "--spacing", "1.25", "--k", "1",
+                     "--select-bins", "4", "--out", str(out)])
+    assert code == 0
+    spectrum, _ = broadband_estimate(load_record(record),
+                                     uniform_line_array(8, 1.25),
+                                     bins=(100.0, 1000.0), estimator="spice",
+                                     k=1, step=0.5, select_count=4)
+    assert out.read_text() == render_table(spectrum)
+    # a snapshot record: the table is tagged with the estimator asked for
+    record = _simulate_snapshot(tmp_path)
+    code = cli.main(["estimate", "--input", str(record), "--estimator", "spice",
+                     "--frequency", "3000", "--out", str(out)])
+    assert code == 0
+    assert out.read_text().startswith("# spectrum estimator=spice ")
 
 
 def test_btr_writes_table(tmp_path, capsys):
@@ -126,6 +150,16 @@ def test_missing_frequency_exits_2(tmp_path, capsys):
     code = cli.main(["estimate", "--input", str(record), "--estimator", "cbf"])
     assert code == 2
     assert "frequency" in capsys.readouterr().err
+
+
+def test_unknown_estimator_from_config_exits_2(tmp_path, capsys):
+    record = _simulate_snapshot(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"estimator": "parabolic"}))
+    code = cli.main(["estimate", "--input", str(record), "--frequency", "3000",
+                     "--config", str(cfg)])
+    assert code == 2
+    assert "unknown estimator" in capsys.readouterr().err
 
 
 def test_missing_input_exits_3(tmp_path, capsys):
