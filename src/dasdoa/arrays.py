@@ -65,6 +65,16 @@ def half_wavelength_spacing(frequency: float, sound_speed: float = 1500.0) -> fl
     return sound_speed / (2.0 * frequency)
 
 
+def two_numbers(pair, what: str) -> tuple[float, float]:
+    """`pair` as two floats, such as a (lo, hi) band or sector; a ConfigError
+    naming `what` unless it holds exactly two numbers."""
+    try:
+        first, second = (float(v) for v in pair)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} needs exactly two numbers, got {pair!r}") from None
+    return first, second
+
+
 def full_sector(convention: str = "broadside") -> tuple[float, float]:
     """Every angle a convention covers: the default sector."""
     return (-90.0, 90.0) if convention == "broadside" else (0.0, 180.0)
@@ -100,7 +110,7 @@ def angle_grid(sector: tuple[float, float], step: float) -> np.ndarray:
     Values are rounded to 1e-9 deg so unions of grids from different rounds
     deduplicate exactly.
     """
-    lo, hi = float(sector[0]), float(sector[1])
+    lo, hi = two_numbers(sector, "sector")
     if not (hi > lo):
         raise ConfigError("sector upper bound must exceed lower bound")
     if step <= 0:

@@ -289,6 +289,8 @@ class BenchResult:
 
 def run_monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> BenchResult:
     """Full sweep; deterministic metrics for any jobs count."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     ctx = _make_context(cfg)
     rows = []
     totals = dict.fromkeys(cfg.methods, 0.0)

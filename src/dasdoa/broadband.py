@@ -51,8 +51,7 @@ def fuse_spectra(spectra, weights=None) -> SpatialSpectrum:
 def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
                        convention: str = "broadside", estimator: str = "cbf",
                        k: int | None = None,
-                       solver_cfg: SolverConfig | None = None,
-                       weights=None) -> SpatialSpectrum:
+                       solver_cfg: SolverConfig | None = None) -> SpatialSpectrum:
     """Fused spectrum of a fixed-grid estimator over the given bins."""
     check_estimator(estimator, k)
     grid = np.asarray(angles, dtype=float)
@@ -61,18 +60,16 @@ def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
         A = steering_matrix(geometry, f, grid, convention)
         dictionary = Dictionary(grid, A, float(f), convention, geometry)
         spectra.append(fixed_grid_spectrum(estimator, R, dictionary, k, solver_cfg))
-    fused = fuse_spectra(spectra, weights)
+    fused = fuse_spectra(spectra)
     return SpatialSpectrum(fused.angles, fused.power, estimator, 0.0)
 
 
 def broadband_gnr2(covs, freqs, geometry: ArrayGeometry, k: int,
                    sector=(-90.0, 90.0), convention: str = "broadside",
                    solver_cfg: SolverConfig | None = None,
-                   refine_cfg: RefineConfig | None = None,
-                   weights=None) -> RefineResult:
+                   refine_cfg: RefineConfig | None = None) -> RefineResult:
     """Grid-neighborhood refinement on the fused per-bin solver spectrum."""
-    if k < 1:
-        raise ConfigError("source count k must be >= 1")
+    check_estimator("gnr2", k)
     scfg = solver_cfg or SolverConfig()
     rcfg = refine_cfg or RefineConfig()
 
@@ -83,7 +80,7 @@ def broadband_gnr2(covs, freqs, geometry: ArrayGeometry, k: int,
             A = steering_matrix(geometry, f, grid, convention)
             power = qspice_solve(R, A, scfg).powers.signal
             spectra.append(SpatialSpectrum(grid, power, "qspice", float(f)))
-        return fuse_spectra(spectra, weights).power
+        return fuse_spectra(spectra).power
 
     est, shortfall, rounds, grid, power = refine_loop(solve, sector, k, rcfg)
     return RefineResult(est, SpatialSpectrum(grid, power, "qspice-gnr2", 0.0),

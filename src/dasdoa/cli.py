@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Subcommands: simulate, estimate, btr, bench, cable-sens. Every subcommand
-accepts --config with a flat JSON object; explicit flags override config
-keys, which override built-in defaults.
+accepts --config with a flat JSON object whose keys are declared once in
+build_parser: the dests of its option flags plus its config-only keys. A
+flag overrides its config key, which overrides the default (for bench, the
+preset).
 
 Exit codes: 0 success, 2 configuration problem (including argparse usage
 errors), 3 unusable input data, 4 estimator failure.
@@ -12,13 +14,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .arrays import CONVENTIONS, ArrayGeometry, build_dictionary, full_sector, \
     half_wavelength_spacing, uniform_line_array
-from .bench import PRESETS, run_monte_carlo
+from .bench import PRESETS, ScenarioConfig, run_monte_carlo
 from .broadband import broadband_estimate, btr
 from .cable import FiberSpec, MandrelSpec, cable_sensitivity, \
     mandrel_radial_displacement
@@ -30,43 +32,68 @@ from .refine import RefineConfig, narrowband_estimate
 from .simulate import NoiseModel, SourceSpec, synthesize
 
 JOBS_ENV = "DASDOA_JOBS"
+# flags that name files or steer output; they are not config keys
+_NOT_CONFIG = {"help", "config", "input", "out", "gnuplot", "preset", "jobs",
+               "timing_out"}
 
 
-def _floats(text: str):
+def _floats(text):
+    """Comma-separated numbers from a flag, or a JSON list from a config."""
+    parts = text.split(",") if isinstance(text, str) else text
     try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
+        return tuple(float(part) for part in parts)
+    except (TypeError, ValueError):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}")
 
 
-def _names(text: str):
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _names(text):
+    parts = text.split(",") if isinstance(text, str) else text
+    return tuple(str(part).strip() for part in parts if str(part).strip())
+
+
+def _lines(value):
+    """Config `lines`: per source, a list of [frequency_hz, level_db] pairs."""
+    return tuple(tuple(_floats(pair) for pair in src) for src in value)
+
+
+def _as_given(convert):
+    """A bench converter: the value must be what `convert` makes of it, and
+    passes on as written, since the manifest digest hashes it (9 vs 9.0)."""
+    def check(value):
+        given = tuple(value) if isinstance(value, list) else value
+        if convert(value) != given or convert is int and type(value) is not int:
+            raise ValueError(f"{value!r} has the wrong type")
+        return value
+    return check
 
 
 class _Options:
-    """Layered lookup: command-line flag, then config file, then default."""
+    """Layered lookup: command-line flag, then config file, then default.
+
+    Config keys outside args.config_keys (key -> converter), and values
+    their converter rejects, raise a ConfigError naming them; null is unset.
+    """
 
     def __init__(self, args):
         self.args = args
-        self.config = load_config(args.config) if args.config else {}
+        self.config = {}
+        raw = load_config(args.config) if args.config else {}
+        unknown = sorted(set(raw) - set(args.config_keys))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown} for {args.command}")
+        for key, value in raw.items():
+            if value is not None:
+                try:
+                    self.config[key] = args.config_keys[key](value)
+                except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                    raise ConfigError(f"config key {key!r}: {exc}") from None
 
     def get(self, key, default=None):
         flag = getattr(self.args, key, None)
         if flag is not None:
             return flag
         return self.config.get(key, default)
-
-
-def _solver_config(opt: _Options) -> SolverConfig:
-    return SolverConfig(r=opt.get("r", 1.0), q=opt.get("q", 2.0),
-                        max_iter=int(opt.get("max_iter", 500)),
-                        rel_tol=opt.get("rel_tol", 1e-6))
-
-
-def _refine_config(opt: _Options) -> RefineConfig:
-    return RefineConfig(initial_step=opt.get("initial_step", 1.0),
-                        target_step=opt.get("target_step", 0.05))
 
 
 def _geometry(opt: _Options, n_channels: int, frequency) -> ArrayGeometry:
@@ -91,37 +118,34 @@ def _geometry(opt: _Options, n_channels: int, frequency) -> ArrayGeometry:
 def _cmd_simulate(args) -> int:
     opt = _Options(args)
     kind = opt.get("kind", "tonal")
-    angles = tuple(opt.get("angles", (2.36, 27.62)))
-    powers = tuple(opt.get("powers", (1.0,) * len(angles)))
+    angles = opt.get("angles", (2.36, 27.62))
+    powers = opt.get("powers", (1.0,) * len(angles))
     rate = opt.get("rate", 6000.0)
     frequency = opt.get("frequency", 3000.0)
     if kind == "tonal":
-        freqs = tuple(opt.get("freqs",
-                              tuple(frequency + 100.0 * i
-                                    for i in range(len(angles)))))
-        samples = int(opt.get("samples", 60))
+        freqs = opt.get("freqs", tuple(frequency + 100.0 * i
+                                       for i in range(len(angles))))
+        samples = opt.get("samples", 60)
     else:
-        freqs = tuple(opt.get("freqs", ()))
-        samples = int(opt.get("samples", round(2 * rate)))
-    band = tuple(opt.get("band", (100.0, 1000.0)))
-    lines = opt.get("lines", ())
-    lines = tuple(tuple(tuple(p) for p in src) for src in lines)
-    sources = SourceSpec(kind, angles, powers, freqs=freqs,
-                         snapshot_rate=rate, band=band, lines=lines)
+        freqs = opt.get("freqs", ())
+        samples = opt.get("samples", round(2 * rate))
+    sources = SourceSpec(kind, angles, powers, freqs=freqs, snapshot_rate=rate,
+                         band=opt.get("band", (100.0, 1000.0)),
+                         lines=opt.get("lines", ()))
 
     noise_kind = opt.get("noise", "uniform-gaussian")
     if noise_kind == "none":
         model, snr = None, None
     else:
-        diag = tuple(opt.get("noise_diag", ()))
         model = NoiseModel(noise_kind, sigma2=opt.get("sigma2", 1.0),
-                           diag=diag, alpha=opt.get("alpha", 1.2),
+                           diag=opt.get("noise_diag", ()),
+                           alpha=opt.get("alpha", 1.2),
                            gamma=opt.get("gamma", 1.0))
         snr = opt.get("snr", 5.0)
 
-    n_elem = int(opt.get("elements", 12))
-    geometry = _geometry(opt, n_elem, frequency if kind == "tonal" else None)
-    rng = np.random.default_rng(int(opt.get("seed", 0)))
+    geometry = _geometry(opt, opt.get("elements", 12),
+                         frequency if kind == "tonal" else None)
+    rng = np.random.default_rng(opt.get("seed", 0))
     block = synthesize(geometry, sources, model, snr, samples, rng,
                        dictionary_frequency=frequency,
                        convention=opt.get("convention", "broadside"))
@@ -139,17 +163,17 @@ def _pipeline_options(opt: _Options, default_estimator: str,
     """The options estimate and btr share, as keyword arguments of
     broadband_estimate and btr; gnr2's coarse grid defaults to 1 deg."""
     estimator = opt.get("estimator", default_estimator)
-    k = opt.get("k")
-    sector = opt.get("sector")
-    select = opt.get("select_bins")
-    return dict(bins=tuple(opt.get("band", (50.0, 1050.0))),
-                n_fft=int(opt.get("n_fft", 512)), estimator=estimator,
-                k=int(k) if k is not None else None,
-                sector=tuple(sector) if sector else None,
+    return dict(bins=opt.get("band", (50.0, 1050.0)),
+                n_fft=opt.get("n_fft", 512), estimator=estimator, k=opt.get("k"),
+                sector=opt.get("sector") or None,
                 step=opt.get("step", 1.0 if estimator == "gnr2" else fixed_grid_step),
                 convention=opt.get("convention", "broadside"),
-                select_count=int(select) if select else None,
-                solver_cfg=_solver_config(opt), refine_cfg=_refine_config(opt))
+                select_count=opt.get("select_bins") or None,
+                solver_cfg=SolverConfig(r=opt.get("r", 1.0), q=opt.get("q", 2.0),
+                                        max_iter=opt.get("max_iter", 500),
+                                        rel_tol=opt.get("rel_tol", 1e-6)),
+                refine_cfg=RefineConfig(initial_step=opt.get("initial_step", 1.0),
+                                        target_step=opt.get("target_step", 0.05)))
 
 
 def _cmd_estimate(args) -> int:
@@ -215,19 +239,14 @@ def _cmd_btr(args) -> int:
 # bench
 # -----------------------------
 def _cmd_bench(args) -> int:
-    base = asdict(PRESETS[args.preset]()) if args.preset else {}
-    if args.config:
-        base.update(load_config(args.config))
-    for key in ("trials", "seed"):
-        value = getattr(args, key)
-        if value is not None:
-            base[key] = value
-    if args.methods is not None:
-        base["methods"] = args.methods
-    if args.sweep_values is not None:
-        base["sweep_values"] = args.sweep_values
-    cfg = scenario_from_dict(base)
-    jobs = args.jobs if args.jobs else int(os.environ.get(JOBS_ENV, "1"))
+    opt = _Options(args)
+    preset = PRESETS[args.preset]() if args.preset else ScenarioConfig()
+    cfg = scenario_from_dict({key: opt.get(key, value)
+                              for key, value in asdict(preset).items()})
+    try:
+        jobs = args.jobs if args.jobs is not None else int(os.environ.get(JOBS_ENV, "1"))
+    except ValueError:
+        raise ConfigError(f"{JOBS_ENV} must be an integer") from None
     result = run_monte_carlo(cfg, jobs=jobs)
     if args.out:
         save_table(result, args.out)
@@ -269,6 +288,19 @@ def _cmd_cable(args) -> int:
 # -----------------------------
 # Parser
 # -----------------------------
+_PIPELINE_CONFIG_ONLY = dict(r=float, q=float, max_iter=int, rel_tol=float,
+                             initial_step=float, target_step=float,
+                             sound_speed=float)
+
+
+def _declare(parser: argparse.ArgumentParser, fn, **config_only) -> None:
+    """Set a subcommand's handler and its config keys: the dest of each
+    option flag, converted by the flag's type, plus `config_only`."""
+    keys = {a.dest: a.type or str for a in parser._actions
+            if a.dest not in _NOT_CONFIG}
+    parser.set_defaults(fn=fn, config_keys={**keys, **config_only})
+
+
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     """The flags estimate and btr share."""
     p.add_argument("--config")
@@ -315,20 +347,21 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--noise-diag", dest="noise_diag", type=_floats)
     sim.add_argument("--alpha", type=float)
     sim.add_argument("--seed", type=int)
-    sim.set_defaults(fn=_cmd_simulate)
+    _declare(sim, _cmd_simulate, lines=_lines, sigma2=float, gamma=float,
+             convention=str, offsets=_floats, sound_speed=float)
 
     est = sub.add_parser("estimate", help="bearing spectrum from a record")
     _add_pipeline_args(est)
     est.add_argument("--frequency", type=float)
     est.add_argument("--out", help="write the spectrum as CSV")
-    est.set_defaults(fn=_cmd_estimate)
+    _declare(est, _cmd_estimate, **_PIPELINE_CONFIG_ONLY, peak_guard=float)
 
     btr_p = sub.add_parser("btr", help="bearing-time record from a time record")
     _add_pipeline_args(btr_p)
     btr_p.add_argument("--frame-seconds", dest="frame_seconds", type=float)
     btr_p.add_argument("--hop-fraction", dest="hop_fraction", type=float)
     btr_p.add_argument("--out", required=True)
-    btr_p.set_defaults(fn=_cmd_btr)
+    _declare(btr_p, _cmd_btr, **_PIPELINE_CONFIG_ONLY)
 
     ben = sub.add_parser("bench", help="Monte Carlo accuracy benchmark")
     ben.add_argument("--preset", choices=sorted(PRESETS))
@@ -343,7 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--timing-out", dest="timing_out",
                      help="wall-clock CSV path (non-deterministic)")
     ben.add_argument("--gnuplot", action="store_true")
-    ben.set_defaults(fn=_cmd_bench)
+    # every ScenarioConfig field, typed like its default, passed on as written
+    convert = {str: str, int: int, float: float, tuple: _floats}
+    keys = {f.name: _as_given(convert[type(f.default)])
+            for f in fields(ScenarioConfig)}
+    keys["methods"] = _as_given(_names)
+    _declare(ben, _cmd_bench, **keys)
 
     cab = sub.add_parser("cable-sens", help="spiral cable pressure sensitivity")
     cab.add_argument("--config")
@@ -357,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     cab.add_argument("--wavelength", type=float)
     cab.add_argument("--wound-length", dest="wound_length", type=float)
     cab.add_argument("--cable-length", dest="cable_length", type=float)
-    cab.set_defaults(fn=_cmd_cable)
+    _declare(cab, _cmd_cable)
     return parser
 
 

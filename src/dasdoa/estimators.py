@@ -376,10 +376,12 @@ def peak_pick(spectrum: SpatialSpectrum, k: int, guard_deg: float = 0.0):
 # Estimator registry
 # -----------------------------
 def check_estimator(name: str, k: int | None) -> None:
-    """Reject an unknown estimator name, or a missing source count k for
-    the estimators that need one (MUSIC and GNR²)."""
+    """Reject an unknown estimator name, a source count k below 1, or a
+    missing k for the estimators that need one (MUSIC and GNR²)."""
     if name not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {name!r}; use one of {ESTIMATORS}")
+    if k is not None and k < 1:
+        raise ConfigError(f"source count k must be >= 1, got {k}")
     if name in ("music", "gnr2") and k is None:
         raise ConfigError(f"{name} needs the source count k")
 

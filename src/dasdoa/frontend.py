@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import two_numbers
 from .errors import ConfigError
 from .simulate import SnapshotMatrix
 
@@ -67,7 +68,7 @@ class BinSnapshots:
 
 def band_for(bins_hz: tuple, n_fft: int, sample_rate: float) -> FrequencyBinSet:
     """All integer bins whose frequency falls inside [f_lo, f_hi]."""
-    f_lo, f_hi = bins_hz
+    f_lo, f_hi = two_numbers(bins_hz, "band")
     lo = int(np.ceil(f_lo * n_fft / sample_rate - 1e-9))
     hi = int(np.floor(f_hi * n_fft / sample_rate + 1e-9))
     if hi < lo:

@@ -138,8 +138,7 @@ def gnr2_estimate(data, geometry: ArrayGeometry, frequency: float, k: int,
                   solver_cfg: SolverConfig | None = None,
                   refine_cfg: RefineConfig | None = None) -> RefineResult:
     """Narrowband refinement on a snapshot z (M,) or sample covariance (M, M)."""
-    if k < 1:
-        raise ConfigError("source count k must be >= 1")
+    check_estimator("gnr2", k)
     scfg = solver_cfg or SolverConfig()
     rcfg = refine_cfg or RefineConfig()
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import butter, sosfiltfilt
 
-from .arrays import ArrayGeometry, steering_matrix
+from .arrays import ArrayGeometry, steering_matrix, two_numbers
 from .errors import ConfigError, UnsupportedModelError
 
 NOISE_KINDS = ("uniform-gaussian", "nonuniform-gaussian", "impulsive-sas")
@@ -70,10 +70,14 @@ class SourceSpec:
             if self.snapshot_rate <= 0:
                 raise ConfigError("snapshot rate must be positive")
         else:
-            if not self.band[0] < self.band[1]:
+            f_lo, f_hi = two_numbers(self.band, "band")
+            if not f_lo < f_hi:
                 raise ConfigError("band must satisfy f_lo < f_hi")
             if self.lines and len(self.lines) != k:
                 raise ConfigError("lines, when given, need one list per source")
+            for src in self.lines:
+                for line in src:
+                    two_numbers(line, "a line (frequency_hz, level_db)")
 
     @property
     def n_sources(self) -> int:

@@ -82,6 +82,9 @@ def test_angle_grid_validation():
         angle_grid((30.0, 10.0), 1.0)
     with pytest.raises(ConfigError):
         angle_grid((0.0, 10.0), 0.0)
+    for sector in ((5.0,), (0.0, 10.0, 20.0), ("a", "b"), 5.0):
+        with pytest.raises(ConfigError, match="two numbers"):
+            angle_grid(sector, 1.0)
 
 
 def test_build_dictionary_fields():

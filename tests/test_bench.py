@@ -133,6 +133,12 @@ def test_run_monte_carlo_rows_and_determinism():
     assert row.sweep == "snr" and 0 <= row.success_pct <= 100
 
 
+def test_run_monte_carlo_rejects_jobs_below_one():
+    for jobs in (0, -2):
+        with pytest.raises(ConfigError, match="jobs"):
+            run_monte_carlo(_tiny_config(), jobs=jobs)
+
+
 def test_high_snr_point_is_accurate():
     cfg = _tiny_config(trials=5, sweep_values=(15.0,),
                        methods=("cbf", "gnr2"))

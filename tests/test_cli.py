@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dasdoa import cli
 from dasdoa.arrays import uniform_line_array
+from dasdoa.bench import PRESETS
 from dasdoa.broadband import broadband_estimate
+from dasdoa.estimators import ESTIMATORS
 from dasdoa.recordio import load_record, render_table
 
 
@@ -192,3 +198,213 @@ def test_geometry_channel_mismatch_exits_2(tmp_path, capsys):
                      "3000", "--offsets", "0,1,2"])
     assert code == 2
     assert "channels" in capsys.readouterr().err
+
+
+# -----------------------------
+# --config: one layering rule for every subcommand
+# -----------------------------
+@pytest.fixture(scope="module")
+def records(tmp_path_factory):
+    """A 12 x 60 tonal snapshot record and an 8-channel 1 s time record."""
+    tmp = tmp_path_factory.mktemp("records")
+    return _simulate_snapshot(tmp), _simulate_time(tmp)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _flag_text(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _options(table):
+    """Draw some of table's options (key -> (flag, values)), each with a
+    value and whether the config, not the flag, sets it."""
+    return st.fixed_dictionaries({}, optional={
+        key: st.tuples(values, st.booleans()) for key, (_, values) in table.items()})
+
+
+def _by_flag_and_by_config(argv, table, drawn, tmp_path, out=None):
+    """Run argv with every drawn option as a flag, then with the drawn
+    split between flags and a config; return both (exit, stdout, stderr,
+    output file) results."""
+    results = []
+    for use_config in (False, True):
+        config = {key: value for key, (value, in_config) in drawn.items()
+                  if use_config and in_config}
+        flags = [f"{table[key][0]}={_flag_text(value)}"
+                 for key, (value, _) in drawn.items() if key not in config]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = _run(argv + flags + ["--config", str(cfg)])
+        written = None
+        if out is not None and out.exists():
+            written = out.read_bytes()
+            out.unlink()
+        results.append(result + (written,))
+    return results
+
+
+_CABLE = {
+    "inner_radius": ("--inner-radius", st.floats(1e-3, 4e-3)),
+    "outer_radius": ("--outer-radius", st.floats(5e-3, 1e-2)),
+    "poisson_ratio": ("--poisson", st.floats(0.0, 0.49)),
+    "youngs_modulus": ("--modulus", st.floats(1e8, 1e10)),
+    "p1": ("--p1", st.floats(0.0, 1.0)),
+    "p2": ("--p2", st.floats(0.0, 3.0)),
+    "refractive_index": ("--index", st.floats(1.4, 1.5)),
+    "wavelength": ("--wavelength", st.sampled_from([1310e-9, 1550e-9])),
+    "wound_length": ("--wound-length", st.floats(2.0, 10.0)),
+    "cable_length": ("--cable-length", st.floats(0.5, 2.0)),
+}
+
+_SIMULATE = {
+    "angles": ("--angles", st.sampled_from([(10.0,), (2.36, 27.62),
+                                            (-20.0, 5.0, 40.0)])),
+    "powers": ("--powers", st.sampled_from([(1.0,), (1.0, 2.0)])),
+    "frequency": ("--frequency", st.sampled_from([2000.0, 3000.0])),
+    "rate": ("--rate", st.sampled_from([6000.0, 8000.0])),
+    "elements": ("--elements", st.integers(4, 12)),
+    "samples": ("--samples", st.integers(8, 60)),
+    "spacing": ("--spacing", st.floats(0.1, 1.0)),
+    "snr": ("--snr", st.floats(-5.0, 20.0)),
+    "noise": ("--noise", st.sampled_from(["none", "uniform-gaussian",
+                                          "impulsive-sas"])),
+    "alpha": ("--alpha", st.floats(0.5, 2.0)),
+    "seed": ("--seed", st.integers(0, 2 ** 32)),
+    "format": ("--format", st.sampled_from(["binary", "csv"])),
+}
+
+_ESTIMATE = {
+    "frequency": ("--frequency", st.sampled_from([2900.0, 3000.0])),
+    "k": ("--k", st.integers(1, 3)),
+    "step": ("--step", st.sampled_from([0.25, 0.5, 1.0])),
+    "sector": ("--sector", st.sampled_from([(-90.0, 90.0), (-40.0, 60.0),
+                                            (0.0, 45.5)])),
+    "spacing": ("--spacing", st.floats(0.2, 0.5)),
+}
+
+
+@given(drawn=_options(_CABLE))
+def test_cable_sens_config_equals_flags(drawn, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cable")
+    by_flag, by_config = _by_flag_and_by_config(["cable-sens"], _CABLE, drawn, tmp)
+    assert by_config == by_flag
+
+
+@settings(max_examples=40)
+@given(drawn=_options(_SIMULATE))
+def test_simulate_config_equals_flags(drawn, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("simulate")
+    out = tmp / "rec.out"
+    by_flag, by_config = _by_flag_and_by_config(
+        ["simulate", "--out", str(out)], _SIMULATE, drawn, tmp, out)
+    assert by_config == by_flag
+
+
+@settings(max_examples=40)
+@given(drawn=_options(_ESTIMATE))
+def test_estimate_config_equals_flags(drawn, records, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("estimate")
+    out = tmp / "spec.csv"
+    argv = ["estimate", "--input", str(records[0]), "--estimator", "cbf",
+            "--out", str(out)]
+    by_flag, by_config = _by_flag_and_by_config(argv, _ESTIMATE, drawn, tmp, out)
+    assert by_config == by_flag
+
+
+_MALFORMED = {
+    "simulate": (["simulate", "--out", "{tmp}/x.bin"], {"samples": "two"}),
+    "estimate": (["estimate", "--input", "{tmp}/x.bin"], {"k": "two"}),
+    "btr": (["btr", "--input", "{tmp}/x.bin", "--out", "{tmp}/x.csv"],
+            {"max_iter": [500]}),
+    "bench": (["bench", "--preset", "table1"], {"trials": "two"}),
+    "cable-sens": (["cable-sens"], {"p2": "two"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MALFORMED))
+def test_config_rejects_unknown_keys_and_malformed_values(command, tmp_path):
+    argv, malformed = _MALFORMED[command]
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"snrr": 99, "frame": 1}))
+    code, out, err = _run(argv + ["--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert "unknown config keys ['frame', 'snrr']" in err
+    cfg.write_text(json.dumps(malformed))
+    code, out, err = _run(argv + ["--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert f"config key {next(iter(malformed))!r}" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_null_is_unset(tmp_path):
+    plain, nulls = tmp_path / "plain.bin", tmp_path / "nulls.bin"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"snr": None, "seed": None, "lines": None}))
+    assert cli.main(["simulate", "--out", str(plain)]) == 0
+    assert cli.main(["simulate", "--out", str(nulls), "--config", str(cfg)]) == 0
+    assert nulls.read_bytes() == plain.read_bytes()
+
+
+def test_bench_config_values_reach_the_digest_as_written(tmp_path):
+    # the manifest digest hashes the values as written: [9] stays 9, where
+    # --sweep-values 9 gives 9.0
+    cfg, out = tmp_path / "cfg.json", tmp_path / "m.csv"
+    cfg.write_text(json.dumps({"sweep_values": [9], "trials": 1, "snr_db": 5,
+                               "methods": ["cbf"]}))
+    assert cli.main(["bench", "--preset", "table1", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    expected = replace(PRESETS["table1"](), sweep_values=(9,), trials=1,
+                       snr_db=5, methods=("cbf",))
+    assert f"config={expected.digest()} " in out.read_text().splitlines()[1]
+    assert cli.main(["bench", "--preset", "table1", "--config", str(cfg),
+                     "--sweep-values", "9", "--out", str(out)]) == 0
+    expected = replace(expected, sweep_values=(9.0,))
+    assert f"config={expected.digest()} " in out.read_text().splitlines()[1]
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_k_below_one_exits_2(estimator, records, capsys):
+    code = cli.main(["estimate", "--input", str(records[0]), "--frequency",
+                     "3000", "--estimator", estimator, "--k", "0"])
+    assert code == 2
+    assert "k must be >= 1" in capsys.readouterr().err
+
+
+def test_k_below_one_with_bin_selection_exits_2(records, capsys):
+    code = cli.main(["estimate", "--input", str(records[1]), "--spacing", "1.25",
+                     "--estimator", "cbf", "--k", "0", "--select-bins", "2"])
+    assert code == 2
+    assert "k must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record, argv", [
+    (1, ["estimate", "--spacing", "1.25", "--band", "100"]),
+    (1, ["estimate", "--spacing", "1.25", "--band", "100,500,900"]),
+    (0, ["estimate", "--frequency", "3000", "--sector", "5"]),
+    (0, ["estimate", "--frequency", "3000", "--sector", "0,10,20",
+         "--estimator", "cbf", "--k", "1"]),
+    (None, ["simulate", "--kind", "propeller-broadband", "--band", "100"]),
+], ids=["band-one", "band-three", "sector-one", "sector-three", "simulate-band-one"])
+def test_pairs_need_exactly_two_numbers(record, argv, records, tmp_path, capsys):
+    io_args = (["--out", str(tmp_path / "x.bin")] if record is None
+               else ["--input", str(records[record])])
+    assert cli.main(argv + io_args) == 2
+    assert "needs exactly two numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--jobs", "0"], None), (["--jobs", "-2"], None), ([], "two")])
+def test_bad_job_count_exits_2(argv, env, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv(cli.JOBS_ENV, env)
+    code = cli.main(["bench", "--preset", "table1", "--trials", "1",
+                     "--sweep-values", "9", "--methods", "cbf"] + argv)
+    assert code == 2
+    assert "jobs" in capsys.readouterr().err.lower()

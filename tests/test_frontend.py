@@ -28,6 +28,9 @@ def test_band_for_standard_band():
     assert_allclose(bins.frequencies, bins.indices * 10.0)
     with pytest.raises(ConfigError):
         band_for((101.0, 104.0), NFFT, FS)   # between bins 10 and 11
+    for band in ((100.0,), (100.0, 500.0, 900.0)):
+        with pytest.raises(ConfigError, match="two numbers"):
+            band_for(band, NFFT, FS)
 
 
 def test_bin_set_validation_and_subset():

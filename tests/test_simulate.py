@@ -210,6 +210,11 @@ def test_source_spec_validation():
         SourceSpec("tonal", (0.0,), (1.0,), freqs=())               # missing freq
     with pytest.raises(ConfigError):
         SourceSpec("whistle", (0.0,), (1.0,))                       # unknown kind
+    with pytest.raises(ConfigError, match="two numbers"):
+        SourceSpec("propeller-broadband", (0.0,), (1.0,), band=(100.0,))
+    with pytest.raises(ConfigError, match="two numbers"):
+        SourceSpec("propeller-broadband", (0.0,), (1.0,),
+                   lines=(((200.0, 10.0, 3.0),),))
 
 
 def test_noise_model_validation():
