@@ -26,6 +26,7 @@ from .cable import FiberSpec, MandrelSpec, cable_sensitivity, \
     mandrel_radial_displacement
 from .errors import ConfigError, DataError, EstimationError, ToolkitError
 from .estimators import ESTIMATORS, SolverConfig, peak_pick
+from .frontend import sample_covariance
 from .recordio import load_config, load_record, render_table, save_record, \
     save_table, save_timing_table, scenario_from_dict, write_gnuplot
 from .refine import RefineConfig, narrowband_estimate
@@ -57,12 +58,19 @@ def _lines(value):
     return tuple(tuple(_floats(pair) for pair in src) for src in value)
 
 
+def _integer(value):
+    """An int-typed config value: a JSON integer, not a float or a bool."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _as_given(convert):
     """A bench converter: the value must be what `convert` makes of it, and
     passes on as written, since the manifest digest hashes it (9 vs 9.0)."""
     def check(value):
         given = tuple(value) if isinstance(value, list) else value
-        if convert(value) != given or convert is int and type(value) is not int:
+        if convert(value) != given:
             raise ValueError(f"{value!r} has the wrong type")
         return value
     return check
@@ -165,10 +173,10 @@ def _pipeline_options(opt: _Options, default_estimator: str,
     estimator = opt.get("estimator", default_estimator)
     return dict(bins=opt.get("band", (50.0, 1050.0)),
                 n_fft=opt.get("n_fft", 512), estimator=estimator, k=opt.get("k"),
-                sector=opt.get("sector") or None,
+                sector=opt.get("sector"),
                 step=opt.get("step", 1.0 if estimator == "gnr2" else fixed_grid_step),
                 convention=opt.get("convention", "broadside"),
-                select_count=opt.get("select_bins") or None,
+                select_count=opt.get("select_bins"),
                 solver_cfg=SolverConfig(r=opt.get("r", 1.0), q=opt.get("q", 2.0),
                                         max_iter=opt.get("max_iter", 500),
                                         rel_tol=opt.get("rel_tol", 1e-6)),
@@ -186,29 +194,27 @@ def _cmd_estimate(args) -> int:
     if record.domain == "time":
         geometry = _geometry(opt, record.n_channels, frequency)
         spectrum, estimates = broadband_estimate(record, geometry, **kw)
-        shortfall = bool(k) and len(estimates) < k
-        if estimator != "gnr2" and k:
-            estimates, shortfall = peak_pick(spectrum, k)
+        shortfall = k is not None and len(estimates) < k
+        if estimator != "gnr2" and k is not None:
+            guard = opt.get("peak_guard", 0.0) if estimator == "cbf" else 0.0
+            estimates, shortfall = peak_pick(spectrum, k, guard)
     else:
         if frequency is None:
             raise ConfigError("snapshot-domain records need --frequency for "
                               "the steering dictionary")
         geometry = _geometry(opt, record.n_channels, frequency)
-        sector = kw["sector"] or full_sector(kw["convention"])
-        # kept in the record's dtype (complex64): frontend.sample_covariance
-        # would symmetrize in it and change the low digits of every result
-        r_hat = record.data @ record.data.conj().T / record.n_samples
+        sector = full_sector(kw["convention"]) if kw["sector"] is None else kw["sector"]
         dictionary = build_dictionary(geometry, frequency, sector, kw["step"],
                                       kw["convention"])
         spectrum, estimates, shortfall = narrowband_estimate(
-            estimator, r_hat, dictionary, sector, k, kw["solver_cfg"],
-            kw["refine_cfg"], opt.get("peak_guard", 1.0))
+            estimator, sample_covariance(record.data), dictionary, sector, k,
+            kw["solver_cfg"], kw["refine_cfg"], opt.get("peak_guard", 1.0))
 
     if args.out:
         save_table(spectrum, args.out)
         if args.gnuplot:
             write_gnuplot(args.out, args.out + ".gp", "spectrum")
-    if k:
+    if k is not None:
         if shortfall:
             raise EstimationError(
                 f"{estimator} resolved {len(estimates)} of {k} sources")
@@ -295,10 +301,13 @@ _PIPELINE_CONFIG_ONLY = dict(r=float, q=float, max_iter=int, rel_tol=float,
 
 def _declare(parser: argparse.ArgumentParser, fn, **config_only) -> None:
     """Set a subcommand's handler and its config keys: the dest of each
-    option flag, converted by the flag's type, plus `config_only`."""
+    option flag, converted by the flag's type, plus `config_only`. An
+    int-typed key takes only a JSON integer."""
     keys = {a.dest: a.type or str for a in parser._actions
             if a.dest not in _NOT_CONFIG}
-    parser.set_defaults(fn=fn, config_keys={**keys, **config_only})
+    keys = {key: _integer if convert is int else convert
+            for key, convert in {**keys, **config_only}.items()}
+    parser.set_defaults(fn=fn, config_keys=keys)
 
 
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
@@ -377,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="wall-clock CSV path (non-deterministic)")
     ben.add_argument("--gnuplot", action="store_true")
     # every ScenarioConfig field, typed like its default, passed on as written
-    convert = {str: str, int: int, float: float, tuple: _floats}
+    convert = {str: str, int: _integer, float: float, tuple: _floats}
     keys = {f.name: _as_given(convert[type(f.default)])
             for f in fields(ScenarioConfig)}
     keys["methods"] = _as_given(_names)

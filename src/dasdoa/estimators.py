@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, get_lapack_funcs
+from scipy.linalg import LinAlgError, eigh, get_lapack_funcs
 
 from .arrays import Dictionary
 from .errors import ConfigError, DegenerateInputError
@@ -102,13 +102,14 @@ class SolverResult:
     spectrum: SpatialSpectrum | None = None
 
 
-def _as_matrix(dictionary) -> tuple[np.ndarray, np.ndarray | None, float]:
+def _as_matrix(dictionary) -> tuple[np.ndarray, np.ndarray, float]:
+    """(A, angles, frequency); a bare matrix's angles are its column indices."""
     if isinstance(dictionary, Dictionary):
         return dictionary.matrix, dictionary.angles, dictionary.frequency
     A = np.asarray(dictionary)
     if A.ndim != 2:
         raise ConfigError("dictionary must be an M x G matrix")
-    return A, None, 0.0
+    return A, np.arange(A.shape[1], dtype=float), 0.0
 
 
 def _as_covariance(data, m: int) -> np.ndarray:
@@ -132,12 +133,61 @@ def _as_covariance(data, m: int) -> np.ndarray:
 def spice_weights(dictionary, data) -> tuple[np.ndarray, np.ndarray]:
     """(signal weights w_g = ||a_g||^2/E, noise weights w_m = 1/E) with
     E = z^H z for a snapshot or tr(R_hat) for a covariance."""
-    A, _, _ = _as_matrix(dictionary)
-    R_hat = _as_covariance(data, A.shape[0])
-    energy = np.trace(R_hat).real
-    w_p = np.sum(np.abs(A) ** 2, axis=0) / energy
-    w_s = np.full(A.shape[0], 1.0 / energy)
+    _, _, _, w_p, w_s, _ = _model(data, dictionary)
     return w_p, w_s
+
+
+def _cbf_power(A, R_hat) -> np.ndarray:
+    """Delay-and-sum power a_g^H R_hat a_g / M^2, clipped at zero."""
+    return np.maximum((A.conj() * (R_hat @ A)).sum(axis=0).real / A.shape[0] ** 2, 0.0)
+
+
+def _model(data, dictionary, config: SolverConfig | None = None):
+    """The model R(p, s) = A diag(p) A^H + diag(s) on parsed data and
+    dictionary: (A, R_hat, tr(R_hat), w_p, w_s, evaluate). evaluate(p, s) is
+    (f(p, s) at config's norm orders, a_g^H Q a_g per atom, diag(Q)) with
+    Q = R^-1 R_hat R^-1; LinAlgError if R is not positive definite. At M = 12
+    an evaluation costs dispatch more than flops, so conj(A), A^H, the
+    identity, an A diag(p) A^H buffer with a diagonal view and LAPACK
+    potrf/potrs are set up once; those are called, and their errors raised,
+    as scipy.linalg's Cholesky wrappers do, minus the wrappers' checks."""
+    cfg = config or SolverConfig()
+    r, q = float(cfg.r), float(cfg.q)
+    A, _, _ = _as_matrix(dictionary)
+    M = A.shape[0]
+    R_hat = _as_covariance(data, M)
+    tr = np.trace(R_hat).real
+    w_p = np.sum(np.abs(A) ** 2, axis=0) / tr
+    w_s = np.full(M, 1.0 / tr)
+
+    Ac = A.conj()
+    AH = Ac.T
+    dtype = np.result_type(A.dtype, np.float64)
+    I = np.eye(M, dtype=dtype)
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=dtype)
+    AAH = np.empty((M, M), dtype=dtype)
+    diag = AAH.ravel()[:: M + 1]
+
+    def evaluate(p, s):
+        np.matmul(A * p, AH, out=AAH)
+        np.add(diag, s, out=diag)
+        R = 0.5 * (AAH + AAH.conj().T)
+        c, info = potrf(R, lower=True, clean=False)
+        if info == 0:
+            Ri, info = potrs(c, I, lower=True)    # reports only info <= 0
+        if info > 0:
+            raise LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite")
+        if info:
+            raise ValueError(f"LAPACK reported an illegal value in the {-info}-th "
+                             f"argument of potrf/potrs")
+        T1 = Ri @ R_hat
+        Q = T1 @ Ri                       # R^-1 R_hat R^-1, Hermitian
+        quad = T1.diagonal().sum().real   # tr(T1), as np.trace sums it
+        obj = quad + _norm(w_p * p, r) + _norm(w_s * s, q)
+        return obj, (Ac * (Q @ A)).sum(axis=0).real, Q.diagonal().real
+
+    return A, R_hat, tr, w_p, w_s, evaluate
 
 
 def _block_minimize(a, w, t):
@@ -158,6 +208,13 @@ def _norm(x, t):
     return x.sum() if t == 1.0 else (x ** t).sum() ** (1 / t)
 
 
+def _norm_gradient(x, w, t):
+    """Gradient of ||w x||_t over x >= 0."""
+    if t == 1.0:
+        return w
+    return np.sum((w * x) ** t) ** (1 / t - 1) * w ** t * np.maximum(x, 1e-300) ** (t - 1)
+
+
 def _closed_form(a, w, t):
     """The block minimizer over entries with a_k > 0 (see module docstring)."""
     if t == 1.0:
@@ -165,16 +222,6 @@ def _closed_form(a, w, t):
     C = ((w * a) ** (t / (t + 1.0))).sum()
     T = C ** ((1.0 - t) * (t + 1.0) / (2.0 * t))
     return (a / (T * w ** t)) ** (1.0 / (t + 1.0))
-
-
-def _cholesky_error(info: int) -> Exception:
-    """What cho_factor/cho_solve raise for a nonzero LAPACK potrf/potrs info
-    (potrs never reports info > 0)."""
-    if info > 0:
-        return LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    return ValueError(f"LAPACK reported an illegal value in the {-info}-th "
-                      f"argument of potrf/potrs")
 
 
 def qspice_solve(data, dictionary, config: SolverConfig | None = None,
@@ -189,17 +236,11 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None,
     spatial estimate, `trace` the per-iteration objective (non-increasing).
     """
     cfg = config or SolverConfig()
-    A, angles, freq = _as_matrix(dictionary)
+    A, R_hat, tr, w_p, w_s, evaluate = _model(data, dictionary, cfg)
     M, G = A.shape
-    R_hat = _as_covariance(data, M)
-    tr = np.trace(R_hat).real
-    w_p = np.sum(np.abs(A) ** 2, axis=0) / tr
-    w_s = np.full(M, 1.0 / tr)
-
-    Ac = A.conj()
     if init is None:
         # CBF initialization; strictly positive noise start keeps R invertible
-        p = np.maximum((Ac * (R_hat @ A)).sum(axis=0).real / M ** 2, 0)
+        p = _cbf_power(A, R_hat)
         s = np.full(M, tr / (2 * M))
     else:
         p = np.asarray(init[0], dtype=float).copy()
@@ -214,46 +255,22 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None,
     floor = cfg.power_floor if cfg.power_floor is not None else 1e-12 * (p.sum() + s.sum())
     s = np.maximum(s, floor)
 
-    # At M = 12 an iteration costs per-call dispatch more than flops, so what
-    # does not change across iterations is built once: conj(A) and A^H, the
-    # identity, a buffer for A diag(p) A^H with a view of its diagonal, and
-    # the LAPACK Cholesky routines. Those are called as cho_factor/cho_solve
-    # call them, minus the wrappers' checks, so every result is unchanged.
-    AH = Ac.T
-    dtype = np.result_type(A.dtype, np.float64)
-    I = np.eye(M, dtype=dtype)
-    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=dtype)
-    AAH = np.empty((M, M), dtype=dtype)
-    diag = AAH.ravel()[:: M + 1]
     trace = []
     converged = False
     r, q = float(cfg.r), float(cfg.q)
     for it in range(cfg.max_iter):
-        np.matmul(A * p, AH, out=AAH)
-        diag += s
-        R = 0.5 * (AAH + AAH.conj().T)
-        c, info = potrf(R, lower=True, clean=False)
-        if info == 0:
-            Ri, info = potrs(c, I, lower=True)
-        if info:
-            raise _cholesky_error(info)
-        T1 = Ri @ R_hat
-        Q = T1 @ Ri                       # R^-1 R_hat R^-1, Hermitian
-        quad = T1.diagonal().sum().real   # tr(T1), as np.trace sums it
-        obj = quad + _norm(w_p * p, r) + _norm(w_s * s, q)
+        obj, t_sig, t_noi = evaluate(p, s)
         trace.append(obj)
         if it > 0 and abs(trace[-2] - obj) <= cfg.rel_tol * abs(trace[-2]):
             converged = True
             break
-        t_sig = (Ac * (Q @ A)).sum(axis=0).real
-        a_sig = p * p * np.maximum(t_sig, 0.0)
-        a_noi = s * s * np.maximum(Q.diagonal().real, 0.0)
-        p = _block_minimize(a_sig, w_p, r)
-        s = np.maximum(_block_minimize(a_noi, w_s, q), floor)
+        p = _block_minimize(p * p * np.maximum(t_sig, 0.0), w_p, r)
+        s = np.maximum(_block_minimize(s * s * np.maximum(t_noi, 0.0), w_s, q), floor)
 
     spectrum = None
-    if angles is not None:
-        spectrum = SpatialSpectrum(angles, p, "qspice", freq, max(floor, DB_FLOOR))
+    if isinstance(dictionary, Dictionary):
+        spectrum = SpatialSpectrum(dictionary.angles, p, "qspice", dictionary.frequency,
+                                   max(floor, DB_FLOOR))
     return SolverResult(PowerVector(p, s), np.asarray(trace), len(trace), converged,
                         spectrum)
 
@@ -264,62 +281,36 @@ def spice_solve(data, dictionary, max_iter: int = 500, rel_tol: float = 1e-6) ->
                         SolverConfig(r=1.0, q=1.0, max_iter=max_iter, rel_tol=rel_tol))
 
 
+def _evaluate_at(p, s, data, dictionary, config):
+    """(objective, a_g^H Q a_g, diag Q, w_p, w_s) at a finite (p, s)."""
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
+        raise ConfigError("p and sigma must be finite")
+    *_, w_p, w_s, evaluate = _model(data, dictionary, config)
+    return (*evaluate(p, s), w_p, w_s)
+
+
 def objective_value(p, s, data, dictionary, config: SolverConfig | None = None) -> float:
-    """Exact objective at (p, s); used by tests and the KKT residual."""
-    cfg = config or SolverConfig()
-    A, _, _ = _as_matrix(dictionary)
-    R_hat = _as_covariance(data, A.shape[0])
-    w_p, w_s = spice_weights(A, R_hat)
-    R = (A * p) @ A.conj().T + np.diag(s)
-    R = 0.5 * (R + R.conj().T)
-    cf = cho_factor(R, lower=True)
-    quad = np.trace(cho_solve(cf, R_hat)).real
-    return (quad + np.sum((w_p * p) ** cfg.r) ** (1 / cfg.r)
-            + np.sum((w_s * s) ** cfg.q) ** (1 / cfg.q))
+    """Exact objective at (p, s), evaluated as the solver evaluates it."""
+    return _evaluate_at(p, s, data, dictionary, config)[0]
 
 
 def kkt_residual(p, s, data, dictionary, config: SolverConfig | None = None) -> float:
     """Norm of the objective gradient projected onto the nonnegative orthant,
     scaled by the objective value. Small at a true minimizer."""
     cfg = config or SolverConfig()
-    A, _, _ = _as_matrix(dictionary)
-    M, G = A.shape
-    R_hat = _as_covariance(data, M)
-    w_p, w_s = spice_weights(A, R_hat)
-    R = (A * p) @ A.conj().T + np.diag(s)
-    R = 0.5 * (R + R.conj().T)
-    cf = cho_factor(R, lower=True)
-    Ri = cho_solve(cf, np.eye(M))
-    Q = Ri @ R_hat @ Ri
-    g_p = -np.real(np.sum(np.conj(A) * (Q @ A), axis=0))
-    g_s = -np.real(np.diag(Q))
-    r, q = float(cfg.r), float(cfg.q)
-    Sp = np.sum((w_p * p) ** r)
-    if r == 1.0:
-        g_p = g_p + w_p
-    else:
-        g_p = g_p + Sp ** (1 / r - 1) * w_p ** r * np.maximum(p, 1e-300) ** (r - 1)
-    Ss = np.sum((w_s * s) ** q)
-    if q == 1.0:
-        g_s = g_s + w_s
-    else:
-        g_s = g_s + Ss ** (1 / q - 1) * w_s ** q * np.maximum(s, 1e-300) ** (q - 1)
-    scale = max(p.max(), s.max())
-    g = np.concatenate([g_p, g_s])
+    obj, t_sig, t_noi, w_p, w_s = _evaluate_at(p, s, data, dictionary, cfg)
+    g = np.concatenate([_norm_gradient(p, w_p, float(cfg.r)) - t_sig,
+                        _norm_gradient(s, w_s, float(cfg.q)) - t_noi])
     x = np.concatenate([p, s])
-    proj = np.where(x > 1e-9 * scale, g, np.minimum(g, 0.0))
-    obj = objective_value(p, s, R_hat, A, cfg)
+    proj = np.where(x > 1e-9 * x.max(), g, np.minimum(g, 0.0))
     return float(np.linalg.norm(proj) / max(abs(obj), 1e-300))
 
 
 def cbf_spectrum(R_hat, dictionary) -> SpatialSpectrum:
     """Delay-and-sum power P(theta_g) = a_g^H R_hat a_g / M^2."""
     A, angles, freq = _as_matrix(dictionary)
-    R_hat = _as_covariance(R_hat, A.shape[0])
-    power = np.real(np.sum(np.conj(A) * (R_hat @ A), axis=0)) / A.shape[0] ** 2
-    if angles is None:
-        angles = np.arange(power.size, dtype=float)
-    return SpatialSpectrum(angles, np.maximum(power, 0.0), "cbf", freq)
+    power = _cbf_power(A, _as_covariance(R_hat, A.shape[0]))
+    return SpatialSpectrum(angles, power, "cbf", freq)
 
 
 def music_spectrum(R_hat, dictionary, k: int) -> SpatialSpectrum:
@@ -333,8 +324,6 @@ def music_spectrum(R_hat, dictionary, k: int) -> SpatialSpectrum:
     En = V[:, : M - k]
     proj = np.sum(np.abs(En.conj().T @ A) ** 2, axis=0)
     power = 1.0 / np.maximum(proj, DB_FLOOR)
-    if angles is None:
-        angles = np.arange(power.size, dtype=float)
     return SpatialSpectrum(angles, power, "music", freq)
 
 

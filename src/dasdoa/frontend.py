@@ -126,10 +126,11 @@ def band_transform(record, bins: FrequencyBinSet, hop: int | None = None,
 
 
 def sample_covariance(z_bin: np.ndarray) -> np.ndarray:
-    """(1/F) sum_f z_f z_f^H, Hermitian-symmetrized. z_bin is M x F."""
+    """(1/F) sum_f z_f z_f^H for z_bin M x F, formed in z_bin's dtype and
+    Hermitian-symmetrized in complex128."""
     if z_bin.ndim != 2 or z_bin.shape[1] < 1:
         raise ConfigError("bin snapshots must be M x F with F >= 1")
-    R = (z_bin @ z_bin.conj().T) / z_bin.shape[1]
+    R = np.asarray((z_bin @ z_bin.conj().T) / z_bin.shape[1], dtype=complex)
     return 0.5 * (R + R.conj().T)
 
 

@@ -66,14 +66,22 @@ def _record_kind(data: np.ndarray) -> int:
     return 1 if np.iscomplexobj(data) else 0
 
 
+def _write(path, what: str, *chunks) -> None:
+    """Write text chunks (newlines as given) or bytes-like chunks to path;
+    an OSError becomes a DataError naming what and where."""
+    text = isinstance(chunks[0], str)
+    try:
+        with open(path, "w" if text else "wb", newline="" if text else None) as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise DataError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def _save_record_binary(block: SnapshotMatrix, path) -> None:
     kind = _record_kind(block.data)
     payload = np.ascontiguousarray(block.data, dtype=_KINDS[kind])
-    m, n = payload.shape
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEADER.pack(m, n, float(block.sample_rate), kind))
-        fh.write(payload.tobytes())
+    header = _HEADER.pack(*payload.shape, float(block.sample_rate), kind)
+    _write(path, "record", MAGIC, header, payload)
 
 
 def _load_record_binary(path) -> SnapshotMatrix:
@@ -106,15 +114,15 @@ def _save_record_csv(block: SnapshotMatrix, path) -> None:
     data = block.data
     m, n = data.shape
     kind = "complex64" if _record_kind(data) else "real32"
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# channels={m} samples={n} rate={float(block.sample_rate)!r} "
-                 f"kind={kind}\n")
-        for row in data:
-            if kind == "complex64":
-                cells = [f"{FLOAT_FMT % v.real}{v.imag:+.9g}j" for v in row]
-            else:
-                cells = [FLOAT_FMT % v for v in row]
-            fh.write(",".join(cells) + "\n")
+    lines = [f"# channels={m} samples={n} rate={float(block.sample_rate)!r} "
+             f"kind={kind}\n"]
+    for row in data:
+        if kind == "complex64":
+            cells = [f"{FLOAT_FMT % v.real}{v.imag:+.9g}j" for v in row]
+        else:
+            cells = [FLOAT_FMT % v for v in row]
+        lines.append(",".join(cells) + "\n")
+    _write(path, "record", *lines)
 
 
 def _load_record_csv(path) -> SnapshotMatrix:
@@ -178,12 +186,7 @@ def _meta_hash(*parts) -> str:
 
 def save_table(result, path, seed="na") -> None:
     """Write a result as deterministic CSV with a manifest comment."""
-    text = render_table(result, seed)
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataError(f"cannot write table {path}: {exc}") from exc
+    _write(path, "table", render_table(result, seed))
 
 
 def render_table(result, seed="na") -> str:
@@ -222,17 +225,14 @@ def render_table(result, seed="na") -> str:
 
 def save_timing_table(result: BenchResult, path, reference="gnr2") -> None:
     """Wall-clock totals, kept apart from the deterministic metrics table."""
-    rows = timing_ratios(result, reference)
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# bench-timing preset={result.config.name}\n")
-            fh.write(_manifest_line(result.config.digest(), result.config.seed))
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["method", "total_s", "ratio"])
-            for method, total, ratio in rows:
-                writer.writerow([method, _fmt(total), _fmt(ratio)])
-    except OSError as exc:
-        raise DataError(f"cannot write table {path}: {exc}") from exc
+    buf = io.StringIO()
+    buf.write(f"# bench-timing preset={result.config.name}\n")
+    buf.write(_manifest_line(result.config.digest(), result.config.seed))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["method", "total_s", "ratio"])
+    for method, total, ratio in timing_ratios(result, reference):
+        writer.writerow([method, _fmt(total), _fmt(ratio)])
+    _write(path, "table", buf.getvalue())
 
 
 # -----------------------------
@@ -291,8 +291,4 @@ def write_gnuplot(csv_path, script_path, kind: str = "spectrum") -> None:
                 f'plot "{csv_path}" skip 3 using 2:7 with linespoints notitle\n')
     else:
         raise ConfigError(f"unknown plot kind {kind!r}")
-    try:
-        with open(script_path, "w", newline="") as fh:
-            fh.write(body)
-    except OSError as exc:
-        raise DataError(f"cannot write script {script_path}: {exc}") from exc
+    _write(script_path, "script", body)

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dasdoa import cli
-from dasdoa.arrays import uniform_line_array
+from dasdoa.arrays import build_dictionary, full_sector, half_wavelength_spacing, \
+    uniform_line_array
 from dasdoa.bench import PRESETS
 from dasdoa.broadband import broadband_estimate
 from dasdoa.estimators import ESTIMATORS
+from dasdoa.frontend import sample_covariance
 from dasdoa.recordio import load_record, render_table
+from dasdoa.refine import narrowband_estimate
 
 
 def _simulate_snapshot(tmp_path, **extra):
@@ -317,9 +320,14 @@ def test_estimate_config_equals_flags(drawn, records, tmp_path_factory):
     assert by_config == by_flag
 
 
+_ESTIMATE_ARGV = ["estimate", "--input", "{tmp}/x.bin"]
 _MALFORMED = {
     "simulate": (["simulate", "--out", "{tmp}/x.bin"], {"samples": "two"}),
-    "estimate": (["estimate", "--input", "{tmp}/x.bin"], {"k": "two"}),
+    "estimate": (_ESTIMATE_ARGV, {"k": "two"}),
+    # an int-typed key takes a JSON integer: no truncation, no bool
+    "estimate-k-float": (_ESTIMATE_ARGV, {"k": 2.5}),
+    "estimate-k-bool": (_ESTIMATE_ARGV, {"k": True}),
+    "estimate-max_iter-float": (_ESTIMATE_ARGV, {"max_iter": 2.7}),
     "btr": (["btr", "--input", "{tmp}/x.bin", "--out", "{tmp}/x.csv"],
             {"max_iter": [500]}),
     "bench": (["bench", "--preset", "table1"], {"trials": "two"}),
@@ -384,19 +392,43 @@ def test_k_below_one_with_bin_selection_exits_2(records, capsys):
     assert "k must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("record, argv", [
-    (1, ["estimate", "--spacing", "1.25", "--band", "100"]),
-    (1, ["estimate", "--spacing", "1.25", "--band", "100,500,900"]),
-    (0, ["estimate", "--frequency", "3000", "--sector", "5"]),
+@pytest.mark.parametrize("record, argv, config", [
+    (1, ["estimate", "--spacing", "1.25", "--band", "100"], {}),
+    (1, ["estimate", "--spacing", "1.25", "--band", "100,500,900"], {}),
+    (0, ["estimate", "--frequency", "3000", "--sector", "5"], {}),
     (0, ["estimate", "--frequency", "3000", "--sector", "0,10,20",
-         "--estimator", "cbf", "--k", "1"]),
-    (None, ["simulate", "--kind", "propeller-broadband", "--band", "100"]),
-], ids=["band-one", "band-three", "sector-one", "sector-three", "simulate-band-one"])
-def test_pairs_need_exactly_two_numbers(record, argv, records, tmp_path, capsys):
+         "--estimator", "cbf", "--k", "1"], {}),
+    (None, ["simulate", "--kind", "propeller-broadband", "--band", "100"], {}),
+    # an empty sector is not the full sector
+    (0, ["estimate", "--frequency", "3000"], {"sector": []}),
+    (1, ["estimate", "--spacing", "1.25"], {"sector": []}),
+    (1, ["btr", "--spacing", "1.25", "--out", "{tmp}/b.csv"], {"sector": []}),
+], ids=["band-one", "band-three", "sector-one", "sector-three", "simulate-band-one",
+        "sector-empty-config", "sector-empty-config-time", "btr-sector-empty-config"])
+def test_pairs_need_exactly_two_numbers(record, argv, config, records, tmp_path,
+                                        capsys):
     io_args = (["--out", str(tmp_path / "x.bin")] if record is None
                else ["--input", str(records[record])])
-    assert cli.main(argv + io_args) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert cli.main(argv + io_args + ["--config", str(cfg)]) == 2
     assert "needs exactly two numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "btr"])
+@pytest.mark.parametrize("by_config", [False, True])
+def test_bin_count_below_one_exits_2(command, by_config, records, tmp_path):
+    # 0 bins is not "all bins"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"select_bins": 0} if by_config else {}))
+    argv = [command, "--input", str(records[1]), "--spacing", "1.25", "--k", "1",
+            "--config", str(cfg)] + ([] if by_config else ["--select-bins", "0"])
+    if command == "btr":
+        argv += ["--out", str(tmp_path / "b.csv")]
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "")
+    assert "count must lie in [1, " in err
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -408,3 +440,59 @@ def test_bad_job_count_exits_2(argv, env, monkeypatch, capsys):
                      "--sweep-values", "9", "--methods", "cbf"] + argv)
     assert code == 2
     assert "jobs" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_snapshot_estimate_is_narrowband_estimate_of_sample_covariance(
+        estimator, records, tmp_path):
+    out = tmp_path / "spec.csv"
+    assert cli.main(["estimate", "--input", str(records[0]), "--frequency", "3000",
+                     "--estimator", estimator, "--k", "2", "--out", str(out)]) == 0
+    record = load_record(records[0])
+    geometry = uniform_line_array(record.n_channels,
+                                  half_wavelength_spacing(3000.0, 1500.0))
+    step = 1.0 if estimator == "gnr2" else 0.5
+    dictionary = build_dictionary(geometry, 3000.0, full_sector(), step)
+    spectrum, _, _ = narrowband_estimate(
+        estimator, sample_covariance(record.data), dictionary, full_sector(), 2)
+    assert out.read_text() == render_table(spectrum)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out", "{missing}/x.bin"],
+    ["simulate", "--out", "{missing}/x.csv", "--format", "csv"],
+    ["estimate", "--input", "{snapshots}", "--frequency", "3000",
+     "--out", "{missing}/s.csv"],
+    ["bench", "--preset", "table1", "--trials", "1", "--sweep-values", "9",
+     "--methods", "cbf", "--timing-out", "{missing}/t.csv"],
+], ids=["simulate-binary", "simulate-csv", "estimate", "bench-timing"])
+def test_unwritable_output_exits_3(argv, records, tmp_path):
+    missing = tmp_path / "missing"
+    argv = [arg.format(missing=missing, snapshots=records[0]) for arg in argv]
+    code, _, err = _run(argv)        # an uncaught error would propagate here
+    assert code == 3
+    assert "cannot write" in err and str(missing) in err
+
+
+def test_peak_guard_applies_to_cbf_on_time_records(tmp_path):
+    # two sources 15 deg apart: their CBF peaks lie closer than a 20 deg guard
+    record = tmp_path / "pair.bin"
+    assert cli.main(["simulate", "--out", str(record), "--kind",
+                     "propeller-broadband", "--angles", "10,25", "--rate", "5120",
+                     "--samples", "5120", "--elements", "8", "--spacing", "1.25",
+                     "--band", "100,1000", "--snr", "10", "--seed", "3"]) == 0
+    cfg = tmp_path / "cfg.json"
+
+    def picks(config):
+        cfg.write_text(json.dumps(config))
+        code, out, _ = _run(["estimate", "--input", str(record), "--spacing", "1.25",
+                             "--estimator", "cbf", "--k", "2", "--config", str(cfg)])
+        assert code == 0
+        return [float(tok) for tok in out.split()[1:]]
+
+    unguarded = picks({})
+    assert unguarded == picks({"peak_guard": 0})     # the time-record default
+    assert abs(unguarded[0] - 10) < 1 and abs(unguarded[1] - 25) < 1
+    guarded = picks({"peak_guard": 20})
+    assert guarded != unguarded
+    assert guarded[1] - guarded[0] >= 20

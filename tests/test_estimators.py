@@ -3,6 +3,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from numpy.testing import assert_allclose
 
 from dasdoa import estimators
@@ -162,6 +163,41 @@ def test_kkt_residual_small_at_solution():
         kkt = kkt_residual(res.powers.signal, res.powers.noise, z, a,
                            SolverConfig(r=r, q=q))
         assert kkt < 1e-6
+
+
+@given(seed=st.integers(0, 2 ** 16), m=st.integers(3, 8), g=st.integers(4, 40),
+       r=st.floats(1.0, 3.0), q=st.floats(1.0, 2.0), snapshot=st.booleans())
+def test_objective_value_is_the_solver_objective(seed, m, g, r, q, snapshot):
+    # one evaluation of the covariance model serves both, so the objective
+    # at a converged solve's powers is its last trace entry, bit for bit
+    rng = np.random.default_rng(seed)
+    a = np.exp(-1j * np.pi * np.arange(m)[:, None]
+               * np.sin(np.linspace(-1.4, 1.4, g))[None, :])
+    y = rng.standard_normal((m, 20)) + 1j * rng.standard_normal((m, 20))
+    data = y[:, 0] if snapshot else y @ y.conj().T / 20
+    cfg = SolverConfig(r=r, q=q)
+    res = qspice_solve(data, a, cfg)
+    assume(res.converged)
+    assert objective_value(res.powers.signal, res.powers.noise, data, a,
+                           cfg) == res.trace[-1]
+
+
+@pytest.mark.parametrize("fn", [objective_value, kkt_residual])
+@pytest.mark.parametrize("where", ["p", "sigma"])
+def test_non_finite_point_raises_config_error(fn, where):
+    z, a, *_ = next(_oracle_instances())
+    p, s = np.ones(a.shape[1]), np.ones(a.shape[0])
+    (p if where == "p" else s)[1] = np.nan
+    with pytest.raises(ConfigError, match="finite"):
+        fn(p, s, z, a)
+
+
+@pytest.mark.parametrize("fn", [objective_value, kkt_residual])
+def test_singular_model_raises_linalg_error(fn):
+    # one atom and zero noise: R = a a^H has rank one
+    with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+        fn(np.ones(1), np.zeros(4), np.eye(4, dtype=complex),
+           np.ones((4, 1), dtype=complex))
 
 
 def test_spice_solve_is_r1_q1():

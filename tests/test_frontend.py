@@ -110,6 +110,20 @@ def test_sample_covariance_matches_bin_covariances():
         assert_allclose(r, r.conj().T, atol=1e-12)
 
 
+def test_sample_covariance_of_complex64_is_hermitian_complex128():
+    # a record's complex64 product, cast before symmetrizing: the estimators'
+    # own symmetrization then leaves it unchanged
+    rng = np.random.default_rng(8)
+    z = (rng.standard_normal((6, 25))
+         + 1j * rng.standard_normal((6, 25))).astype(np.complex64)
+    r = sample_covariance(z)
+    assert r.dtype == np.complex128
+    assert np.array_equal(r, r.conj().T)
+    product = (z @ z.conj().T / 25).astype(np.complex128)
+    assert np.array_equal(r, 0.5 * (product + product.conj().T))
+    assert np.array_equal(0.5 * (r + r.conj().T), r)
+
+
 def test_select_bins_ranks_by_eigen_gap():
     rng = np.random.default_rng(2)
     m = 6
