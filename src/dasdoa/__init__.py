@@ -12,8 +12,8 @@ from .arrays import ArrayGeometry, Dictionary, angle_grid, build_dictionary, \
     half_wavelength_spacing, perturb_geometry, steering_matrix, \
     uniform_line_array
 from .bench import BenchResult, BenchRow, PRESETS, ScenarioConfig, \
-    pair_errors, register_method, rmse, run_monte_carlo, run_trial, \
-    success_ratio, timing_ratios
+    pair_errors, rmse, run_monte_carlo, run_trial, success_ratio, \
+    timing_ratios
 from .broadband import BearingTimeRecord, broadband_estimate, broadband_gnr2, \
     broadband_spectrum, btr, fuse_spectra
 from .cable import FiberSpec, MandrelSpec, cable_sensitivity, \

@@ -128,10 +128,10 @@ class ScenarioConfig:
             raise ConfigError("need at least one source angle")
         if self.noise == "nonuniform-gaussian" and len(self.noise_diag) != self.n_elements:
             raise ConfigError("noise_diag must supply one variance per element")
-        unknown = set(self.methods) - set(METHODS)
+        unknown = set(self.methods) - set(ESTIMATORS)
         if unknown:
             raise ConfigError(f"unknown methods {sorted(unknown)}; "
-                              f"registered: {sorted(METHODS)}")
+                              f"registered: {sorted(ESTIMATORS)}")
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -170,35 +170,6 @@ PRESETS = {
 
 
 # -----------------------------
-# Estimator wiring
-# -----------------------------
-def _builtin(name: str):
-    """A registry estimator as a bench method."""
-    def run(r_hat, ctx):
-        cfg = ctx["cfg"]
-        _, angles, shortfall = narrowband_estimate(
-            name, r_hat, ctx["dictionary"], cfg.sector, ctx["k"], ctx["solver"],
-            ctx["refine"], cfg.cbf_guard)
-        return angles, shortfall
-    return run
-
-
-METHODS = {name: _builtin(name) for name in ESTIMATORS}
-
-
-def register_method(name: str, fn) -> None:
-    """Plug in an external estimator: fn(r_hat, ctx) -> (angles, shortfall).
-
-    ctx carries 'dictionary', 'geometry', 'k', the ScenarioConfig as 'cfg',
-    and its SolverConfig and RefineConfig as 'solver' and 'refine'. Lets
-    externally implemented baselines join the harness.
-    """
-    if name in METHODS:
-        raise ConfigError(f"method {name!r} already registered")
-    METHODS[name] = fn
-
-
-# -----------------------------
 # Monte Carlo driver
 # -----------------------------
 def _trial_point(cfg: ScenarioConfig, sweep_idx: int):
@@ -218,8 +189,8 @@ def _make_context(cfg: ScenarioConfig):
                           rel_tol=cfg.rel_tol)
     refine = RefineConfig(initial_step=cfg.refine_initial_step,
                           target_step=cfg.refine_target_step)
-    return {"geometry": geometry, "dictionary": dictionary,
-            "k": len(cfg.doas), "cfg": cfg, "solver": solver, "refine": refine}
+    return {"geometry": geometry, "dictionary": dictionary, "solver": solver,
+            "refine": refine}
 
 
 def _noise_model(cfg: ScenarioConfig) -> NoiseModel:
@@ -251,7 +222,9 @@ def run_trial(cfg: ScenarioConfig, sweep_idx: int, trial: int, ctx=None):
     for name in cfg.methods:
         t0 = time.perf_counter()
         try:
-            angles, shortfall = METHODS[name](r_hat, ctx)
+            _, angles, shortfall = narrowband_estimate(
+                name, r_hat, ctx["dictionary"], cfg.sector, k, ctx["solver"],
+                ctx["refine"], cfg.cbf_guard)
         except ToolkitError:
             angles, shortfall = np.empty(0), True
         out[name] = (tuple(float(a) for a in np.atleast_1d(angles)), bool(shortfall),
@@ -323,11 +296,11 @@ def _pool_trial(args):
     return run_trial(cfg, sweep_idx, trial)
 
 
-def timing_ratios(result: BenchResult, reference: str = "gnr2"):
-    """(method, total_s, ratio-to-reference) rows; mirrors relative-runtime
-    reporting. Reference falls back to the first method if absent."""
+def timing_ratios(result: BenchResult):
+    """(method, total_s, ratio-to-gnr2) rows; mirrors relative-runtime
+    reporting. The reference falls back to the first method without gnr2."""
     methods = [m for m, _ in result.timings]
-    ref = reference if reference in methods else methods[0]
+    ref = "gnr2" if "gnr2" in methods else methods[0]
     ref_total = dict(result.timings)[ref]
     return tuple((m, t, t / ref_total if ref_total > 0 else float("nan"))
                  for m, t in result.timings)

@@ -1,8 +1,8 @@
 """Broadband fusion and bearing-time records.
 
 Per-bin spatial spectra are fused incoherently: each bin's spectrum is
-normalized to unit maximum, then averaged (weighted mean) in the linear
-domain, so loud bins cannot dominate and per-bin positive scalings drop out.
+normalized to unit maximum, then averaged in the linear domain, so loud bins
+cannot dominate and per-bin positive scalings drop out.
 The refinement estimator re-runs the per-bin solver on the shared refined
 grid each round and picks peaks on the fused spectrum.
 """
@@ -22,8 +22,8 @@ from .refine import RefineConfig, RefineResult, refine_loop
 from .simulate import SnapshotMatrix
 
 
-def fuse_spectra(spectra, weights=None) -> SpatialSpectrum:
-    """Weighted linear-domain mean of unit-max-normalized per-bin spectra.
+def fuse_spectra(spectra) -> SpatialSpectrum:
+    """Linear-domain mean of unit-max-normalized per-bin spectra.
 
     spectra: sequence of SpatialSpectrum on one common grid.
     """
@@ -34,16 +34,10 @@ def fuse_spectra(spectra, weights=None) -> SpatialSpectrum:
     for s in spectra[1:]:
         if s.angles.shape != angles.shape or not np.allclose(s.angles, angles):
             raise ConfigError("fuse_spectra requires identical angle grids")
-    if weights is None:
-        weights = np.ones(len(spectra))
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.size != len(spectra) or np.any(weights < 0) or weights.sum() <= 0:
-            raise ConfigError("weights must be non-negative with positive sum")
     acc = np.zeros(angles.size)
-    for w, s in zip(weights, spectra):
-        acc += w * s.power / max(s.power.max(), 1e-300)
-    fused = acc / weights.sum()
+    for s in spectra:
+        acc += s.power / max(s.power.max(), 1e-300)
+    fused = acc / len(spectra)
     freq = spectra[0].frequency if len(spectra) == 1 else 0.0
     return SpatialSpectrum(angles, fused, spectra[0].estimator, freq)
 

@@ -65,6 +65,13 @@ def _integer(value):
     return value
 
 
+def _real(value):
+    """A float-typed config value: a JSON number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _as_given(convert):
     """A bench converter: the value must be what `convert` makes of it, and
     passes on as written, since the manifest digest hashes it (9 vs 9.0)."""
@@ -184,6 +191,10 @@ def _pipeline_options(opt: _Options, default_estimator: str,
                                         target_step=opt.get("target_step", 0.05)))
 
 
+# options of the time-record pipeline that a snapshot record cannot use
+_TIME_ONLY = ("band", "n_fft", "select_bins")
+
+
 def _cmd_estimate(args) -> int:
     opt = _Options(args)
     record = load_record(args.input, opt.get("format", "binary"))
@@ -199,6 +210,9 @@ def _cmd_estimate(args) -> int:
             guard = opt.get("peak_guard", 0.0) if estimator == "cbf" else 0.0
             estimates, shortfall = peak_pick(spectrum, k, guard)
     else:
+        for key in _TIME_ONLY:
+            if opt.get(key) is not None:
+                raise ConfigError(f"option {key!r} applies only to time records")
         if frequency is None:
             raise ConfigError("snapshot-domain records need --frequency for "
                               "the steering dictionary")
@@ -302,10 +316,11 @@ _PIPELINE_CONFIG_ONLY = dict(r=float, q=float, max_iter=int, rel_tol=float,
 def _declare(parser: argparse.ArgumentParser, fn, **config_only) -> None:
     """Set a subcommand's handler and its config keys: the dest of each
     option flag, converted by the flag's type, plus `config_only`. An
-    int-typed key takes only a JSON integer."""
+    int-typed key takes only a JSON integer, a float-typed key a number."""
     keys = {a.dest: a.type or str for a in parser._actions
             if a.dest not in _NOT_CONFIG}
-    keys = {key: _integer if convert is int else convert
+    strict = {int: _integer, float: _real}
+    keys = {key: strict.get(convert, convert)
             for key, convert in {**keys, **config_only}.items()}
     parser.set_defaults(fn=fn, config_keys=keys)
 
@@ -386,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="wall-clock CSV path (non-deterministic)")
     ben.add_argument("--gnuplot", action="store_true")
     # every ScenarioConfig field, typed like its default, passed on as written
-    convert = {str: str, int: _integer, float: float, tuple: _floats}
+    convert = {str: str, int: _integer, float: _real, tuple: _floats}
     keys = {f.name: _as_given(convert[type(f.default)])
             for f in fields(ScenarioConfig)}
     keys["methods"] = _as_given(_names)

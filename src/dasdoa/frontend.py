@@ -48,10 +48,6 @@ class FrequencyBinSet:
     def frequencies(self) -> np.ndarray:
         return self.indices * self.sample_rate / self.n_fft
 
-    def subset(self, positions) -> "FrequencyBinSet":
-        return FrequencyBinSet(self.n_fft, self.indices[np.asarray(positions)],
-                               self.sample_rate)
-
 
 @dataclass(frozen=True)
 class BinSnapshots:
@@ -93,12 +89,11 @@ def frame_count(n_total: int, frame_len: int, hop: int) -> int:
     return (n_total - frame_len) // hop + 1
 
 
-def band_transform(record, bins: FrequencyBinSet, hop: int | None = None,
-                   window: str = "rect") -> BinSnapshots:
-    """Correlate each length-N frame of the record against the bin vectors.
+def band_transform(record, bins: FrequencyBinSet) -> BinSnapshots:
+    """Correlate each length-N frame of the record, frames N/2 apart, against
+    the bin vectors (bare correlation, no window).
 
-    record: SnapshotMatrix (time domain) or M x n array. hop defaults to N/2.
-    window: "rect" (default, bare correlation) or "hann".
+    record: SnapshotMatrix (time domain) or M x n array.
     """
     if isinstance(record, SnapshotMatrix):
         if record.domain != "time":
@@ -109,15 +104,9 @@ def band_transform(record, bins: FrequencyBinSet, hop: int | None = None,
         if data.ndim != 2:
             raise ConfigError("record must be an M x n matrix")
     n_fft = bins.n_fft
-    hop = n_fft // 2 if hop is None else int(hop)
+    hop = n_fft // 2
     n_frames = frame_count(data.shape[1], n_fft, hop)
-    if window == "rect":
-        win = np.ones(n_fft)
-    elif window == "hann":
-        win = np.hanning(n_fft)
-    else:
-        raise ConfigError(f"unknown window {window!r}; use 'rect' or 'hann'")
-    V = np.exp(2j * np.pi * np.outer(bins.indices, np.arange(n_fft)) / n_fft) * win
+    V = np.exp(2j * np.pi * np.outer(bins.indices, np.arange(n_fft)) / n_fft)
     z = np.empty((bins.indices.size, data.shape[0], n_frames), dtype=complex)
     for f in range(n_frames):
         frame = data[:, f * hop: f * hop + n_fft]

@@ -149,6 +149,9 @@ def _load_record_csv(path) -> SnapshotMatrix:
             if not line:
                 raise ParseError(f"expected {m} channel rows in {path}, "
                                  f"got {i}", offset=offset)
+            if not line.endswith("\n"):
+                raise ParseError(f"row {i} of {path} is truncated",
+                                 offset=offset + len(line))
             cells = line.strip().split(",")
             if len(cells) != n:
                 raise ParseError(f"row {i} of {path} has {len(cells)} values, "
@@ -223,14 +226,14 @@ def render_table(result, seed="na") -> str:
     return buf.getvalue()
 
 
-def save_timing_table(result: BenchResult, path, reference="gnr2") -> None:
+def save_timing_table(result: BenchResult, path) -> None:
     """Wall-clock totals, kept apart from the deterministic metrics table."""
     buf = io.StringIO()
     buf.write(f"# bench-timing preset={result.config.name}\n")
     buf.write(_manifest_line(result.config.digest(), result.config.seed))
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["method", "total_s", "ratio"])
-    for method, total, ratio in timing_ratios(result, reference):
+    for method, total, ratio in timing_ratios(result):
         writer.writerow([method, _fmt(total), _fmt(ratio)])
     _write(path, "table", buf.getvalue())
 

@@ -23,7 +23,7 @@ refuses alpha-stable models outright.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import butter, sosfiltfilt
@@ -121,9 +121,6 @@ class SnapshotMatrix:
     data: np.ndarray
     domain: str                      # "narrowband-snapshot" | "time"
     sample_rate: float = 0.0         # Hz; time domain only
-    truth_angles: tuple = ()
-    noise: NoiseModel | None = None
-    convention: str = "broadside"
 
     def __post_init__(self):
         if self.data.ndim != 2 or self.data.shape[0] < 2 or self.data.shape[1] < 1:
@@ -202,29 +199,28 @@ def harmonic_lines(base_hz: float, band: tuple, level_db: float = 10.0) -> tuple
     return tuple((float(f), float(level_db)) for f in freqs)
 
 
-def propeller_waveform(n: int, fs: float, band: tuple, lines, rng,
-                       order: int = 4, slot_hz: float | None = None) -> np.ndarray:
-    """Unit-power propeller radiation: band-passed Gaussian continuum plus
-    discrete lines.
+def propeller_waveform(n: int, fs: float, band: tuple, lines, rng) -> np.ndarray:
+    """Unit-power propeller radiation: order-4 Butterworth band-passed
+    Gaussian continuum plus discrete lines.
 
     Each line's level is taken relative to the continuum power within one
-    line-spacing slot (slot_hz; defaults to the spacing of the first two
-    lines), so "+10 dB" means ten times the continuum power in its slot.
+    line-spacing slot (the spacing of the first two lines, or the whole band
+    for a single line), so "+10 dB" means ten times the continuum power in
+    its slot.
     """
     f_lo, f_hi = band
     if not 0 < f_lo < f_hi < fs / 2:
         raise ConfigError("band must satisfy 0 < f_lo < f_hi < fs/2 (Nyquist)")
     rng = np.random.default_rng(rng)
-    sos = butter(order, [f_lo, f_hi], "bandpass", fs=fs, output="sos")
+    sos = butter(4, [f_lo, f_hi], "bandpass", fs=fs, output="sos")
     cont = sosfiltfilt(sos, rng.standard_normal(n))
     cont /= np.sqrt(np.mean(cont ** 2))
     x = cont
     lines = list(lines)
     if lines:
-        if slot_hz is None:
-            slot_hz = lines[1][0] - lines[0][0] if len(lines) > 1 else f_hi - f_lo
+        spacing = lines[1][0] - lines[0][0] if len(lines) > 1 else f_hi - f_lo
         t = np.arange(n) / fs
-        slot_frac = slot_hz / (f_hi - f_lo)
+        slot_frac = spacing / (f_hi - f_lo)
         for f, level_db in lines:
             if not f_lo <= f <= f_hi:
                 raise ConfigError(f"line at {f} Hz falls outside the band {band}")
@@ -325,7 +321,7 @@ def synthesize(geometry: ArrayGeometry, sources: SourceSpec, model: NoiseModel |
                                 sources.snapshot_rate, convention)
         domain, rate = "time", sources.snapshot_rate
     if model is None:
-        return SnapshotMatrix(X, domain, rate, tuple(sources.angles), model, convention)
+        return SnapshotMatrix(X, domain, rate)
 
     p_y = float(np.mean(np.abs(X) ** 2))
     if model.kind == "impulsive-sas":
@@ -335,13 +331,13 @@ def synthesize(geometry: ArrayGeometry, sources: SourceSpec, model: NoiseModel |
         if target_snr_db is not None:
             realized = float(np.mean(np.abs(E) ** 2))
             X = X * np.sqrt(realized * 10 ** (target_snr_db / 10) / p_y)
-        return SnapshotMatrix(X + E, domain, rate, tuple(sources.angles), model, convention)
+        return SnapshotMatrix(X + E, domain, rate)
 
     scale = 1.0 if target_snr_db is None else _noise_scale_for_snr(p_y, model, target_snr_db)
     E = generate_noise(model, geometry.n_elements, n, noise_rng) * scale
     if domain == "time":
         E = E.real * np.sqrt(2)  # real field: keep per-channel variance
-    return SnapshotMatrix(X + E, domain, rate, tuple(sources.angles), model, convention)
+    return SnapshotMatrix(X + E, domain, rate)
 
 
 def random_noise_diagonal(m: int, rng) -> np.ndarray:

@@ -130,6 +130,7 @@ def test_c03_music_exact_on_grid_recovery():
 # -----------------------------
 # 4. Uniform-noise SNR sweep trends
 # -----------------------------
+@pytest.mark.slow
 def test_c04_uniform_sweep_rmse_and_success(uniform_noise_sweep):
     cfg, result, elapsed = uniform_noise_sweep
     assert elapsed < 300.0, f"sweep took {elapsed:.0f} s"
@@ -150,6 +151,7 @@ def test_c04_uniform_sweep_rmse_and_success(uniform_noise_sweep):
 # -----------------------------
 # 5. Non-uniform-noise SNR sweep ordering
 # -----------------------------
+@pytest.mark.slow
 def test_c05_nonuniform_sweep_success_ordering(nonuniform_noise_sweep):
     cfg, result, elapsed = nonuniform_noise_sweep
     assert elapsed < 300.0, f"sweep took {elapsed:.0f} s"
@@ -210,6 +212,7 @@ def broadband_pair_counts():
     return trials, cbf_ok, gnr_ok, joint
 
 
+@pytest.mark.slow
 def test_c06_close_broadband_pair(broadband_pair_counts):
     trials, cbf_ok, gnr_ok, joint = broadband_pair_counts
     assert joint >= 80, (f"joint {joint}/{trials} "
@@ -302,6 +305,7 @@ def test_c09_sas_characteristic_function():
 # -----------------------------
 # 10. Impulsive-noise sweep: refinement RMSE never worse than SPICE
 # -----------------------------
+@pytest.mark.slow
 def test_c10_impulsive_sweep_rmse_ordering(impulsive_noise_sweep):
     cfg, result, _ = impulsive_noise_sweep
     for v in cfg.sweep_values:

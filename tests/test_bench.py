@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dasdoa.bench import PRESETS, BenchRow, NONUNIFORM_DIAG, ScenarioConfig, \
-    METHODS, pair_errors, register_method, rmse, run_monte_carlo, run_trial, \
-    success_ratio, timing_ratios, _make_context
+    pair_errors, rmse, run_monte_carlo, run_trial, success_ratio, \
+    timing_ratios, _make_context
 from dasdoa.errors import ConfigError
 
 
@@ -147,21 +147,6 @@ def test_high_snr_point_is_accurate():
     assert res.row(15.0, "gnr2").rmse_deg < 0.15
 
 
-def test_register_method_plugs_into_harness():
-    name = "always-truth"
-    try:
-        register_method(name, lambda r_hat, ctx: (np.asarray(ctx["cfg"].doas),
-                                                  False))
-        with pytest.raises(ConfigError):
-            register_method(name, lambda r_hat, ctx: ((), True))
-        cfg = _tiny_config(methods=("cbf", name))
-        res = run_monte_carlo(cfg)
-        row = res.row(9.0, name)
-        assert row.success_pct == 100.0 and row.rmse_deg == 0.0
-    finally:
-        METHODS.pop(name, None)
-
-
 def test_invalid_solver_settings_fail_the_run():
     with pytest.raises(ConfigError):
         run_monte_carlo(_tiny_config(r=0.5))
@@ -172,7 +157,7 @@ def test_invalid_solver_settings_fail_the_run():
 def test_timing_ratios_reference_fallback():
     cfg = _tiny_config(trials=2)
     res = run_monte_carlo(cfg)
-    rows = timing_ratios(res, reference="gnr2")   # absent -> first method
+    rows = timing_ratios(res)   # gnr2 absent -> first method
     assert rows[0][0] == "cbf"
     assert rows[0][2] == pytest.approx(1.0)
 

@@ -51,18 +51,11 @@ def test_fuse_single_spectrum_is_normalization():
     assert fused.frequency == 100.0
 
 
-def test_fuse_weights():
-    fused = fuse_spectra([_spec([1, 0]), _spec([0, 1])], weights=[3.0, 1.0])
-    assert_allclose(fused.power, [0.75, 0.25])
-
-
 def test_fuse_validation():
     with pytest.raises(ConfigError):
         fuse_spectra([])
     with pytest.raises(ConfigError):
         fuse_spectra([_spec([1, 2]), _spec([1, 2, 3])])
-    with pytest.raises(ConfigError):
-        fuse_spectra([_spec([1, 2]), _spec([2, 1])], weights=[1.0])
 
 
 def test_broadband_spectrum_peaks_at_truth():

@@ -328,9 +328,12 @@ _MALFORMED = {
     "estimate-k-float": (_ESTIMATE_ARGV, {"k": 2.5}),
     "estimate-k-bool": (_ESTIMATE_ARGV, {"k": True}),
     "estimate-max_iter-float": (_ESTIMATE_ARGV, {"max_iter": 2.7}),
+    # a float-typed key takes a JSON number, not a bool
+    "estimate-r-bool": (_ESTIMATE_ARGV, {"r": True, "q": True}),
     "btr": (["btr", "--input", "{tmp}/x.bin", "--out", "{tmp}/x.csv"],
             {"max_iter": [500]}),
     "bench": (["bench", "--preset", "table1"], {"trials": "two"}),
+    "bench-snr_db-bool": (["bench", "--preset", "table1"], {"snr_db": True}),
     "cable-sens": (["cable-sens"], {"p2": "two"}),
 }
 
@@ -429,6 +432,23 @@ def test_bin_count_below_one_exits_2(command, by_config, records, tmp_path):
     code, out, err = _run(argv)
     assert (code, out) == (2, "")
     assert "count must lie in [1, " in err
+
+
+@pytest.mark.parametrize("key, flag, value", [
+    ("select_bins", "--select-bins", 2), ("n_fft", "--n-fft", 256),
+    ("band", "--band", (100.0, 1000.0))], ids=["select_bins", "n_fft", "band"])
+@pytest.mark.parametrize("by_config", [False, True])
+def test_snapshot_estimate_rejects_time_only_options(key, flag, value, by_config,
+                                                     records, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value} if by_config else {}))
+    argv = ["estimate", "--input", str(records[0]), "--frequency", "3000",
+            "--k", "2", "--config", str(cfg)]
+    if not by_config:
+        argv += [flag, _flag_text(value)]
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "")
+    assert repr(key) in err
 
 
 @pytest.mark.parametrize("argv, env", [

@@ -38,9 +38,6 @@ def test_bin_set_validation_and_subset():
         FrequencyBinSet(NFFT, np.array([5, 5, 9]), FS)   # duplicate
     with pytest.raises(ConfigError):
         FrequencyBinSet(NFFT, np.array([5, 600]), FS)    # out of range
-    bins = FrequencyBinSet(NFFT, np.arange(10, 20), FS)
-    sub = bins.subset([0, 3])
-    assert list(sub.indices) == [10, 13]
 
 
 def test_frame_count_arithmetic():
@@ -79,15 +76,10 @@ def test_band_transform_plane_wave_matches_steering():
     assert_allclose(z / z[0], a / a[0], atol=1e-9)
 
 
-def test_band_transform_hop_and_window_options():
-    rec = np.random.default_rng(0).standard_normal((3, 3 * NFFT))
-    bins = FrequencyBinSet(NFFT, np.arange(10, 13), FS)
-    out = band_transform(rec, bins, hop=NFFT)
-    assert out.n_frames == 3 and out.hop == NFFT
-    out = band_transform(rec, bins, window="hann")
-    assert out.n_frames == 5
-    with pytest.raises(ConfigError):
-        band_transform(rec, bins, window="hamming")
+def test_band_transform_frames_hop_half_a_dft_length():
+    rec = np.zeros((3, 3 * NFFT))
+    out = band_transform(rec, FrequencyBinSet(NFFT, np.arange(10, 13), FS))
+    assert out.n_frames == 5 and out.hop == NFFT // 2
 
 
 def test_band_transform_rejects_snapshot_domain():

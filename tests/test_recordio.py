@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from dasdoa.bench import ScenarioConfig, run_monte_carlo
@@ -45,6 +47,45 @@ def test_csv_round_trip(tmp_path):
         loaded = load_record(path, "csv")
         assert_allclose(loaded.data, block.data, rtol=1e-6)
         assert loaded.sample_rate == block.sample_rate
+
+
+@st.composite
+def _records(draw):
+    """A real32 time record or a complex64 snapshot record of finite values."""
+    shape = (draw(st.integers(2, 4)), draw(st.integers(1, 5)))
+    if draw(st.booleans()):
+        values = st.complex_numbers(width=64, allow_nan=False, allow_infinity=False)
+        data, domain = arrays(np.complex64, shape, elements=values), "narrowband-snapshot"
+    else:
+        values = st.floats(width=32, allow_nan=False, allow_infinity=False)
+        data, domain = arrays(np.float32, shape, elements=values), "time"
+    rate = draw(st.floats(1.0, 1e6))
+    return SnapshotMatrix(draw(data), domain, sample_rate=rate)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+@given(block=_records())
+def test_record_round_trip_property(fmt, block, tmp_path_factory):
+    path = tmp_path_factory.mktemp("round") / "rec"
+    save_record(block, path, fmt)
+    loaded = load_record(path, fmt)
+    assert (loaded.domain, loaded.sample_rate) == (block.domain, block.sample_rate)
+    assert loaded.data.dtype == block.data.dtype
+    assert np.array_equal(loaded.data, block.data)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+@settings(max_examples=25)
+@given(block=_records())
+def test_every_proper_prefix_is_a_parse_error(fmt, block, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("prefix")
+    save_record(block, tmp / "rec", fmt)
+    raw = (tmp / "rec").read_bytes()
+    for size in range(len(raw)):
+        (tmp / "cut").write_bytes(raw[:size])
+        with pytest.raises(ParseError) as err:
+            load_record(tmp / "cut", fmt)
+        assert err.value.offset is not None and 0 <= err.value.offset <= size
 
 
 def test_many_channel_header_accepted(tmp_path):
