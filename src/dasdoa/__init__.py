@@ -20,7 +20,8 @@ from .cable import FiberSpec, MandrelSpec, cable_sensitivity, \
     mandrel_radial_displacement, phase_change, pressure_sensitivity, \
     sensitivity_from_phase
 from .errors import ConfigError, DataError, DegenerateInputError, \
-    EstimationError, ParseError, ToolkitError, UnsupportedModelError
+    EstimationError, ParseError, SingularModelError, ToolkitError, \
+    UnsupportedModelError
 from .estimators import PowerVector, SolverConfig, SolverResult, \
     SpatialSpectrum, cbf_spectrum, kkt_residual, music_spectrum, \
     objective_value, peak_pick, qspice_solve, spice_solve, spice_weights

@@ -111,10 +111,12 @@ def angle_grid(sector: tuple[float, float], step: float) -> np.ndarray:
     deduplicate exactly.
     """
     lo, hi = two_numbers(sector, "sector")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError(f"sector bounds must be finite, got ({lo}, {hi})")
     if not (hi > lo):
         raise ConfigError("sector upper bound must exceed lower bound")
-    if step <= 0:
-        raise ConfigError("grid step must be positive")
+    if not (np.isfinite(step) and step > 0):
+        raise ConfigError(f"grid step must be a positive finite number, got {step}")
     return np.arange(lo, hi + 1e-9, step).round(9)
 
 

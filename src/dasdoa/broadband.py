@@ -64,17 +64,18 @@ def broadband_gnr2(covs, freqs, geometry: ArrayGeometry, k: int,
                    refine_cfg: RefineConfig | None = None) -> RefineResult:
     """Grid-neighborhood refinement on the fused per-bin solver spectrum."""
     check_estimator("gnr2", k)
+    if len(freqs) == 0:
+        raise ConfigError("need at least one frequency bin")
     scfg = solver_cfg or SolverConfig()
     rcfg = refine_cfg or RefineConfig()
 
     def solve(angles):
+        # one stacked solve per round: every bin on the round's grid
         grid = np.asarray(angles, dtype=float)
-        spectra = []
-        for R, f in zip(covs, freqs):
-            A = steering_matrix(geometry, f, grid, convention)
-            power = qspice_solve(R, A, scfg).powers.signal
-            spectra.append(SpatialSpectrum(grid, power, "qspice", float(f)))
-        return fuse_spectra(spectra).power
+        A = np.stack([steering_matrix(geometry, f, grid, convention) for f in freqs])
+        powers = qspice_solve(covs, A, scfg).powers.signal
+        return fuse_spectra(SpatialSpectrum(grid, power, "qspice", float(f))
+                            for power, f in zip(powers, freqs)).power
 
     est, shortfall, rounds, grid, power = refine_loop(solve, sector, k, rcfg)
     return RefineResult(est, SpatialSpectrum(grid, power, "qspice-gnr2", 0.0),

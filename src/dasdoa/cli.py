@@ -39,13 +39,19 @@ _NOT_CONFIG = {"help", "config", "input", "out", "gnuplot", "preset", "jobs",
 
 
 def _floats(text):
-    """Comma-separated numbers from a flag, or a JSON list from a config."""
+    """Comma-separated finite numbers from a flag, or a JSON list of them
+    (not bools) from a config."""
     parts = text.split(",") if isinstance(text, str) else text
     try:
-        return tuple(float(part) for part in parts)
+        if any(isinstance(part, bool) for part in parts):
+            raise TypeError("a bool is not a number")
+        values = tuple(float(part) for part in parts)
+        if not all(np.isfinite(values)):
+            raise ValueError("not finite")
     except (TypeError, ValueError):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}")
+            f"expected comma-separated finite numbers, got {text!r}")
+    return values
 
 
 def _names(text):
@@ -66,9 +72,10 @@ def _integer(value):
 
 
 def _real(value):
-    """A float-typed config value: a JSON number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
+    """A float-typed config value: a finite JSON number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not np.isfinite(float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -101,7 +108,8 @@ class _Options:
             if value is not None:
                 try:
                     self.config[key] = args.config_keys[key](value)
-                except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                except (TypeError, ValueError, OverflowError,
+                        argparse.ArgumentTypeError) as exc:
                     raise ConfigError(f"config key {key!r}: {exc}") from None
 
     def get(self, key, default=None):

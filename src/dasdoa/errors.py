@@ -4,6 +4,7 @@ The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 EstimationError -> 4. Everything raised on a user-facing path derives from
 ToolkitError so callers can catch one base class.
 """
+from numpy.linalg import LinAlgError
 
 
 class ToolkitError(Exception):
@@ -41,3 +42,9 @@ class DegenerateInputError(DataError):
 
 class EstimationError(ToolkitError):
     """An estimator could not produce the requested result."""
+
+
+class SingularModelError(EstimationError, LinAlgError):
+    """The solver's model covariance is not positive definite, so it has no
+    Cholesky factor. Also a LinAlgError, which is what numpy and scipy raise
+    for the same failure."""

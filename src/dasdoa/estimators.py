@@ -25,16 +25,24 @@ with a_k = |c_k|^2 (covariance form: a_k = p_k^2 b_k^H R^-1 R_hat R^-1 b_k);
 t = 1 collapses to x_k = sqrt(a_k / w_k), the classical SPICE update. A test
 checks that the surrogate's gradient vanishes at the closed form.
 Setting r = q = 1 recovers SPICE exactly.
+
+qspice_solve also takes a stack: P covariances (P, M, M) on one angle grid,
+with a (P, M, G) steering stack or P Dictionaries, such as the frequency
+bins of one broadband refinement round. The P problems share one loop, in
+which each numpy step is one call for all of them, and each problem leaves
+the stack at the iteration its single solve stops at. Every problem's
+result is its single solve's, bit for bit; a single problem is the stack of
+one, run with the shapes it always had.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh, get_lapack_funcs
+from scipy.linalg import eigh, get_lapack_funcs
 
 from .arrays import Dictionary
-from .errors import ConfigError, DegenerateInputError
+from .errors import ConfigError, DegenerateInputError, SingularModelError
 
 DB_FLOOR = 1e-300
 # every estimator the toolkit runs; all but gnr2 (grid refinement, see
@@ -100,6 +108,10 @@ class SolverResult:
     n_iter: int
     converged: bool
     spectrum: SpatialSpectrum | None = None
+    # a stacked solve: each problem's own result, equal to its single solve;
+    # the fields above then stack (powers), join (trace), sum (n_iter) or
+    # all-of (converged) theirs
+    problems: tuple = ()
 
 
 def _as_matrix(dictionary) -> tuple[np.ndarray, np.ndarray, float]:
@@ -110,6 +122,24 @@ def _as_matrix(dictionary) -> tuple[np.ndarray, np.ndarray, float]:
     if A.ndim != 2:
         raise ConfigError("dictionary must be an M x G matrix")
     return A, np.arange(A.shape[1], dtype=float), 0.0
+
+
+def _as_stack(dictionary):
+    """(A, the Dictionaries or None, stacked). A Dictionary or an M x G
+    matrix is one problem; a sequence of P Dictionaries on one angle grid or
+    a P x M x G array is a stack of P."""
+    if isinstance(dictionary, Dictionary):
+        return dictionary.matrix, (dictionary,), False
+    if isinstance(dictionary, (list, tuple)) and dictionary \
+            and all(isinstance(d, Dictionary) for d in dictionary):
+        if any(not np.array_equal(d.angles, dictionary[0].angles)
+               for d in dictionary):
+            raise ConfigError("a stacked solve needs one angle grid for all problems")
+        return np.stack([d.matrix for d in dictionary]), tuple(dictionary), True
+    A = np.asarray(dictionary)
+    if A.ndim not in (2, 3):
+        raise ConfigError("dictionary must be an M x G matrix or a P x M x G stack")
+    return A, None, A.ndim == 3
 
 
 def _as_covariance(data, m: int) -> np.ndarray:
@@ -133,79 +163,158 @@ def _as_covariance(data, m: int) -> np.ndarray:
 def spice_weights(dictionary, data) -> tuple[np.ndarray, np.ndarray]:
     """(signal weights w_g = ||a_g||^2/E, noise weights w_m = 1/E) with
     E = z^H z for a snapshot or tr(R_hat) for a covariance."""
-    _, _, _, w_p, w_s, _ = _model(data, dictionary)
-    return w_p, w_s
+    model = _Model(data, dictionary)
+    return model.w_p, model.w_s
 
 
-def _cbf_power(A, R_hat) -> np.ndarray:
-    """Delay-and-sum power a_g^H R_hat a_g / M^2, clipped at zero."""
-    return np.maximum((A.conj() * (R_hat @ A)).sum(axis=0).real / A.shape[0] ** 2, 0.0)
+def _cbf_power(A, R_hat, Ac=None) -> np.ndarray:
+    """Delay-and-sum power a_g^H R_hat a_g / M^2, clipped at zero (per
+    problem of a stack); Ac: conj(A), if already at hand."""
+    RA = R_hat @ A
+    np.multiply(A.conj() if Ac is None else Ac, RA, out=RA)
+    return np.maximum(np.add.reduce(RA, axis=-2).real / A.shape[-2] ** 2, 0.0)
 
 
-def _model(data, dictionary, config: SolverConfig | None = None):
+class _Model:
     """The model R(p, s) = A diag(p) A^H + diag(s) on parsed data and
-    dictionary: (A, R_hat, tr(R_hat), w_p, w_s, evaluate). evaluate(p, s) is
-    (f(p, s) at config's norm orders, a_g^H Q a_g per atom, diag(Q)) with
-    Q = R^-1 R_hat R^-1; LinAlgError if R is not positive definite. At M = 12
-    an evaluation costs dispatch more than flops, so conj(A), A^H, the
-    identity, an A diag(p) A^H buffer with a diagonal view and LAPACK
-    potrf/potrs are set up once; those are called, and their errors raised,
-    as scipy.linalg's Cholesky wrappers do, minus the wrappers' checks."""
-    cfg = config or SolverConfig()
-    r, q = float(cfg.r), float(cfg.q)
-    A, _, _ = _as_matrix(dictionary)
-    M = A.shape[0]
-    R_hat = _as_covariance(data, M)
-    tr = np.trace(R_hat).real
-    w_p = np.sum(np.abs(A) ** 2, axis=0) / tr
-    w_s = np.full(M, 1.0 / tr)
+    dictionary (see _as_stack): one problem, or a stack of P on one angle
+    grid with covariances (P, M, M). Holds A, R_hat, tr(R_hat) and the
+    weights w_p, w_s; a stack's carry a leading axis of P, a single
+    problem's none, so that it runs the very numpy calls it always has.
 
-    Ac = A.conj()
-    AH = Ac.T
-    dtype = np.result_type(A.dtype, np.float64)
-    I = np.eye(M, dtype=dtype)
-    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=dtype)
-    AAH = np.empty((M, M), dtype=dtype)
-    diag = AAH.ravel()[:: M + 1]
+    evaluate(p, s) gives, per problem, f(p, s) at the config's norm orders
+    (a list), a_g^H Q a_g per atom and diag(Q), with Q = R^-1 R_hat R^-1;
+    SingularModelError if an R is not positive definite. keep(mask) drops
+    problems from a stack. At M = 12 an evaluation costs dispatch more than
+    flops, so each step is one numpy call for the whole stack, on buffers
+    and views set up once. Only the Cholesky factor and solve, LAPACK
+    potrf/potrs, run per problem (a batched inverse would change the bits
+    of every result), called and their errors raised as scipy.linalg's
+    wrappers do, minus the wrappers' checks."""
 
-    def evaluate(p, s):
-        np.matmul(A * p, AH, out=AAH)
+    def __init__(self, data, dictionary, config: SolverConfig | None = None):
+        cfg = config or SolverConfig()
+        self.r, self.q = float(cfg.r), float(cfg.q)
+        A, self.dictionaries, self.stacked = _as_stack(dictionary)
+        M = A.shape[-2]
+        if self.stacked:
+            P = A.shape[0]
+            if not P:
+                raise ConfigError("a stacked solve needs at least one problem")
+            data = np.asarray(data)
+            if data.shape != (P, M, M):
+                raise ConfigError(f"a stack of {P} dictionaries needs covariances of "
+                                  f"shape ({P}, {M}, {M}), got {data.shape}")
+        else:
+            P, data = 1, [data]
+        # each covariance parsed and symmetrized as a single problem's is
+        self.R_hat = _stack([_as_covariance(d, M) for d in data], self.stacked)
+        self.tr = np.trace(self.R_hat, axis1=-2, axis2=-1).real
+        self.w_p = np.add.reduce(np.abs(A) ** 2, axis=-2) / self.tr[..., None]
+        self.w_s = np.multiply.outer(1.0 / self.tr, np.ones(M))
+        # w ** t of each block, for its closed form
+        self.w_pt, self.w_st = self.w_p ** self.r, self.w_s ** self.q
+        self.A = A
+        self.rows = np.arange(P)          # problem index of each stacked row
+
+        dtype = np.result_type(A.dtype, np.float64)
+        self._eye = np.eye(M, dtype=dtype)
+        self._potrf, self._potrs = get_lapack_funcs(("potrf", "potrs"), dtype=dtype)
+        lead = A.shape[:-2]
+        Ap = np.empty(A.shape, dtype=dtype)                     # A diag(p)
+        QA = Ap if dtype == complex else np.empty(A.shape, dtype=complex)
+        self._buffers = (Ap, QA,                                 # Q A
+                         np.empty(lead + (M, M), dtype=dtype),   # A diag(p) A^H
+                         np.empty(lead + (M, M), dtype=dtype))   # R^T
+        self.keep(np.ones(P, dtype=bool))
+
+    def keep(self, mask):
+        """Keep the stacked problems where mask is true."""
+        self.rows = self.rows[mask]
+        n = self.rows.size
+        self._live = self.Ac = None       # frees the old conj(A) first
+        if n < mask.size:
+            for name in ("A", "R_hat", "w_p", "w_s", "w_pt", "w_st"):
+                setattr(self, name, getattr(self, name)[mask])
+        Ap, QA, AAH, Rt = (b[:n] if self.stacked else b for b in self._buffers)
+        M = AAH.shape[-1]
+        self.Ac = Ac = self.A.conj()
+        # the diagonal of A diag(p) A^H as a writable view; R held transposed,
+        # so that each R[i] is Fortran-ordered as LAPACK takes it: no copy
+        self._live = (self.A, Ac, Ac.swapaxes(-1, -2), self.R_hat, self.w_p, self.w_s,
+                      Ap, QA, AAH, AAH.swapaxes(-1, -2), np.einsum("...ii->...i", AAH),
+                      Rt, list(Rt.reshape(-1, M, M).swapaxes(-1, -2)))
+
+    def evaluate(self, p, s):
+        A, Ac, AH, R_hat, w_p, w_s, Ap, QA, AAH, AAHt, diag, Rt, R = self._live
+        np.multiply(A, p[..., None, :], out=Ap)
+        np.matmul(Ap, AH, out=AAH)
         np.add(diag, s, out=diag)
-        R = 0.5 * (AAH + AAH.conj().T)
-        c, info = potrf(R, lower=True, clean=False)
-        if info == 0:
-            Ri, info = potrs(c, I, lower=True)    # reports only info <= 0
-        if info > 0:
-            raise LinAlgError(
-                f"{info}-th leading minor of the array is not positive definite")
-        if info:
-            raise ValueError(f"LAPACK reported an illegal value in the {-info}-th "
-                             f"argument of potrf/potrs")
+        # R = (AAH + AAH^H) / 2, into the transposed buffer
+        np.conjugate(AAH, out=Rt)
+        np.add(AAHt, Rt, out=Rt)
+        np.multiply(Rt, 0.5, out=Rt)
+        potrf, potrs, eye, stacked = self._potrf, self._potrs, self._eye, self.stacked
+        Ri = []
+        for i, R_i in enumerate(R):
+            c, info = potrf(R_i, lower=True, clean=False, overwrite_a=True)
+            if info == 0:
+                Ri_i, info = potrs(c, eye, lower=True)    # reports only info <= 0
+                Ri.append(Ri_i)
+            if info > 0:
+                where = f" (problem {self.rows[i]})" if stacked else ""
+                raise SingularModelError(
+                    f"{info}-th leading minor of the array is not positive "
+                    f"definite{where}")
+            if info:
+                raise ValueError(f"LAPACK reported an illegal value in the {-info}-th "
+                                 f"argument of potrf/potrs")
+        Ri = _stack(Ri, stacked)
         T1 = Ri @ R_hat
-        Q = T1 @ Ri                       # R^-1 R_hat R^-1, Hermitian
-        quad = T1.diagonal().sum().real   # tr(T1), as np.trace sums it
-        obj = quad + _norm(w_p * p, r) + _norm(w_s * s, q)
-        return obj, (Ac * (Q @ A)).sum(axis=0).real, Q.diagonal().real
+        Q = T1 @ Ri                                    # R^-1 R_hat R^-1, Hermitian
+        quad = np.add.reduce(T1.diagonal(0, -2, -1), axis=-1).real  # tr(T1)
+        obj = (quad + _norm(w_p * p, self.r) + _norm(w_s * s, self.q)).tolist()
+        np.matmul(Q, A, out=QA)
+        np.multiply(Ac, QA, out=QA)
+        return (obj if stacked else [obj],
+                np.add.reduce(QA, axis=-2).real, Q.diagonal(0, -2, -1).real)
 
-    return A, R_hat, tr, w_p, w_s, evaluate
+
+def _stack(arrays, stacked):
+    """np.stack, or the one array of a single problem."""
+    return np.stack(arrays) if stacked else arrays[0]
 
 
-def _block_minimize(a, w, t):
-    """argmin over x >= 0 of sum_k a_k/x_k + (sum_k (w_k x_k)^t)^(1/t)."""
-    if a.min(initial=np.inf) > 0:
-        # every entry live (a NaN fails the test): skip the masked
-        # gather/scatter, which gives the same values
-        return _closed_form(a, w, t)
+def _pow_each(x, e):
+    """x ** e entry by entry with libm's pow, which numpy takes for a scalar;
+    numpy's array pow differs from it in the last bit for some inputs. One
+    entry gives a float."""
+    if x.size == 1:
+        return x.item() ** e
+    return np.array([v ** e for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _block_minimize(a, w, t, wt=None):
+    """argmin over x >= 0 of sum_k a_k/x_k + (sum_k (w_k x_k)^t)^(1/t), one
+    block per row of a (the last axis); entries with a_k <= 0 get x_k = 0
+    and stay out of the norm. wt: w ** t, if already at hand."""
+    if wt is None:
+        wt = w ** t
+    if np.minimum.reduce(a, axis=None, initial=np.inf) > 0:
+        # every entry live (a NaN fails the test): skip the masks, which
+        # give the same values
+        return _closed_form(a, w, t, wt)
     live = a > 0
-    x = np.zeros_like(a)
-    if live.any():
-        x[live] = _closed_form(a[live], w[live], t)
-    return x
+    with np.errstate(divide="ignore", invalid="ignore"):  # dead entries, dropped
+        return np.where(live, _closed_form(a, w, t, wt, live), 0.0)
 
 
 def _norm(x, t):
-    """||x||_t for x >= 0; at t = 1 the powers are skipped (x ** 1.0 == x)."""
-    return x.sum() if t == 1.0 else (x ** t).sum() ** (1 / t)
+    """||x||_t along the last axis for x >= 0; at t = 1 the powers are
+    skipped (x ** 1.0 == x)."""
+    if t == 1.0:
+        return np.add.reduce(x, axis=-1)
+    return _pow_each(np.add.reduce(x ** t, axis=-1), 1 / t)
 
 
 def _norm_gradient(x, w, t):
@@ -215,33 +324,52 @@ def _norm_gradient(x, w, t):
     return np.sum((w * x) ** t) ** (1 / t - 1) * w ** t * np.maximum(x, 1e-300) ** (t - 1)
 
 
-def _closed_form(a, w, t):
-    """The block minimizer over entries with a_k > 0 (see module docstring)."""
+def _closed_form(a, w, t, wt, live=None):
+    """The block minimizer of each row of a (see module docstring), at the
+    entries where `live` is true (all by default); other entries are garbage."""
     if t == 1.0:
         return np.sqrt(a / w)
-    C = ((w * a) ** (t / (t + 1.0))).sum()
-    T = C ** ((1.0 - t) * (t + 1.0) / (2.0 * t))
-    return (a / (T * w ** t)) ** (1.0 / (t + 1.0))
+    y = (w * a) ** (t / (t + 1.0))
+    if live is None:
+        C = np.add.reduce(y, axis=-1, keepdims=True)
+    else:
+        # each row's sum over its live entries alone, summed as a single
+        # solve sums them; a row with none gets a dummy 1
+        rows = zip(y.reshape(-1, y.shape[-1]), live.reshape(-1, y.shape[-1]))
+        C = np.array([y_i[l_i].sum() if l_i.any() else 1.0 for y_i, l_i in rows])
+        C = C.reshape(y.shape[:-1] + (1,))
+    T = _pow_each(C, (1.0 - t) * (t + 1.0) / (2.0 * t))
+    return (a / (T * wt)) ** (1.0 / (t + 1.0))
 
 
 def qspice_solve(data, dictionary, config: SolverConfig | None = None,
                  init=None) -> SolverResult:
-    """Run the covariance-fitting solver.
+    """Run the covariance-fitting solver on one problem or on a stack.
 
-    data: complex snapshot (M,) or sample covariance (M, M)
-    dictionary: Dictionary or bare steering matrix (M, G)
-    init: optional (p0, s0) warm start (e.g. the previous solution on a
-    refined grid); by default the solver starts from the CBF spectrum.
+    data: complex snapshot (M,) or sample covariance (M, M); for a stack,
+    P covariances (P, M, M)
+    dictionary: Dictionary or bare steering matrix (M, G); for a stack, a
+    sequence of P Dictionaries on one angle grid or a (P, M, G) array
+    init: optional (p0, s0) warm start of a single problem (e.g. the previous
+    solution on a refined grid); by default the solver starts from the CBF
+    spectrum.
     Returns SolverResult; `powers.signal` over the dictionary grid is the
     spatial estimate, `trace` the per-iteration objective (non-increasing).
+    A stack's problems run in one loop, and each leaves it at the iteration
+    its single solve would stop, so each gets the very result of its single
+    solve: `problems` holds those, powers.signal is (P, G), n_iter the sum
+    of their iterations and converged whether all converged.
     """
     cfg = config or SolverConfig()
-    A, R_hat, tr, w_p, w_s, evaluate = _model(data, dictionary, cfg)
-    M, G = A.shape
+    model = _Model(data, dictionary, cfg)
+    P = model.rows.size
+    M, G = model.A.shape[-2:]
     if init is None:
         # CBF initialization; strictly positive noise start keeps R invertible
-        p = _cbf_power(A, R_hat)
-        s = np.full(M, tr / (2 * M))
+        p = _cbf_power(model.A, model.R_hat, model.Ac)
+        s = np.multiply.outer(model.tr / (2 * M), np.ones(M))
+    elif model.stacked:
+        raise ConfigError("a warm start is for one problem, not a stack")
     else:
         p = np.asarray(init[0], dtype=float).copy()
         s = np.asarray(init[1], dtype=float).copy()
@@ -252,27 +380,68 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None,
             raise ConfigError("warm start must be finite")
         if np.any(p < 0) or np.any(s < 0) or p.sum() + s.sum() <= 0:
             raise ConfigError("warm start must be non-negative with positive total")
-    floor = cfg.power_floor if cfg.power_floor is not None else 1e-12 * (p.sum() + s.sum())
+    if cfg.power_floor is not None:
+        floors = np.full(p.shape[:-1], float(cfg.power_floor))
+    else:
+        floors = 1e-12 * (np.add.reduce(p, axis=-1) + np.add.reduce(s, axis=-1))
+    floor = np.multiply.outer(floors, np.ones(M))
     s = np.maximum(s, floor)
 
-    trace = []
-    converged = False
-    r, q = float(cfg.r), float(cfg.q)
+    history = []               # per evaluation, the objectives of the stack
+    stacks = [(0, list(range(P)))]    # (first evaluation, problems) per stack
+    converged = np.zeros(P, dtype=bool)
+    p_out, s_out = np.empty((P, G)), np.empty((P, M))
+    r, q, tol = float(cfg.r), float(cfg.q), cfg.rel_tol
     for it in range(cfg.max_iter):
-        obj, t_sig, t_noi = evaluate(p, s)
-        trace.append(obj)
-        if it > 0 and abs(trace[-2] - obj) <= cfg.rel_tol * abs(trace[-2]):
-            converged = True
-            break
-        p = _block_minimize(p * p * np.maximum(t_sig, 0.0), w_p, r)
-        s = np.maximum(_block_minimize(s * s * np.maximum(t_noi, 0.0), w_s, q), floor)
+        obj, t_sig, t_noi = model.evaluate(p, s)
+        history.append(obj)
+        if it > 0:
+            done = [abs(f0 - f) <= tol * abs(f0) for f0, f in zip(prev, obj)]
+            if True in done:
+                # a problem leaves the stack at the evaluation that meets
+                # the rule, with the powers evaluated there
+                done = np.array(done)
+                out = model.rows[done]
+                p_out[out] = p.reshape(-1, G)[done]
+                s_out[out] = s.reshape(-1, M)[done]
+                converged[out] = True
+                keep = ~done
+                if not keep.any():
+                    break
+                model.keep(keep)
+                stacks.append((it + 1, model.rows.tolist()))
+                p, s, floor = p[keep], s[keep], floor[keep]
+                t_sig, t_noi = t_sig[keep], t_noi[keep]
+                obj = [f for f, k in zip(obj, keep) if k]
+        prev = obj
+        p = _block_minimize(p * p * np.maximum(t_sig, 0.0), model.w_p, r, model.w_pt)
+        s = np.maximum(_block_minimize(s * s * np.maximum(t_noi, 0.0), model.w_s, q,
+                                       model.w_st), floor)
+    else:
+        p_out[model.rows], s_out[model.rows] = p, s
 
-    spectrum = None
-    if isinstance(dictionary, Dictionary):
-        spectrum = SpatialSpectrum(dictionary.angles, p, "qspice", dictionary.frequency,
-                                   max(floor, DB_FLOOR))
-    return SolverResult(PowerVector(p, s), np.asarray(trace), len(trace), converged,
-                        spectrum)
+    traces = [[] for _ in range(P)]
+    ends = [start for start, _ in stacks[1:]] + [len(history)]
+    for (start, rows), end in zip(stacks, ends):
+        for j, i in enumerate(rows):
+            traces[i] += [objs[j] for objs in history[start:end]]
+    dicts = model.dictionaries
+    floors = floors.reshape(-1).tolist()
+    results = []
+    for i in range(P):
+        spectrum = None
+        if dicts is not None:
+            spectrum = SpatialSpectrum(dicts[i].angles, p_out[i], "qspice",
+                                       dicts[i].frequency, max(floors[i], DB_FLOOR))
+        results.append(SolverResult(PowerVector(p_out[i], s_out[i]),
+                                    np.asarray(traces[i]), len(traces[i]),
+                                    bool(converged[i]), spectrum))
+    if not model.stacked:
+        return results[0]
+    return SolverResult(PowerVector(p_out, s_out),
+                        np.concatenate([res.trace for res in results]),
+                        sum(res.n_iter for res in results), bool(converged.all()),
+                        problems=tuple(results))
 
 
 def spice_solve(data, dictionary, max_iter: int = 500, rel_tol: float = 1e-6) -> SolverResult:
@@ -282,11 +451,15 @@ def spice_solve(data, dictionary, max_iter: int = 500, rel_tol: float = 1e-6) ->
 
 
 def _evaluate_at(p, s, data, dictionary, config):
-    """(objective, a_g^H Q a_g, diag Q, w_p, w_s) at a finite (p, s)."""
+    """(objective, a_g^H Q a_g, diag Q, w_p, w_s) at a finite (p, s) of a
+    single problem."""
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
         raise ConfigError("p and sigma must be finite")
-    *_, w_p, w_s, evaluate = _model(data, dictionary, config)
-    return (*evaluate(p, s), w_p, w_s)
+    model = _Model(data, dictionary, config)
+    if model.stacked:
+        raise ConfigError("the objective is evaluated for one problem, not a stack")
+    (obj,), t_sig, t_noi = model.evaluate(np.asarray(p), np.asarray(s))
+    return obj, t_sig, t_noi, model.w_p, model.w_s
 
 
 def objective_value(p, s, data, dictionary, config: SolverConfig | None = None) -> float:

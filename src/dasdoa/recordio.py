@@ -163,6 +163,9 @@ def _load_record_csv(path) -> SnapshotMatrix:
                 raise ParseError(f"unparsable value in row {i} of {path}",
                                  offset=offset) from exc
             offset += len(line)
+        if fh.read(1):
+            raise ParseError(f"content after the {m} channel rows of {path}",
+                             offset=offset)
     dtype = _KINDS[1] if kind == "complex64" else _KINDS[0]
     data = np.array(rows, dtype=dtype)
     domain = "narrowband-snapshot" if kind == "complex64" else "time"

@@ -213,6 +213,12 @@ def propeller_waveform(n: int, fs: float, band: tuple, lines, rng) -> np.ndarray
         raise ConfigError("band must satisfy 0 < f_lo < f_hi < fs/2 (Nyquist)")
     rng = np.random.default_rng(rng)
     sos = butter(4, [f_lo, f_hi], "bandpass", fs=fs, output="sos")
+    # sosfiltfilt's default edge padding, which the record must exceed
+    padlen = 3 * (2 * len(sos) + 1
+                  - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum()))
+    if n <= padlen:
+        raise ConfigError(f"a propeller waveform needs at least {padlen + 1} "
+                          f"samples (the band-pass filter's edge padding), got {n}")
     cont = sosfiltfilt(sos, rng.standard_normal(n))
     cont /= np.sqrt(np.mean(cont ** 2))
     x = cont

@@ -85,6 +85,12 @@ def test_angle_grid_validation():
     for sector in ((5.0,), (0.0, 10.0, 20.0), ("a", "b"), 5.0):
         with pytest.raises(ConfigError, match="two numbers"):
             angle_grid(sector, 1.0)
+    for step in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="positive finite"):
+            angle_grid((0.0, 10.0), step)
+    for sector in ((np.nan, 10.0), (0.0, np.inf), (-np.inf, 0.0)):
+        with pytest.raises(ConfigError, match="finite"):
+            angle_grid(sector, 1.0)
 
 
 def test_build_dictionary_fields():

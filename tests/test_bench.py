@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dasdoa import estimators
 from dasdoa.bench import PRESETS, BenchRow, NONUNIFORM_DIAG, ScenarioConfig, \
     pair_errors, rmse, run_monte_carlo, run_trial, success_ratio, \
     timing_ratios, _make_context
@@ -115,6 +116,22 @@ def test_run_trial_deterministic():
     for method in cfg.methods:
         assert a[method][0] == b[method][0]
         assert a[method][1] == b[method][1]
+
+
+def test_singular_solve_is_a_failed_trial(monkeypatch):
+    # a Cholesky failure is a ToolkitError, so the trial counts it as a
+    # shortfall of that method instead of ending the sweep
+    real = estimators.get_lapack_funcs
+
+    def failing_potrf(names, **kwargs):
+        _, potrs = real(names, **kwargs)
+        return (lambda a, **kw: (a, 2)), potrs
+
+    monkeypatch.setattr(estimators, "get_lapack_funcs", failing_potrf)
+    cfg = _tiny_config(methods=("cbf", "qspice"))
+    out = run_trial(cfg, 0, 1, _make_context(cfg))
+    assert out["qspice"][:2] == ((), True)
+    assert len(out["cbf"][0]) == 2
 
 
 def test_run_monte_carlo_rows_and_determinism():

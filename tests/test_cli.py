@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dasdoa import cli
+from dasdoa import cli, estimators
 from dasdoa.arrays import build_dictionary, full_sector, half_wavelength_spacing, \
     uniform_line_array
 from dasdoa.bench import PRESETS
@@ -189,6 +189,21 @@ def test_shortfall_exits_4(tmp_path, capsys):
     assert "resolved 1 of 2" in capsys.readouterr().err
 
 
+def test_singular_model_exits_4(records, monkeypatch):
+    # a Cholesky failure of the solver's model is an estimation failure
+    real = estimators.get_lapack_funcs
+
+    def failing_potrf(names, **kwargs):
+        _, potrs = real(names, **kwargs)
+        return (lambda a, **kw: (a, 2)), potrs
+
+    monkeypatch.setattr(estimators, "get_lapack_funcs", failing_potrf)
+    code, out, err = _run(["estimate", "--input", str(records[0]), "--frequency",
+                           "3000", "--estimator", "qspice", "--k", "2"])
+    assert (code, out) == (4, "")
+    assert "2-th leading minor" in err
+
+
 def test_bad_preset_exits_2_via_argparse(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["bench", "--preset", "no-such-preset"])
@@ -330,6 +345,14 @@ _MALFORMED = {
     "estimate-max_iter-float": (_ESTIMATE_ARGV, {"max_iter": 2.7}),
     # a float-typed key takes a JSON number, not a bool
     "estimate-r-bool": (_ESTIMATE_ARGV, {"r": True, "q": True}),
+    # and a finite one
+    "estimate-step-nan": (_ESTIMATE_ARGV, {"step": float("nan")}),
+    "estimate-step-overflow": (_ESTIMATE_ARGV, {"step": 10 ** 400}),
+    # a list-valued key takes finite JSON numbers, not bools
+    "simulate-angles-bool": (["simulate", "--out", "{tmp}/x.bin"],
+                             {"angles": [True, 27.62]}),
+    "bench-sweep_values-bool": (["bench", "--preset", "table1"],
+                                {"sweep_values": [True]}),
     "btr": (["btr", "--input", "{tmp}/x.bin", "--out", "{tmp}/x.csv"],
             {"max_iter": [500]}),
     "bench": (["bench", "--preset", "table1"], {"trials": "two"}),
@@ -352,6 +375,26 @@ def test_config_rejects_unknown_keys_and_malformed_values(command, tmp_path):
     assert (code, out) == (2, "")
     assert f"config key {next(iter(malformed))!r}" in err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("record, argv", [
+    (0, ["--frequency", "3000"]), (1, ["--spacing", "1.25", "--k", "1"])],
+    ids=["snapshot", "time"])
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_non_finite_step_flag_exits_2(record, argv, estimator, records):
+    code, out, err = _run(["estimate", "--input", str(records[record]), "--estimator",
+                           estimator, "--k", "2", "--step", "nan"] + argv)
+    assert (code, out) == (2, "")
+    assert "grid step must be a positive finite number" in err
+
+
+def test_propeller_record_shorter_than_the_filter_padding_exits_2(tmp_path):
+    out = tmp_path / "x.bin"
+    code, _, err = _run(["simulate", "--out", str(out), "--kind",
+                         "propeller-broadband", "--samples", "20"])
+    assert code == 2
+    assert "needs at least 28 samples" in err
+    assert not out.exists()
 
 
 def test_config_null_is_unset(tmp_path):

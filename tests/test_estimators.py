@@ -3,12 +3,13 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dasdoa import estimators
 from dasdoa.arrays import build_dictionary, uniform_line_array
-from dasdoa.errors import ConfigError, DegenerateInputError
+from dasdoa.errors import ConfigError, DegenerateInputError, EstimationError, \
+    SingularModelError, ToolkitError
 from dasdoa.estimators import SolverConfig, SpatialSpectrum, _block_minimize, \
     cbf_spectrum, kkt_residual, music_spectrum, objective_value, peak_pick, \
     qspice_solve, spice_solve, spice_weights
@@ -198,6 +199,83 @@ def test_singular_model_raises_linalg_error(fn):
     with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
         fn(np.ones(1), np.zeros(4), np.eye(4, dtype=complex),
            np.ones((4, 1), dtype=complex))
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 4), m=st.integers(3, 8),
+       g=st.integers(1, 40), r=st.floats(1.0, 3.0), q=st.floats(1.0, 2.0),
+       max_iter=st.sampled_from([4, 30, 500]), dead=st.booleans())
+def test_stacked_solve_equals_single_solves(seed, n, m, g, r, q, max_iter, dead):
+    # every problem of a stack gets its single solve's result, bit for bit;
+    # with `dead`, problem 0 has an all-zero steering column, so its CBF
+    # start holds a zero atom and the masked block update runs
+    rng = np.random.default_rng(seed)
+    A = np.exp(-1j * np.pi * rng.uniform(0.5, 1.5, (n, m, 1))
+               * np.arange(m)[:, None] * np.sin(np.linspace(-1.4, 1.4, g)))
+    if dead:
+        A[0, :, g // 2] = 0.0
+    y = rng.standard_normal((n, m, 20)) + 1j * rng.standard_normal((n, m, 20))
+    covs = y @ y.conj().transpose(0, 2, 1) / 20
+    cfg = SolverConfig(r=r, q=q, max_iter=max_iter)
+    stacked = qspice_solve(covs, A, cfg)
+    singles = [qspice_solve(covs[i], A[i], cfg) for i in range(n)]
+    assert len(stacked.problems) == n
+    for res, single in zip(stacked.problems, singles):
+        assert _same_bits(res.powers.signal, single.powers.signal)
+        assert _same_bits(res.powers.noise, single.powers.noise)
+        assert _same_bits(res.trace, single.trace)
+        assert (res.n_iter, res.converged) == (single.n_iter, single.converged)
+    assert _same_bits(stacked.powers.signal, [s.powers.signal for s in singles])
+    assert stacked.n_iter == sum(s.n_iter for s in singles)
+    assert stacked.converged == all(s.converged for s in singles)
+
+
+def test_stacked_dictionaries_give_each_problem_its_spectrum():
+    geom = uniform_line_array(6, 0.5)
+    dicts = [build_dictionary(geom, f, (-60.0, 60.0), 2.0) for f in (1000.0, 1300.0)]
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal((2, 6, 30)) + 1j * rng.standard_normal((2, 6, 30))
+    covs = y @ y.conj().transpose(0, 2, 1) / 30
+    stacked = qspice_solve(covs, dicts)
+    assert stacked.spectrum is None
+    for res, cov, dic in zip(stacked.problems, covs, dicts):
+        single = qspice_solve(cov, dic).spectrum
+        assert _same_bits(res.spectrum.power, single.power)
+        assert (res.spectrum.frequency, res.spectrum.floor) == (single.frequency,
+                                                                single.floor)
+
+
+def test_stack_validation():
+    a = np.ones((2, 3, 4), dtype=complex)
+    covs = np.stack([np.eye(3, dtype=complex)] * 2)
+    with pytest.raises(ConfigError, match="warm start"):
+        qspice_solve(covs, a, init=(np.ones(4), np.ones(3)))
+    with pytest.raises(ConfigError, match="covariances of shape"):
+        qspice_solve(covs[0], a)
+    geom = uniform_line_array(3, 0.5)
+    with pytest.raises(ConfigError, match="one angle grid"):
+        qspice_solve(covs, [build_dictionary(geom, 1000.0, (-60.0, 60.0), 2.0),
+                            build_dictionary(geom, 1000.0, (-60.0, 60.0), 3.0)])
+
+
+def test_stack_with_a_singular_problem_names_it():
+    # problem 1 is indefinite, so its noise powers go to zero and, with no
+    # floor, its model loses rank
+    a = np.exp(-1j * np.pi * np.arange(4)[:, None] * np.sin(np.linspace(-1, 1, 5)))
+    bad = np.diag([3.0, -0.5, -0.5, -0.5]).astype(complex)
+    covs = np.stack([np.eye(4, dtype=complex), bad, np.eye(4, dtype=complex)])
+    A = np.stack([a, np.ones((4, 5), dtype=complex), a])
+    with pytest.raises(SingularModelError, match=r"leading minor .* \(problem 1\)") \
+            as err:
+        qspice_solve(covs, A, SolverConfig(power_floor=0.0))
+    assert isinstance(err.value, ToolkitError)
+    assert isinstance(err.value, EstimationError)
+    assert isinstance(err.value, np.linalg.LinAlgError)
 
 
 def test_spice_solve_is_r1_q1():

@@ -88,6 +88,19 @@ def test_every_proper_prefix_is_a_parse_error(fmt, block, tmp_path_factory):
         assert err.value.offset is not None and 0 <= err.value.offset <= size
 
 
+@settings(max_examples=40)
+@given(block=_records(), extra=st.text(min_size=1))
+def test_content_after_the_csv_rows_is_a_parse_error(block, extra, tmp_path_factory):
+    path = tmp_path_factory.mktemp("trailing") / "rec.csv"
+    save_record(block, path, "csv")
+    size = path.stat().st_size
+    with open(path, "a") as fh:
+        fh.write(extra)
+    with pytest.raises(ParseError) as err:
+        load_record(path, "csv")
+    assert err.value.offset == size
+
+
 def test_many_channel_header_accepted(tmp_path):
     block = SnapshotMatrix(np.zeros((620, 2), dtype=np.float32), "time",
                            sample_rate=1000.0)
