@@ -24,7 +24,7 @@ from .errors import ConfigError, DataError, DegenerateInputError, \
     UnsupportedModelError
 from .estimators import PowerVector, SolverConfig, SolverResult, \
     SpatialSpectrum, cbf_spectrum, kkt_residual, music_spectrum, \
-    objective_value, peak_pick, qspice_solve, spice_solve, spice_weights
+    objective_value, peak_pick, qspice_solve, spice_weights
 from .frontend import BinSnapshots, FrequencyBinSet, band_for, \
     band_transform, bin_covariances, dft_vector, frame_count, \
     sample_covariance, select_bins

@@ -3,8 +3,10 @@
 Per-bin spatial spectra are fused incoherently: each bin's spectrum is
 normalized to unit maximum, then averaged in the linear domain, so loud bins
 cannot dominate and per-bin positive scalings drop out.
-The refinement estimator re-runs the per-bin solver on the shared refined
-grid each round and picks peaks on the fused spectrum.
+broadband_spectrum turns a fixed-grid estimator's bins on one angle grid
+into the fused spectrum, with the solver's bins (spice, qspice) as one
+stacked solve; the refinement estimator calls it with qspice on each
+round's grid and picks peaks on the fused spectrum.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from .arrays import ArrayGeometry, Dictionary, angle_grid, full_sector, steering_matrix
 from .errors import ConfigError
-from .estimators import SolverConfig, SpatialSpectrum, check_estimator, \
+from .estimators import SolverConfig, SpatialSpectrum, _fit_config, check_estimator, \
     fixed_grid_spectrum, qspice_solve
 from .frontend import FrequencyBinSet, band_for, band_transform, bin_covariances, \
     frame_count, select_bins
@@ -46,38 +48,37 @@ def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
                        convention: str = "broadside", estimator: str = "cbf",
                        k: int | None = None,
                        solver_cfg: SolverConfig | None = None) -> SpatialSpectrum:
-    """Fused spectrum of a fixed-grid estimator over the given bins."""
+    """Fused spectrum of a fixed-grid estimator over the frequency bins
+    (covariance covs[i] at freqs[i]) on one angle grid; spice and qspice
+    solve the bins as one stack."""
     check_estimator(estimator, k)
+    if not len(freqs):
+        raise ConfigError("need at least one frequency bin")
+    if len(covs) != len(freqs):
+        raise ConfigError(f"{len(covs)} covariances for {len(freqs)} frequency bins")
     grid = np.asarray(angles, dtype=float)
-    spectra = []
-    for R, f in zip(covs, freqs):
-        A = steering_matrix(geometry, f, grid, convention)
-        dictionary = Dictionary(grid, A, float(f), convention, geometry)
-        spectra.append(fixed_grid_spectrum(estimator, R, dictionary, k, solver_cfg))
+    dicts = [Dictionary(grid, steering_matrix(geometry, f, grid, convention), float(f),
+                        convention, geometry) for f in freqs]
+    if estimator in ("spice", "qspice"):
+        res = qspice_solve(covs, dicts, _fit_config(estimator, solver_cfg))
+        spectra = [r.spectrum for r in res.problems]
+    else:
+        spectra = [fixed_grid_spectrum(estimator, R, d, k) for R, d in zip(covs, dicts)]
     fused = fuse_spectra(spectra)
-    return SpatialSpectrum(fused.angles, fused.power, estimator, 0.0)
+    return SpatialSpectrum(grid, fused.power, estimator, 0.0)
 
 
 def broadband_gnr2(covs, freqs, geometry: ArrayGeometry, k: int,
                    sector=(-90.0, 90.0), convention: str = "broadside",
                    solver_cfg: SolverConfig | None = None,
                    refine_cfg: RefineConfig | None = None) -> RefineResult:
-    """Grid-neighborhood refinement on the fused per-bin solver spectrum."""
+    """Grid-neighborhood refinement on the fused per-bin solver spectrum:
+    each round fuses the bins' q-SPICE spectra on the round's grid."""
     check_estimator("gnr2", k)
-    if len(freqs) == 0:
-        raise ConfigError("need at least one frequency bin")
-    scfg = solver_cfg or SolverConfig()
-    rcfg = refine_cfg or RefineConfig()
-
-    def solve(angles):
-        # one stacked solve per round: every bin on the round's grid
-        grid = np.asarray(angles, dtype=float)
-        A = np.stack([steering_matrix(geometry, f, grid, convention) for f in freqs])
-        powers = qspice_solve(covs, A, scfg).powers.signal
-        return fuse_spectra(SpatialSpectrum(grid, power, "qspice", float(f))
-                            for power, f in zip(powers, freqs)).power
-
-    est, shortfall, rounds, grid, power = refine_loop(solve, sector, k, rcfg)
+    est, shortfall, rounds, grid, power = refine_loop(
+        lambda angles: broadband_spectrum(covs, freqs, geometry, angles, convention,
+                                          "qspice", k, solver_cfg).power,
+        sector, k, refine_cfg)
     return RefineResult(est, SpatialSpectrum(grid, power, "qspice-gnr2", 0.0),
                         rounds, shortfall)
 

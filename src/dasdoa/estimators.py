@@ -26,13 +26,14 @@ t = 1 collapses to x_k = sqrt(a_k / w_k), the classical SPICE update. A test
 checks that the surrogate's gradient vanishes at the closed form.
 Setting r = q = 1 recovers SPICE exactly.
 
-qspice_solve also takes a stack: P covariances (P, M, M) on one angle grid,
-with a (P, M, G) steering stack or P Dictionaries, such as the frequency
-bins of one broadband refinement round. The P problems share one loop, in
-which each numpy step is one call for all of them, and each problem leaves
-the stack at the iteration its single solve stops at. Every problem's
-result is its single solve's, bit for bit; a single problem is the stack of
-one, run with the shapes it always had.
+qspice_solve has one path, for a stack of P problems on one angle grid: P
+covariances (P, M, M) with a (P, M, G) steering stack or P Dictionaries,
+such as the frequency bins of a broadband spectrum or refinement round. One
+snapshot or covariance on one dictionary is the stack of one and gets its
+one result back. The P problems share one loop, in which each numpy step is
+one call for all of them, and each problem leaves the stack at the
+iteration its own solve stops at, so its result is that of its solve as
+the stack of one, bit for bit.
 """
 from __future__ import annotations
 
@@ -53,13 +54,12 @@ ESTIMATORS = ("cbf", "music", "spice", "qspice", "gnr2")
 @dataclass(frozen=True)
 class SolverConfig:
     """r: signal-penalty norm order (>= 1); q: noise-penalty norm order in
-    [1, 2]; power_floor None means 1e-12 x initial total power."""
+    [1, 2]. Noise powers are floored at 1e-12 x the initial total power."""
 
     r: float = 1.0
     q: float = 2.0
     max_iter: int = 500
     rel_tol: float = 1e-6
-    power_floor: float | None = None
 
     def __post_init__(self):
         if not self.r >= 1:
@@ -70,8 +70,6 @@ class SolverConfig:
             raise ConfigError("max_iter must be >= 1")
         if not self.rel_tol > 0:
             raise ConfigError("rel_tol must be positive")
-        if self.power_floor is not None and self.power_floor < 0:
-            raise ConfigError("power_floor must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -108,38 +106,9 @@ class SolverResult:
     n_iter: int
     converged: bool
     spectrum: SpatialSpectrum | None = None
-    # a stacked solve: each problem's own result, equal to its single solve;
-    # the fields above then stack (powers), join (trace), sum (n_iter) or
-    # all-of (converged) theirs
+    # a stack's result per problem; the fields above then stack (powers),
+    # join (trace), sum (n_iter) or all-of (converged) theirs
     problems: tuple = ()
-
-
-def _as_matrix(dictionary) -> tuple[np.ndarray, np.ndarray, float]:
-    """(A, angles, frequency); a bare matrix's angles are its column indices."""
-    if isinstance(dictionary, Dictionary):
-        return dictionary.matrix, dictionary.angles, dictionary.frequency
-    A = np.asarray(dictionary)
-    if A.ndim != 2:
-        raise ConfigError("dictionary must be an M x G matrix")
-    return A, np.arange(A.shape[1], dtype=float), 0.0
-
-
-def _as_stack(dictionary):
-    """(A, the Dictionaries or None, stacked). A Dictionary or an M x G
-    matrix is one problem; a sequence of P Dictionaries on one angle grid or
-    a P x M x G array is a stack of P."""
-    if isinstance(dictionary, Dictionary):
-        return dictionary.matrix, (dictionary,), False
-    if isinstance(dictionary, (list, tuple)) and dictionary \
-            and all(isinstance(d, Dictionary) for d in dictionary):
-        if any(not np.array_equal(d.angles, dictionary[0].angles)
-               for d in dictionary):
-            raise ConfigError("a stacked solve needs one angle grid for all problems")
-        return np.stack([d.matrix for d in dictionary]), tuple(dictionary), True
-    A = np.asarray(dictionary)
-    if A.ndim not in (2, 3):
-        raise ConfigError("dictionary must be an M x G matrix or a P x M x G stack")
-    return A, None, A.ndim == 3
 
 
 def _as_covariance(data, m: int) -> np.ndarray:
@@ -160,10 +129,59 @@ def _as_covariance(data, m: int) -> np.ndarray:
     return R_hat
 
 
+def _as_dictionaries(dictionary):
+    """(A, dictionaries, single): a dictionary argument as a steering stack
+    A (P, M, G) on one angle grid, its P Dictionaries (None for bare
+    matrices) and whether it is one problem. A Dictionary or an M x G matrix
+    is one problem, the stack of one; a sequence of P Dictionaries on one
+    grid or a P x M x G array is a stack of P."""
+    if isinstance(dictionary, Dictionary):
+        return dictionary.matrix[None], (dictionary,), True
+    if isinstance(dictionary, (list, tuple)) and dictionary \
+            and all(isinstance(d, Dictionary) for d in dictionary):
+        if any(not np.array_equal(d.angles, dictionary[0].angles)
+               for d in dictionary):
+            raise ConfigError("a stacked solve needs one angle grid for all problems")
+        return np.stack([d.matrix for d in dictionary]), tuple(dictionary), False
+    A = np.asarray(dictionary)
+    if A.ndim == 2:
+        return A[None], None, True
+    if A.ndim != 3:
+        raise ConfigError("dictionary must be an M x G matrix or a P x M x G stack")
+    if not len(A):
+        raise ConfigError("a stacked solve needs at least one problem")
+    return A, None, False
+
+
+def _one_dictionary(dictionary):
+    """(A, angles, frequency) of one problem's dictionary; a bare matrix's
+    angles are its column indices."""
+    A, dicts, single = _as_dictionaries(dictionary)
+    if not single:
+        raise ConfigError("dictionary must be an M x G matrix")
+    if dicts:
+        return A[0], dicts[0].angles, dicts[0].frequency
+    return A[0], np.arange(A.shape[-1], dtype=float), 0.0
+
+
+def _as_covariances(data, A, single) -> np.ndarray:
+    """The covariances (P, M, M) of a solve on the steering stack A: one
+    snapshot or covariance for one problem, P covariances for a stack."""
+    P, M = A.shape[:2]
+    if single:
+        data = [data]
+    elif np.shape(data) != (P, M, M):
+        raise ConfigError(f"a stack of {P} dictionaries needs covariances of "
+                          f"shape ({P}, {M}, {M}), got {np.shape(data)}")
+    return np.stack([_as_covariance(d, M) for d in data])
+
+
 def spice_weights(dictionary, data) -> tuple[np.ndarray, np.ndarray]:
     """(signal weights w_g = ||a_g||^2/E, noise weights w_m = 1/E) with
     E = z^H z for a snapshot or tr(R_hat) for a covariance."""
     model = _Model(data, dictionary)
+    if model.single:
+        return model.w_p[0], model.w_s[0]
     return model.w_p, model.w_s
 
 
@@ -176,56 +194,46 @@ def _cbf_power(A, R_hat, Ac=None) -> np.ndarray:
 
 
 class _Model:
-    """The model R(p, s) = A diag(p) A^H + diag(s) on parsed data and
-    dictionary (see _as_stack): one problem, or a stack of P on one angle
-    grid with covariances (P, M, M). Holds A, R_hat, tr(R_hat) and the
-    weights w_p, w_s; a stack's carry a leading axis of P, a single
-    problem's none, so that it runs the very numpy calls it always has.
+    """The model R(p, s) = A diag(p) A^H + diag(s) of a stack of P problems
+    on one angle grid (see _as_dictionaries); one problem is the stack of
+    one and runs the same calls. Holds A (P, M, G), R_hat (P, M, M),
+    tr(R_hat) and the weights w_p (P, G), w_s (P, M).
 
     evaluate(p, s) gives, per problem, f(p, s) at the config's norm orders
     (a list), a_g^H Q a_g per atom and diag(Q), with Q = R^-1 R_hat R^-1;
     SingularModelError if an R is not positive definite. keep(mask) drops
-    problems from a stack. At M = 12 an evaluation costs dispatch more than
-    flops, so each step is one numpy call for the whole stack, on buffers
-    and views set up once. Only the Cholesky factor and solve, LAPACK
-    potrf/potrs, run per problem (a batched inverse would change the bits
-    of every result), called and their errors raised as scipy.linalg's
+    problems from the stack. At M = 12 an evaluation costs dispatch more
+    than flops, so each step is one numpy call for the whole stack, on
+    buffers and views set up once. Only the Cholesky factor and solve,
+    LAPACK potrf/potrs, run per problem (a batched inverse would change the
+    bits of every result), called and their errors raised as scipy.linalg's
     wrappers do, minus the wrappers' checks."""
 
     def __init__(self, data, dictionary, config: SolverConfig | None = None):
         cfg = config or SolverConfig()
         self.r, self.q = float(cfg.r), float(cfg.q)
-        A, self.dictionaries, self.stacked = _as_stack(dictionary)
-        M = A.shape[-2]
-        if self.stacked:
-            P = A.shape[0]
-            if not P:
-                raise ConfigError("a stacked solve needs at least one problem")
-            data = np.asarray(data)
-            if data.shape != (P, M, M):
-                raise ConfigError(f"a stack of {P} dictionaries needs covariances of "
-                                  f"shape ({P}, {M}, {M}), got {data.shape}")
-        else:
-            P, data = 1, [data]
-        # each covariance parsed and symmetrized as a single problem's is
-        self.R_hat = _stack([_as_covariance(d, M) for d in data], self.stacked)
+        A, self.dictionaries, self.single = _as_dictionaries(dictionary)
+        self.R_hat = _as_covariances(data, A, self.single)
+        P, M = A.shape[:2]
         self.tr = np.trace(self.R_hat, axis1=-2, axis2=-1).real
-        self.w_p = np.add.reduce(np.abs(A) ** 2, axis=-2) / self.tr[..., None]
+        self.w_p = np.add.reduce(np.abs(A) ** 2, axis=-2) / self.tr[:, None]
         self.w_s = np.multiply.outer(1.0 / self.tr, np.ones(M))
         # w ** t of each block, for its closed form
         self.w_pt, self.w_st = self.w_p ** self.r, self.w_s ** self.q
         self.A = A
+        self.n_problems = P
         self.rows = np.arange(P)          # problem index of each stacked row
 
         dtype = np.result_type(A.dtype, np.float64)
         self._eye = np.eye(M, dtype=dtype)
         self._potrf, self._potrs = get_lapack_funcs(("potrf", "potrs"), dtype=dtype)
-        lead = A.shape[:-2]
         Ap = np.empty(A.shape, dtype=dtype)                     # A diag(p)
         QA = Ap if dtype == complex else np.empty(A.shape, dtype=complex)
-        self._buffers = (Ap, QA,                                 # Q A
-                         np.empty(lead + (M, M), dtype=dtype),   # A diag(p) A^H
-                         np.empty(lead + (M, M), dtype=dtype))   # R^T
+        # A diag(p) A^H in blocks of M + 1 rows, whose diagonals are then one
+        # evenly strided view; R^T, R^-1, T1 = R^-1 R_hat and Q
+        self._buffers = (Ap, QA, np.empty((P, M + 1, M), dtype=dtype),
+                         np.empty((P, M, M), dtype=dtype), np.empty((P, M, M), dtype=dtype),
+                         np.empty((P, M, M), dtype=complex), np.empty((P, M, M), dtype=complex))
         self.keep(np.ones(P, dtype=bool))
 
     def keep(self, mask):
@@ -236,53 +244,46 @@ class _Model:
         if n < mask.size:
             for name in ("A", "R_hat", "w_p", "w_s", "w_pt", "w_st"):
                 setattr(self, name, getattr(self, name)[mask])
-        Ap, QA, AAH, Rt = (b[:n] if self.stacked else b for b in self._buffers)
-        M = AAH.shape[-1]
+        Ap, QA, AAHp, Rt, Ri, T1, Q = (b[:n] for b in self._buffers)
+        M = Rt.shape[-1]
+        AAH = AAHp[:, :M]
         self.Ac = Ac = self.A.conj()
-        # the diagonal of A diag(p) A^H as a writable view; R held transposed,
-        # so that each R[i] is Fortran-ordered as LAPACK takes it: no copy
+        # R held transposed, so that each R[i] is Fortran-ordered as LAPACK
+        # takes it: no copy
         self._live = (self.A, Ac, Ac.swapaxes(-1, -2), self.R_hat, self.w_p, self.w_s,
-                      Ap, QA, AAH, AAH.swapaxes(-1, -2), np.einsum("...ii->...i", AAH),
-                      Rt, list(Rt.reshape(-1, M, M).swapaxes(-1, -2)))
+                      Ap, QA, AAH, AAH.swapaxes(-1, -2), AAHp.reshape(-1)[::M + 1],
+                      Rt, list(Rt.swapaxes(-1, -2)), Ri, T1, Q)
 
     def evaluate(self, p, s):
-        A, Ac, AH, R_hat, w_p, w_s, Ap, QA, AAH, AAHt, diag, Rt, R = self._live
+        A, Ac, AH, R_hat, w_p, w_s, Ap, QA, AAH, AAHt, diag, Rt, R, Ri, T1, Q = self._live
         np.multiply(A, p[..., None, :], out=Ap)
         np.matmul(Ap, AH, out=AAH)
-        np.add(diag, s, out=diag)
+        np.add(diag, s.reshape(-1), out=diag)
         # R = (AAH + AAH^H) / 2, into the transposed buffer
         np.conjugate(AAH, out=Rt)
         np.add(AAHt, Rt, out=Rt)
         np.multiply(Rt, 0.5, out=Rt)
-        potrf, potrs, eye, stacked = self._potrf, self._potrs, self._eye, self.stacked
-        Ri = []
+        potrf, potrs, eye = self._potrf, self._potrs, self._eye
         for i, R_i in enumerate(R):
-            c, info = potrf(R_i, lower=True, clean=False, overwrite_a=True)
+            c, info = potrf(R_i, 1, 0, 1)      # lower, no clean-up, in place
             if info == 0:
-                Ri_i, info = potrs(c, eye, lower=True)    # reports only info <= 0
-                Ri.append(Ri_i)
+                Ri[i], info = potrs(c, eye, 1)    # lower; reports only info <= 0
             if info > 0:
-                where = f" (problem {self.rows[i]})" if stacked else ""
+                # a stack of one has no other problem to tell it from
+                where = f" (problem {self.rows[i]})" if self.n_problems > 1 else ""
                 raise SingularModelError(
                     f"{info}-th leading minor of the array is not positive "
                     f"definite{where}")
             if info:
                 raise ValueError(f"LAPACK reported an illegal value in the {-info}-th "
                                  f"argument of potrf/potrs")
-        Ri = _stack(Ri, stacked)
-        T1 = Ri @ R_hat
-        Q = T1 @ Ri                                    # R^-1 R_hat R^-1, Hermitian
+        np.matmul(Ri, R_hat, out=T1)
+        np.matmul(T1, Ri, out=Q)                       # R^-1 R_hat R^-1, Hermitian
         quad = np.add.reduce(T1.diagonal(0, -2, -1), axis=-1).real  # tr(T1)
         obj = (quad + _norm(w_p * p, self.r) + _norm(w_s * s, self.q)).tolist()
         np.matmul(Q, A, out=QA)
         np.multiply(Ac, QA, out=QA)
-        return (obj if stacked else [obj],
-                np.add.reduce(QA, axis=-2).real, Q.diagonal(0, -2, -1).real)
-
-
-def _stack(arrays, stacked):
-    """np.stack, or the one array of a single problem."""
-    return np.stack(arrays) if stacked else arrays[0]
+        return obj, np.add.reduce(QA, axis=-2).real, Q.diagonal(0, -2, -1).real
 
 
 def _pow_each(x, e):
@@ -355,24 +356,22 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None,
     spectrum.
     Returns SolverResult; `powers.signal` over the dictionary grid is the
     spatial estimate, `trace` the per-iteration objective (non-increasing).
-    A stack's problems run in one loop, and each leaves it at the iteration
-    its single solve would stop, so each gets the very result of its single
-    solve: `problems` holds those, powers.signal is (P, G), n_iter the sum
-    of their iterations and converged whether all converged.
+    One problem is the stack of one and gets its one result back. A stack's
+    problems run in one loop, each leaving it at the iteration its own solve
+    stops at: `problems` holds their results, powers.signal is (P, G),
+    n_iter the sum of their iterations and converged whether all converged.
     """
     cfg = config or SolverConfig()
     model = _Model(data, dictionary, cfg)
-    P = model.rows.size
-    M, G = model.A.shape[-2:]
+    P, M, G = model.A.shape
     if init is None:
         # CBF initialization; strictly positive noise start keeps R invertible
         p = _cbf_power(model.A, model.R_hat, model.Ac)
         s = np.multiply.outer(model.tr / (2 * M), np.ones(M))
-    elif model.stacked:
+    elif not model.single:
         raise ConfigError("a warm start is for one problem, not a stack")
     else:
-        p = np.asarray(init[0], dtype=float).copy()
-        s = np.asarray(init[1], dtype=float).copy()
+        p, s = (np.array(x, dtype=float) for x in init)
         if p.shape != (G,) or s.shape != (M,):
             raise ConfigError(f"warm start needs p of length {G} and sigma of "
                               f"length {M}")
@@ -380,10 +379,8 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None,
             raise ConfigError("warm start must be finite")
         if np.any(p < 0) or np.any(s < 0) or p.sum() + s.sum() <= 0:
             raise ConfigError("warm start must be non-negative with positive total")
-    if cfg.power_floor is not None:
-        floors = np.full(p.shape[:-1], float(cfg.power_floor))
-    else:
-        floors = 1e-12 * (np.add.reduce(p, axis=-1) + np.add.reduce(s, axis=-1))
+        p, s = p[None], s[None]
+    floors = 1e-12 * (np.add.reduce(p, axis=-1) + np.add.reduce(s, axis=-1))
     floor = np.multiply.outer(floors, np.ones(M))
     s = np.maximum(s, floor)
 
@@ -402,8 +399,7 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None,
                 # the rule, with the powers evaluated there
                 done = np.array(done)
                 out = model.rows[done]
-                p_out[out] = p.reshape(-1, G)[done]
-                s_out[out] = s.reshape(-1, M)[done]
+                p_out[out], s_out[out] = p[done], s[done]
                 converged[out] = True
                 keep = ~done
                 if not keep.any():
@@ -426,7 +422,7 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None,
         for j, i in enumerate(rows):
             traces[i] += [objs[j] for objs in history[start:end]]
     dicts = model.dictionaries
-    floors = floors.reshape(-1).tolist()
+    floors = floors.tolist()
     results = []
     for i in range(P):
         spectrum = None
@@ -436,18 +432,12 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None,
         results.append(SolverResult(PowerVector(p_out[i], s_out[i]),
                                     np.asarray(traces[i]), len(traces[i]),
                                     bool(converged[i]), spectrum))
-    if not model.stacked:
+    if model.single:
         return results[0]
     return SolverResult(PowerVector(p_out, s_out),
                         np.concatenate([res.trace for res in results]),
                         sum(res.n_iter for res in results), bool(converged.all()),
                         problems=tuple(results))
-
-
-def spice_solve(data, dictionary, max_iter: int = 500, rel_tol: float = 1e-6) -> SolverResult:
-    """Classical SPICE: the r = q = 1 special case."""
-    return qspice_solve(data, dictionary,
-                        SolverConfig(r=1.0, q=1.0, max_iter=max_iter, rel_tol=rel_tol))
 
 
 def _evaluate_at(p, s, data, dictionary, config):
@@ -456,10 +446,10 @@ def _evaluate_at(p, s, data, dictionary, config):
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
         raise ConfigError("p and sigma must be finite")
     model = _Model(data, dictionary, config)
-    if model.stacked:
+    if not model.single:
         raise ConfigError("the objective is evaluated for one problem, not a stack")
-    (obj,), t_sig, t_noi = model.evaluate(np.asarray(p), np.asarray(s))
-    return obj, t_sig, t_noi, model.w_p, model.w_s
+    (obj,), (t_sig,), (t_noi,) = model.evaluate(np.asarray(p)[None], np.asarray(s)[None])
+    return obj, t_sig, t_noi, model.w_p[0], model.w_s[0]
 
 
 def objective_value(p, s, data, dictionary, config: SolverConfig | None = None) -> float:
@@ -481,14 +471,14 @@ def kkt_residual(p, s, data, dictionary, config: SolverConfig | None = None) -> 
 
 def cbf_spectrum(R_hat, dictionary) -> SpatialSpectrum:
     """Delay-and-sum power P(theta_g) = a_g^H R_hat a_g / M^2."""
-    A, angles, freq = _as_matrix(dictionary)
+    A, angles, freq = _one_dictionary(dictionary)
     power = _cbf_power(A, _as_covariance(R_hat, A.shape[0]))
     return SpatialSpectrum(angles, power, "cbf", freq)
 
 
 def music_spectrum(R_hat, dictionary, k: int) -> SpatialSpectrum:
     """1 / (a^H E_n E_n^H a) with E_n spanning the M-k smallest eigenvectors."""
-    A, angles, freq = _as_matrix(dictionary)
+    A, angles, freq = _one_dictionary(dictionary)
     M = A.shape[0]
     if not 1 <= k < M:
         raise ConfigError(f"source count k must satisfy 1 <= k < M={M}")
@@ -548,13 +538,19 @@ def check_estimator(name: str, k: int | None) -> None:
         raise ConfigError(f"{name} needs the source count k")
 
 
+def _fit_config(name: str, solver_cfg: SolverConfig | None) -> SolverConfig:
+    """The solver config of a fit: SPICE is the solver at r = q = 1 with
+    solver_cfg's max_iter and rel_tol; qspice runs solver_cfg as given."""
+    cfg = solver_cfg or SolverConfig()
+    return replace(cfg, r=1.0, q=1.0) if name == "spice" else cfg
+
+
 def fixed_grid_spectrum(name: str, R_hat, dictionary: Dictionary, k: int | None = None,
                         solver_cfg: SolverConfig | None = None) -> SpatialSpectrum:
     """Spectrum of a fixed-grid estimator on `dictionary`, tagged `name`.
 
-    SPICE is the solver at r = q = 1 with solver_cfg's max_iter and rel_tol;
-    qspice runs solver_cfg as given. Both keep the solver's power floor as
-    their dB floor.
+    spice and qspice run the solver (see _fit_config) and keep its power
+    floor as their dB floor.
     """
     if name == "cbf":
         return cbf_spectrum(R_hat, dictionary)
@@ -562,7 +558,5 @@ def fixed_grid_spectrum(name: str, R_hat, dictionary: Dictionary, k: int | None 
         return music_spectrum(R_hat, dictionary, k)
     if name not in ("spice", "qspice"):
         raise ConfigError(f"{name!r} is not a fixed-grid estimator")
-    cfg = solver_cfg or SolverConfig()
-    if name == "spice":
-        cfg = replace(cfg, r=1.0, q=1.0)
-    return replace(qspice_solve(R_hat, dictionary, cfg).spectrum, estimator=name)
+    return replace(qspice_solve(R_hat, dictionary, _fit_config(name, solver_cfg)).spectrum,
+                   estimator=name)

@@ -139,14 +139,12 @@ def gnr2_estimate(data, geometry: ArrayGeometry, frequency: float, k: int,
                   refine_cfg: RefineConfig | None = None) -> RefineResult:
     """Narrowband refinement on a snapshot z (M,) or sample covariance (M, M)."""
     check_estimator("gnr2", k)
-    scfg = solver_cfg or SolverConfig()
-    rcfg = refine_cfg or RefineConfig()
 
     def solve(angles):
         A = steering_matrix(geometry, frequency, angles, convention)
-        return qspice_solve(data, A, scfg).powers.signal
+        return qspice_solve(data, A, solver_cfg).powers.signal
 
-    est, shortfall, rounds, grid, power = refine_loop(solve, sector, k, rcfg)
+    est, shortfall, rounds, grid, power = refine_loop(solve, sector, k, refine_cfg)
     spectrum = SpatialSpectrum(grid, power, "qspice-gnr2", frequency)
     return RefineResult(est, spectrum, rounds, shortfall)
 

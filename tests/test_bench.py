@@ -125,7 +125,7 @@ def test_singular_solve_is_a_failed_trial(monkeypatch):
 
     def failing_potrf(names, **kwargs):
         _, potrs = real(names, **kwargs)
-        return (lambda a, **kw: (a, 2)), potrs
+        return (lambda a, *flags: (a, 2)), potrs
 
     monkeypatch.setattr(estimators, "get_lapack_funcs", failing_potrf)
     cfg = _tiny_config(methods=("cbf", "qspice"))

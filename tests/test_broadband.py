@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dasdoa.arrays import uniform_line_array, steering_matrix
+from dasdoa.arrays import Dictionary, uniform_line_array, steering_matrix
 from dasdoa.broadband import broadband_estimate, broadband_gnr2, \
     broadband_spectrum, btr, fuse_spectra
 from dasdoa.errors import ConfigError
-from dasdoa.estimators import SpatialSpectrum, peak_pick
+from dasdoa.estimators import SpatialSpectrum, fixed_grid_spectrum, peak_pick
 from dasdoa.simulate import NoiseModel, SourceSpec, harmonic_lines, synthesize
 
 FS = 5120.0
@@ -63,10 +63,17 @@ def test_broadband_spectrum_peaks_at_truth():
     freqs = np.array([200.0, 400.0, 800.0])
     covs = _plane_wave_covs(geom, freqs, 25.0)
     angles = np.arange(-90.0, 90.5, 1.0)
-    for estimator in ("cbf", "qspice"):
+    for estimator in ("cbf", "spice", "qspice"):
         spec = broadband_spectrum(covs, freqs, geom, angles,
                                   estimator=estimator)
         assert angles[np.argmax(spec.power)] == pytest.approx(25.0, abs=1.0)
+        if estimator == "cbf":
+            continue
+        # the stacked solve fuses the bits of the per-bin solves
+        per_bin = [fixed_grid_spectrum(estimator, R, Dictionary(
+            angles, steering_matrix(geom, f, angles), f, "broadside", geom))
+            for R, f in zip(covs, freqs)]
+        assert spec.power.tobytes() == fuse_spectra(per_bin).power.tobytes()
 
 
 def test_broadband_spectrum_validation():
@@ -77,6 +84,17 @@ def test_broadband_spectrum_validation():
         broadband_spectrum(covs, [200.0], geom, angles, estimator="gnr2")
     with pytest.raises(ConfigError):
         broadband_spectrum(covs, [200.0], geom, angles, estimator="music")
+
+
+@pytest.mark.parametrize("estimator", ["cbf", "qspice"])
+def test_broadband_spectrum_needs_one_covariance_per_bin(estimator):
+    geom = uniform_line_array(4, spacing=1.25)
+    freqs = [200.0, 300.0, 400.0]
+    covs = _plane_wave_covs(geom, freqs, 0.0)
+    angles = np.arange(-10.0, 10.5, 1.0)
+    for c, f in ((covs, freqs[:1]), (covs[:1], freqs)):
+        with pytest.raises(ConfigError, match="covariances for"):
+            broadband_spectrum(c, f, geom, angles, estimator=estimator)
 
 
 def test_broadband_gnr2_refines_offgrid_truth():

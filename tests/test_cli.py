@@ -195,7 +195,7 @@ def test_singular_model_exits_4(records, monkeypatch):
 
     def failing_potrf(names, **kwargs):
         _, potrs = real(names, **kwargs)
-        return (lambda a, **kw: (a, 2)), potrs
+        return (lambda a, *flags: (a, 2)), potrs
 
     monkeypatch.setattr(estimators, "get_lapack_funcs", failing_potrf)
     code, out, err = _run(["estimate", "--input", str(records[0]), "--frequency",

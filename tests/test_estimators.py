@@ -11,8 +11,8 @@ from dasdoa.arrays import build_dictionary, uniform_line_array
 from dasdoa.errors import ConfigError, DegenerateInputError, EstimationError, \
     SingularModelError, ToolkitError
 from dasdoa.estimators import SolverConfig, SpatialSpectrum, _block_minimize, \
-    cbf_spectrum, kkt_residual, music_spectrum, objective_value, peak_pick, \
-    qspice_solve, spice_solve, spice_weights
+    _pick, cbf_spectrum, fixed_grid_spectrum, kkt_residual, music_spectrum, \
+    objective_value, peak_pick, qspice_solve, spice_weights
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -136,13 +136,37 @@ def test_block_minimize_zeroes_the_surrogate_gradient(t):
                     rtol=1e-10)
 
 
-def test_solver_raises_when_model_covariance_is_singular():
-    # one atom, zero noise and no floor: R = a a^H has rank one
-    a = np.ones((4, 1), dtype=complex)
-    cfg = SolverConfig(power_floor=0.0)
-    with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
-        qspice_solve(np.eye(4, dtype=complex), a, cfg,
-                     init=(np.ones(1), np.zeros(4)))
+def _fail_potrf(monkeypatch, call):
+    """Make the solver's potrf report a non-positive-definite 2nd leading
+    minor on its `call`-th call (counting from 1) and factor as usual
+    otherwise."""
+    real, calls = estimators.get_lapack_funcs, []
+
+    def lapack(names, **kwargs):
+        potrf, potrs = real(names, **kwargs)
+
+        def failing_potrf(a, *flags):
+            calls.append(a)
+            return (a, 2) if len(calls) == call else potrf(a, *flags)
+        return failing_potrf, potrs
+
+    monkeypatch.setattr(estimators, "get_lapack_funcs", lapack)
+
+
+def _assert_singular_model_error(err):
+    assert isinstance(err, ToolkitError)
+    assert isinstance(err, EstimationError)
+    assert isinstance(err, np.linalg.LinAlgError)
+
+
+def test_solver_raises_when_model_covariance_is_singular(monkeypatch):
+    # one problem has no other to tell it from, so the message names none
+    _fail_potrf(monkeypatch, 3)
+    a = np.exp(-1j * np.pi * np.arange(4)[:, None] * np.sin(np.linspace(-1, 1, 5)))
+    with pytest.raises(SingularModelError) as err:
+        qspice_solve(np.eye(4, dtype=complex), a)
+    assert str(err.value) == "2-th leading minor of the array is not positive definite"
+    _assert_singular_model_error(err.value)
 
 
 def test_solver_raises_on_cholesky_solve_error(monkeypatch):
@@ -150,7 +174,7 @@ def test_solver_raises_on_cholesky_solve_error(monkeypatch):
 
     def failing_potrs(names, **kwargs):
         potrf, _ = real(names, **kwargs)
-        return potrf, lambda c, b, lower: (b, -2)
+        return potrf, lambda c, b, *flags: (b, -2)
 
     monkeypatch.setattr(estimators, "get_lapack_funcs", failing_potrs)
     with pytest.raises(ValueError, match="2-th argument"):
@@ -263,27 +287,27 @@ def test_stack_validation():
                             build_dictionary(geom, 1000.0, (-60.0, 60.0), 3.0)])
 
 
-def test_stack_with_a_singular_problem_names_it():
-    # problem 1 is indefinite, so its noise powers go to zero and, with no
-    # floor, its model loses rank
+def test_stack_with_a_singular_problem_names_it(monkeypatch):
+    # the first evaluation factors problems 0, 1, 2 in turn: problem 1 fails
+    _fail_potrf(monkeypatch, 2)
     a = np.exp(-1j * np.pi * np.arange(4)[:, None] * np.sin(np.linspace(-1, 1, 5)))
-    bad = np.diag([3.0, -0.5, -0.5, -0.5]).astype(complex)
-    covs = np.stack([np.eye(4, dtype=complex), bad, np.eye(4, dtype=complex)])
-    A = np.stack([a, np.ones((4, 5), dtype=complex), a])
-    with pytest.raises(SingularModelError, match=r"leading minor .* \(problem 1\)") \
+    covs = np.stack([np.eye(4, dtype=complex)] * 3)
+    with pytest.raises(SingularModelError, match=r"2-th leading minor .* \(problem 1\)$") \
             as err:
-        qspice_solve(covs, A, SolverConfig(power_floor=0.0))
-    assert isinstance(err.value, ToolkitError)
-    assert isinstance(err.value, EstimationError)
-    assert isinstance(err.value, np.linalg.LinAlgError)
+        qspice_solve(covs, np.stack([a] * 3))
+    _assert_singular_model_error(err.value)
 
 
-def test_spice_solve_is_r1_q1():
-    z, a, *_ = next(_oracle_instances())
-    res1 = spice_solve(z, a, max_iter=500, rel_tol=1e-12)
-    res2 = qspice_solve(z, a, SolverConfig(r=1.0, q=1.0, max_iter=500,
-                                           rel_tol=1e-12))
-    assert_allclose(res1.powers.signal, res2.powers.signal)
+def test_fixed_grid_spice_is_the_solver_at_r1_q1():
+    # spice keeps the caller's max_iter and rel_tol and sets r = q = 1
+    z, *_ = next(_oracle_instances())
+    dic = build_dictionary(uniform_line_array(z.size, 0.5), 1000.0, (-60.0, 60.0), 3.0)
+    spec = fixed_grid_spectrum("spice", z, dic, solver_cfg=SolverConfig(
+        r=2.0, q=2.0, max_iter=50, rel_tol=1e-12))
+    res = qspice_solve(z, dic, SolverConfig(r=1.0, q=1.0, max_iter=50, rel_tol=1e-12))
+    assert spec.estimator == "spice"
+    assert _same_bits(spec.power, res.powers.signal)
+    assert (spec.frequency, spec.floor) == (res.spectrum.frequency, res.spectrum.floor)
 
 
 def test_spice_weights_convention():
@@ -380,6 +404,32 @@ def test_peak_pick_shortfall_flag():
     est, shortfall = peak_pick(_spectrum([0, 1, 0, 0]), 2)
     assert shortfall
     assert_allclose(est, [1.0])
+
+
+@settings(max_examples=300)
+@given(power=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, -np.inf]), min_size=1,
+                     max_size=16),
+       k=st.integers(1, 5), guard=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]))
+def test_pick_property(power, k, guard):
+    # few distinct heights draw plateaus and ties; -inf masks entries as the
+    # refinement rounds do
+    power = np.array(power)
+    angles = np.arange(power.size, dtype=float)
+    picks, shortfall = _pick(power, angles, k, guard)
+    n = power.size
+    peaks = [i for i in range(n) if np.isfinite(power[i])
+             and (i == 0 or power[i] > power[i - 1])
+             and (i == n - 1 or power[i] >= power[i + 1])]
+    chosen = [int(i) for i in np.searchsorted(angles, picks)]
+    assert set(chosen) <= set(peaks)
+    assert all(abs(a - b) >= guard for a in picks for b in picks if a != b)
+    assert shortfall == (len(picks) < k)
+    for j in set(peaks) - set(chosen):
+        near = [c for c in chosen if abs(angles[j] - angles[c]) < guard]
+        # with picks to spare, only the guard leaves a peak out
+        assert near or not shortfall
+        # a higher peak could have replaced pick i unless another pick guards it
+        assert all(any(c != i for c in near) for i in chosen if power[j] > power[i])
 
 
 def test_peak_pick_validation():
