@@ -7,6 +7,15 @@ broadband_spectrum turns a fixed-grid estimator's bins on one angle grid
 into the fused spectrum, with the solver's bins (spice, qspice) as one
 stacked solve; the refinement estimator calls it with qspice on each
 round's grid and picks peaks on the fused spectrum.
+
+A broadband request (broadband_estimate, or btr over all its frames) builds
+what does not depend on the frame once: the frequency bins and their DFT
+basis, the angle grid and, for the fixed-grid estimators, the bins'
+steering matrices as one contiguous (P, M, G) stack. Each frame then runs
+the DFT, the bin covariances, the bin selection (which indexes the stack),
+one stacked covariance check and one (P, G) power matrix that is fused
+once. A broadband_gnr2 frame builds its own stack per refine round, since
+the round's grid changes.
 """
 from __future__ import annotations
 
@@ -14,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Dictionary, angle_grid, full_sector, steering_matrix
+from .arrays import ArrayGeometry, angle_grid, full_sector, steering_matrix
 from .errors import ConfigError
-from .estimators import SolverConfig, SpatialSpectrum, _fit_config, check_estimator, \
-    fixed_grid_spectrum, qspice_solve
+from .estimators import SolverConfig, SpatialSpectrum, _as_covariances, _cbf_power, \
+    _fit_config, check_estimator, music_spectrum, qspice_solve
 from .frontend import FrequencyBinSet, band_for, band_transform, bin_covariances, \
     frame_count, select_bins
 from .refine import RefineConfig, RefineResult, refine_loop
@@ -36,12 +45,43 @@ def fuse_spectra(spectra) -> SpatialSpectrum:
     for s in spectra[1:]:
         if s.angles.shape != angles.shape or not np.allclose(s.angles, angles):
             raise ConfigError("fuse_spectra requires identical angle grids")
-    acc = np.zeros(angles.size)
-    for s in spectra:
-        acc += s.power / max(s.power.max(), 1e-300)
-    fused = acc / len(spectra)
+    fused = _fuse_rows([s.power for s in spectra])
     freq = spectra[0].frequency if len(spectra) == 1 else 0.0
     return SpatialSpectrum(angles, fused, spectra[0].estimator, freq)
+
+
+def _fuse_rows(powers) -> np.ndarray:
+    """The fusion of per-bin powers on one grid (a (P, G) matrix or P
+    rows), accumulated row by row."""
+    acc = np.zeros(len(powers[0]))
+    for row in powers:
+        acc += row / max(row.max(), 1e-300)
+    return acc / len(powers)
+
+
+def _steering_stack(geometry: ArrayGeometry, freqs, grid, convention) -> np.ndarray:
+    """The bins' steering matrices on one grid as one contiguous (P, M, G)
+    array."""
+    A = np.empty((len(freqs), geometry.n_elements, grid.size), dtype=complex)
+    for i, f in enumerate(freqs):
+        A[i] = steering_matrix(geometry, f, grid, convention)
+    return A
+
+
+def _fused_power(covs, A, estimator, k, solver_cfg) -> np.ndarray:
+    """Fused power of a fixed-grid estimator over the bins with covariances
+    covs (P, M, M) and steering stack A (P, M, G)."""
+    if estimator in ("spice", "qspice"):
+        return _fuse_rows(qspice_solve(covs, A, _fit_config(estimator, solver_cfg))
+                          .powers.signal)
+    if estimator not in ("cbf", "music"):
+        raise ConfigError(f"{estimator!r} is not a fixed-grid estimator")
+    R_hat = _as_covariances(covs, A, False)
+    power = np.empty((A.shape[0], A.shape[2]))
+    for i, (R, A_i) in enumerate(zip(R_hat, A)):
+        power[i] = _cbf_power(A_i, R) if estimator == "cbf" \
+            else music_spectrum(R, A_i, k).power
+    return _fuse_rows(power)
 
 
 def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
@@ -57,15 +97,9 @@ def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
     if len(covs) != len(freqs):
         raise ConfigError(f"{len(covs)} covariances for {len(freqs)} frequency bins")
     grid = np.asarray(angles, dtype=float)
-    dicts = [Dictionary(grid, steering_matrix(geometry, f, grid, convention), float(f),
-                        convention, geometry) for f in freqs]
-    if estimator in ("spice", "qspice"):
-        res = qspice_solve(covs, dicts, _fit_config(estimator, solver_cfg))
-        spectra = [r.spectrum for r in res.problems]
-    else:
-        spectra = [fixed_grid_spectrum(estimator, R, d, k) for R, d in zip(covs, dicts)]
-    fused = fuse_spectra(spectra)
-    return SpatialSpectrum(grid, fused.power, estimator, 0.0)
+    A = _steering_stack(geometry, freqs, grid, convention)
+    return SpatialSpectrum(grid, _fused_power(covs, A, estimator, k, solver_cfg),
+                           estimator, 0.0)
 
 
 def broadband_gnr2(covs, freqs, geometry: ArrayGeometry, k: int,
@@ -96,8 +130,9 @@ class BearingTimeRecord:
 
 def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
                     convention, select_count, solver_cfg, refine_cfg):
-    """Validate a broadband request. Returns its angle grid and the pipeline
-    of one analysis frame, segment -> (fused spectrum, estimates)."""
+    """Validate a broadband request and build what its frames share. Returns
+    its frequency bins, its angle grid and the pipeline of one analysis
+    frame, segment -> (fused spectrum, estimates)."""
     if record.domain != "time":
         raise ConfigError("broadband estimation expects a time-domain record")
     check_estimator(estimator, k)
@@ -106,29 +141,30 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
     if not isinstance(bins, FrequencyBinSet):
         bins = band_for(bins, n_fft, record.sample_rate)
     angles = angle_grid(full_sector(convention) if sector is None else sector, step)
+    freqs = bins.frequencies
+    A = None if estimator == "gnr2" else _steering_stack(geometry, freqs, angles,
+                                                          convention)
 
     def frame(segment):
         """transform -> covariances -> select -> fused spectrum."""
-        snaps = band_transform(segment, bins)
-        covs = bin_covariances(snaps)
-        freqs = bins.frequencies
+        covs = bin_covariances(band_transform(segment, bins))
+        pos = slice(None)
         if select_count is not None:
             # rank by dominant-component gap: a tonal/harmonic bin carries one
             # source's line, so single-component dominance marks the informative
             # bins; ranking by the k-source gap instead favors continuum bins
             # where close sources blur together
             pos = select_bins(covs, 1, select_count)
-            covs, freqs = covs[pos], freqs[pos]
+            covs = covs[pos]
         if estimator == "gnr2":
-            res = broadband_gnr2(covs, freqs, geometry, k, (angles[0], angles[-1]),
+            res = broadband_gnr2(covs, freqs[pos], geometry, k, (angles[0], angles[-1]),
                                  convention, solver_cfg, refine_cfg)
             power = np.interp(angles, res.spectrum.angles, res.spectrum.power)
             fused = SpatialSpectrum(angles, power, "qspice-gnr2", 0.0)
             return fused, tuple(res.angles)
-        fused = broadband_spectrum(covs, freqs, geometry, angles, convention,
-                                   estimator, k, solver_cfg)
-        return fused, ()
-    return angles, frame
+        power = _fused_power(covs, A[pos], estimator, k, solver_cfg)
+        return SpatialSpectrum(angles, power, estimator, 0.0), ()
+    return bins, angles, frame
 
 
 def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
@@ -144,9 +180,9 @@ def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
     Returns (SpatialSpectrum, estimates tuple); estimates are non-empty for
     the refinement estimator only.
     """
-    _, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
-                               sector, step, convention, select_count,
-                               solver_cfg, refine_cfg)
+    _, _, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
+                                  sector, step, convention, select_count,
+                                  solver_cfg, refine_cfg)
     return frame(record.data)
 
 
@@ -161,15 +197,31 @@ def btr(record: SnapshotMatrix, geometry: ArrayGeometry,
     """Bearing-time record: the broadband pipeline per analysis frame.
 
     bins: FrequencyBinSet or an (f_lo, f_hi) band resolved against n_fft.
-    select_count None processes all bins (default). A record exactly one
-    frame long produces a single row equal to the single-shot pipeline.
+    frame_seconds: frame length, a positive finite number of seconds that
+    spans at least one DFT length; frame_hop_fraction: the hop between
+    frames as a positive finite fraction of the frame length, at least one
+    sample. select_count None processes all bins (default). A record exactly
+    one frame long produces a single row equal to the single-shot pipeline.
     """
-    angles, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
-                                    sector, step, convention, select_count,
-                                    solver_cfg, refine_cfg)
+    bins, angles, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
+                                          sector, step, convention, select_count,
+                                          solver_cfg, refine_cfg)
     fs = record.sample_rate
+    if not (frame_seconds > 0 and np.isfinite(frame_seconds * fs)):
+        raise ConfigError(f"frame_seconds must be a positive finite number, "
+                          f"got {frame_seconds}")
     frame_len = int(round(frame_seconds * fs))
-    hop = max(int(round(frame_len * frame_hop_fraction)), 1)
+    if frame_len < bins.n_fft:
+        raise ConfigError(f"frame_seconds {frame_seconds} gives a frame of "
+                          f"{frame_len} samples, shorter than the DFT length "
+                          f"{bins.n_fft}")
+    if not (frame_hop_fraction > 0 and np.isfinite(frame_len * frame_hop_fraction)):
+        raise ConfigError(f"frame_hop_fraction must be a positive finite number, "
+                          f"got {frame_hop_fraction}")
+    hop = int(round(frame_len * frame_hop_fraction))
+    if hop < 1:
+        raise ConfigError(f"frame_hop_fraction {frame_hop_fraction} of a "
+                          f"{frame_len}-sample frame is a hop of under one sample")
     n_frames = frame_count(record.n_samples, frame_len, hop)
     times = (np.arange(n_frames) * hop + frame_len / 2) / fs
     rows = np.empty((n_frames, angles.size))

@@ -166,14 +166,22 @@ def _one_dictionary(dictionary):
 
 def _as_covariances(data, A, single) -> np.ndarray:
     """The covariances (P, M, M) of a solve on the steering stack A: one
-    snapshot or covariance for one problem, P covariances for a stack."""
+    snapshot or covariance for one problem, P covariances for a stack. A
+    stack is checked, and Hermitian-symmetrized, as _as_covariance checks
+    one covariance, in one call per step for all P."""
     P, M = A.shape[:2]
     if single:
-        data = [data]
-    elif np.shape(data) != (P, M, M):
+        return _as_covariance(data, M)[None]
+    if np.shape(data) != (P, M, M):
         raise ConfigError(f"a stack of {P} dictionaries needs covariances of "
                           f"shape ({P}, {M}, {M}), got {np.shape(data)}")
-    return np.stack([_as_covariance(d, M) for d in data])
+    data = np.asarray(data, dtype=complex)
+    if not np.isfinite(data).all():
+        raise ConfigError("input data must be finite")
+    R_hat = 0.5 * (data + data.conj().swapaxes(-1, -2))
+    if (np.trace(R_hat, axis1=-2, axis2=-1).real <= 0).any():
+        raise DegenerateInputError("covariance estimate has non-positive trace")
+    return R_hat
 
 
 def spice_weights(dictionary, data) -> tuple[np.ndarray, np.ndarray]:

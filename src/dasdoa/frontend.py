@@ -13,6 +13,7 @@ scenarios feed estimators directly with F = N snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,14 @@ class FrequencyBinSet:
     @property
     def frequencies(self) -> np.ndarray:
         return self.indices * self.sample_rate / self.n_fft
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """(P, N) DFT basis, row p the bin vector of indices[p] (see
+        dft_vector); made once per bin set, read-only."""
+        V = np.exp(2j * np.pi * np.outer(self.indices, np.arange(self.n_fft)) / self.n_fft)
+        V.flags.writeable = False
+        return V
 
 
 @dataclass(frozen=True)
@@ -106,7 +115,7 @@ def band_transform(record, bins: FrequencyBinSet) -> BinSnapshots:
     n_fft = bins.n_fft
     hop = n_fft // 2
     n_frames = frame_count(data.shape[1], n_fft, hop)
-    V = np.exp(2j * np.pi * np.outer(bins.indices, np.arange(n_fft)) / n_fft)
+    V = bins.basis
     z = np.empty((bins.indices.size, data.shape[0], n_frames), dtype=complex)
     for f in range(n_frames):
         frame = data[:, f * hop: f * hop + n_fft]

@@ -22,6 +22,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import struct
 
 import numpy as np
@@ -85,27 +86,31 @@ def _save_record_binary(block: SnapshotMatrix, path) -> None:
 
 
 def _load_record_binary(path) -> SnapshotMatrix:
+    """Read the header, check it against the file size, then read the
+    payload straight into the record's array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(MAGIC) or raw[:len(MAGIC)] != MAGIC:
-        raise ParseError(f"bad magic in {path}", offset=0)
-    if len(raw) < HEADER_SIZE:
-        raise ParseError(f"truncated header in {path}", offset=len(raw))
-    m, n, rate, kind = _HEADER.unpack_from(raw, len(MAGIC))
-    if kind not in _KINDS:
-        raise ParseError(f"unknown data kind {kind} in {path}",
-                         offset=HEADER_SIZE - 1)
-    expect = m * n * _KINDS[kind].itemsize
-    actual = len(raw) - HEADER_SIZE
-    if actual != expect:
-        raise ParseError(
-            f"payload length mismatch in {path}: header promises {expect} "
-            f"bytes for {m}x{n}, found {actual}", offset=HEADER_SIZE)
-    if m < 2 or n < 1:
-        raise ParseError(f"header dimensions {m}x{n} out of range in {path}",
-                         offset=len(MAGIC))
-    data = np.frombuffer(raw, dtype=_KINDS[kind], count=m * n,
-                         offset=HEADER_SIZE).reshape(m, n).copy()
+        head = fh.read(HEADER_SIZE)
+        if len(head) < len(MAGIC) or head[:len(MAGIC)] != MAGIC:
+            raise ParseError(f"bad magic in {path}", offset=0)
+        if len(head) < HEADER_SIZE:
+            raise ParseError(f"truncated header in {path}", offset=len(head))
+        m, n, rate, kind = _HEADER.unpack_from(head, len(MAGIC))
+        if kind not in _KINDS:
+            raise ParseError(f"unknown data kind {kind} in {path}",
+                             offset=HEADER_SIZE - 1)
+        expect = m * n * _KINDS[kind].itemsize
+        actual = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+        if actual == expect:
+            if m < 2 or n < 1:
+                raise ParseError(f"header dimensions {m}x{n} out of range in {path}",
+                                 offset=len(MAGIC))
+            data = np.empty((m, n), dtype=_KINDS[kind])
+            # a file that shrank since fstat reads short
+            actual = fh.readinto(data)
+        if actual != expect:
+            raise ParseError(
+                f"payload length mismatch in {path}: header promises {expect} "
+                f"bytes for {m}x{n}, found {actual}", offset=HEADER_SIZE)
     domain = "narrowband-snapshot" if kind == 1 else "time"
     return SnapshotMatrix(data, domain, sample_rate=rate)
 

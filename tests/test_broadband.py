@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from dasdoa.arrays import Dictionary, uniform_line_array, steering_matrix
-from dasdoa.broadband import broadband_estimate, broadband_gnr2, \
+from dasdoa.broadband import _fuse_rows, broadband_estimate, broadband_gnr2, \
     broadband_spectrum, btr, fuse_spectra
-from dasdoa.errors import ConfigError
+from dasdoa.errors import ConfigError, DegenerateInputError
 from dasdoa.estimators import SpatialSpectrum, fixed_grid_spectrum, peak_pick
-from dasdoa.simulate import NoiseModel, SourceSpec, harmonic_lines, synthesize
+from dasdoa.frontend import band_for, band_transform, bin_covariances, select_bins
+from dasdoa.simulate import NoiseModel, SnapshotMatrix, SourceSpec, harmonic_lines, \
+    synthesize
 
 FS = 5120.0
 BAND = (100.0, 1000.0)
@@ -56,6 +60,21 @@ def test_fuse_validation():
         fuse_spectra([])
     with pytest.raises(ConfigError):
         fuse_spectra([_spec([1, 2]), _spec([1, 2, 3])])
+    shifted = SpatialSpectrum(np.arange(3.0) + 0.5, np.ones(3), "cbf", 100.0)
+    with pytest.raises(ConfigError, match="identical angle grids"):
+        fuse_spectra([_spec([1, 2, 3]), shifted])
+
+
+@given(arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 12)),
+              elements=st.floats(0.0, 1e6)))
+def test_fusion_helper_bit_equals_sequential_fusion(power):
+    # the fusion of one spectrum at a time, each normalized to unit peak
+    acc = np.zeros(power.shape[1])
+    for row in power:
+        acc += row / max(row.max(), 1e-300)
+    expected = (acc / len(power)).tobytes()
+    assert _fuse_rows(power).tobytes() == expected
+    assert fuse_spectra([_spec(row) for row in power]).power.tobytes() == expected
 
 
 def test_broadband_spectrum_peaks_at_truth():
@@ -95,6 +114,22 @@ def test_broadband_spectrum_needs_one_covariance_per_bin(estimator):
     for c, f in ((covs, freqs[:1]), (covs[:1], freqs)):
         with pytest.raises(ConfigError, match="covariances for"):
             broadband_spectrum(c, f, geom, angles, estimator=estimator)
+
+
+@pytest.mark.parametrize("estimator", ["cbf", "qspice"])
+def test_broadband_spectrum_checks_every_bin(estimator):
+    geom = uniform_line_array(4, spacing=1.25)
+    freqs = [200.0, 300.0, 400.0]
+    covs = _plane_wave_covs(geom, freqs, 0.0)
+    angles = np.arange(-10.0, 10.5, 1.0)
+    nan_bin = covs.copy()
+    nan_bin[1, 0, 2] = np.nan
+    with pytest.raises(ConfigError, match="input data must be finite"):
+        broadband_spectrum(nan_bin, freqs, geom, angles, estimator=estimator)
+    zero_bin = covs.copy()
+    zero_bin[2] = 0.0
+    with pytest.raises(DegenerateInputError, match="non-positive trace"):
+        broadband_spectrum(zero_bin, freqs, geom, angles, estimator=estimator)
 
 
 def test_broadband_gnr2_refines_offgrid_truth():
@@ -181,3 +216,52 @@ def test_btr_gnr2_estimates_per_frame():
     assert len(rec.estimates) == rec.times.size
     for frame_est in rec.estimates:
         assert frame_est[0] == pytest.approx(12.3, abs=0.3)
+
+
+def _moving_record():
+    """Three 0.5 s stretches, each with its source at another bearing and
+    with other harmonic lines, so the dominant bins change along the record."""
+    geom = uniform_line_array(8, spacing=1.25)
+    parts = []
+    for i, (theta, f0) in enumerate(((-30.0, 100.0), (0.0, 70.0), (25.0, 130.0))):
+        src = SourceSpec("propeller-broadband", (theta,), (1.0,), snapshot_rate=FS,
+                         band=BAND, lines=(harmonic_lines(f0, BAND),))
+        parts.append(synthesize(geom, src, NoiseModel("uniform-gaussian"), 10.0,
+                                int(0.5 * FS), np.random.default_rng(40 + i)).data)
+    return SnapshotMatrix(np.concatenate(parts, axis=1), "time", FS), geom
+
+
+@pytest.mark.parametrize("select_count", [None, 6])
+@pytest.mark.parametrize("estimator", ["cbf", "music", "spice", "qspice"])
+def test_btr_rows_are_the_single_shot_run_of_each_frame(estimator, select_count):
+    # what a request builds once must not carry one frame's state into the next
+    block, geom = _moving_record()
+    kw = dict(bins=BAND, estimator=estimator, k=1, step=2.0,
+              select_count=select_count)
+    rec = btr(block, geom, frame_seconds=0.5, frame_hop_fraction=0.5, **kw)
+    frame_len, hop = int(0.5 * FS), int(0.25 * FS)
+    assert rec.times.size == 5
+    segments = [block.data[:, i * hop: i * hop + frame_len] for i in range(5)]
+    if select_count is not None:
+        bins = band_for(BAND, 512, FS)
+        picks = {tuple(select_bins(bin_covariances(band_transform(seg, bins)), 1,
+                                   select_count)) for seg in segments}
+        assert len(picks) > 1
+    for row, seg in zip(rec.power_db, segments):
+        spec, _ = broadband_estimate(SnapshotMatrix(seg, "time", FS), geom, **kw)
+        assert row.tobytes() == spec.power_db.tobytes()
+
+
+@pytest.mark.parametrize("seconds, hop, match", [
+    (1.0, 0.0, "frame_hop_fraction must be a positive finite number"),
+    (1.0, -0.5, "frame_hop_fraction must be a positive finite number"),
+    (1.0, float("nan"), "frame_hop_fraction must be a positive finite number"),
+    (1.0, 1e-5, "hop of under one sample"),
+    (float("inf"), 0.5, "frame_seconds must be a positive finite number"),
+    (0.01, 0.5, "shorter than the DFT length 512"),
+], ids=["hop-zero", "hop-negative", "hop-nan", "hop-under-a-sample",
+        "frame-inf", "frame-under-n-fft"])
+def test_btr_rejects_bad_frame_options(seconds, hop, match):
+    block, geom = _record([5.0], seed=37, duration=0.5)
+    with pytest.raises(ConfigError, match=match):
+        btr(block, geom, bins=BAND, frame_seconds=seconds, frame_hop_fraction=hop)

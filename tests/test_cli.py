@@ -559,3 +559,17 @@ def test_peak_guard_applies_to_cbf_on_time_records(tmp_path):
     guarded = picks({"peak_guard": 20})
     assert guarded != unguarded
     assert guarded[1] - guarded[0] >= 20
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--hop-fraction", "0"], "frame_hop_fraction"),
+    (["--hop-fraction", "-0.5"], "frame_hop_fraction"),
+    (["--hop-fraction", "nan"], "frame_hop_fraction"),
+    (["--frame-seconds", "inf"], "frame_seconds"),
+    (["--frame-seconds", "0.01"], "frame_seconds"),
+], ids=["hop-zero", "hop-negative", "hop-nan", "frame-inf", "frame-under-n-fft"])
+def test_btr_bad_frame_option_exits_2(flags, name, records, tmp_path):
+    code, out, err = _run(["btr", "--input", str(records[1]), "--spacing", "1.25",
+                           "--out", str(tmp_path / "b.csv")] + flags)
+    assert (code, out) == (2, "")
+    assert name in err and "Traceback" not in err

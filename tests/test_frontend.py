@@ -61,6 +61,14 @@ def test_band_transform_exact_bin_tone():
     assert_allclose(np.abs(out.z[0, :, 0]), amp * NFFT / 2, rtol=1e-10)
 
 
+def test_dft_basis_is_made_once_per_bin_set():
+    bins = FrequencyBinSet(NFFT, np.array([3, 20, 41]), FS)
+    V = bins.basis
+    assert bins.basis is V and not V.flags.writeable
+    for row, ell in zip(V, bins.indices):
+        assert_allclose(row, dft_vector(ell, NFFT), rtol=1e-12)
+
+
 def test_band_transform_plane_wave_matches_steering():
     # a delayed plane wave must emerge proportional to a(theta) at the bin
     geom = uniform_line_array(6, spacing=1.25)
