@@ -11,11 +11,13 @@ round's grid and picks peaks on the fused spectrum.
 A broadband request (broadband_estimate, or btr over all its frames) builds
 what does not depend on the frame once: the frequency bins and their DFT
 basis, the angle grid and, for the fixed-grid estimators, the bins'
-steering matrices as one contiguous (P, M, G) stack. Each frame then runs
-the DFT, the bin covariances, the bin selection (which indexes the stack),
-one stacked covariance check and one (P, G) power matrix that is fused
-once. A broadband_gnr2 frame builds its own stack per refine round, since
-the round's grid changes.
+steering matrices in one contiguous (P, M, G) stack (a single-shot
+estimate that selects bins builds only the selected bins' matrices). Each
+frame then runs the DFT, the bin covariances, the bin selection (which
+indexes the stack) and estimators.fixed_grid_powers: one covariance check
+for the kept bins and one (P, G) power matrix, fused once. A
+broadband_gnr2 frame builds its own stack per refine round, since the
+round's grid changes.
 """
 from __future__ import annotations
 
@@ -25,8 +27,10 @@ import numpy as np
 
 from .arrays import ArrayGeometry, angle_grid, full_sector, steering_matrix
 from .errors import ConfigError
-from .estimators import SolverConfig, SpatialSpectrum, _as_covariances, _cbf_power, \
-    _fit_config, check_estimator, music_spectrum, qspice_solve
+from .estimators import SolverConfig, SpatialSpectrum, check_estimator, fixed_grid_powers
+# not called here (fixed_grid_powers runs the solver), but kept importable
+# from here: perfbench's tracer patches it in each dasdoa module that holds it
+from .estimators import qspice_solve  # noqa: F401
 from .frontend import FrequencyBinSet, band_for, band_transform, bin_covariances, \
     frame_count, select_bins
 from .refine import RefineConfig, RefineResult, refine_loop
@@ -71,17 +75,7 @@ def _steering_stack(geometry: ArrayGeometry, freqs, grid, convention) -> np.ndar
 def _fused_power(covs, A, estimator, k, solver_cfg) -> np.ndarray:
     """Fused power of a fixed-grid estimator over the bins with covariances
     covs (P, M, M) and steering stack A (P, M, G)."""
-    if estimator in ("spice", "qspice"):
-        return _fuse_rows(qspice_solve(covs, A, _fit_config(estimator, solver_cfg))
-                          .powers.signal)
-    if estimator not in ("cbf", "music"):
-        raise ConfigError(f"{estimator!r} is not a fixed-grid estimator")
-    R_hat = _as_covariances(covs, A, False)
-    power = np.empty((A.shape[0], A.shape[2]))
-    for i, (R, A_i) in enumerate(zip(R_hat, A)):
-        power[i] = _cbf_power(A_i, R) if estimator == "cbf" \
-            else music_spectrum(R, A_i, k).power
-    return _fuse_rows(power)
+    return _fuse_rows(fixed_grid_powers(estimator, covs, A, k, solver_cfg)[0])
 
 
 def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
@@ -129,10 +123,12 @@ class BearingTimeRecord:
 
 
 def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
-                    convention, select_count, solver_cfg, refine_cfg):
+                    convention, select_count, solver_cfg, refine_cfg, many_frames):
     """Validate a broadband request and build what its frames share. Returns
     its frequency bins, its angle grid and the pipeline of one analysis
-    frame, segment -> (fused spectrum, estimates)."""
+    frame, segment -> (fused spectrum, estimates). many_frames: whether
+    the pipeline runs on many frames (a BTR), which then share one steering
+    stack of all bins even when each keeps only some of them."""
     if record.domain != "time":
         raise ConfigError("broadband estimation expects a time-domain record")
     check_estimator(estimator, k)
@@ -142,8 +138,9 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
         bins = band_for(bins, n_fft, record.sample_rate)
     angles = angle_grid(full_sector(convention) if sector is None else sector, step)
     freqs = bins.frequencies
-    A = None if estimator == "gnr2" else _steering_stack(geometry, freqs, angles,
-                                                          convention)
+    A = None
+    if estimator != "gnr2" and (select_count is None or many_frames):
+        A = _steering_stack(geometry, freqs, angles, convention)
 
     def frame(segment):
         """transform -> covariances -> select -> fused spectrum."""
@@ -162,7 +159,10 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
             power = np.interp(angles, res.spectrum.angles, res.spectrum.power)
             fused = SpatialSpectrum(angles, power, "qspice-gnr2", 0.0)
             return fused, tuple(res.angles)
-        power = _fused_power(covs, A[pos], estimator, k, solver_cfg)
+        # one frame that keeps some bins builds only their steering
+        A_pos = _steering_stack(geometry, freqs[pos], angles, convention) \
+            if A is None else A[pos]
+        power = _fused_power(covs, A_pos, estimator, k, solver_cfg)
         return SpatialSpectrum(angles, power, estimator, 0.0), ()
     return bins, angles, frame
 
@@ -182,7 +182,7 @@ def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
     """
     _, _, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
                                   sector, step, convention, select_count,
-                                  solver_cfg, refine_cfg)
+                                  solver_cfg, refine_cfg, False)
     return frame(record.data)
 
 
@@ -205,7 +205,7 @@ def btr(record: SnapshotMatrix, geometry: ArrayGeometry,
     """
     bins, angles, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
                                           sector, step, convention, select_count,
-                                          solver_cfg, refine_cfg)
+                                          solver_cfg, refine_cfg, True)
     fs = record.sample_rate
     if not (frame_seconds > 0 and np.isfinite(frame_seconds * fs)):
         raise ConfigError(f"frame_seconds must be a positive finite number, "

@@ -105,28 +105,11 @@ class SolverResult:
     trace: np.ndarray          # objective value per iteration, non-increasing
     n_iter: int
     converged: bool
+    floor: float | np.ndarray      # the power floor (see SolverConfig)
     spectrum: SpatialSpectrum | None = None
-    # a stack's result per problem; the fields above then stack (powers),
-    # join (trace), sum (n_iter) or all-of (converged) theirs
+    # a stack's result per problem; the fields above then stack (powers,
+    # floor), join (trace), sum (n_iter) or all-of (converged) theirs
     problems: tuple = ()
-
-
-def _as_covariance(data, m: int) -> np.ndarray:
-    data = np.asarray(data, dtype=complex)
-    if not np.all(np.isfinite(data)):
-        raise ConfigError("input data must be finite")
-    if data.ndim == 1:
-        if data.size != m:
-            raise ConfigError(f"snapshot length {data.size} != array size {m}")
-        if not np.any(data):
-            raise DegenerateInputError("all-zero snapshot")
-        return np.outer(data, data.conj())
-    if data.shape != (m, m):
-        raise ConfigError(f"covariance shape {data.shape} != ({m}, {m})")
-    R_hat = 0.5 * (data + data.conj().T)
-    if np.trace(R_hat).real <= 0:
-        raise DegenerateInputError("covariance estimate has non-positive trace")
-    return R_hat
 
 
 def _as_dictionaries(dictionary):
@@ -165,19 +148,27 @@ def _one_dictionary(dictionary):
 
 
 def _as_covariances(data, A, single) -> np.ndarray:
-    """The covariances (P, M, M) of a solve on the steering stack A: one
-    snapshot or covariance for one problem, P covariances for a stack. A
-    stack is checked, and Hermitian-symmetrized, as _as_covariance checks
-    one covariance, in one call per step for all P."""
+    """The checked covariances (P, M, M) of P problems on the steering stack
+    A (P, M, G). One problem (single) takes one snapshot z, kept as the
+    unsymmetrized z z^H, or one covariance; a stack takes P covariances.
+    Covariances are Hermitian-symmetrized, with one call per step for all P."""
     P, M = A.shape[:2]
-    if single:
-        return _as_covariance(data, M)[None]
-    if np.shape(data) != (P, M, M):
+    if not single and np.shape(data) != (P, M, M):
         raise ConfigError(f"a stack of {P} dictionaries needs covariances of "
                           f"shape ({P}, {M}, {M}), got {np.shape(data)}")
     data = np.asarray(data, dtype=complex)
     if not np.isfinite(data).all():
         raise ConfigError("input data must be finite")
+    if single and data.ndim == 1:
+        if data.size != M:
+            raise ConfigError(f"snapshot length {data.size} != array size {M}")
+        if not data.any():
+            raise DegenerateInputError("all-zero snapshot")
+        return np.outer(data, data.conj())[None]
+    if single:
+        if data.shape != (M, M):
+            raise ConfigError(f"covariance shape {data.shape} != ({M}, {M})")
+        data = data[None]
     R_hat = 0.5 * (data + data.conj().swapaxes(-1, -2))
     if (np.trace(R_hat, axis1=-2, axis2=-1).real <= 0).any():
         raise DegenerateInputError("covariance estimate has non-positive trace")
@@ -199,6 +190,14 @@ def _cbf_power(A, R_hat, Ac=None) -> np.ndarray:
     RA = R_hat @ A
     np.multiply(A.conj() if Ac is None else Ac, RA, out=RA)
     return np.maximum(np.add.reduce(RA, axis=-2).real / A.shape[-2] ** 2, 0.0)
+
+
+def _music_power(A, R_hat, k) -> np.ndarray:
+    """MUSIC power of one problem on A (M, G), R_hat (M, M) checked."""
+    _, V = eigh(R_hat)                 # ascending eigenvalues
+    En = V[:, : A.shape[0] - k]
+    proj = np.sum(np.abs(En.conj().T @ A) ** 2, axis=0)
+    return 1.0 / np.maximum(proj, DB_FLOOR)
 
 
 class _Model:
@@ -430,22 +429,21 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None,
         for j, i in enumerate(rows):
             traces[i] += [objs[j] for objs in history[start:end]]
     dicts = model.dictionaries
-    floors = floors.tolist()
     results = []
-    for i in range(P):
+    for i, floor_i in enumerate(floors.tolist()):
         spectrum = None
         if dicts is not None:
             spectrum = SpatialSpectrum(dicts[i].angles, p_out[i], "qspice",
-                                       dicts[i].frequency, max(floors[i], DB_FLOOR))
+                                       dicts[i].frequency, max(floor_i, DB_FLOOR))
         results.append(SolverResult(PowerVector(p_out[i], s_out[i]),
                                     np.asarray(traces[i]), len(traces[i]),
-                                    bool(converged[i]), spectrum))
+                                    bool(converged[i]), floor_i, spectrum))
     if model.single:
         return results[0]
     return SolverResult(PowerVector(p_out, s_out),
                         np.concatenate([res.trace for res in results]),
                         sum(res.n_iter for res in results), bool(converged.all()),
-                        problems=tuple(results))
+                        floors, problems=tuple(results))
 
 
 def _evaluate_at(p, s, data, dictionary, config):
@@ -479,23 +477,12 @@ def kkt_residual(p, s, data, dictionary, config: SolverConfig | None = None) -> 
 
 def cbf_spectrum(R_hat, dictionary) -> SpatialSpectrum:
     """Delay-and-sum power P(theta_g) = a_g^H R_hat a_g / M^2."""
-    A, angles, freq = _one_dictionary(dictionary)
-    power = _cbf_power(A, _as_covariance(R_hat, A.shape[0]))
-    return SpatialSpectrum(angles, power, "cbf", freq)
+    return fixed_grid_spectrum("cbf", R_hat, dictionary)
 
 
 def music_spectrum(R_hat, dictionary, k: int) -> SpatialSpectrum:
     """1 / (a^H E_n E_n^H a) with E_n spanning the M-k smallest eigenvectors."""
-    A, angles, freq = _one_dictionary(dictionary)
-    M = A.shape[0]
-    if not 1 <= k < M:
-        raise ConfigError(f"source count k must satisfy 1 <= k < M={M}")
-    R_hat = _as_covariance(R_hat, M)
-    _, V = eigh(R_hat)                 # ascending eigenvalues
-    En = V[:, : M - k]
-    proj = np.sum(np.abs(En.conj().T @ A) ** 2, axis=0)
-    power = 1.0 / np.maximum(proj, DB_FLOOR)
-    return SpatialSpectrum(angles, power, "music", freq)
+    return fixed_grid_spectrum("music", R_hat, dictionary, k)
 
 
 def _pick(power, angles, k, guard=0.0):
@@ -553,18 +540,38 @@ def _fit_config(name: str, solver_cfg: SolverConfig | None) -> SolverConfig:
     return replace(cfg, r=1.0, q=1.0) if name == "spice" else cfg
 
 
-def fixed_grid_spectrum(name: str, R_hat, dictionary: Dictionary, k: int | None = None,
-                        solver_cfg: SolverConfig | None = None) -> SpatialSpectrum:
-    """Spectrum of a fixed-grid estimator on `dictionary`, tagged `name`.
+def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
+                      solver_cfg: SolverConfig | None = None):
+    """(power, floor) of the fixed-grid estimator `name` on one problem or a
+    stack, data and dictionary as qspice_solve takes them: power (P, G), a
+    row per problem, and floor (P,), the dB floor of each row.
 
-    spice and qspice run the solver (see _fit_config) and keep its power
-    floor as their dB floor.
+    CBF and MUSIC run per problem, on the 2-D views of the stack; spice and
+    qspice run the solver (see _fit_config) once for the stack and keep its
+    power floor as their dB floor.
     """
-    if name == "cbf":
-        return cbf_spectrum(R_hat, dictionary)
-    if name == "music":
-        return music_spectrum(R_hat, dictionary, k)
-    if name not in ("spice", "qspice"):
+    if name in ("spice", "qspice"):
+        res = qspice_solve(data, dictionary, _fit_config(name, solver_cfg))
+        power = res.powers.signal
+        return (power.reshape(-1, power.shape[-1]),
+                np.maximum(np.reshape(res.floor, -1), DB_FLOOR))
+    if name not in ("cbf", "music"):
         raise ConfigError(f"{name!r} is not a fixed-grid estimator")
-    return replace(qspice_solve(R_hat, dictionary, _fit_config(name, solver_cfg)).spectrum,
-                   estimator=name)
+    A, _, single = _as_dictionaries(dictionary)
+    P, M, G = A.shape
+    if name == "music" and not 1 <= k < M:
+        raise ConfigError(f"source count k must satisfy 1 <= k < M={M}")
+    power = np.empty((P, G))
+    for i, (A_i, R_i) in enumerate(zip(A, _as_covariances(data, A, single))):
+        power[i] = _cbf_power(A_i, R_i) if name == "cbf" else _music_power(A_i, R_i, k)
+    return power, np.full(P, DB_FLOOR)
+
+
+def fixed_grid_spectrum(name: str, R_hat, dictionary, k: int | None = None,
+                        solver_cfg: SolverConfig | None = None) -> SpatialSpectrum:
+    """Spectrum of a fixed-grid estimator on one snapshot or covariance and
+    `dictionary` (a Dictionary, or an M x G matrix whose angles are its
+    column indices), tagged `name`: fixed_grid_powers of the stack of one."""
+    A, angles, freq = _one_dictionary(dictionary)
+    (power,), (floor,) = fixed_grid_powers(name, R_hat, A, k, solver_cfg)
+    return SpatialSpectrum(angles, power, name, freq, floor)

@@ -23,6 +23,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import struct
 
 import numpy as np
@@ -86,8 +87,10 @@ def _save_record_binary(block: SnapshotMatrix, path) -> None:
 
 
 def _load_record_binary(path) -> SnapshotMatrix:
-    """Read the header, check it against the file size, then read the
-    payload straight into the record's array."""
+    """Read the header, check it against the payload size, then read the
+    payload into the record's array: straight into it from a regular file,
+    whose size is known before reading, and through one bytes copy from a
+    pipe or other stream, whose size is not."""
     with open(path, "rb") as fh:
         head = fh.read(HEADER_SIZE)
         if len(head) < len(MAGIC) or head[:len(MAGIC)] != MAGIC:
@@ -99,14 +102,19 @@ def _load_record_binary(path) -> SnapshotMatrix:
             raise ParseError(f"unknown data kind {kind} in {path}",
                              offset=HEADER_SIZE - 1)
         expect = m * n * _KINDS[kind].itemsize
-        actual = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+        st = os.fstat(fh.fileno())
+        payload = None if stat.S_ISREG(st.st_mode) else fh.read()
+        actual = st.st_size - HEADER_SIZE if payload is None else len(payload)
         if actual == expect:
             if m < 2 or n < 1:
                 raise ParseError(f"header dimensions {m}x{n} out of range in {path}",
                                  offset=len(MAGIC))
-            data = np.empty((m, n), dtype=_KINDS[kind])
-            # a file that shrank since fstat reads short
-            actual = fh.readinto(data)
+            if payload is None:
+                data = np.empty((m, n), dtype=_KINDS[kind])
+                # a file that shrank since fstat reads short
+                actual = fh.readinto(data)
+            else:
+                data = np.frombuffer(payload, dtype=_KINDS[kind]).reshape(m, n).copy()
         if actual != expect:
             raise ParseError(
                 f"payload length mismatch in {path}: header promises {expect} "

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from dasdoa import broadband
 from dasdoa.arrays import Dictionary, uniform_line_array, steering_matrix
 from dasdoa.broadband import _fuse_rows, broadband_estimate, broadband_gnr2, \
     broadband_spectrum, btr, fuse_spectra
@@ -250,6 +251,29 @@ def test_btr_rows_are_the_single_shot_run_of_each_frame(estimator, select_count)
     for row, seg in zip(rec.power_db, segments):
         spec, _ = broadband_estimate(SnapshotMatrix(seg, "time", FS), geom, **kw)
         assert row.tobytes() == spec.power_db.tobytes()
+
+
+def test_a_request_builds_each_bin_steering_matrix_once(monkeypatch):
+    # a BTR builds every bin's matrix once, whichever bins its frames keep;
+    # a single-shot estimate that keeps some bins builds only theirs
+    built = []
+
+    def counting(geometry, frequency, *args):
+        built.append(float(frequency))
+        return steering_matrix(geometry, frequency, *args)
+    monkeypatch.setattr(broadband, "steering_matrix", counting)
+    block, geom = _moving_record()
+    all_bins = band_for(BAND, 512, FS).frequencies.tolist()
+    for select_count in (None, 6):
+        built.clear()
+        btr(block, geom, bins=BAND, frame_seconds=0.5, step=2.0, k=1,
+            select_count=select_count)
+        assert built == all_bins
+    for select_count, count in ((None, len(all_bins)), (6, 6)):
+        built.clear()
+        broadband_estimate(block, geom, bins=BAND, step=2.0, k=1,
+                           select_count=select_count)
+        assert len(built) == count
 
 
 @pytest.mark.parametrize("seconds, hop, match", [

@@ -11,7 +11,8 @@ from dasdoa.arrays import build_dictionary, uniform_line_array
 from dasdoa.errors import ConfigError, DegenerateInputError, EstimationError, \
     SingularModelError, ToolkitError
 from dasdoa.estimators import SolverConfig, SpatialSpectrum, _block_minimize, \
-    _pick, cbf_spectrum, fixed_grid_spectrum, kkt_residual, music_spectrum, \
+    _pick, cbf_spectrum, fixed_grid_powers, fixed_grid_spectrum, kkt_residual, \
+    music_spectrum, \
     objective_value, peak_pick, qspice_solve, spice_weights
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -254,7 +255,9 @@ def test_stacked_solve_equals_single_solves(seed, n, m, g, r, q, max_iter, dead)
         assert _same_bits(res.powers.noise, single.powers.noise)
         assert _same_bits(res.trace, single.trace)
         assert (res.n_iter, res.converged) == (single.n_iter, single.converged)
+        assert res.floor == single.floor
     assert _same_bits(stacked.powers.signal, [s.powers.signal for s in singles])
+    assert _same_bits(stacked.floor, [s.floor for s in singles])
     assert stacked.n_iter == sum(s.n_iter for s in singles)
     assert stacked.converged == all(s.converged for s in singles)
 
@@ -308,6 +311,47 @@ def test_fixed_grid_spice_is_the_solver_at_r1_q1():
     assert spec.estimator == "spice"
     assert _same_bits(spec.power, res.powers.signal)
     assert (spec.frequency, spec.floor) == (res.spectrum.frequency, res.spectrum.floor)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 4), m=st.integers(3, 7),
+       g=st.integers(1, 30), name=st.sampled_from(["cbf", "music", "spice", "qspice"]))
+def test_fixed_grid_powers_of_a_stack_are_each_problems_spectrum(seed, n, m, g, name):
+    # a stack is checked and symmetrized at once, and each of its rows keeps
+    # the bits of its problem run alone; the covariances are not Hermitian
+    rng = np.random.default_rng(seed)
+    A = np.exp(-1j * np.pi * rng.uniform(0.5, 1.5, (n, m, 1))
+               * np.arange(m)[:, None] * np.sin(np.linspace(-1.4, 1.4, g)))
+    y = rng.standard_normal((n, m, 20)) + 1j * rng.standard_normal((n, m, 20))
+    covs = y @ y.conj().transpose(0, 2, 1) / 20 \
+        + 1e-3 * (rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)))
+    cfg = SolverConfig(r=1.5, max_iter=30)
+    power, floor = fixed_grid_powers(name, covs, A, 1, cfg)
+    assert power.shape == (n, g) and floor.shape == (n,)
+    for i in range(n):
+        spec = fixed_grid_spectrum(name, covs[i], A[i], 1, cfg)
+        assert _same_bits(power[i], spec.power)
+        assert floor[i] == spec.floor
+        assert spec.estimator == name
+
+
+@pytest.mark.parametrize("name", ["cbf", "music", "spice", "qspice"])
+def test_fixed_grid_powers_check_every_problem(name):
+    A = np.exp(-1j * np.pi * np.arange(4)[:, None] * np.sin(np.linspace(-1, 1, 5)))
+    A = np.stack([A] * 3)
+    covs = np.stack([np.eye(4, dtype=complex)] * 3)
+    nan_bin = covs.copy()
+    nan_bin[2, 1, 0] = np.nan
+    with pytest.raises(ConfigError, match="input data must be finite"):
+        fixed_grid_powers(name, nan_bin, A, 1)
+    zero_bin = covs.copy()
+    zero_bin[1] = 0.0
+    with pytest.raises(DegenerateInputError, match="non-positive trace"):
+        fixed_grid_powers(name, zero_bin, A, 1)
+    with pytest.raises(ConfigError, match="covariances of shape"):
+        fixed_grid_powers(name, covs[:2], A, 1)
+    with pytest.raises(ConfigError, match="not a fixed-grid estimator"):
+        fixed_grid_powers("gnr2", covs, A, 1)
 
 
 def test_spice_weights_convention():

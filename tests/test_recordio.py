@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +41,33 @@ def test_binary_round_trip_bit_identical(tmp_path):
         path2 = tmp_path / "rec2.bin"
         save_record(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_binary_record_loads_through_a_pipe(tmp_path):
+    # a pipe reports no size, so the loader cannot take it from the file
+    block = _real_block()
+    path = tmp_path / "rec.bin"
+    save_record(block, path)
+    raw = path.read_bytes()
+    for payload, problem in ((raw, None), (raw[:-5], "mismatch"),
+                             (raw + b"\0", "mismatch")):
+        fifo = tmp_path / "rec.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(payload,))
+        writer.start()
+        try:
+            if problem is None:
+                loaded = load_record(fifo)
+                assert loaded.data.tobytes() == block.data.tobytes()
+                assert loaded.data.flags.writeable
+            else:
+                with pytest.raises(ParseError, match=problem) as err:
+                    load_record(fifo)
+                assert err.value.offset == HEADER_SIZE
+        finally:
+            writer.join()
+            fifo.unlink()
 
 
 def test_csv_round_trip(tmp_path):
