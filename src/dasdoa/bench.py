@@ -8,7 +8,10 @@ which would otherwise be undefined for them.
 
 Reproducibility: trial t of sweep point i draws from
 SeedSequence(master_seed, spawn_key=(i, t)), so results are independent of
-execution order and worker count. Wall-clock timings are kept out of the
+execution order and worker count. A sweep solves its trials in stacks (one
+solver call per method per chunk of trials, GNR² rounds in lockstep), and
+a stacked solve gives each problem the result it gets alone, so results do
+not depend on the chunking either. Wall-clock timings are kept out of the
 metrics table (they are not deterministic) and reported separately.
 """
 from __future__ import annotations
@@ -31,6 +34,10 @@ from .simulate import NoiseModel, SourceSpec, synthesize
 
 SUCCESS_THRESHOLD_DEG = 0.3
 NONUNIFORM_DIAG = (12, 2.3, 20.5, 5.5, 11.1, 6.5, 2, 13.5, 0.8, 1.7, 13.6, 5.2)
+# trials per stacked solve: per problem, one solver iteration at G = 361
+# took 125 us alone, 71 us in a stack of 4, 66 us in 16 and 77-82 us in
+# 32-64 (2-vCPU Xeon, OpenBLAS at 1 thread)
+CHUNK_TRIALS = 16
 
 
 # -----------------------------
@@ -201,9 +208,8 @@ def _noise_model(cfg: ScenarioConfig) -> NoiseModel:
     return NoiseModel("uniform-gaussian", sigma2=1.0)
 
 
-def run_trial(cfg: ScenarioConfig, sweep_idx: int, trial: int, ctx=None):
-    """One synthetic trial; returns {method: (angles tuple, shortfall, seconds)}."""
-    ctx = ctx or _make_context(cfg)
+def _trial_covariance(cfg: ScenarioConfig, ctx, sweep_idx: int, trial: int) -> np.ndarray:
+    """The sample covariance of trial `trial` at sweep point `sweep_idx`."""
     snr, n, pos_err = _trial_point(cfg, sweep_idx)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,
                                                        spawn_key=(sweep_idx, trial)))
@@ -217,19 +223,43 @@ def run_trial(cfg: ScenarioConfig, sweep_idx: int, trial: int, ctx=None):
                          snapshot_rate=cfg.snapshot_rate)
     block = synthesize(geometry, sources, _noise_model(cfg), snr, n, rng,
                        dictionary_frequency=cfg.carrier_hz)
-    r_hat = sample_covariance(block.data)
+    return sample_covariance(block.data)
+
+
+def _estimates(name: str, covs, cfg: ScenarioConfig, ctx) -> list:
+    """(angles tuple, shortfall) per covariance of the stack covs, from one
+    stacked narrowband_estimate. When it raises a ToolkitError, each problem
+    is retried alone, so only the failing one counts as a shortfall."""
+    try:
+        return [(tuple(float(a) for a in np.atleast_1d(angles)), bool(shortfall))
+                for _, angles, shortfall in narrowband_estimate(
+                    name, covs, ctx["dictionary"], cfg.sector, len(cfg.doas),
+                    ctx["solver"], ctx["refine"], cfg.cbf_guard)]
+    except ToolkitError:
+        if len(covs) == 1:
+            return [((), True)]
+        return [est for cov in covs for est in _estimates(name, cov[None], cfg, ctx)]
+
+
+def _run_chunk(cfg: ScenarioConfig, covs, ctx=None) -> dict:
+    """Every method on a chunk of trials, the covariances covs (P, M, M):
+    {method: (per-trial (angles tuple, shortfall) list, seconds)}."""
+    ctx = ctx or _make_context(cfg)
     out = {}
     for name in cfg.methods:
         t0 = time.perf_counter()
-        try:
-            _, angles, shortfall = narrowband_estimate(
-                name, r_hat, ctx["dictionary"], cfg.sector, k, ctx["solver"],
-                ctx["refine"], cfg.cbf_guard)
-        except ToolkitError:
-            angles, shortfall = np.empty(0), True
-        out[name] = (tuple(float(a) for a in np.atleast_1d(angles)), bool(shortfall),
-                     time.perf_counter() - t0)
+        est = _estimates(name, covs, cfg, ctx)
+        out[name] = (est, time.perf_counter() - t0)
     return out
+
+
+def run_trial(cfg: ScenarioConfig, sweep_idx: int, trial: int, ctx=None):
+    """One synthetic trial, run_monte_carlo's chunk of one; returns
+    {method: (angles tuple, shortfall, seconds)}."""
+    ctx = ctx or _make_context(cfg)
+    covs = _trial_covariance(cfg, ctx, sweep_idx, trial)[None]
+    return {name: (*est[0], seconds)
+            for name, (est, seconds) in _run_chunk(cfg, covs, ctx).items()}
 
 
 @dataclass(frozen=True)
@@ -260,40 +290,44 @@ class BenchResult:
         raise KeyError((value, method))
 
 
-def run_monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> BenchResult:
-    """Full sweep; deterministic metrics for any jobs count."""
+def _sweep(cfg: ScenarioConfig, jobs: int = 1):
+    """Every trial of the sweep: {method: per-trial (angles tuple,
+    shortfall) list, in (sweep point, trial) order} and {method: seconds}.
+
+    Synthesizes every trial's covariance first, in that order, then runs
+    each method once per chunk of CHUNK_TRIALS trials across sweep points;
+    with jobs > 1 the chunks go to one process pool. Each trial's result is
+    that of its chunk of one (run_trial).
+    """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     ctx = _make_context(cfg)
+    covs = np.stack([_trial_covariance(cfg, ctx, i, t)
+                     for i in range(len(cfg.sweep_values)) for t in range(cfg.trials)])
+    chunks = [covs[s:s + CHUNK_TRIALS] for s in range(0, len(covs), CHUNK_TRIALS)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(_run_chunk, [cfg] * len(chunks), chunks))
+    else:
+        done = [_run_chunk(cfg, chunk, ctx) for chunk in chunks]
+    return ({m: [est for out in done for est in out[m][0]] for m in cfg.methods},
+            {m: sum(out[m][1] for out in done) for m in cfg.methods})
+
+
+def run_monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> BenchResult:
+    """Full sweep; deterministic metrics for any jobs count."""
+    trials, seconds = _sweep(cfg, jobs)
     rows = []
-    totals = dict.fromkeys(cfg.methods, 0.0)
     for i, value in enumerate(cfg.sweep_values):
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                trials = list(pool.map(_pool_trial,
-                                       [(cfg, i, t) for t in range(cfg.trials)]))
-        else:
-            trials = [run_trial(cfg, i, t, ctx) for t in range(cfg.trials)]
         for method in cfg.methods:
-            complete, n_short = [], 0
-            for tr in trials:
-                angles, shortfall, seconds = tr[method]
-                totals[method] += seconds
-                if shortfall or len(angles) != len(cfg.doas):
-                    n_short += 1
-                else:
-                    complete.append(angles)
-            all_est = [tr[method][0] for tr in trials]
+            point = trials[method][i * cfg.trials:(i + 1) * cfg.trials]
+            complete = [angles for angles, shortfall in point
+                        if not shortfall and len(angles) == len(cfg.doas)]
             rows.append(BenchRow(cfg.sweep, float(value), method, cfg.trials,
-                                 n_short, success_ratio(all_est, cfg.doas),
+                                 cfg.trials - len(complete),
+                                 success_ratio([angles for angles, _ in point], cfg.doas),
                                  rmse(complete, cfg.doas)))
-    timings = tuple((m, totals[m]) for m in cfg.methods)
-    return BenchResult(cfg, tuple(rows), timings)
-
-
-def _pool_trial(args):
-    cfg, sweep_idx, trial = args
-    return run_trial(cfg, sweep_idx, trial)
+    return BenchResult(cfg, tuple(rows), tuple(seconds.items()))
 
 
 def timing_ratios(result: BenchResult):

@@ -14,6 +14,12 @@ neighborhood_halfwidth x initial_step by construction.
 
 Keeping the coarse skeleton lets spurious energy elsewhere be absorbed by
 coarse atoms instead of leaking into the refined zones.
+
+The round logic is written once, as a generator per refinement that yields
+each round's grid and is sent that grid's power. refine_lockstep advances
+several of them a round at a time and solves each round's grids grouped by
+size, so a stack of covariances (a Monte Carlo chunk) makes one stacked
+q-SPICE call per round and grid size; refine_loop is the lockstep of one.
 """
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ import numpy as np
 from .arrays import ArrayGeometry, Dictionary, angle_grid, steering_matrix
 from .errors import ConfigError
 from .estimators import SolverConfig, SpatialSpectrum, _pick, check_estimator, \
-    fixed_grid_spectrum, peak_pick, qspice_solve
+    fixed_grid_powers, peak_pick, qspice_solve
 
 
 @dataclass(frozen=True)
@@ -75,25 +81,12 @@ def _containing(segments, x):
     return None
 
 
-def refine_loop(solve_fn, sector, k, refine_cfg: RefineConfig | None = None):
-    """Generic refinement driver.
-
-    solve_fn(angles) -> nonnegative power array on those angles. Every round
-    solves to the caller's full tolerance: the window anchoring assumes each
-    round's picks are accurate to about one grid step, and early-stopped
-    solves break that (a drifted anchor can leave the truth outside the next
-    window). Warm-started rounds break it the same way: started from the
-    previous round's powers interpolated onto the new grid, a solve meets
-    the relative-objective stopping rule sooner (79 and 46 iterations
-    against 122 and 95 cold on the c08 case) and its picks lose accuracy:
-    the c07 off-grid claim fails (refined MAE 0.053 against its 0.05 bound)
-    and table1 gnr2 success at 0 dB falls from 80% to 23%. So every round
-    solves cold.
-    Returns (estimates, shortfall, rounds, final_grid, final_power).
-    """
-    cfg = refine_cfg or RefineConfig()
+def _refine_rounds(sector, k, cfg: RefineConfig):
+    """The rounds of one refinement, as a generator: it yields each round's
+    grid, is sent that grid's nonnegative power, and returns (estimates,
+    shortfall, rounds, final_grid, final_power)."""
     coarse = angle_grid(sector, cfg.initial_step)
-    power = solve_fn(coarse)
+    power = yield coarse
     est, _ = _pick(power, coarse, k, cfg.peak_guard)
     if est.size == 0:
         return est, True, 0, coarse, power
@@ -122,7 +115,7 @@ def refine_loop(solve_fn, sector, k, refine_cfg: RefineConfig | None = None):
         windows = _merge_intervals(windows)
         grid = np.unique(np.concatenate(local).round(9))
         grid = grid[(grid >= sector[0] - 1e-9) & (grid <= sector[1] + 1e-9)]
-        power = solve_fn(grid)
+        power = yield grid
         mask = np.zeros(grid.size, dtype=bool)
         for lo, hi in windows:
             mask |= (grid >= lo - 1e-9) & (grid <= hi + 1e-9)
@@ -133,20 +126,90 @@ def refine_loop(solve_fn, sector, k, refine_cfg: RefineConfig | None = None):
     return est, est.size < k, rounds, grid, power
 
 
+def refine_lockstep(solve_group, n, sector, k, refine_cfg: RefineConfig | None = None):
+    """Run n refinements on one sector in lockstep, a round of all at a time.
+
+    Each round groups the pending grids by size, in problem order, and
+    calls solve_group(problems, grids) once per group: the problem indices
+    and their grids, all of one size, give back one power row per problem.
+    A refinement that ends leaves the rounds that follow. Each problem's
+    result is that of refine_loop on it alone when solve_group gives each
+    row as a solve of that problem alone would (as a stacked qspice_solve
+    does). Returns a list of n (estimates, shortfall, rounds, final_grid,
+    final_power).
+    """
+    cfg = refine_cfg or RefineConfig()
+    loops = [_refine_rounds(sector, k, cfg) for _ in range(n)]
+    results = [None] * n
+    pending = {i: next(loop) for i, loop in enumerate(loops)}
+    while pending:
+        groups = {}
+        for i, grid in pending.items():
+            groups.setdefault(grid.size, []).append(i)
+        powers = {}
+        for idx in groups.values():
+            powers.update(zip(idx, solve_group(idx, [pending[i] for i in idx])))
+        sent, pending = pending, {}
+        for i in sent:
+            try:
+                pending[i] = loops[i].send(powers[i])
+            except StopIteration as stop:
+                results[i] = stop.value
+    return results
+
+
+def refine_loop(solve_fn, sector, k, refine_cfg: RefineConfig | None = None):
+    """Generic refinement loop: refine_lockstep on one problem.
+
+    solve_fn(angles) -> nonnegative power array on those angles. Every round
+    solves to the caller's full tolerance: the window anchoring assumes each
+    round's picks are accurate to about one grid step, and early-stopped
+    solves break that (a drifted anchor can leave the truth outside the next
+    window). Warm-started rounds break it the same way: started from the
+    previous round's powers interpolated onto the new grid, a solve meets
+    the relative-objective stopping rule sooner (79 and 46 iterations
+    against 122 and 95 cold on the c08 case) and its picks lose accuracy:
+    the c07 off-grid claim fails (refined MAE 0.053 against its 0.05 bound)
+    and table1 gnr2 success at 0 dB falls from 80% to 23%. So every round
+    solves cold.
+    Returns (estimates, shortfall, rounds, final_grid, final_power).
+    """
+    (result,) = refine_lockstep(lambda _, grids: [solve_fn(grids[0])], 1, sector, k,
+                                refine_cfg)
+    return result
+
+
 def gnr2_estimate(data, geometry: ArrayGeometry, frequency: float, k: int,
                   sector=(-90.0, 90.0), convention: str = "broadside",
                   solver_cfg: SolverConfig | None = None,
-                  refine_cfg: RefineConfig | None = None) -> RefineResult:
-    """Narrowband refinement on a snapshot z (M,) or sample covariance (M, M)."""
+                  refine_cfg: RefineConfig | None = None):
+    """Narrowband refinement on a snapshot z (M,) or sample covariance
+    (M, M), which gets its RefineResult, or on each covariance of a stack
+    (P, M, M), which gets a tuple of P. A stack's refinements run in
+    lockstep, with one qspice_solve per round and grid size on a bare
+    (P, M, G) steering stack; each problem's result is that of it alone."""
     check_estimator("gnr2", k)
+    if np.ndim(data) < 3:
+        def solve(angles):
+            A = steering_matrix(geometry, frequency, angles, convention)
+            return qspice_solve(data, A, solver_cfg).powers.signal
 
-    def solve(angles):
-        A = steering_matrix(geometry, frequency, angles, convention)
-        return qspice_solve(data, A, solver_cfg).powers.signal
+        return _refine_result(refine_loop(solve, sector, k, refine_cfg), frequency)
 
-    est, shortfall, rounds, grid, power = refine_loop(solve, sector, k, refine_cfg)
-    spectrum = SpatialSpectrum(grid, power, "qspice-gnr2", frequency)
-    return RefineResult(est, spectrum, rounds, shortfall)
+    covs = np.asarray(data)
+
+    def solve_group(idx, grids):
+        A = np.stack([steering_matrix(geometry, frequency, g, convention) for g in grids])
+        return qspice_solve(covs[idx], A, solver_cfg).powers.signal
+
+    return tuple(_refine_result(res, frequency) for res in
+                 refine_lockstep(solve_group, len(covs), sector, k, refine_cfg))
+
+
+def _refine_result(loop_result, frequency) -> RefineResult:
+    est, shortfall, rounds, grid, power = loop_result
+    return RefineResult(est, SpatialSpectrum(grid, power, "qspice-gnr2", frequency),
+                        rounds, shortfall)
 
 
 def narrowband_estimate(name: str, data, dictionary: Dictionary, sector,
@@ -154,21 +217,34 @@ def narrowband_estimate(name: str, data, dictionary: Dictionary, sector,
                         solver_cfg: SolverConfig | None = None,
                         refine_cfg: RefineConfig | None = None,
                         cbf_guard: float = 1.0):
-    """Any estimator of estimators.ESTIMATORS on one snapshot or covariance.
+    """Any estimator of estimators.ESTIMATORS on one snapshot or covariance,
+    or on each covariance of a stack (P, M, M), all on one dictionary.
 
-    The fixed-grid estimators run on `dictionary`; gnr2 refines over
-    `sector` with the dictionary's geometry, frequency and convention. With
-    a source count k, picks the k strongest peaks, at least `cbf_guard`
-    degrees apart for CBF and with no guard otherwise.
-    Returns (spectrum, angles, shortfall); without k, angles is empty.
+    The fixed-grid estimators run on `dictionary` (a stack shares it as one
+    broadcast view, in one fixed_grid_powers call); gnr2 refines over
+    `sector` with the dictionary's geometry, frequency and convention, a
+    stack in lockstep (see gnr2_estimate). With a source count k, picks the
+    k strongest peaks, at least `cbf_guard` degrees apart for CBF and with
+    no guard otherwise. Each problem of a stack gets what it would alone.
+    Returns (spectrum, angles, shortfall), for a stack a tuple of P; without
+    k, angles is empty.
     """
     check_estimator(name, k)
+    stack = np.ndim(data) == 3
     if name == "gnr2":
         res = gnr2_estimate(data, dictionary.geometry, dictionary.frequency, k,
                             sector, dictionary.convention, solver_cfg, refine_cfg)
-        return res.spectrum, res.angles, res.shortfall
-    spectrum = fixed_grid_spectrum(name, data, dictionary, k, solver_cfg)
-    if not k:
-        return spectrum, (), False
-    angles, shortfall = peak_pick(spectrum, k, cbf_guard if name == "cbf" else 0.0)
-    return spectrum, angles, shortfall
+        out = [(r.spectrum, r.angles, r.shortfall) for r in (res if stack else (res,))]
+    else:
+        A = dictionary.matrix
+        power, floor = fixed_grid_powers(
+            name, data, np.broadcast_to(A, (len(data),) + A.shape) if stack else A,
+            k, solver_cfg)
+        guard = cbf_guard if name == "cbf" else 0.0
+        out = []
+        for power_i, floor_i in zip(power, floor):
+            spectrum = SpatialSpectrum(dictionary.angles, power_i, name,
+                                       dictionary.frequency, floor_i)
+            out.append((spectrum, *peak_pick(spectrum, k, guard)) if k
+                       else (spectrum, (), False))
+    return tuple(out) if stack else out[0]

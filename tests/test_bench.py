@@ -2,13 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from dasdoa import estimators
+from dasdoa import bench, estimators
 from dasdoa.bench import PRESETS, BenchRow, NONUNIFORM_DIAG, ScenarioConfig, \
     pair_errors, rmse, run_monte_carlo, run_trial, success_ratio, \
     timing_ratios, _make_context
 from dasdoa.errors import ConfigError
+from dasdoa.recordio import render_table
 
 
 def _tiny_config(**kw):
@@ -28,16 +30,18 @@ def brute_force_errors(est, truth):
     return best
 
 
-def test_pair_errors_matches_brute_force():
-    rng = np.random.default_rng(40)
-    for _ in range(50):
-        k = rng.integers(1, 4)
-        truth = np.sort(rng.uniform(-80, 80, k))
-        est = truth + rng.normal(0, 5, k)
-        rng.shuffle(est)
-        err = pair_errors(est, truth)
-        ref = brute_force_errors(est, truth)
-        assert np.abs(err).sum() == pytest.approx(np.abs(ref).sum(), abs=1e-9)
+@settings(max_examples=200)
+@given(pairs=st.lists(st.tuples(st.floats(-90, 90), st.floats(-90, 90)),
+                      min_size=1, max_size=5))
+def test_pair_errors_matches_brute_force(pairs):
+    # the errors come from one matching of estimates to truths, and no
+    # permutation has a smaller total absolute error
+    est = np.array([e for e, _ in pairs])
+    truth = np.array([t for _, t in pairs])
+    err = pair_errors(est, truth)
+    assert_allclose(np.sort(truth + err), np.sort(est), rtol=0, atol=1e-9)
+    ref = brute_force_errors(est, truth)
+    assert np.abs(err).sum() <= np.abs(ref).sum() + 1e-9
 
 
 def test_pair_errors_prefers_natural_assignment():
@@ -184,3 +188,83 @@ def test_pos_error_sweep_perturbs_truth_geometry():
                        methods=("cbf",), snr_db=10.0)
     res = run_monte_carlo(cfg)
     assert res.rows[0].value == 0.2
+
+
+# tiny sweeps of each kind, with every method and every noise model
+SWEEPS = {
+    "snr-uniform": dict(sweep="snr", sweep_values=(3.0, 12.0)),
+    "snapshots-nonuniform": dict(sweep="snapshots", sweep_values=(30, 60), snr_db=6.0,
+                                 noise="nonuniform-gaussian",
+                                 noise_diag=NONUNIFORM_DIAG),
+    "pos_error-sas": dict(sweep="pos_error", sweep_values=(0.1, 0.3), snr_db=9.0,
+                          noise="impulsive-sas", snapshots=200),
+}
+
+
+@pytest.mark.parametrize("kind", SWEEPS)
+@pytest.mark.parametrize("chunk", [16, 4])
+def test_stacked_sweep_equals_per_trial_path(monkeypatch, kind, chunk):
+    # a chunk of 4 straddles the two sweep points; each trial of a stacked
+    # sweep gets what its chunk of one, run_trial, gives
+    monkeypatch.setattr(bench, "CHUNK_TRIALS", chunk)
+    cfg = _tiny_config(trials=3, methods=estimators.ESTIMATORS, **SWEEPS[kind])
+    trials, seconds = bench._sweep(cfg)
+    assert set(seconds) == set(cfg.methods)
+    ctx = _make_context(cfg)
+    for i in range(len(cfg.sweep_values)):
+        for t in range(cfg.trials):
+            one = run_trial(cfg, i, t, ctx)
+            for method in cfg.methods:
+                assert trials[method][i * cfg.trials + t] == one[method][:2]
+
+
+@pytest.mark.parametrize("kind", SWEEPS)
+def test_sweep_table_does_not_depend_on_jobs(monkeypatch, kind):
+    monkeypatch.setattr(bench, "CHUNK_TRIALS", 2)
+    cfg = _tiny_config(trials=3, methods=estimators.ESTIMATORS, **SWEEPS[kind])
+    tables = {render_table(run_monte_carlo(cfg, jobs=jobs), seed=cfg.seed)
+              for jobs in (1, 2, 3)}
+    assert len(tables) == 1
+
+
+def test_one_failing_problem_stays_isolated(monkeypatch):
+    # potrf fails for one chosen trial's covariance only, marked by a scale
+    # no other trial's model reaches; its stacked solves fail, each problem
+    # is retried alone, and only that trial's solver methods fall short
+    monkeypatch.setattr(bench, "CHUNK_TRIALS", 4)
+    cfg = _tiny_config(trials=3, sweep_values=(3.0, 12.0),
+                       methods=("cbf", "qspice", "gnr2"))
+    clean, _ = bench._sweep(cfg)
+    chosen, scale = (0, 2), 1e9
+    real_cov = bench._trial_covariance
+    ctx = _make_context(cfg)
+    traces = [np.trace(real_cov(cfg, ctx, i, t)).real for i in range(2) for t in range(3)]
+    assert max(traces) < 1e4
+
+    def marked(cfg_, ctx_, i, t):
+        cov = real_cov(cfg_, ctx_, i, t)
+        return cov * scale if (i, t) == chosen else cov
+
+    real = estimators.get_lapack_funcs
+
+    def potrf_failing_when_marked(names, **kwargs):
+        potrf, potrs = real(names, **kwargs)
+
+        def checked(a, *flags):
+            if abs(a[0, 0]) > 1e7:
+                return a, 1
+            return potrf(a, *flags)
+        return checked, potrs
+
+    monkeypatch.setattr(bench, "_trial_covariance", marked)
+    monkeypatch.setattr(estimators, "get_lapack_funcs", potrf_failing_when_marked)
+    trials, _ = bench._sweep(cfg)
+    bad = chosen[0] * cfg.trials + chosen[1]
+    for method in cfg.methods:
+        for j, (got, want) in enumerate(zip(trials[method], clean[method])):
+            if j != bad:
+                assert got == want
+            elif method == "cbf":
+                assert len(got[0]) == 2 and not got[1]
+            else:
+                assert got == ((), True)
