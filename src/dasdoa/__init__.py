@@ -10,7 +10,7 @@ pressure sensitivity of a spiral-wound sensing cable.
 
 from .arrays import ArrayGeometry, Dictionary, angle_grid, build_dictionary, \
     half_wavelength_spacing, perturb_geometry, steering_matrix, \
-    uniform_line_array
+    steering_stack, uniform_line_array
 from .bench import BenchResult, BenchRow, PRESETS, ScenarioConfig, \
     pair_errors, rmse, run_monte_carlo, run_trial, success_ratio, \
     timing_ratios

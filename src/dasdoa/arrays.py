@@ -95,13 +95,35 @@ def steering_matrix(geometry: ArrayGeometry, frequency: float,
     """(M, G) matrix of steering vectors at `frequency` for the given angles."""
     theta = np.atleast_1d(np.asarray(theta_deg, dtype=float))
     _check_angles(theta, convention)
-    if frequency <= 0:
-        raise ConfigError("frequency must be positive")
+    if not (frequency > 0 and np.isfinite(frequency)):
+        raise ConfigError(f"frequency must be a positive finite number, got {frequency}")
     rad = np.deg2rad(theta)
     direction = np.sin(rad) if convention == "broadside" else np.cos(rad)
     phase = (2.0 * np.pi * frequency * geometry.spacing / geometry.sound_speed
              * np.outer(geometry.offsets, direction))
     return np.exp(-1j * phase)
+
+
+def steering_stack(geometry: ArrayGeometry, frequencies, angles,
+                   convention: str = "broadside") -> np.ndarray:
+    """Contiguous (P, M, G) stack of steering_matrix at frequencies[i] on
+    the grid angles[i]; a scalar frequency or one (G,) grid is shared by
+    every row."""
+    freqs = np.asarray(frequencies, dtype=float)
+    grids = np.asarray(angles, dtype=float)
+    if freqs.ndim > 1 or grids.ndim > 2:
+        raise ConfigError("a steering stack takes a frequency or P of them, and "
+                          "a (G,) grid or a (P, G) stack of grids")
+    grids = np.atleast_2d(grids)
+    try:
+        (P,) = np.broadcast_shapes(freqs.shape, grids.shape[:1])
+    except ValueError:
+        raise ConfigError(f"{freqs.size} frequencies for {len(grids)} grids") from None
+    grids = np.broadcast_to(grids, (P, grids.shape[1]))
+    A = np.empty((P, geometry.n_elements, grids.shape[1]), dtype=complex)
+    for i, (f, grid) in enumerate(zip(np.broadcast_to(freqs, P).tolist(), grids)):
+        A[i] = steering_matrix(geometry, f, grid, convention)
+    return A
 
 
 def angle_grid(sector: tuple[float, float], step: float) -> np.ndarray:

@@ -6,18 +6,18 @@ cannot dominate and per-bin positive scalings drop out.
 broadband_spectrum turns a fixed-grid estimator's bins on one angle grid
 into the fused spectrum, with the solver's bins (spice, qspice) as one
 stacked solve; the refinement estimator calls it with qspice on each
-round's grid and picks peaks on the fused spectrum.
+round's grid and picks peaks on the fused spectrum. The bins are a stack
+in the estimators' sense: covariances (P, M, M) on the steering stack
+(P, M, G) that arrays.steering_stack builds, a matrix per bin.
 
 A broadband request (broadband_estimate, or btr over all its frames) builds
 what does not depend on the frame once: the frequency bins and their DFT
-basis, the angle grid and, for the fixed-grid estimators, the bins'
-steering matrices in one contiguous (P, M, G) stack (a single-shot
-estimate that selects bins builds only the selected bins' matrices). Each
-frame then runs the DFT, the bin covariances, the bin selection (which
-indexes the stack) and estimators.fixed_grid_powers: one covariance check
-for the kept bins and one (P, G) power matrix, fused once. A
-broadband_gnr2 frame builds its own stack per refine round, since the
-round's grid changes.
+basis, the angle grid and, for the fixed-grid estimators, all its bins'
+steering stack, whether or not its frames select bins. Each frame then
+runs the DFT, the bin covariances, the bin selection (which indexes the
+stack) and estimators.fixed_grid_powers: one covariance check for the
+kept bins and one (P, G) power matrix, fused once. A broadband_gnr2 frame
+builds its own stack per refine round, since the round's grid changes.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, angle_grid, full_sector, steering_matrix
+from .arrays import ArrayGeometry, angle_grid, full_sector, steering_stack
 from .errors import ConfigError
 from .estimators import SolverConfig, SpatialSpectrum, check_estimator, fixed_grid_powers
 # not called here (fixed_grid_powers runs the solver), but kept importable
@@ -63,21 +63,6 @@ def _fuse_rows(powers) -> np.ndarray:
     return acc / len(powers)
 
 
-def _steering_stack(geometry: ArrayGeometry, freqs, grid, convention) -> np.ndarray:
-    """The bins' steering matrices on one grid as one contiguous (P, M, G)
-    array."""
-    A = np.empty((len(freqs), geometry.n_elements, grid.size), dtype=complex)
-    for i, f in enumerate(freqs):
-        A[i] = steering_matrix(geometry, f, grid, convention)
-    return A
-
-
-def _fused_power(covs, A, estimator, k, solver_cfg) -> np.ndarray:
-    """Fused power of a fixed-grid estimator over the bins with covariances
-    covs (P, M, M) and steering stack A (P, M, G)."""
-    return _fuse_rows(fixed_grid_powers(estimator, covs, A, k, solver_cfg)[0])
-
-
 def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
                        convention: str = "broadside", estimator: str = "cbf",
                        k: int | None = None,
@@ -91,9 +76,10 @@ def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
     if len(covs) != len(freqs):
         raise ConfigError(f"{len(covs)} covariances for {len(freqs)} frequency bins")
     grid = np.asarray(angles, dtype=float)
-    A = _steering_stack(geometry, freqs, grid, convention)
-    return SpatialSpectrum(grid, _fused_power(covs, A, estimator, k, solver_cfg),
-                           estimator, 0.0)
+    power, _ = fixed_grid_powers(estimator, covs,
+                                 steering_stack(geometry, freqs, grid, convention),
+                                 k, solver_cfg)
+    return SpatialSpectrum(grid, _fuse_rows(power), estimator, 0.0)
 
 
 def broadband_gnr2(covs, freqs, geometry: ArrayGeometry, k: int,
@@ -123,12 +109,10 @@ class BearingTimeRecord:
 
 
 def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
-                    convention, select_count, solver_cfg, refine_cfg, many_frames):
+                    convention, select_count, solver_cfg, refine_cfg):
     """Validate a broadband request and build what its frames share. Returns
     its frequency bins, its angle grid and the pipeline of one analysis
-    frame, segment -> (fused spectrum, estimates). many_frames: whether
-    the pipeline runs on many frames (a BTR), which then share one steering
-    stack of all bins even when each keeps only some of them."""
+    frame, segment -> (fused spectrum, estimates)."""
     if record.domain != "time":
         raise ConfigError("broadband estimation expects a time-domain record")
     check_estimator(estimator, k)
@@ -138,9 +122,8 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
         bins = band_for(bins, n_fft, record.sample_rate)
     angles = angle_grid(full_sector(convention) if sector is None else sector, step)
     freqs = bins.frequencies
-    A = None
-    if estimator != "gnr2" and (select_count is None or many_frames):
-        A = _steering_stack(geometry, freqs, angles, convention)
+    if estimator != "gnr2":
+        A = steering_stack(geometry, freqs, angles, convention)
 
     def frame(segment):
         """transform -> covariances -> select -> fused spectrum."""
@@ -159,11 +142,8 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
             power = np.interp(angles, res.spectrum.angles, res.spectrum.power)
             fused = SpatialSpectrum(angles, power, "qspice-gnr2", 0.0)
             return fused, tuple(res.angles)
-        # one frame that keeps some bins builds only their steering
-        A_pos = _steering_stack(geometry, freqs[pos], angles, convention) \
-            if A is None else A[pos]
-        power = _fused_power(covs, A_pos, estimator, k, solver_cfg)
-        return SpatialSpectrum(angles, power, estimator, 0.0), ()
+        power, _ = fixed_grid_powers(estimator, covs, A[pos], k, solver_cfg)
+        return SpatialSpectrum(angles, _fuse_rows(power), estimator, 0.0), ()
     return bins, angles, frame
 
 
@@ -182,7 +162,7 @@ def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
     """
     _, _, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
                                   sector, step, convention, select_count,
-                                  solver_cfg, refine_cfg, False)
+                                  solver_cfg, refine_cfg)
     return frame(record.data)
 
 
@@ -205,7 +185,7 @@ def btr(record: SnapshotMatrix, geometry: ArrayGeometry,
     """
     bins, angles, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
                                           sector, step, convention, select_count,
-                                          solver_cfg, refine_cfg, True)
+                                          solver_cfg, refine_cfg)
     fs = record.sample_rate
     if not (frame_seconds > 0 and np.isfinite(frame_seconds * fs)):
         raise ConfigError(f"frame_seconds must be a positive finite number, "

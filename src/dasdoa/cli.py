@@ -79,6 +79,15 @@ def _real(value):
     return float(value)
 
 
+def _finite(text):
+    """A float flag: a finite number, the text counterpart of _real."""
+    try:
+        return _real(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}") from None
+
+
 def _as_given(convert):
     """A bench converter: the value must be what `convert` makes of it, and
     passes on as written, since the manifest digest hashes it (9 vs 9.0)."""
@@ -327,7 +336,7 @@ def _declare(parser: argparse.ArgumentParser, fn, **config_only) -> None:
     int-typed key takes only a JSON integer, a float-typed key a number."""
     keys = {a.dest: a.type or str for a in parser._actions
             if a.dest not in _NOT_CONFIG}
-    strict = {int: _integer, float: _real}
+    strict = {int: _integer, float: _real, _finite: _real}
     keys = {key: strict.get(convert, convert)
             for key, convert in {**keys, **config_only}.items()}
     parser.set_defaults(fn=fn, config_keys=keys)
@@ -346,9 +355,9 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-fft", dest="n_fft", type=int)
     p.add_argument("--select-bins", dest="select_bins", type=int)
     p.add_argument("--sector", type=_floats)
-    p.add_argument("--step", type=float)
+    p.add_argument("--step", type=_finite)
     p.add_argument("--convention", choices=CONVENTIONS)
-    p.add_argument("--spacing", type=float)
+    p.add_argument("--spacing", type=_finite)
     p.add_argument("--offsets", type=_floats)
     p.add_argument("--gnuplot", action="store_true")
 
@@ -368,30 +377,30 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--powers", type=_floats)
     sim.add_argument("--freqs", type=_floats)
     sim.add_argument("--band", type=_floats, help="f_lo,f_hi for propeller")
-    sim.add_argument("--rate", type=float)
-    sim.add_argument("--frequency", type=float, help="tonal carrier Hz")
+    sim.add_argument("--rate", type=_finite)
+    sim.add_argument("--frequency", type=_finite, help="tonal carrier Hz")
     sim.add_argument("--elements", type=int)
-    sim.add_argument("--spacing", type=float, help="element spacing in m")
+    sim.add_argument("--spacing", type=_finite, help="element spacing in m")
     sim.add_argument("--samples", type=int)
-    sim.add_argument("--snr", type=float)
+    sim.add_argument("--snr", type=_finite)
     sim.add_argument("--noise", choices=("none", "uniform-gaussian",
                                          "nonuniform-gaussian", "impulsive-sas"))
     sim.add_argument("--noise-diag", dest="noise_diag", type=_floats)
-    sim.add_argument("--alpha", type=float)
+    sim.add_argument("--alpha", type=_finite)
     sim.add_argument("--seed", type=int)
     _declare(sim, _cmd_simulate, lines=_lines, sigma2=float, gamma=float,
              convention=str, offsets=_floats, sound_speed=float)
 
     est = sub.add_parser("estimate", help="bearing spectrum from a record")
     _add_pipeline_args(est)
-    est.add_argument("--frequency", type=float)
+    est.add_argument("--frequency", type=_finite)
     est.add_argument("--out", help="write the spectrum as CSV")
     _declare(est, _cmd_estimate, **_PIPELINE_CONFIG_ONLY, peak_guard=float)
 
     btr_p = sub.add_parser("btr", help="bearing-time record from a time record")
     _add_pipeline_args(btr_p)
-    btr_p.add_argument("--frame-seconds", dest="frame_seconds", type=float)
-    btr_p.add_argument("--hop-fraction", dest="hop_fraction", type=float)
+    btr_p.add_argument("--frame-seconds", dest="frame_seconds", type=_finite)
+    btr_p.add_argument("--hop-fraction", dest="hop_fraction", type=_finite)
     btr_p.add_argument("--out", required=True)
     _declare(btr_p, _cmd_btr, **_PIPELINE_CONFIG_ONLY)
 
@@ -417,16 +426,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     cab = sub.add_parser("cable-sens", help="spiral cable pressure sensitivity")
     cab.add_argument("--config")
-    cab.add_argument("--inner-radius", dest="inner_radius", type=float)
-    cab.add_argument("--outer-radius", dest="outer_radius", type=float)
-    cab.add_argument("--poisson", dest="poisson_ratio", type=float)
-    cab.add_argument("--modulus", dest="youngs_modulus", type=float)
-    cab.add_argument("--p1", type=float)
-    cab.add_argument("--p2", type=float)
-    cab.add_argument("--index", dest="refractive_index", type=float)
-    cab.add_argument("--wavelength", type=float)
-    cab.add_argument("--wound-length", dest="wound_length", type=float)
-    cab.add_argument("--cable-length", dest="cable_length", type=float)
+    cab.add_argument("--inner-radius", dest="inner_radius", type=_finite)
+    cab.add_argument("--outer-radius", dest="outer_radius", type=_finite)
+    cab.add_argument("--poisson", dest="poisson_ratio", type=_finite)
+    cab.add_argument("--modulus", dest="youngs_modulus", type=_finite)
+    cab.add_argument("--p1", type=_finite)
+    cab.add_argument("--p2", type=_finite)
+    cab.add_argument("--index", dest="refractive_index", type=_finite)
+    cab.add_argument("--wavelength", type=_finite)
+    cab.add_argument("--wound-length", dest="wound_length", type=_finite)
+    cab.add_argument("--cable-length", dest="cable_length", type=_finite)
     _declare(cab, _cmd_cable)
     return parser
 

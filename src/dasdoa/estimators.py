@@ -26,14 +26,15 @@ t = 1 collapses to x_k = sqrt(a_k / w_k), the classical SPICE update. A test
 checks that the surrogate's gradient vanishes at the closed form.
 Setting r = q = 1 recovers SPICE exactly.
 
-qspice_solve has one path, for a stack of P problems on one angle grid: P
-covariances (P, M, M) with a (P, M, G) steering stack or P Dictionaries,
-such as the frequency bins of a broadband spectrum or refinement round. One
-snapshot or covariance on one dictionary is the stack of one and gets its
-one result back. The P problems share one loop, in which each numpy step is
-one call for all of them, and each problem leaves the stack at the
-iteration its own solve stops at, so its result is that of its solve as
-the stack of one, bit for bit.
+The data decides what every estimator here solves: one snapshot (M,) or
+covariance (M, M) is one problem, the stack of one; P covariances (P, M, M)
+are a stack, such as the bins of a broadband spectrum, on one angle grid.
+A Dictionary or an M x G matrix is shared by every problem (a broadcast
+view), and a (P, M, G) array (arrays.steering_stack) gives each its own.
+qspice_solve has one path: the P problems share one loop, in which each
+numpy step is one call for all of them, and each problem leaves the stack
+at the iteration its own solve stops at, so its result is that of its
+solve as the stack of one, bit for bit.
 """
 from __future__ import annotations
 
@@ -112,67 +113,39 @@ class SolverResult:
     problems: tuple = ()
 
 
-def _as_dictionaries(dictionary):
-    """(A, dictionaries, single): a dictionary argument as a steering stack
-    A (P, M, G) on one angle grid, its P Dictionaries (None for bare
-    matrices) and whether it is one problem. A Dictionary or an M x G matrix
-    is one problem, the stack of one; a sequence of P Dictionaries on one
-    grid or a P x M x G array is a stack of P."""
-    if isinstance(dictionary, Dictionary):
-        return dictionary.matrix[None], (dictionary,), True
-    if isinstance(dictionary, (list, tuple)) and dictionary \
-            and all(isinstance(d, Dictionary) for d in dictionary):
-        if any(not np.array_equal(d.angles, dictionary[0].angles)
-               for d in dictionary):
-            raise ConfigError("a stacked solve needs one angle grid for all problems")
-        return np.stack([d.matrix for d in dictionary]), tuple(dictionary), False
-    A = np.asarray(dictionary)
-    if A.ndim == 2:
-        return A[None], None, True
-    if A.ndim != 3:
+def _as_problems(data, dictionary):
+    """(R_hat, A, single): the checked covariances (P, M, M) and steering
+    stack A (P, M, G) of the problems that `data` holds (see the module
+    docstring), and whether it is one problem. A snapshot z is kept as the
+    unsymmetrized z z^H; covariances are Hermitian-symmetrized, with one
+    call per step for all P."""
+    A = dictionary.matrix if isinstance(dictionary, Dictionary) else np.asarray(dictionary)
+    if A.ndim not in (2, 3):
         raise ConfigError("dictionary must be an M x G matrix or a P x M x G stack")
-    if not len(A):
-        raise ConfigError("a stacked solve needs at least one problem")
-    return A, None, False
-
-
-def _one_dictionary(dictionary):
-    """(A, angles, frequency) of one problem's dictionary; a bare matrix's
-    angles are its column indices."""
-    A, dicts, single = _as_dictionaries(dictionary)
-    if not single:
-        raise ConfigError("dictionary must be an M x G matrix")
-    if dicts:
-        return A[0], dicts[0].angles, dicts[0].frequency
-    return A[0], np.arange(A.shape[-1], dtype=float), 0.0
-
-
-def _as_covariances(data, A, single) -> np.ndarray:
-    """The checked covariances (P, M, M) of P problems on the steering stack
-    A (P, M, G). One problem (single) takes one snapshot z, kept as the
-    unsymmetrized z z^H, or one covariance; a stack takes P covariances.
-    Covariances are Hermitian-symmetrized, with one call per step for all P."""
-    P, M = A.shape[:2]
-    if not single and np.shape(data) != (P, M, M):
-        raise ConfigError(f"a stack of {P} dictionaries needs covariances of "
-                          f"shape ({P}, {M}, {M}), got {np.shape(data)}")
+    M = A.shape[-2]
+    if A.ndim == 3 and np.shape(data) != (len(A), M, M):
+        raise ConfigError(f"a stack of {len(A)} dictionaries needs covariances of "
+                          f"shape ({len(A)}, {M}, {M}), got {np.shape(data)}")
     data = np.asarray(data, dtype=complex)
     if not np.isfinite(data).all():
         raise ConfigError("input data must be finite")
-    if single and data.ndim == 1:
+    single = data.ndim < 3
+    if data.ndim == 1:
         if data.size != M:
             raise ConfigError(f"snapshot length {data.size} != array size {M}")
         if not data.any():
             raise DegenerateInputError("all-zero snapshot")
-        return np.outer(data, data.conj())[None]
-    if single:
-        if data.shape != (M, M):
-            raise ConfigError(f"covariance shape {data.shape} != ({M}, {M})")
-        data = data[None]
-    R_hat = 0.5 * (data + data.conj().swapaxes(-1, -2))
-    if (np.trace(R_hat, axis1=-2, axis2=-1).real <= 0).any():
-        raise DegenerateInputError("covariance estimate has non-positive trace")
-    return R_hat
+        R_hat = np.outer(data, data.conj())[None]
+    else:
+        data = data[None] if single else data
+        if data.shape[1:] != (M, M):
+            raise ConfigError(f"covariance shape {data.shape[1:]} != ({M}, {M})")
+        if not len(data):
+            raise ConfigError("a stacked solve needs at least one problem")
+        R_hat = 0.5 * (data + data.conj().swapaxes(-1, -2))
+        if (np.trace(R_hat, axis1=-2, axis2=-1).real <= 0).any():
+            raise DegenerateInputError("covariance estimate has non-positive trace")
+    return R_hat, np.broadcast_to(A, R_hat.shape[:1] + A.shape[-2:]), single
 
 
 def spice_weights(dictionary, data) -> tuple[np.ndarray, np.ndarray]:
@@ -202,8 +175,8 @@ def _music_power(A, R_hat, k) -> np.ndarray:
 
 class _Model:
     """The model R(p, s) = A diag(p) A^H + diag(s) of a stack of P problems
-    on one angle grid (see _as_dictionaries); one problem is the stack of
-    one and runs the same calls. Holds A (P, M, G), R_hat (P, M, M),
+    on one angle grid (see _as_problems); one problem is the stack of one
+    and runs the same calls. Holds A (P, M, G), R_hat (P, M, M),
     tr(R_hat) and the weights w_p (P, G), w_s (P, M).
 
     evaluate(p, s) gives, per problem, f(p, s) at the config's norm orders
@@ -219,8 +192,7 @@ class _Model:
     def __init__(self, data, dictionary, config: SolverConfig | None = None):
         cfg = config or SolverConfig()
         self.r, self.q = float(cfg.r), float(cfg.q)
-        A, self.dictionaries, self.single = _as_dictionaries(dictionary)
-        self.R_hat = _as_covariances(data, A, self.single)
+        self.R_hat, A, self.single = _as_problems(data, dictionary)
         P, M = A.shape[:2]
         self.tr = np.trace(self.R_hat, axis1=-2, axis2=-1).real
         self.w_p = np.add.reduce(np.abs(A) ** 2, axis=-2) / self.tr[:, None]
@@ -354,19 +326,19 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None,
                  init=None) -> SolverResult:
     """Run the covariance-fitting solver on one problem or on a stack.
 
-    data: complex snapshot (M,) or sample covariance (M, M); for a stack,
-    P covariances (P, M, M)
-    dictionary: Dictionary or bare steering matrix (M, G); for a stack, a
-    sequence of P Dictionaries on one angle grid or a (P, M, G) array
+    data: snapshot (M,) or covariance (M, M), or a stack (P, M, M)
+    dictionary: Dictionary or steering matrix (M, G) shared by every
+    problem, or a (P, M, G) steering stack
     init: optional (p0, s0) warm start of a single problem (e.g. the previous
     solution on a refined grid); by default the solver starts from the CBF
     spectrum.
     Returns SolverResult; `powers.signal` over the dictionary grid is the
-    spatial estimate, `trace` the per-iteration objective (non-increasing).
-    One problem is the stack of one and gets its one result back. A stack's
-    problems run in one loop, each leaving it at the iteration its own solve
-    stops at: `problems` holds their results, powers.signal is (P, G),
-    n_iter the sum of their iterations and converged whether all converged.
+    spatial estimate (`spectrum` on a Dictionary's angles), `trace` the
+    per-iteration objective (non-increasing). One problem is the stack of
+    one and gets its one result back. A stack's problems run in one loop,
+    each leaving it at the iteration its own solve stops at: `problems`
+    holds their results, powers.signal is (P, G), n_iter the sum of their
+    iterations and converged whether all converged.
     """
     cfg = config or SolverConfig()
     model = _Model(data, dictionary, cfg)
@@ -428,13 +400,12 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None,
     for (start, rows), end in zip(stacks, ends):
         for j, i in enumerate(rows):
             traces[i] += [objs[j] for objs in history[start:end]]
-    dicts = model.dictionaries
     results = []
     for i, floor_i in enumerate(floors.tolist()):
         spectrum = None
-        if dicts is not None:
-            spectrum = SpatialSpectrum(dicts[i].angles, p_out[i], "qspice",
-                                       dicts[i].frequency, max(floor_i, DB_FLOOR))
+        if isinstance(dictionary, Dictionary):
+            spectrum = SpatialSpectrum(dictionary.angles, p_out[i], "qspice",
+                                       dictionary.frequency, max(floor_i, DB_FLOOR))
         results.append(SolverResult(PowerVector(p_out[i], s_out[i]),
                                     np.asarray(traces[i]), len(traces[i]),
                                     bool(converged[i]), floor_i, spectrum))
@@ -557,12 +528,12 @@ def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
                 np.maximum(np.reshape(res.floor, -1), DB_FLOOR))
     if name not in ("cbf", "music"):
         raise ConfigError(f"{name!r} is not a fixed-grid estimator")
-    A, _, single = _as_dictionaries(dictionary)
+    R_hat, A, _ = _as_problems(data, dictionary)
     P, M, G = A.shape
-    if name == "music" and not 1 <= k < M:
-        raise ConfigError(f"source count k must satisfy 1 <= k < M={M}")
+    if name == "music" and not 1 <= (k or 0) < M:
+        raise ConfigError(f"source count k must satisfy 1 <= k < M={M}, got {k}")
     power = np.empty((P, G))
-    for i, (A_i, R_i) in enumerate(zip(A, _as_covariances(data, A, single))):
+    for i, (A_i, R_i) in enumerate(zip(A, R_hat)):
         power[i] = _cbf_power(A_i, R_i) if name == "cbf" else _music_power(A_i, R_i, k)
     return power, np.full(P, DB_FLOOR)
 
@@ -572,6 +543,9 @@ def fixed_grid_spectrum(name: str, R_hat, dictionary, k: int | None = None,
     """Spectrum of a fixed-grid estimator on one snapshot or covariance and
     `dictionary` (a Dictionary, or an M x G matrix whose angles are its
     column indices), tagged `name`: fixed_grid_powers of the stack of one."""
-    A, angles, freq = _one_dictionary(dictionary)
-    (power,), (floor,) = fixed_grid_powers(name, R_hat, A, k, solver_cfg)
-    return SpatialSpectrum(angles, power, name, freq, floor)
+    if np.ndim(R_hat) > 2:
+        raise ConfigError("a spectrum is of one snapshot or covariance, not a stack")
+    (power,), (floor,) = fixed_grid_powers(name, R_hat, dictionary, k, solver_cfg)
+    if isinstance(dictionary, Dictionary):
+        return SpatialSpectrum(dictionary.angles, power, name, dictionary.frequency, floor)
+    return SpatialSpectrum(np.arange(power.size, dtype=float), power, name, 0.0, floor)

@@ -5,7 +5,7 @@ Binary record layout (little-endian throughout):
     bytes 0..7    magic b"DASREC1\\0"
     bytes 8..11   channel count M, uint32
     bytes 12..19  sample count N, uint64
-    bytes 20..27  sample rate in Hz, float64
+    bytes 20..27  sample rate in Hz, float64, positive and finite
     byte  28      data kind: 0 = real32, 1 = complex64
     bytes 29..    payload, M*N values row-major by channel
 
@@ -44,7 +44,15 @@ FLOAT_FMT = "%.9g"
 # -----------------------------
 # Multichannel records
 # -----------------------------
+def _good_rate(rate) -> bool:
+    """Whether a record's sample rate is a positive finite number of Hz."""
+    return rate > 0 and np.isfinite(rate)
+
+
 def save_record(block: SnapshotMatrix, path, fmt: str = "binary") -> None:
+    if not _good_rate(block.sample_rate):
+        raise ConfigError(f"a record's sample rate must be a positive finite "
+                          f"number, got {block.sample_rate}")
     if fmt == "binary":
         _save_record_binary(block, path)
     elif fmt == "csv":
@@ -98,6 +106,9 @@ def _load_record_binary(path) -> SnapshotMatrix:
         if len(head) < HEADER_SIZE:
             raise ParseError(f"truncated header in {path}", offset=len(head))
         m, n, rate, kind = _HEADER.unpack_from(head, len(MAGIC))
+        if not _good_rate(rate):
+            raise ParseError(f"header sample rate {rate} in {path} is not a "
+                             f"positive finite number", offset=len(MAGIC) + 12)
         if kind not in _KINDS:
             raise ParseError(f"unknown data kind {kind} in {path}",
                              offset=HEADER_SIZE - 1)
@@ -155,6 +166,9 @@ def _load_record_csv(path) -> SnapshotMatrix:
                              offset=0) from exc
         if kind not in ("real32", "complex64"):
             raise ParseError(f"unknown data kind {kind!r} in {path}", offset=0)
+        if not _good_rate(rate):
+            raise ParseError(f"header sample rate {rate} in {path} is not a "
+                             f"positive finite number", offset=0)
         rows = []
         offset = len(header)
         for i in range(m):

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Dictionary, angle_grid, steering_matrix
+from .arrays import ArrayGeometry, Dictionary, angle_grid, steering_matrix, \
+    steering_stack
 from .errors import ConfigError
 from .estimators import SolverConfig, SpatialSpectrum, _pick, check_estimator, \
     fixed_grid_powers, peak_pick, qspice_solve
@@ -199,7 +200,7 @@ def gnr2_estimate(data, geometry: ArrayGeometry, frequency: float, k: int,
     covs = np.asarray(data)
 
     def solve_group(idx, grids):
-        A = np.stack([steering_matrix(geometry, frequency, g, convention) for g in grids])
+        A = steering_stack(geometry, frequency, grids, convention)
         return qspice_solve(covs[idx], A, solver_cfg).powers.signal
 
     return tuple(_refine_result(res, frequency) for res in
@@ -220,12 +221,12 @@ def narrowband_estimate(name: str, data, dictionary: Dictionary, sector,
     """Any estimator of estimators.ESTIMATORS on one snapshot or covariance,
     or on each covariance of a stack (P, M, M), all on one dictionary.
 
-    The fixed-grid estimators run on `dictionary` (a stack shares it as one
-    broadcast view, in one fixed_grid_powers call); gnr2 refines over
-    `sector` with the dictionary's geometry, frequency and convention, a
-    stack in lockstep (see gnr2_estimate). With a source count k, picks the
-    k strongest peaks, at least `cbf_guard` degrees apart for CBF and with
-    no guard otherwise. Each problem of a stack gets what it would alone.
+    The fixed-grid estimators run on `dictionary` (a stack shares it, in one
+    fixed_grid_powers call); gnr2 refines over `sector` with the
+    dictionary's geometry, frequency and convention, a stack in lockstep
+    (see gnr2_estimate). With a source count k, picks the k strongest
+    peaks, at least `cbf_guard` degrees apart for CBF and with no guard
+    otherwise. Each problem of a stack gets what it would alone.
     Returns (spectrum, angles, shortfall), for a stack a tuple of P; without
     k, angles is empty.
     """
@@ -236,10 +237,7 @@ def narrowband_estimate(name: str, data, dictionary: Dictionary, sector,
                             sector, dictionary.convention, solver_cfg, refine_cfg)
         out = [(r.spectrum, r.angles, r.shortfall) for r in (res if stack else (res,))]
     else:
-        A = dictionary.matrix
-        power, floor = fixed_grid_powers(
-            name, data, np.broadcast_to(A, (len(data),) + A.shape) if stack else A,
-            k, solver_cfg)
+        power, floor = fixed_grid_powers(name, data, dictionary, k, solver_cfg)
         guard = cbf_guard if name == "cbf" else 0.0
         out = []
         for power_i, floor_i in zip(power, floor):

@@ -64,11 +64,12 @@ class SourceSpec:
             raise ConfigError("need at least one source")
         if len(self.powers) != k or any(p <= 0 for p in self.powers):
             raise ConfigError("each source needs a positive power")
+        if not (self.snapshot_rate > 0 and np.isfinite(self.snapshot_rate)):
+            raise ConfigError(f"snapshot rate must be a positive finite number, "
+                              f"got {self.snapshot_rate}")
         if self.kind == "tonal":
             if len(self.freqs) != k:
                 raise ConfigError("tonal sources need one frequency per source")
-            if self.snapshot_rate <= 0:
-                raise ConfigError("snapshot rate must be positive")
         else:
             f_lo, f_hi = two_numbers(self.band, "band")
             if not f_lo < f_hi:

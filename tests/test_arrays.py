@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dasdoa.arrays import ArrayGeometry, angle_grid, build_dictionary, \
-    half_wavelength_spacing, perturb_geometry, steering_matrix, \
+    half_wavelength_spacing, perturb_geometry, steering_matrix, steering_stack, \
     uniform_line_array
 from dasdoa.errors import ConfigError
 
@@ -66,6 +67,44 @@ def test_steering_rejects_out_of_sector_angles():
         steering_matrix(geom, 3000.0, np.array([95.0]))
     with pytest.raises(ConfigError):
         steering_matrix(geom, 3000.0, np.array([-5.0]), convention="endfire")
+
+
+@pytest.mark.parametrize("frequency", [0.0, -3000.0, np.nan, np.inf])
+def test_steering_rejects_a_frequency_that_is_not_positive_finite(frequency):
+    geom = uniform_line_array(3, spacing=0.25)
+    with pytest.raises(ConfigError, match="frequency must be a positive finite number"):
+        steering_matrix(geom, frequency, np.array([10.0]))
+    with pytest.raises(ConfigError, match="frequency must be a positive finite number"):
+        steering_stack(geom, [3000.0, frequency], np.array([10.0]))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 16), p=st.integers(1, 4), g=st.integers(0, 12),
+       per_row_frequency=st.booleans(), per_row_grid=st.booleans(),
+       convention=st.sampled_from(["broadside", "endfire"]))
+def test_each_steering_stack_row_is_its_steering_matrix(seed, p, g, per_row_frequency,
+                                                        per_row_grid, convention):
+    rng = np.random.default_rng(seed)
+    geom = ArrayGeometry(np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, 4))]),
+                         rng.uniform(0.1, 2.0))
+    lo, hi = (-90.0, 90.0) if convention == "broadside" else (0.0, 180.0)
+    freqs = rng.uniform(10.0, 4000.0, p) if per_row_frequency else rng.uniform(10.0, 4000.0)
+    grids = rng.uniform(lo, hi, (p, g) if per_row_grid else g)
+    A = steering_stack(geom, freqs, grids, convention)
+    rows = p if per_row_frequency or per_row_grid else 1
+    assert A.shape == (rows, 5, g) and A.flags.c_contiguous
+    for i in range(rows):
+        f = freqs[i] if per_row_frequency else freqs
+        grid = grids[i] if per_row_grid else grids
+        assert A[i].tobytes() == steering_matrix(geom, f, grid, convention).tobytes()
+
+
+def test_steering_stack_rejects_mismatched_rows():
+    geom = uniform_line_array(3, spacing=0.25)
+    with pytest.raises(ConfigError, match="2 frequencies for 3 grids"):
+        steering_stack(geom, [1000.0, 2000.0], np.zeros((3, 4)))
+    with pytest.raises(ConfigError, match="a steering stack takes"):
+        steering_stack(geom, np.ones((2, 2)), np.zeros(4))
 
 
 def test_angle_grid_endpoints_and_step():

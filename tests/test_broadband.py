@@ -1,15 +1,17 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from dasdoa import broadband
 from dasdoa.arrays import Dictionary, uniform_line_array, steering_matrix
 from dasdoa.broadband import _fuse_rows, broadband_estimate, broadband_gnr2, \
     broadband_spectrum, btr, fuse_spectra
 from dasdoa.errors import ConfigError, DegenerateInputError
-from dasdoa.estimators import SpatialSpectrum, fixed_grid_spectrum, peak_pick
+from dasdoa.estimators import SolverConfig, SpatialSpectrum, fixed_grid_spectrum, \
+    peak_pick
 from dasdoa.frontend import band_for, band_transform, bin_covariances, select_bins
 from dasdoa.simulate import NoiseModel, SnapshotMatrix, SourceSpec, harmonic_lines, \
     synthesize
@@ -254,26 +256,24 @@ def test_btr_rows_are_the_single_shot_run_of_each_frame(estimator, select_count)
 
 
 def test_a_request_builds_each_bin_steering_matrix_once(monkeypatch):
-    # a BTR builds every bin's matrix once, whichever bins its frames keep;
-    # a single-shot estimate that keeps some bins builds only theirs
+    # a request, a BTR or a single-shot estimate, builds every bin's matrix
+    # once, whichever bins its frames keep
     built = []
 
     def counting(geometry, frequency, *args):
-        built.append(float(frequency))
+        built.append(frequency)
         return steering_matrix(geometry, frequency, *args)
-    monkeypatch.setattr(broadband, "steering_matrix", counting)
+    monkeypatch.setattr("dasdoa.arrays.steering_matrix", counting)
     block, geom = _moving_record()
     all_bins = band_for(BAND, 512, FS).frequencies.tolist()
-    for select_count in (None, 6):
-        built.clear()
-        btr(block, geom, bins=BAND, frame_seconds=0.5, step=2.0, k=1,
-            select_count=select_count)
-        assert built == all_bins
-    for select_count, count in ((None, len(all_bins)), (6, 6)):
-        built.clear()
-        broadband_estimate(block, geom, bins=BAND, step=2.0, k=1,
-                           select_count=select_count)
-        assert len(built) == count
+    for request in (partial(btr, frame_seconds=0.5), broadband_estimate):
+        for estimator in ("cbf", "qspice"):
+            for select_count in (None, 6):
+                built.clear()
+                request(block, geom, bins=BAND, step=2.0, k=1, estimator=estimator,
+                        select_count=select_count, solver_cfg=SolverConfig(max_iter=3))
+                assert built == all_bins
+                assert all(type(f) is float for f in built)
 
 
 @pytest.mark.parametrize("seconds, hop, match", [

@@ -229,9 +229,14 @@ def records(tmp_path_factory):
 
 
 def _run(argv):
+    """(exit code, stdout, stderr) of the CLI on argv; argparse's usage
+    errors exit through SystemExit."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -385,7 +390,38 @@ def test_non_finite_step_flag_exits_2(record, argv, estimator, records):
     code, out, err = _run(["estimate", "--input", str(records[record]), "--estimator",
                            estimator, "--k", "2", "--step", "nan"] + argv)
     assert (code, out) == (2, "")
-    assert "grid step must be a positive finite number" in err
+    assert "argument --step: expected a finite number, got 'nan'" in err
+    assert "Traceback" not in err
+
+
+_SUBCOMMANDS = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+# (command, flag) of every float-valued option flag
+_FLOAT_FLAGS = [(command, action.option_strings[0])
+                for command, parser in _SUBCOMMANDS.items()
+                for action in parser._actions if action.type is cli._finite]
+
+
+def test_every_float_flag_is_finite():
+    # a float flag without the finite converter would let nan and inf in
+    assert not [a.dest for parser in _SUBCOMMANDS.values() for a in parser._actions
+                if a.type is float]
+    assert {command for command, _ in _FLOAT_FLAGS} == {
+        "simulate", "estimate", "btr", "cable-sens"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("command, flag", _FLOAT_FLAGS,
+                         ids=[f"{c}{f}" for c, f in _FLOAT_FLAGS])
+def test_non_finite_float_flag_exits_2(command, flag, value, tmp_path):
+    rec, dest = str(tmp_path / "rec.bin"), str(tmp_path / "out")
+    required = {"simulate": ["--out", dest], "cable-sens": [],
+                "estimate": ["--input", rec, "--out", dest],
+                "btr": ["--input", rec, "--out", dest]}
+    code, out, err = _run([command, *required[command], f"{flag}={value}"])
+    assert (code, out) == (2, "")
+    assert f"argument {flag}" in err and "expected a finite number" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_propeller_record_shorter_than_the_filter_padding_exits_2(tmp_path):
@@ -564,8 +600,8 @@ def test_peak_guard_applies_to_cbf_on_time_records(tmp_path):
 @pytest.mark.parametrize("flags, name", [
     (["--hop-fraction", "0"], "frame_hop_fraction"),
     (["--hop-fraction", "-0.5"], "frame_hop_fraction"),
-    (["--hop-fraction", "nan"], "frame_hop_fraction"),
-    (["--frame-seconds", "inf"], "frame_seconds"),
+    (["--hop-fraction", "nan"], "--hop-fraction: expected a finite number"),
+    (["--frame-seconds", "inf"], "--frame-seconds: expected a finite number"),
     (["--frame-seconds", "0.01"], "frame_seconds"),
 ], ids=["hop-zero", "hop-negative", "hop-nan", "frame-inf", "frame-under-n-fft"])
 def test_btr_bad_frame_option_exits_2(flags, name, records, tmp_path):

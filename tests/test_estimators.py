@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dasdoa import estimators
-from dasdoa.arrays import build_dictionary, uniform_line_array
+from dasdoa.arrays import Dictionary, build_dictionary, uniform_line_array
 from dasdoa.errors import ConfigError, DegenerateInputError, EstimationError, \
     SingularModelError, ToolkitError
 from dasdoa.estimators import SolverConfig, SpatialSpectrum, _block_minimize, \
@@ -231,14 +231,28 @@ def _same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def _dictionaries(A, shared):
+    """The dictionary argument of a stack on the steering stack A (P, M, G),
+    and that of its problem i: each problem's own A[i], or A[0] shared by
+    all as a bare matrix or as a Dictionary."""
+    if shared is None:
+        return A, lambda i: A[i]
+    dic = A[0] if shared == "matrix" else Dictionary(
+        np.linspace(-80.0, 80.0, A.shape[-1]), A[0], 1000.0, "broadside",
+        uniform_line_array(A.shape[1], 0.5))
+    return dic, lambda i: dic
+
+
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 4), m=st.integers(3, 8),
        g=st.integers(1, 40), r=st.floats(1.0, 3.0), q=st.floats(1.0, 2.0),
-       max_iter=st.sampled_from([4, 30, 500]), dead=st.booleans())
-def test_stacked_solve_equals_single_solves(seed, n, m, g, r, q, max_iter, dead):
-    # every problem of a stack gets its single solve's result, bit for bit;
-    # with `dead`, problem 0 has an all-zero steering column, so its CBF
-    # start holds a zero atom and the masked block update runs
+       max_iter=st.sampled_from([4, 30, 500]), dead=st.booleans(),
+       shared=st.sampled_from([None, "matrix", "dictionary"]))
+def test_stacked_solve_equals_single_solves(seed, n, m, g, r, q, max_iter, dead, shared):
+    # every problem of a stack gets its single solve's result, bit for bit,
+    # on a steering stack or on one shared matrix or Dictionary; with
+    # `dead`, problem 0 has an all-zero steering column, so its CBF start
+    # holds a zero atom and the masked block update runs
     rng = np.random.default_rng(seed)
     A = np.exp(-1j * np.pi * rng.uniform(0.5, 1.5, (n, m, 1))
                * np.arange(m)[:, None] * np.sin(np.linspace(-1.4, 1.4, g)))
@@ -247,10 +261,15 @@ def test_stacked_solve_equals_single_solves(seed, n, m, g, r, q, max_iter, dead)
     y = rng.standard_normal((n, m, 20)) + 1j * rng.standard_normal((n, m, 20))
     covs = y @ y.conj().transpose(0, 2, 1) / 20
     cfg = SolverConfig(r=r, q=q, max_iter=max_iter)
-    stacked = qspice_solve(covs, A, cfg)
-    singles = [qspice_solve(covs[i], A[i], cfg) for i in range(n)]
+    dictionary, dictionary_of = _dictionaries(A, shared)
+    stacked = qspice_solve(covs, dictionary, cfg)
+    singles = [qspice_solve(covs[i], dictionary_of(i), cfg) for i in range(n)]
     assert len(stacked.problems) == n
     for res, single in zip(stacked.problems, singles):
+        if shared == "dictionary":
+            assert _same_bits(res.spectrum.power, single.spectrum.power)
+        else:
+            assert res.spectrum is None
         assert _same_bits(res.powers.signal, single.powers.signal)
         assert _same_bits(res.powers.noise, single.powers.noise)
         assert _same_bits(res.trace, single.trace)
@@ -262,17 +281,20 @@ def test_stacked_solve_equals_single_solves(seed, n, m, g, r, q, max_iter, dead)
     assert stacked.converged == all(s.converged for s in singles)
 
 
-def test_stacked_dictionaries_give_each_problem_its_spectrum():
+def test_a_shared_dictionary_gives_each_problem_its_solo_spectrum():
+    # a stack of covariances on one Dictionary: each problem gets the
+    # spectrum of its solve alone, tagged with the Dictionary's angles
     geom = uniform_line_array(6, 0.5)
-    dicts = [build_dictionary(geom, f, (-60.0, 60.0), 2.0) for f in (1000.0, 1300.0)]
+    dic = build_dictionary(geom, 1300.0, (-60.0, 60.0), 2.0)
     rng = np.random.default_rng(3)
     y = rng.standard_normal((2, 6, 30)) + 1j * rng.standard_normal((2, 6, 30))
     covs = y @ y.conj().transpose(0, 2, 1) / 30
-    stacked = qspice_solve(covs, dicts)
+    stacked = qspice_solve(covs, dic)
     assert stacked.spectrum is None
-    for res, cov, dic in zip(stacked.problems, covs, dicts):
+    for res, cov in zip(stacked.problems, covs):
         single = qspice_solve(cov, dic).spectrum
         assert _same_bits(res.spectrum.power, single.power)
+        assert _same_bits(res.spectrum.angles, dic.angles)
         assert (res.spectrum.frequency, res.spectrum.floor) == (single.frequency,
                                                                 single.floor)
 
@@ -282,12 +304,21 @@ def test_stack_validation():
     covs = np.stack([np.eye(3, dtype=complex)] * 2)
     with pytest.raises(ConfigError, match="warm start"):
         qspice_solve(covs, a, init=(np.ones(4), np.ones(3)))
-    with pytest.raises(ConfigError, match="covariances of shape"):
-        qspice_solve(covs[0], a)
-    geom = uniform_line_array(3, 0.5)
-    with pytest.raises(ConfigError, match="one angle grid"):
-        qspice_solve(covs, [build_dictionary(geom, 1000.0, (-60.0, 60.0), 2.0),
-                            build_dictionary(geom, 1000.0, (-60.0, 60.0), 3.0)])
+    # a 3-D dictionary given with one problem, a snapshot or a covariance
+    for one in (np.ones(3, dtype=complex), covs[0]):
+        with pytest.raises(ConfigError, match=r"a stack of 2 dictionaries needs "
+                                              r"covariances of shape \(2, 3, 3\)"):
+            qspice_solve(one, a)
+    # a stack whose P is not its dictionary's
+    with pytest.raises(ConfigError, match=r"covariances of shape \(2, 3, 3\), "
+                                          r"got \(3, 3, 3\)"):
+        qspice_solve(np.stack([covs[0]] * 3), a)
+    with pytest.raises(ConfigError, match=r"covariance shape \(3, 4\) != \(3, 3\)"):
+        qspice_solve(np.ones((2, 3, 4), dtype=complex), a[0])
+    with pytest.raises(ConfigError, match="at least one problem"):
+        qspice_solve(covs[:0], a[0])
+    with pytest.raises(ConfigError, match="a spectrum is of one"):
+        fixed_grid_spectrum("cbf", covs, a[0])
 
 
 def test_stack_with_a_singular_problem_names_it(monkeypatch):
@@ -315,10 +346,13 @@ def test_fixed_grid_spice_is_the_solver_at_r1_q1():
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 4), m=st.integers(3, 7),
-       g=st.integers(1, 30), name=st.sampled_from(["cbf", "music", "spice", "qspice"]))
-def test_fixed_grid_powers_of_a_stack_are_each_problems_spectrum(seed, n, m, g, name):
+       g=st.integers(1, 30), name=st.sampled_from(["cbf", "music", "spice", "qspice"]),
+       shared=st.sampled_from([None, "matrix", "dictionary"]))
+def test_fixed_grid_powers_of_a_stack_are_each_problems_spectrum(seed, n, m, g, name,
+                                                                 shared):
     # a stack is checked and symmetrized at once, and each of its rows keeps
-    # the bits of its problem run alone; the covariances are not Hermitian
+    # the bits of its problem run alone, on a steering stack or on one shared
+    # matrix or Dictionary; the covariances are not Hermitian
     rng = np.random.default_rng(seed)
     A = np.exp(-1j * np.pi * rng.uniform(0.5, 1.5, (n, m, 1))
                * np.arange(m)[:, None] * np.sin(np.linspace(-1.4, 1.4, g)))
@@ -326,10 +360,11 @@ def test_fixed_grid_powers_of_a_stack_are_each_problems_spectrum(seed, n, m, g, 
     covs = y @ y.conj().transpose(0, 2, 1) / 20 \
         + 1e-3 * (rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)))
     cfg = SolverConfig(r=1.5, max_iter=30)
-    power, floor = fixed_grid_powers(name, covs, A, 1, cfg)
+    dictionary, dictionary_of = _dictionaries(A, shared)
+    power, floor = fixed_grid_powers(name, covs, dictionary, 1, cfg)
     assert power.shape == (n, g) and floor.shape == (n,)
     for i in range(n):
-        spec = fixed_grid_spectrum(name, covs[i], A[i], 1, cfg)
+        spec = fixed_grid_spectrum(name, covs[i], dictionary_of(i), 1, cfg)
         assert _same_bits(power[i], spec.power)
         assert floor[i] == spec.floor
         assert spec.estimator == name
@@ -417,6 +452,8 @@ def test_music_k_validation():
         music_spectrum(np.eye(4, dtype=complex), dic, 0)
     with pytest.raises(ConfigError):
         music_spectrum(np.eye(4, dtype=complex), dic, 4)
+    with pytest.raises(ConfigError, match="got None"):
+        music_spectrum(np.eye(4, dtype=complex), dic, None)
 
 
 def _spectrum(power, start=0.0, step=1.0):

@@ -1,4 +1,5 @@
 import os
+import struct
 import threading
 
 import numpy as np
@@ -178,6 +179,29 @@ def test_unknown_kind_byte_rejected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError):
         load_record(path)
+
+
+@pytest.mark.parametrize("fmt, offset", [("binary", 20), ("csv", 0)])
+@pytest.mark.parametrize("rate", [np.nan, 0.0, -5120.0, np.inf])
+def test_a_header_rate_that_is_not_positive_finite_is_rejected(rate, fmt, offset,
+                                                                tmp_path):
+    path = tmp_path / "rec"
+    save_record(_real_block(), path, fmt)
+    raw = path.read_bytes()
+    if fmt == "binary":
+        raw = raw[:20] + struct.pack("<d", rate) + raw[28:]
+    else:
+        raw = raw.replace(b"rate=5120.0", f"rate={rate!r}".encode(), 1)
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match="not a positive finite number") as err:
+        load_record(path, fmt)
+    assert err.value.offset == offset
+    # nor is such a rate written
+    block = _real_block()
+    block.sample_rate = rate
+    with pytest.raises(ConfigError, match="sample rate must be a positive finite"):
+        save_record(block, tmp_path / "out", fmt)
+    assert not (tmp_path / "out").exists()
 
 
 def test_csv_record_header_errors(tmp_path):

@@ -217,6 +217,13 @@ def test_source_spec_validation():
                    lines=(((200.0, 10.0, 3.0),),))
 
 
+@pytest.mark.parametrize("kind", ["tonal", "propeller-broadband"])
+@pytest.mark.parametrize("rate", [0.0, -5120.0, np.nan, np.inf])
+def test_source_spec_needs_a_positive_finite_rate(kind, rate):
+    with pytest.raises(ConfigError, match="snapshot rate must be a positive finite"):
+        SourceSpec(kind, (0.0,), (1.0,), freqs=(1000.0,), snapshot_rate=rate)
+
+
 def test_noise_model_validation():
     with pytest.raises(ConfigError):
         NoiseModel("uniform-gaussian", sigma2=-1.0)
