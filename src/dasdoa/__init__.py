@@ -33,6 +33,6 @@ from .recordio import load_config, load_record, render_table, save_record, \
 from .refine import RefineConfig, RefineResult, gnr2_estimate, refine_loop
 from .simulate import NoiseModel, SnapshotMatrix, SourceSpec, generate_noise, \
     generate_sources, harmonic_lines, measure_snr, propeller_waveform, \
-    random_noise_diagonal, sample_sas, synthesize
+    sample_sas, synthesize
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from .estimators import SolverConfig, SpatialSpectrum, check_estimator, fixed_gr
 from .estimators import qspice_solve  # noqa: F401
 from .frontend import FrequencyBinSet, band_for, band_transform, bin_covariances, \
     frame_count, select_bins
-from .refine import RefineConfig, RefineResult, refine_loop
+from .refine import RefineConfig, RefineResult, _refine_result, refine_loop
 from .simulate import SnapshotMatrix
 
 
@@ -89,12 +89,10 @@ def broadband_gnr2(covs, freqs, geometry: ArrayGeometry, k: int,
     """Grid-neighborhood refinement on the fused per-bin solver spectrum:
     each round fuses the bins' q-SPICE spectra on the round's grid."""
     check_estimator("gnr2", k)
-    est, shortfall, rounds, grid, power = refine_loop(
+    return _refine_result(refine_loop(
         lambda angles: broadband_spectrum(covs, freqs, geometry, angles, convention,
                                           "qspice", k, solver_cfg).power,
-        sector, k, refine_cfg)
-    return RefineResult(est, SpatialSpectrum(grid, power, "qspice-gnr2", 0.0),
-                        rounds, shortfall)
+        sector, k, refine_cfg), 0.0)
 
 
 @dataclass(frozen=True)

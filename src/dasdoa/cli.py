@@ -160,7 +160,12 @@ def _cmd_simulate(args) -> int:
         samples = opt.get("samples", 60)
     else:
         freqs = opt.get("freqs", ())
-        samples = opt.get("samples", round(2 * rate))
+        samples = opt.get("samples")
+        if samples is None:
+            if not np.isfinite(2 * rate):
+                raise ConfigError(f"rate {rate} Hz has no default sample count "
+                                  f"(2 s of samples); set samples")
+            samples = round(2 * rate)
     sources = SourceSpec(kind, angles, powers, freqs=freqs, snapshot_rate=rate,
                          band=opt.get("band", (100.0, 1000.0)),
                          lines=opt.get("lines", ()))

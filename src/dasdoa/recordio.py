@@ -217,19 +217,21 @@ def _meta_hash(*parts) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def save_table(result, path, seed="na") -> None:
+def save_table(result, path) -> None:
     """Write a result as deterministic CSV with a manifest comment."""
-    _write(path, "table", render_table(result, seed))
+    _write(path, "table", render_table(result))
 
 
-def render_table(result, seed="na") -> str:
+def render_table(result) -> str:
+    """The CSV text of save_table. A bench table's manifest carries its
+    config's seed; spectrum and bearing-time tables carry seed=na."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if isinstance(result, SpatialSpectrum):
         freq = _fmt(float(result.frequency))
         buf.write(f"# spectrum estimator={result.estimator} frequency={freq}\n")
         buf.write(_manifest_line(
-            _meta_hash(result.estimator, freq, result.angles.tobytes()), seed))
+            _meta_hash(result.estimator, freq, result.angles.tobytes()), "na"))
         writer.writerow(["angle_deg", "power_db"])
         for ang, pdb in zip(result.angles, result.power_db):
             writer.writerow([_fmt(float(ang)), _fmt(float(pdb))])
@@ -237,7 +239,7 @@ def render_table(result, seed="na") -> str:
         buf.write(f"# btr estimator={result.estimator} "
                   f"frames={len(result.times)}\n")
         buf.write(_manifest_line(
-            _meta_hash(result.estimator, result.angles.tobytes()), seed))
+            _meta_hash(result.estimator, result.angles.tobytes()), "na"))
         writer.writerow(["time_s"] + [_fmt(float(a)) for a in result.angles])
         for t, row in zip(result.times, result.power_db):
             writer.writerow([_fmt(float(t))] + [_fmt(float(v)) for v in row])

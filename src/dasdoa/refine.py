@@ -2,15 +2,17 @@
 re-estimate on dictionaries densified only around the current peaks.
 
 Round 0 solves on the coarse grid (initial_step over the whole sector) and
-picks K peaks. Each refinement round shrinks the step by refine_factor
+picks K peaks. Each refinement round shrinks the step by REFINE_FACTOR = 4
 (clamped at target_step) and rebuilds the dictionary as the union of the full
 coarse skeleton and, per current estimate, a local grid anchored at that
-estimate with half-width neighborhood_halfwidth x (current step). Peaks for
+estimate with half-width NEIGHBORHOOD_HALFWIDTH = 2 x (current step), for at
+most MAX_ROUNDS = 8 rounds (a cap that binds only when target_step is below
+initial_step / 4^8). Peaks for
 the next round are re-picked among the local maxima inside the refinement
 windows only (global top-K within the window union), so estimates may split
 or migrate within a window but never leave the round-0 neighborhoods: every
 window is clipped to the round-0 windows, which caps total drift at
-neighborhood_halfwidth x initial_step by construction.
+NEIGHBORHOOD_HALFWIDTH x initial_step by construction.
 
 Keeping the coarse skeleton lets spurious energy elsewhere be absorbed by
 coarse atoms instead of leaking into the refined zones.
@@ -34,26 +36,19 @@ from .estimators import SolverConfig, SpatialSpectrum, _pick, check_estimator, \
     fixed_grid_powers, peak_pick, qspice_solve
 
 
+REFINE_FACTOR = 4
+NEIGHBORHOOD_HALFWIDTH = 2
+MAX_ROUNDS = 8
+
+
 @dataclass(frozen=True)
 class RefineConfig:
     initial_step: float = 1.0
-    refine_factor: int = 4
     target_step: float = 0.05
-    neighborhood_halfwidth: int = 2
-    max_rounds: int = 8
-    peak_guard: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.target_step < self.initial_step:
             raise ConfigError("need 0 < target_step < initial_step")
-        if self.refine_factor < 2:
-            raise ConfigError("refine_factor must be an integer >= 2")
-        if self.neighborhood_halfwidth < 1:
-            raise ConfigError("neighborhood_halfwidth must be >= 1")
-        if self.max_rounds < 1:
-            raise ConfigError("max_rounds must be >= 1")
-        if self.peak_guard < 0:
-            raise ConfigError("peak_guard must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -88,18 +83,18 @@ def _refine_rounds(sector, k, cfg: RefineConfig):
     shortfall, rounds, final_grid, final_power)."""
     coarse = angle_grid(sector, cfg.initial_step)
     power = yield coarse
-    est, _ = _pick(power, coarse, k, cfg.peak_guard)
+    est, _ = _pick(power, coarse, k)
     if est.size == 0:
         return est, True, 0, coarse, power
 
-    half0 = cfg.neighborhood_halfwidth * cfg.initial_step
+    half0 = NEIGHBORHOOD_HALFWIDTH * cfg.initial_step
     base = _merge_intervals(
         [(max(e - half0, sector[0]), min(e + half0, sector[1])) for e in est])
 
     grid, step, rounds = coarse, cfg.initial_step, 0
-    while step > cfg.target_step and rounds < cfg.max_rounds:
-        new_step = max(step / cfg.refine_factor, cfg.target_step)
-        half = cfg.neighborhood_halfwidth * step
+    while step > cfg.target_step and rounds < MAX_ROUNDS:
+        new_step = max(step / REFINE_FACTOR, cfg.target_step)
+        half = NEIGHBORHOOD_HALFWIDTH * step
         windows, local = [], [coarse]
         for e in est:
             lo, hi = e - half, e + half
@@ -120,7 +115,7 @@ def _refine_rounds(sector, k, cfg: RefineConfig):
         mask = np.zeros(grid.size, dtype=bool)
         for lo, hi in windows:
             mask |= (grid >= lo - 1e-9) & (grid <= hi + 1e-9)
-        picks, _ = _pick(np.where(mask, power, -np.inf), grid, k, cfg.peak_guard)
+        picks, _ = _pick(np.where(mask, power, -np.inf), grid, k)
         if picks.size == k:
             est = picks
         step, rounds = new_step, rounds + 1

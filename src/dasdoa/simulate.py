@@ -88,15 +88,13 @@ class SourceSpec:
 @dataclass(frozen=True)
 class NoiseModel:
     """One of uniform-gaussian (sigma2), nonuniform-gaussian (diag),
-    impulsive-sas (alpha, beta, gamma, delta)."""
+    impulsive-sas (alpha, gamma): symmetric and centred alpha-stable noise."""
 
     kind: str
     sigma2: float = 1.0
     diag: tuple = ()
     alpha: float = 1.2
-    beta: float = 0.0
     gamma: float = 1.0
-    delta: float = 0.0
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
@@ -109,8 +107,6 @@ class NoiseModel:
         if self.kind == "impulsive-sas":
             if not (0 < self.alpha <= 2):
                 raise ConfigError("stable index alpha must lie in (0, 2]")
-            if not -1 <= self.beta <= 1:
-                raise ConfigError("skewness beta must lie in [-1, 1]")
             if not self.gamma > 0:
                 raise ConfigError("dispersion gamma must be positive")
 
@@ -141,35 +137,27 @@ class SnapshotMatrix:
 # -----------------------------
 # Elementary generators
 # -----------------------------
-def sample_sas(alpha, beta, gamma, delta, n, rng):
-    """i.i.d. draws from the stable law S(alpha, beta, gamma, delta).
+def sample_sas(alpha, gamma, n, rng):
+    """i.i.d. draws from the symmetric stable law SaS(alpha, gamma), centred
+    at 0: characteristic function exp(-gamma^alpha |t|^alpha).
 
-    Chambers-Mallows-Stuck construction, 1-parameterization: the
-    characteristic function at beta=0 is exp(-gamma^alpha |t|^alpha).
+    Chambers-Mallows-Stuck construction (JASA 71(354), 1976) at skewness 0.
     """
     if not (0 < alpha <= 2):
         raise ConfigError("stable index alpha must lie in (0, 2]")
-    if not -1 <= beta <= 1:
-        raise ConfigError("skewness beta must lie in [-1, 1]")
     if not gamma > 0:
         raise ConfigError("dispersion gamma must be positive")
     rng = np.random.default_rng(rng)
     U = rng.uniform(-np.pi / 2, np.pi / 2, n)
-    W = rng.exponential(1.0, n)
+    W = rng.exponential(1.0, n)    # unused at alpha = 1, but it advances rng
     if alpha == 1.0:
-        half = np.pi / 2
-        X = (2 / np.pi) * ((half + beta * U) * np.tan(U)
-                           - beta * np.log((half * W * np.cos(U)) / (half + beta * U)))
-        return gamma * X + delta + (2 / np.pi) * beta * gamma * np.log(gamma)
-    if beta == 0.0:
+        # Cauchy; the (2/pi)(pi/2 tan U) form is kept for its rounding:
+        # tan(U) alone changes the low bits of the draws
+        X = (2 / np.pi) * (np.pi / 2 * np.tan(U))
+    else:
         X = (np.sin(alpha * U) / np.cos(U) ** (1 / alpha)
              * (np.cos((1 - alpha) * U) / W) ** ((1 - alpha) / alpha))
-    else:
-        B = np.arctan(beta * np.tan(np.pi * alpha / 2)) / alpha
-        S = (1 + beta ** 2 * np.tan(np.pi * alpha / 2) ** 2) ** (1 / (2 * alpha))
-        X = (S * np.sin(alpha * (U + B)) / np.cos(U) ** (1 / alpha)
-             * (np.cos(U - alpha * (U + B)) / W) ** ((1 - alpha) / alpha))
-    return gamma * X + delta
+    return gamma * X
 
 
 def generate_noise(model: NoiseModel, m: int, n: int, rng) -> np.ndarray:
@@ -178,8 +166,8 @@ def generate_noise(model: NoiseModel, m: int, n: int, rng) -> np.ndarray:
     stable real/imaginary parts."""
     rng = np.random.default_rng(rng)
     if model.kind == "impulsive-sas":
-        re = sample_sas(model.alpha, model.beta, model.gamma, model.delta, (m, n), rng)
-        im = sample_sas(model.alpha, model.beta, model.gamma, model.delta, (m, n), rng)
+        re = sample_sas(model.alpha, model.gamma, (m, n), rng)
+        im = sample_sas(model.alpha, model.gamma, (m, n), rng)
         return re + 1j * im
     E = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2)
     if model.kind == "nonuniform-gaussian":
@@ -190,14 +178,15 @@ def generate_noise(model: NoiseModel, m: int, n: int, rng) -> np.ndarray:
     return np.sqrt(model.sigma2) * E
 
 
-def harmonic_lines(base_hz: float, band: tuple, level_db: float = 10.0) -> tuple:
-    """Harmonic line series base, 2*base, ... inside [f_lo, f_hi]."""
+def harmonic_lines(base_hz: float, band: tuple) -> tuple:
+    """Harmonic line series base, 2*base, ... inside [f_lo, f_hi], each
+    10 dB over the continuum in its slot."""
     f_lo, f_hi = band
     if base_hz <= 0:
         raise ConfigError("line base frequency must be positive")
     freqs = np.arange(base_hz, f_hi + 1e-9, base_hz)
     freqs = freqs[freqs >= f_lo]
-    return tuple((float(f), float(level_db)) for f in freqs)
+    return tuple((float(f), 10.0) for f in freqs)
 
 
 def propeller_waveform(n: int, fs: float, band: tuple, lines, rng) -> np.ndarray:
@@ -220,7 +209,11 @@ def propeller_waveform(n: int, fs: float, band: tuple, lines, rng) -> np.ndarray
     if n <= padlen:
         raise ConfigError(f"a propeller waveform needs at least {padlen + 1} "
                           f"samples (the band-pass filter's edge padding), got {n}")
-    cont = sosfiltfilt(sos, rng.standard_normal(n))
+    try:
+        cont = sosfiltfilt(sos, rng.standard_normal(n))
+    except np.linalg.LinAlgError:     # the filter's initial state is singular
+        raise ConfigError(f"the band-pass filter for band {band} Hz at a "
+                          f"{fs} Hz sample rate is numerically unusable") from None
     cont /= np.sqrt(np.mean(cont ** 2))
     x = cont
     lines = list(lines)
@@ -345,9 +338,3 @@ def synthesize(geometry: ArrayGeometry, sources: SourceSpec, model: NoiseModel |
     if domain == "time":
         E = E.real * np.sqrt(2)  # real field: keep per-channel variance
     return SnapshotMatrix(X + E, domain, rate)
-
-
-def random_noise_diagonal(m: int, rng) -> np.ndarray:
-    """Random non-uniform noise diagonal 0.5 + 25*U(0,1) per element."""
-    rng = np.random.default_rng(rng)
-    return 0.5 + 25.0 * rng.uniform(0.0, 1.0, m)

@@ -222,7 +222,7 @@ def test_stacked_sweep_equals_per_trial_path(monkeypatch, kind, chunk):
 def test_sweep_table_does_not_depend_on_jobs(monkeypatch, kind):
     monkeypatch.setattr(bench, "CHUNK_TRIALS", 2)
     cfg = _tiny_config(trials=3, methods=estimators.ESTIMATORS, **SWEEPS[kind])
-    tables = {render_table(run_monte_carlo(cfg, jobs=jobs), seed=cfg.seed)
+    tables = {render_table(run_monte_carlo(cfg, jobs=jobs))
               for jobs in (1, 2, 3)}
     assert len(tables) == 1
 

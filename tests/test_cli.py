@@ -433,6 +433,22 @@ def test_propeller_record_shorter_than_the_filter_padding_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    # 2 s of samples at this rate is not a finite count
+    (["--rate", "1e308"], "rate 1e+308 Hz has no default sample count"),
+    # the band is a vanishing fraction of Nyquist
+    (["--rate", "1e300", "--samples", "2048"],
+     "band-pass filter for band (100.0, 1000.0) Hz at a 1e+300 Hz sample rate"),
+])
+def test_propeller_rate_too_large_exits_2(flags, message, tmp_path):
+    out = tmp_path / "x.bin"
+    code, stdout, err = _run(["simulate", "--out", str(out), "--kind",
+                              "propeller-broadband", *flags])
+    assert (code, stdout) == (2, "")
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_null_is_unset(tmp_path):
     plain, nulls = tmp_path / "plain.bin", tmp_path / "nulls.bin"
     cfg = tmp_path / "cfg.json"

@@ -250,8 +250,8 @@ def test_save_table_btr_layout(tmp_path):
 def test_save_table_bench_deterministic(tmp_path):
     cfg = ScenarioConfig(name="tiny", sweep_values=(9.0,), trials=2,
                          methods=("cbf",), seed=3)
-    text1 = render_table(run_monte_carlo(cfg), seed=cfg.seed)
-    text2 = render_table(run_monte_carlo(cfg), seed=cfg.seed)
+    text1 = render_table(run_monte_carlo(cfg))
+    text2 = render_table(run_monte_carlo(cfg))
     assert text1 == text2
     assert "success_pct" in text1
     timing = tmp_path / "timing.csv"

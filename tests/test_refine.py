@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 from dasdoa.arrays import angle_grid, uniform_line_array, steering_matrix
 from dasdoa.errors import ConfigError
 from dasdoa.estimators import _pick
-from dasdoa.refine import RefineConfig, refine_lockstep, refine_loop, gnr2_estimate
+from dasdoa.refine import NEIGHBORHOOD_HALFWIDTH, RefineConfig, refine_lockstep, \
+    refine_loop, gnr2_estimate
 
 
 def bumps(centers, width=0.8):
@@ -23,12 +24,6 @@ def bumps(centers, width=0.8):
 def test_refine_config_validation():
     with pytest.raises(ConfigError):
         RefineConfig(initial_step=0.5, target_step=0.5)
-    with pytest.raises(ConfigError):
-        RefineConfig(refine_factor=1)
-    with pytest.raises(ConfigError):
-        RefineConfig(neighborhood_halfwidth=0)
-    with pytest.raises(ConfigError):
-        RefineConfig(peak_guard=-0.1)
 
 
 def test_refine_finds_offgrid_maxima_to_target_step():
@@ -42,7 +37,7 @@ def test_refine_finds_offgrid_maxima_to_target_step():
 
 def test_refine_estimates_are_exact_grid_points():
     # also exercises the step clamp: 1 -> 0.25 -> 0.0625 -> 0.03 (clamped)
-    cfg = RefineConfig(initial_step=1.0, refine_factor=4, target_step=0.03)
+    cfg = RefineConfig(initial_step=1.0, target_step=0.03)
     est, _, _, grid, _ = refine_loop(bumps([7.77]), (-90.0, 90.0), 1, cfg)
     for e in est:
         assert np.min(np.abs(grid - e)) == 0.0
@@ -90,22 +85,23 @@ moving_spectra = st.lists(
 
 
 @settings(max_examples=100)
-@given(spectra=moving_spectra, k=st.integers(1, 3), halfwidth=st.integers(1, 3),
+@given(spectra=moving_spectra, k=st.integers(1, 3),
        initial_step=st.sampled_from([0.5, 1.0, 2.0]),
        target_fraction=st.floats(0.01, 0.9))
-def test_refine_locality_bound(spectra, k, halfwidth, initial_step, target_fraction):
-    # every final estimate lies within halfwidth x initial_step of a round-0
-    # pick, however far the spectrum moves in later rounds; and the lockstep
-    # of the problems gives each what refine_loop gives it alone
+def test_refine_locality_bound(spectra, k, initial_step, target_fraction):
+    # every final estimate lies within NEIGHBORHOOD_HALFWIDTH x initial_step
+    # of a round-0 pick, however far the spectrum moves in later rounds; and
+    # the lockstep of the problems gives each what refine_loop gives it alone
     sector = (-90.0, 90.0)
-    cfg = RefineConfig(initial_step=initial_step, neighborhood_halfwidth=halfwidth,
+    cfg = RefineConfig(initial_step=initial_step,
                        target_step=initial_step * target_fraction)
     coarse = angle_grid(sector, initial_step)
     alone = [refine_loop(moving_bumps(*spec), sector, k, cfg) for spec in spectra]
     for (rounds, width), (est, _, _, _, _) in zip(spectra, alone):
-        picks, _ = _pick(bumps(rounds[0], width)(coarse), coarse, k, cfg.peak_guard)
+        picks, _ = _pick(bumps(rounds[0], width)(coarse), coarse, k)
         for e in est:
-            assert np.min(np.abs(picks - e)) <= halfwidth * initial_step + 1e-9
+            bound = NEIGHBORHOOD_HALFWIDTH * initial_step
+            assert np.min(np.abs(picks - e)) <= bound + 1e-9
     solve_group, _ = _stacked([moving_bumps(*spec) for spec in spectra])
     for one, stacked in zip(alone, refine_lockstep(solve_group, len(spectra), sector,
                                                    k, cfg)):

@@ -12,11 +12,13 @@
 #   tools/capture.sh old out-old && tools/capture.sh new out-new
 #   diff -r out-old out-new
 #
-# The set: simulate (tonal, propeller, CSV and impulsive records); estimate
+# The set: simulate (tonal, propeller, CSV and impulsive records, the
+# impulsive one also at alpha = 1, the Cauchy branch); estimate
 # with every estimator on a snapshot record, and on a time record with and
 # without --select-bins; btr with cbf, music and gnr2; bench table1-table4
 # and impulsive at --trials 2, each with --jobs 1 and 2; and inputs the
-# CLI rejects (non-finite flags, records whose header rate is not a
+# CLI rejects (non-finite flags, propeller rates too large for a default
+# sample count or a band-pass design, records whose header rate is not a
 # positive finite number). BLAS runs on one thread unless the environment
 # says otherwise. Takes a few minutes on a 2-vCPU host.
 set -u
@@ -68,6 +70,8 @@ EOF
 run sim-tonal simulate --out rec.bin --seed 3
 run sim-tonal-csv simulate --out rec.csv --format csv --seed 4 --angles=-20,14.5
 run sim-impulsive simulate --out rec.bin --seed 6 --noise impulsive-sas --alpha 1.5
+run sim-impulsive-alpha1 simulate --out rec.bin --seed 8 --noise impulsive-sas \
+    --alpha 1
 PROP=(--kind propeller-broadband --angles 10,25 --rate 5120 --elements 12
       --spacing 1.25)
 run sim-propeller simulate "${PROP[@]}" --samples 10240 --seed 5 --out rec.bin
@@ -114,6 +118,10 @@ done
 
 # rejected inputs
 run rej-sim-propeller-rate-inf simulate --kind propeller-broadband --rate inf \
+    --samples 2048 --out rec.bin
+run rej-sim-propeller-rate-1e308 simulate --kind propeller-broadband --rate 1e308 \
+    --out rec.bin
+run rej-sim-propeller-rate-1e300 simulate --kind propeller-broadband --rate 1e300 \
     --samples 2048 --out rec.bin
 run rej-sim-rate-inf simulate --rate inf --out rec.bin
 run rej-sim-rate-nan simulate --rate nan --out rec.bin
