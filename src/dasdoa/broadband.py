@@ -13,11 +13,16 @@ in the estimators' sense: covariances (P, M, M) on the steering stack
 A broadband request (broadband_estimate, or btr over all its frames) builds
 what does not depend on the frame once: the frequency bins and their DFT
 basis, the angle grid and, for the fixed-grid estimators, all its bins'
-steering stack, whether or not its frames select bins. Each frame then
-runs the DFT, the bin covariances, the bin selection (which indexes the
-stack) and estimators.fixed_grid_powers: one covariance check for the
-kept bins and one (P, G) power matrix, fused once. A broadband_gnr2 frame
-builds its own stack per refine round, since the round's grid changes.
+steering stack, whether or not its frames select bins. Overlapping frames
+share their snapshots: when the frame hop is a multiple of the DFT hop
+N/2, a frame keeps the snapshots at the sample offsets of the frame before
+and runs frontend.band_transform only on the segment of its new ones, so
+a record's snapshots are each computed once. Each frame then runs the bin
+covariances, the bin selection (which indexes the stack) and
+estimators.fixed_grid_powers: one covariance check for the kept bins and
+one (P, G) power matrix (for CBF one batched product), fused in one
+reduction. A broadband_gnr2 frame builds its own stack per refine round,
+since the round's grid changes.
 """
 from __future__ import annotations
 
@@ -31,8 +36,8 @@ from .estimators import SolverConfig, SpatialSpectrum, check_estimator, fixed_gr
 # not called here (fixed_grid_powers runs the solver), but kept importable
 # from here: perfbench's tracer patches it in each dasdoa module that holds it
 from .estimators import qspice_solve  # noqa: F401
-from .frontend import FrequencyBinSet, band_for, band_transform, bin_covariances, \
-    frame_count, select_bins
+from .frontend import BinSnapshots, FrequencyBinSet, band_for, band_transform, \
+    bin_covariances, frame_count, select_bins
 from .refine import RefineConfig, RefineResult, _refine_result, refine_loop
 from .simulate import SnapshotMatrix
 
@@ -56,11 +61,11 @@ def fuse_spectra(spectra) -> SpatialSpectrum:
 
 def _fuse_rows(powers) -> np.ndarray:
     """The fusion of per-bin powers on one grid (a (P, G) matrix or P
-    rows), accumulated row by row."""
-    acc = np.zeros(len(powers[0]))
-    for row in powers:
-        acc += row / max(row.max(), 1e-300)
-    return acc / len(powers)
+    rows): one reduction over the rows, normalized to unit maximum, which
+    adds them in row order onto zero."""
+    powers = np.asarray(powers, dtype=float)
+    unit = powers / np.maximum(powers.max(axis=1, keepdims=True), 1e-300)
+    return np.add.reduce(unit, axis=0, initial=0.0) / len(powers)
 
 
 def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
@@ -110,7 +115,7 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
                     convention, select_count, solver_cfg, refine_cfg):
     """Validate a broadband request and build what its frames share. Returns
     its frequency bins, its angle grid and the pipeline of one analysis
-    frame, segment -> (fused spectrum, estimates)."""
+    frame, its BinSnapshots -> (fused spectrum, estimates)."""
     if record.domain != "time":
         raise ConfigError("broadband estimation expects a time-domain record")
     check_estimator(estimator, k)
@@ -123,9 +128,9 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
     if estimator != "gnr2":
         A = steering_stack(geometry, freqs, angles, convention)
 
-    def frame(segment):
-        """transform -> covariances -> select -> fused spectrum."""
-        covs = bin_covariances(band_transform(segment, bins))
+    def frame(snapshots):
+        """covariances -> select -> fused spectrum."""
+        covs = bin_covariances(snapshots)
         pos = slice(None)
         if select_count is not None:
             # rank by dominant-component gap: a tonal/harmonic bin carries one
@@ -145,6 +150,23 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
     return bins, angles, frame
 
 
+def _frame_snapshots(data, bins, frame_len, hop, n_frames):
+    """The BinSnapshots of each frame, frame i the frame_len samples from
+    sample i * hop. When hop is a multiple of the DFT hop N/2, a frame's
+    first snapshots lie at the sample offsets of the frame before's last
+    ones: it keeps those and transforms only the segment of its new ones.
+    Otherwise each frame transforms its whole segment."""
+    snaps = band_transform(data[:, :frame_len], bins)
+    half, per_frame = snaps.hop, snaps.n_frames
+    shared = max(per_frame - hop // half, 0) if hop % half == 0 else 0
+    yield snaps
+    for start in range(hop, n_frames * hop, hop):
+        new = band_transform(data[:, start + shared * half: start + frame_len], bins)
+        snaps = BinSnapshots(np.concatenate((snaps.z[:, :, per_frame - shared:], new.z),
+                                            axis=2), bins, half) if shared else new
+        yield snaps
+
+
 def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
                        bins: FrequencyBinSet | tuple = (50.0, 1050.0),
                        n_fft: int = 512, estimator: str = "cbf",
@@ -158,10 +180,10 @@ def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
     Returns (SpatialSpectrum, estimates tuple); estimates are non-empty for
     the refinement estimator only.
     """
-    _, _, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
-                                  sector, step, convention, select_count,
-                                  solver_cfg, refine_cfg)
-    return frame(record.data)
+    bins, _, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
+                                     sector, step, convention, select_count,
+                                     solver_cfg, refine_cfg)
+    return frame(band_transform(record.data, bins))
 
 
 def btr(record: SnapshotMatrix, geometry: ArrayGeometry,
@@ -204,8 +226,9 @@ def btr(record: SnapshotMatrix, geometry: ArrayGeometry,
     times = (np.arange(n_frames) * hop + frame_len / 2) / fs
     rows = np.empty((n_frames, angles.size))
     all_est = []
-    for i in range(n_frames):
-        fused, est = frame(record.data[:, i * hop: i * hop + frame_len])
+    snapshots = _frame_snapshots(record.data, bins, frame_len, hop, n_frames)
+    for i, snaps in enumerate(snapshots):
+        fused, est = frame(snaps)
         rows[i] = fused.power_db
         all_est.append(est)
     return BearingTimeRecord(times, angles, rows, estimator, tuple(all_est))

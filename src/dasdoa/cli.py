@@ -182,6 +182,12 @@ def _cmd_simulate(args) -> int:
 
     geometry = _geometry(opt, opt.get("elements", 12),
                          frequency if kind == "tonal" else None)
+    # the largest array of a synthesis: M x N complex128
+    if samples * geometry.n_elements * 16 > np.iinfo(np.intp).max:
+        what = (f"samples {samples}" if opt.get("samples") is not None
+                else f"rate {rate} Hz, at the default 2 s of samples,")
+        raise ConfigError(f"{what} for {geometry.n_elements} channels is a record "
+                          f"larger than numpy can allocate")
     rng = np.random.default_rng(opt.get("seed", 0))
     block = synthesize(geometry, sources, model, snr, samples, rng,
                        dictionary_frequency=frequency,

@@ -157,11 +157,13 @@ def spice_weights(dictionary, data) -> tuple[np.ndarray, np.ndarray]:
     return model.w_p, model.w_s
 
 
-def _cbf_power(A, R_hat, Ac=None) -> np.ndarray:
-    """Delay-and-sum power a_g^H R_hat a_g / M^2, clipped at zero (per
-    problem of a stack); Ac: conj(A), if already at hand."""
+def _cbf_power(A, R_hat) -> np.ndarray:
+    """Delay-and-sum power a_g^H R_hat a_g / M^2, clipped at zero, per
+    problem of a stack, in one batched product. Re sum_m a conj(R_hat a)
+    has the bits of Re sum_m conj(a) (R_hat a) and needs no conj(A) copy."""
     RA = R_hat @ A
-    np.multiply(A.conj() if Ac is None else Ac, RA, out=RA)
+    np.conjugate(RA, out=RA)
+    np.multiply(A, RA, out=RA)
     return np.maximum(np.add.reduce(RA, axis=-2).real / A.shape[-2] ** 2, 0.0)
 
 
@@ -219,14 +221,14 @@ class _Model:
         """Keep the stacked problems where mask is true."""
         self.rows = self.rows[mask]
         n = self.rows.size
-        self._live = self.Ac = None       # frees the old conj(A) first
+        self._live = None       # frees the old conj(A) first
         if n < mask.size:
             for name in ("A", "R_hat", "w_p", "w_s", "w_pt", "w_st"):
                 setattr(self, name, getattr(self, name)[mask])
         Ap, QA, AAHp, Rt, Ri, T1, Q = (b[:n] for b in self._buffers)
         M = Rt.shape[-1]
         AAH = AAHp[:, :M]
-        self.Ac = Ac = self.A.conj()
+        Ac = self.A.conj()
         # R held transposed, so that each R[i] is Fortran-ordered as LAPACK
         # takes it: no copy
         self._live = (self.A, Ac, Ac.swapaxes(-1, -2), self.R_hat, self.w_p, self.w_s,
@@ -345,7 +347,7 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None,
     P, M, G = model.A.shape
     if init is None:
         # CBF initialization; strictly positive noise start keeps R invertible
-        p = _cbf_power(model.A, model.R_hat, model.Ac)
+        p = _cbf_power(model.A, model.R_hat)
         s = np.multiply.outer(model.tr / (2 * M), np.ones(M))
     elif not model.single:
         raise ConfigError("a warm start is for one problem, not a stack")
@@ -517,9 +519,9 @@ def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
     stack, data and dictionary as qspice_solve takes them: power (P, G), a
     row per problem, and floor (P,), the dB floor of each row.
 
-    CBF and MUSIC run per problem, on the 2-D views of the stack; spice and
-    qspice run the solver (see _fit_config) once for the stack and keep its
-    power floor as their dB floor.
+    CBF is one batched product for the stack and MUSIC one eigendecomposition
+    per problem; spice and qspice run the solver (see _fit_config) once for
+    the stack and keep its power floor as their dB floor.
     """
     if name in ("spice", "qspice"):
         res = qspice_solve(data, dictionary, _fit_config(name, solver_cfg))
@@ -532,9 +534,11 @@ def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
     P, M, G = A.shape
     if name == "music" and not 1 <= (k or 0) < M:
         raise ConfigError(f"source count k must satisfy 1 <= k < M={M}, got {k}")
+    if name == "cbf":
+        return _cbf_power(A, R_hat), np.full(P, DB_FLOOR)
     power = np.empty((P, G))
     for i, (A_i, R_i) in enumerate(zip(A, R_hat)):
-        power[i] = _cbf_power(A_i, R_i) if name == "cbf" else _music_power(A_i, R_i, k)
+        power[i] = _music_power(A_i, R_i, k)
     return power, np.full(P, DB_FLOOR)
 
 

@@ -241,8 +241,8 @@ def render_table(result) -> str:
         buf.write(_manifest_line(
             _meta_hash(result.estimator, result.angles.tobytes()), "na"))
         writer.writerow(["time_s"] + [_fmt(float(a)) for a in result.angles])
-        for t, row in zip(result.times, result.power_db):
-            writer.writerow([_fmt(float(t))] + [_fmt(float(v)) for v in row])
+        for t, row in zip(result.times.tolist(), result.power_db.tolist()):
+            writer.writerow([FLOAT_FMT % t] + [FLOAT_FMT % v for v in row])
     elif isinstance(result, BenchResult):
         cfg = result.config
         buf.write(f"# bench preset={cfg.name} sweep={cfg.sweep}\n")

@@ -196,7 +196,8 @@ def propeller_waveform(n: int, fs: float, band: tuple, lines, rng) -> np.ndarray
     Each line's level is taken relative to the continuum power within one
     line-spacing slot (the spacing of the first two lines, or the whole band
     for a single line), so "+10 dB" means ten times the continuum power in
-    its slot.
+    its slot. The record must span the filter's edge padding and one period
+    of the band's lower edge (n >= fs / f_lo).
     """
     f_lo, f_hi = band
     if not 0 < f_lo < f_hi < fs / 2:
@@ -214,6 +215,10 @@ def propeller_waveform(n: int, fs: float, band: tuple, lines, rng) -> np.ndarray
     except np.linalg.LinAlgError:     # the filter's initial state is singular
         raise ConfigError(f"the band-pass filter for band {band} Hz at a "
                           f"{fs} Hz sample rate is numerically unusable") from None
+    if n < fs / f_lo:
+        raise ConfigError(f"a propeller waveform of {n} samples is shorter than "
+                          f"one period of the band's lower edge, {f_lo} Hz at a "
+                          f"{fs} Hz sample rate ({fs / f_lo:.6g} samples)")
     cont /= np.sqrt(np.mean(cont ** 2))
     x = cont
     lines = list(lines)

@@ -68,10 +68,11 @@ def test_fuse_validation():
         fuse_spectra([_spec([1, 2, 3]), shifted])
 
 
-@given(arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 12)),
+@given(arrays(float, st.tuples(st.integers(1, 120), st.integers(1, 200)),
               elements=st.floats(0.0, 1e6)))
 def test_fusion_helper_bit_equals_sequential_fusion(power):
-    # the fusion of one spectrum at a time, each normalized to unit peak
+    # the fusion of one spectrum at a time, each normalized to unit peak; the
+    # helper is one reduction over the rows of up to a BTR frame's P = 101
     acc = np.zeros(power.shape[1])
     for row in power:
         acc += row / max(row.max(), 1e-300)
@@ -234,25 +235,63 @@ def _moving_record():
     return SnapshotMatrix(np.concatenate(parts, axis=1), "time", FS), geom
 
 
-@pytest.mark.parametrize("select_count", [None, 6])
-@pytest.mark.parametrize("estimator", ["cbf", "music", "spice", "qspice"])
+@pytest.mark.parametrize("estimator, select_count", [
+    (estimator, count) for estimator in ("cbf", "music", "spice", "qspice")
+    for count in (None, 6)] + [("gnr2", 6)])
 def test_btr_rows_are_the_single_shot_run_of_each_frame(estimator, select_count):
-    # what a request builds once must not carry one frame's state into the next
+    # what a request builds once, or a frame keeps of the frame before, must
+    # not carry one frame's state into the next: at a hop of 10 DFT hops
+    # (N/2 = 256 samples) frames share snapshots, at 0.37 of a frame (947
+    # samples) they share none
     block, geom = _moving_record()
     kw = dict(bins=BAND, estimator=estimator, k=1, step=2.0,
               select_count=select_count)
-    rec = btr(block, geom, frame_seconds=0.5, frame_hop_fraction=0.5, **kw)
-    frame_len, hop = int(0.5 * FS), int(0.25 * FS)
-    assert rec.times.size == 5
-    segments = [block.data[:, i * hop: i * hop + frame_len] for i in range(5)]
-    if select_count is not None:
-        bins = band_for(BAND, 512, FS)
-        picks = {tuple(select_bins(bin_covariances(band_transform(seg, bins)), 1,
-                                   select_count)) for seg in segments}
-        assert len(picks) > 1
-    for row, seg in zip(rec.power_db, segments):
-        spec, _ = broadband_estimate(SnapshotMatrix(seg, "time", FS), geom, **kw)
-        assert row.tobytes() == spec.power_db.tobytes()
+    frame_len = int(0.5 * FS)
+    for fraction, n_frames in ((0.5, 5), (0.37, 6)):
+        rec = btr(block, geom, frame_seconds=0.5, frame_hop_fraction=fraction, **kw)
+        hop = round(fraction * frame_len)
+        assert rec.times.size == n_frames
+        segments = [block.data[:, i * hop: i * hop + frame_len]
+                    for i in range(n_frames)]
+        if select_count is not None:
+            bins = band_for(BAND, 512, FS)
+            picks = {tuple(select_bins(bin_covariances(band_transform(seg, bins)), 1,
+                                       select_count)) for seg in segments}
+            assert len(picks) > 1
+        for row, est, seg in zip(rec.power_db, rec.estimates, segments):
+            spec, estimates = broadband_estimate(SnapshotMatrix(seg, "time", FS),
+                                                 geom, **kw)
+            assert row.tobytes() == spec.power_db.tobytes()
+            assert est == estimates
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.3, 1.0, 2.0, 0.25, 0.37])
+def test_a_request_transforms_each_snapshot_once(fraction, monkeypatch):
+    # a frame keeps the snapshots it shares with the frame before (a hop that
+    # is a multiple of N/2 = 256 samples: 1280 and 768 share, 2560 and 5120
+    # leave none to share) and transforms only its new ones; hops of 640
+    # and 947 samples are not multiples of N/2 and share none
+    block, geom = _moving_record()
+    offsets = []
+
+    def counting(segment, bins):
+        snaps = band_transform(segment, bins)
+        start = (segment.ctypes.data - block.data.ctypes.data) // block.data.itemsize
+        offsets.extend(start + f * snaps.hop for f in range(snaps.n_frames))
+        return snaps
+    monkeypatch.setattr("dasdoa.broadband.band_transform", counting)
+    rec = btr(block, geom, bins=BAND, frame_seconds=0.5, frame_hop_fraction=fraction)
+    hop, per_frame = round(fraction * int(0.5 * FS)), (int(0.5 * FS) - 512) // 256 + 1
+    needed = sorted({i * hop + f * 256 for i in range(rec.times.size)
+                     for f in range(per_frame)})
+    if hop % 256:
+        assert len(offsets) == rec.times.size * per_frame
+        assert set(offsets) == set(needed)
+    else:
+        assert offsets == needed
+    offsets.clear()
+    broadband_estimate(block, geom, bins=BAND)
+    assert offsets == list(range(0, block.n_samples - 511, 256))
 
 
 def test_a_request_builds_each_bin_steering_matrix_once(monkeypatch):

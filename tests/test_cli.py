@@ -449,6 +449,27 @@ def test_propeller_rate_too_large_exits_2(flags, message, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    # the default 2 s of samples is a finite count beyond any numpy array
+    (["--kind", "propeller-broadband", "--rate", "1e300"],
+     "rate 1e+300 Hz, at the default 2 s of samples, for 12 channels is a record "
+     "larger than numpy can allocate"),
+    (["--samples", "100000000000000000000000"],
+     "samples 100000000000000000000000 for 12 channels is a record larger than "
+     "numpy can allocate"),
+    # 2 us of samples against the 10 ms period of the band's 100 Hz edge
+    (["--kind", "propeller-broadband", "--rate", "1e9", "--samples", "2048"],
+     "propeller waveform of 2048 samples is shorter than one period of the "
+     "band's lower edge"),
+], ids=["default-samples-at-rate-1e300", "samples-1e23", "propeller-too-short"])
+def test_simulate_rejects_a_record_it_cannot_make(flags, message, tmp_path):
+    out = tmp_path / "x.bin"
+    code, stdout, err = _run(["simulate", "--out", str(out), *flags])
+    assert (code, stdout) == (2, "")
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_null_is_unset(tmp_path):
     plain, nulls = tmp_path / "plain.bin", tmp_path / "nulls.bin"
     cfg = tmp_path / "cfg.json"

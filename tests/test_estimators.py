@@ -370,6 +370,28 @@ def test_fixed_grid_powers_of_a_stack_are_each_problems_spectrum(seed, n, m, g, 
         assert spec.estimator == name
 
 
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 12), m=st.integers(2, 12),
+       g=st.integers(1, 60), shared=st.booleans())
+def test_stacked_cbf_has_the_bits_of_each_bins_spectrum(seed, n, m, g, shared):
+    # one batched product for the stack, conjugating R_hat A in place, gives
+    # each bin's cbf_spectrum and a_g^H R_hat a_g / M^2 summed per bin as
+    # Re sum_m conj(a) (R_hat a), bit for bit
+    rng = np.random.default_rng(seed)
+    A = np.exp(-1j * np.pi * rng.uniform(0.5, 1.5, (1 if shared else n, m, 1))
+               * np.arange(m)[:, None] * np.sin(np.linspace(-1.4, 1.4, g)))
+    y = rng.standard_normal((n, m, 20)) + 1j * rng.standard_normal((n, m, 20))
+    covs = y @ y.conj().transpose(0, 2, 1) / 20
+    stack = A[0] if shared else A
+    power, _ = fixed_grid_powers("cbf", covs, stack)
+    for i in range(n):
+        A_i = A[0 if shared else i]
+        assert power[i].tobytes() == cbf_spectrum(covs[i], A_i).power.tobytes()
+        R_i = 0.5 * (covs[i] + covs[i].conj().T)
+        per_bin = np.add.reduce(A_i.conj() * (R_i @ A_i), axis=0).real / m ** 2
+        assert power[i].tobytes() == np.maximum(per_bin, 0.0).tobytes()
+
+
 @pytest.mark.parametrize("name", ["cbf", "music", "spice", "qspice"])
 def test_fixed_grid_powers_check_every_problem(name):
     A = np.exp(-1j * np.pi * np.arange(4)[:, None] * np.sin(np.linspace(-1, 1, 5)))

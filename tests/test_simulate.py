@@ -119,6 +119,18 @@ def test_propeller_waveform_rejects_an_unusable_band_pass(fs):
         propeller_waveform(2048, fs, (100.0, 1000.0), (), np.random.default_rng(0))
 
 
+def test_propeller_waveform_rejects_a_record_shorter_than_the_lower_band_edge():
+    # 2048 samples at 1 GHz span 2 us, against a 10 ms period at 100 Hz; one
+    # period (fs / f_lo samples) is the shortest record accepted
+    with pytest.raises(ConfigError, match="shorter than one period of the band's "
+                                          "lower edge, 100.0 Hz"):
+        propeller_waveform(2048, 1e9, (100.0, 1000.0), (), np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="lower edge"):
+        propeller_waveform(51, 5120.0, (100.0, 1000.0), (), np.random.default_rng(0))
+    x = propeller_waveform(52, 5120.0, (100.0, 1000.0), (), np.random.default_rng(0))
+    assert x.shape == (52,)
+
+
 def test_generate_sources_tonal_phase_progression():
     spec = SourceSpec("tonal", (0.0,), (4.0,), freqs=(1500.0,),
                       snapshot_rate=6000.0)

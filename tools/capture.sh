@@ -15,12 +15,15 @@
 # The set: simulate (tonal, propeller, CSV and impulsive records, the
 # impulsive one also at alpha = 1, the Cauchy branch); estimate
 # with every estimator on a snapshot record, and on a time record with and
-# without --select-bins; btr with cbf, music and gnr2; bench table1-table4
-# and impulsive at --trials 2, each with --jobs 1 and 2; and inputs the
-# CLI rejects (non-finite flags, propeller rates too large for a default
-# sample count or a band-pass design, records whose header rate is not a
-# positive finite number). BLAS runs on one thread unless the environment
-# says otherwise. Takes a few minutes on a 2-vCPU host.
+# without --select-bins; btr with cbf (at frame hops that share snapshots
+# and at 0.37 of a frame, which shares none), music, qspice and gnr2; bench
+# table1-table4 and impulsive at --trials 2, each with --jobs 1 and 2; and
+# inputs the CLI rejects (non-finite flags, propeller rates too large for a
+# default sample count or a band-pass design, sample counts too large for
+# numpy, propeller records shorter than one period of the band's lower
+# edge, records whose header rate is not a positive finite number). BLAS
+# runs on one thread unless the environment says otherwise. Takes a few
+# minutes on a 2-vCPU host.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -103,6 +106,12 @@ run est-time-csv estimate --input ../sim-propeller-csv/rec.csv --format csv \
 
 # bearing-time records
 run btr-cbf btr --input "$TIME" --spacing 1.25 --out btr.csv
+run btr-cbf-hop037 btr --input "$TIME" --spacing 1.25 --hop-fraction 0.37 \
+    --out btr.csv
+run btr-cbf-hop025 btr --input "$TIME" --spacing 1.25 --hop-fraction 0.25 \
+    --out btr.csv
+run btr-qspice-select btr --input "$TIME" --spacing 1.25 --estimator qspice --k 2 \
+    --select-bins 8 --out btr.csv
 run btr-music btr --input "$TIME" --spacing 1.25 --estimator music --k 2 \
     --select-bins 20 --out btr.csv
 run btr-gnr2 btr --input "$TIME" --spacing 1.25 --estimator gnr2 --k 2 \
@@ -122,6 +131,11 @@ run rej-sim-propeller-rate-inf simulate --kind propeller-broadband --rate inf \
 run rej-sim-propeller-rate-1e308 simulate --kind propeller-broadband --rate 1e308 \
     --out rec.bin
 run rej-sim-propeller-rate-1e300 simulate --kind propeller-broadband --rate 1e300 \
+    --samples 2048 --out rec.bin
+run rej-sim-propeller-rate-1e300-default simulate --kind propeller-broadband \
+    --rate 1e300 --out rec.bin
+run rej-sim-samples-1e23 simulate --samples 100000000000000000000000 --out rec.bin
+run rej-sim-propeller-too-short simulate --kind propeller-broadband --rate 1e9 \
     --samples 2048 --out rec.bin
 run rej-sim-rate-inf simulate --rate inf --out rec.bin
 run rej-sim-rate-nan simulate --rate nan --out rec.bin
