@@ -296,8 +296,9 @@ def _sweep(cfg: ScenarioConfig, jobs: int = 1):
 
     Synthesizes every trial's covariance first, in that order, then runs
     each method once per chunk of CHUNK_TRIALS trials across sweep points;
-    with jobs > 1 the chunks go to one process pool. Each trial's result is
-    that of its chunk of one (run_trial).
+    with jobs > 1 and more than one chunk, the chunks go to one process
+    pool of at most one worker per chunk. Each trial's result is that of
+    its chunk of one (run_trial).
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -305,8 +306,9 @@ def _sweep(cfg: ScenarioConfig, jobs: int = 1):
     covs = np.stack([_trial_covariance(cfg, ctx, i, t)
                      for i in range(len(cfg.sweep_values)) for t in range(cfg.trials)])
     chunks = [covs[s:s + CHUNK_TRIALS] for s in range(0, len(covs), CHUNK_TRIALS)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(chunks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_chunk, [cfg] * len(chunks), chunks))
     else:
         done = [_run_chunk(cfg, chunk, ctx) for chunk in chunks]

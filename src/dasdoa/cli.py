@@ -128,13 +128,18 @@ class _Options:
         return self.config.get(key, default)
 
 
-def _geometry(opt: _Options, n_channels: int, frequency) -> ArrayGeometry:
+def _geometry(opt: _Options, n_channels: int, default_spacing=None) -> ArrayGeometry:
+    """The array of n_channels channels: `offsets` in units of `spacing` (m),
+    or a uniform line array. A record holds no geometry, so without
+    `spacing` the spacing is default_spacing(sound_speed), if one is given."""
     offsets = opt.get("offsets")
     spacing = opt.get("spacing")
     speed = opt.get("sound_speed", 1500.0)
     if spacing is None:
-        spacing = (half_wavelength_spacing(frequency, speed)
-                   if frequency else 0.75)
+        if default_spacing is None:
+            raise ConfigError("time records need --spacing, the element spacing "
+                              "in m: a record holds no array geometry")
+        spacing = default_spacing(speed)
     if offsets is not None:
         geom = ArrayGeometry(np.asarray(offsets, dtype=float), spacing, speed)
         if geom.n_elements != n_channels:
@@ -180,8 +185,10 @@ def _cmd_simulate(args) -> int:
                            gamma=opt.get("gamma", 1.0))
         snr = opt.get("snr", 5.0)
 
-    geometry = _geometry(opt, opt.get("elements", 12),
-                         frequency if kind == "tonal" else None)
+    # the scene's array: half a wavelength at a tonal carrier, else 0.75 m
+    geometry = _geometry(opt, opt.get("elements", 12), lambda speed: (
+        half_wavelength_spacing(frequency, speed) if kind == "tonal" and frequency
+        else 0.75))
     # the largest array of a synthesis: M x N complex128
     if samples * geometry.n_elements * 16 > np.iinfo(np.intp).max:
         what = (f"samples {samples}" if opt.get("samples") is not None
@@ -231,7 +238,9 @@ def _cmd_estimate(args) -> int:
     frequency = opt.get("frequency")
 
     if record.domain == "time":
-        geometry = _geometry(opt, record.n_channels, frequency)
+        if frequency is not None:
+            raise ConfigError("option 'frequency' applies only to snapshot records")
+        geometry = _geometry(opt, record.n_channels)
         spectrum, estimates = broadband_estimate(record, geometry, **kw)
         shortfall = k is not None and len(estimates) < k
         if estimator != "gnr2" and k is not None:
@@ -244,7 +253,8 @@ def _cmd_estimate(args) -> int:
         if frequency is None:
             raise ConfigError("snapshot-domain records need --frequency for "
                               "the steering dictionary")
-        geometry = _geometry(opt, record.n_channels, frequency)
+        geometry = _geometry(opt, record.n_channels,
+                             lambda speed: half_wavelength_spacing(frequency, speed))
         sector = full_sector(kw["convention"]) if kw["sector"] is None else kw["sector"]
         dictionary = build_dictionary(geometry, frequency, sector, kw["step"],
                                       kw["convention"])
@@ -270,7 +280,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_btr(args) -> int:
     opt = _Options(args)
     record = load_record(args.input, opt.get("format", "binary"))
-    geometry = _geometry(opt, record.n_channels, None)
+    geometry = _geometry(opt, record.n_channels)
     result = btr(record, geometry,
                  frame_seconds=opt.get("frame_seconds", 1.0),
                  frame_hop_fraction=opt.get("hop_fraction", 0.5),

@@ -19,7 +19,6 @@ import numpy as np
 
 from .arrays import two_numbers
 from .errors import ConfigError
-from .simulate import SnapshotMatrix
 
 
 @dataclass(frozen=True)
@@ -102,16 +101,11 @@ def band_transform(record, bins: FrequencyBinSet) -> BinSnapshots:
     """Correlate each length-N frame of the record, frames N/2 apart, against
     the bin vectors (bare correlation, no window).
 
-    record: SnapshotMatrix (time domain) or M x n array.
+    record: M x n array of time samples.
     """
-    if isinstance(record, SnapshotMatrix):
-        if record.domain != "time":
-            raise ConfigError("band_transform expects a time-domain record")
-        data = record.data
-    else:
-        data = np.asarray(record)
-        if data.ndim != 2:
-            raise ConfigError("record must be an M x n matrix")
+    data = np.asarray(record)
+    if data.ndim != 2:
+        raise ConfigError("record must be an M x n matrix")
     n_fft = bins.n_fft
     hop = n_fft // 2
     n_frames = frame_count(data.shape[1], n_fft, hop)

@@ -20,8 +20,8 @@ from dasdoa.bench import NONUNIFORM_DIAG, PRESETS, run_monte_carlo
 from dasdoa.broadband import broadband_gnr2, broadband_spectrum
 from dasdoa.cable import FiberSpec, MandrelSpec, cable_sensitivity, \
     mandrel_radial_displacement, phase_change, sensitivity_from_phase
-from dasdoa.estimators import SolverConfig, cbf_spectrum, music_spectrum, \
-    objective_value, peak_pick, qspice_solve
+from dasdoa.estimators import SolverConfig, cbf_spectrum, fixed_grid_spectrum, \
+    music_spectrum, objective_value, peak_pick, qspice_solve
 from dasdoa.frontend import band_for, band_transform, bin_covariances, select_bins
 from dasdoa.refine import RefineConfig, gnr2_estimate
 from dasdoa.simulate import NoiseModel, SourceSpec, harmonic_lines, sample_sas, \
@@ -240,8 +240,8 @@ def test_c07_offgrid_refinement_accuracy():
         assert not res.shortfall
         refined_err.append(abs(res.angles[0] - 20.30))
 
-        fixed = qspice_solve(r_hat, coarse_dic, SolverConfig())
-        est, shortfall = peak_pick(fixed.spectrum, 1)
+        fixed = fixed_grid_spectrum("qspice", r_hat, coarse_dic)
+        est, shortfall = peak_pick(fixed, 1)
         assert not shortfall
         coarse_err.append(abs(est[0] - 20.30))
 

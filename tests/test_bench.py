@@ -227,6 +227,40 @@ def test_sweep_table_does_not_depend_on_jobs(monkeypatch, kind):
     assert len(tables) == 1
 
 
+class _InProcessPool:
+    """A ProcessPoolExecutor that starts no process: it records the
+    max_workers it is made with and maps in this process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
+@pytest.mark.parametrize("jobs, trials, workers", [
+    (5000, 3, [3]), (2, 3, [2]), (5000, 1, [])],
+    ids=["jobs-5000-3-chunks", "jobs-2-3-chunks", "jobs-5000-1-chunk"])
+def test_pool_has_at_most_one_worker_per_chunk(monkeypatch, jobs, trials, workers):
+    # the fork start method launches every worker on the first submit, so
+    # the pool is sized by the chunks, and one chunk runs in this process
+    monkeypatch.setattr(bench, "CHUNK_TRIALS", 2)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "made", [])
+    cfg = _tiny_config(sweep_values=(3.0, 12.0), trials=trials, methods=("cbf",))
+    serial = render_table(run_monte_carlo(cfg))
+    assert render_table(run_monte_carlo(cfg, jobs=jobs)) == serial
+    assert _InProcessPool.made == workers
+
+
 def test_one_failing_problem_stays_isolated(monkeypatch):
     # potrf fails for one chosen trial's covariance only, marked by a scale
     # no other trial's model reaches; its stacked solves fail, each problem

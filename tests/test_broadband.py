@@ -182,6 +182,14 @@ def test_broadband_estimate_validation():
         broadband_estimate(snapshot, geom)
 
 
+@pytest.mark.parametrize("run", [broadband_estimate, btr], ids=["estimate", "btr"])
+def test_a_snapshot_domain_record_is_rejected(run):
+    # the broadband pipeline, single-shot or framed, reads time records only
+    block = SnapshotMatrix(np.ones((3, 600), dtype=complex), "narrowband-snapshot")
+    with pytest.raises(ConfigError, match="expects a time-domain record"):
+        run(block, uniform_line_array(3, 1.25))
+
+
 def test_btr_single_frame_matches_single_shot():
     block, geom = _record([12.0], seed=33, duration=1.0)
     spec, _ = broadband_estimate(block, geom, bins=BAND, estimator="cbf")

@@ -567,6 +567,39 @@ def test_snapshot_estimate_rejects_time_only_options(key, flag, value, by_config
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("by_config", [False, True])
+def test_time_estimate_rejects_frequency(by_config, records, tmp_path):
+    # the mirror of the time-only options: a time record's bins set the
+    # frequencies
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frequency": 3000.0} if by_config else {}))
+    argv = ["estimate", "--input", str(records[1]), "--spacing", "1.25", "--k", "1",
+            "--config", str(cfg)]
+    code, out, err = _run(argv + ([] if by_config else ["--frequency", "3000"]))
+    assert (code, out) == (2, "")
+    assert "option 'frequency' applies only to snapshot records" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "btr"])
+@pytest.mark.parametrize("offsets", [False, True])
+def test_time_record_needs_spacing(command, offsets, records, tmp_path):
+    # a record holds no geometry, so its spacing is not guessed; offsets are
+    # in units of the spacing and do not set it
+    out = tmp_path / "out.csv"
+    argv = [command, "--input", str(records[1]), "--k", "1", "--out", str(out)]
+    if offsets:
+        argv += ["--offsets", "0,1,2,3,4,5,6,7"]
+    code, stdout, err = _run(argv)
+    assert (code, stdout) == (2, "")
+    assert "time records need --spacing" in err and "Traceback" not in err
+    assert not out.exists()
+    # the flag or its config key gives it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spacing": 1.25}))
+    assert _run(argv + ["--config", str(cfg)])[0] == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize("argv, env", [
     (["--jobs", "0"], None), (["--jobs", "-2"], None), ([], "two")])
 def test_bad_job_count_exits_2(argv, env, monkeypatch, capsys):

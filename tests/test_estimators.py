@@ -10,7 +10,7 @@ from dasdoa import estimators
 from dasdoa.arrays import Dictionary, build_dictionary, uniform_line_array
 from dasdoa.errors import ConfigError, DegenerateInputError, EstimationError, \
     SingularModelError, ToolkitError
-from dasdoa.estimators import SolverConfig, SpatialSpectrum, _block_minimize, \
+from dasdoa.estimators import DB_FLOOR, SolverConfig, SpatialSpectrum, _block_minimize, \
     _pick, cbf_spectrum, fixed_grid_powers, fixed_grid_spectrum, kkt_residual, \
     music_spectrum, \
     objective_value, peak_pick, qspice_solve, spice_weights
@@ -80,30 +80,6 @@ def test_solution_scale_equivariance():
     assert_allclose(scaled.powers.signal, 7.0 * base.powers.signal,
                     rtol=1e-6, atol=1e-9 * base.powers.signal.max())
     assert_allclose(scaled.powers.noise, 7.0 * base.powers.noise, rtol=1e-6)
-
-
-def test_warm_start_from_own_solution_converges_immediately():
-    z, a, r, q, _ = next(_oracle_instances())
-    cfg = SolverConfig(r=r, q=q, max_iter=20000, rel_tol=1e-16)
-    cold = qspice_solve(z, a, cfg)
-    warm = qspice_solve(z, a, SolverConfig(r=r, q=q, max_iter=500, rel_tol=1e-10),
-                        init=(cold.powers.signal, cold.powers.noise))
-    assert warm.n_iter <= 3
-    assert_allclose(warm.powers.signal, cold.powers.signal,
-                    rtol=1e-6, atol=1e-12 * cold.powers.signal.max())
-
-
-def test_warm_start_validation():
-    z, a, *_ = next(_oracle_instances())
-    m, g = a.shape
-    with pytest.raises(ConfigError):
-        qspice_solve(z, a, init=(np.ones(g + 1), np.ones(m)))
-    with pytest.raises(ConfigError):
-        qspice_solve(z, a, init=(-np.ones(g), np.ones(m)))
-    with pytest.raises(ConfigError):
-        qspice_solve(z, a, init=(np.zeros(g), np.zeros(m)))
-    with pytest.raises(ConfigError):
-        qspice_solve(z, a, init=(np.full(g, np.nan), np.ones(m)))
 
 
 @pytest.mark.parametrize("t", [1.0, 1.5, 2.0])
@@ -266,10 +242,6 @@ def test_stacked_solve_equals_single_solves(seed, n, m, g, r, q, max_iter, dead,
     singles = [qspice_solve(covs[i], dictionary_of(i), cfg) for i in range(n)]
     assert len(stacked.problems) == n
     for res, single in zip(stacked.problems, singles):
-        if shared == "dictionary":
-            assert _same_bits(res.spectrum.power, single.spectrum.power)
-        else:
-            assert res.spectrum is None
         assert _same_bits(res.powers.signal, single.powers.signal)
         assert _same_bits(res.powers.noise, single.powers.noise)
         assert _same_bits(res.trace, single.trace)
@@ -282,28 +254,28 @@ def test_stacked_solve_equals_single_solves(seed, n, m, g, r, q, max_iter, dead,
 
 
 def test_a_shared_dictionary_gives_each_problem_its_solo_spectrum():
-    # a stack of covariances on one Dictionary: each problem gets the
-    # spectrum of its solve alone, tagged with the Dictionary's angles
+    # a stack of covariances on one Dictionary: each problem gets the powers
+    # of its solve alone, and fixed_grid_spectrum tags them with the
+    # Dictionary's angles, frequency and the solve's power floor
     geom = uniform_line_array(6, 0.5)
     dic = build_dictionary(geom, 1300.0, (-60.0, 60.0), 2.0)
     rng = np.random.default_rng(3)
     y = rng.standard_normal((2, 6, 30)) + 1j * rng.standard_normal((2, 6, 30))
     covs = y @ y.conj().transpose(0, 2, 1) / 30
     stacked = qspice_solve(covs, dic)
-    assert stacked.spectrum is None
     for res, cov in zip(stacked.problems, covs):
-        single = qspice_solve(cov, dic).spectrum
-        assert _same_bits(res.spectrum.power, single.power)
-        assert _same_bits(res.spectrum.angles, dic.angles)
-        assert (res.spectrum.frequency, res.spectrum.floor) == (single.frequency,
-                                                                single.floor)
+        single = qspice_solve(cov, dic)
+        assert _same_bits(res.powers.signal, single.powers.signal)
+        spectrum = fixed_grid_spectrum("qspice", cov, dic)
+        assert _same_bits(spectrum.power, res.powers.signal)
+        assert _same_bits(spectrum.angles, dic.angles)
+        assert (spectrum.frequency, spectrum.floor) == (dic.frequency,
+                                                        max(res.floor, DB_FLOOR))
 
 
 def test_stack_validation():
     a = np.ones((2, 3, 4), dtype=complex)
     covs = np.stack([np.eye(3, dtype=complex)] * 2)
-    with pytest.raises(ConfigError, match="warm start"):
-        qspice_solve(covs, a, init=(np.ones(4), np.ones(3)))
     # a 3-D dictionary given with one problem, a snapshot or a covariance
     for one in (np.ones(3, dtype=complex), covs[0]):
         with pytest.raises(ConfigError, match=r"a stack of 2 dictionaries needs "
@@ -341,7 +313,7 @@ def test_fixed_grid_spice_is_the_solver_at_r1_q1():
     res = qspice_solve(z, dic, SolverConfig(r=1.0, q=1.0, max_iter=50, rel_tol=1e-12))
     assert spec.estimator == "spice"
     assert _same_bits(spec.power, res.powers.signal)
-    assert (spec.frequency, spec.floor) == (res.spectrum.frequency, res.spectrum.floor)
+    assert (spec.frequency, spec.floor) == (dic.frequency, max(res.floor, DB_FLOOR))
 
 
 @settings(max_examples=40)

@@ -7,7 +7,7 @@ from dasdoa.errors import ConfigError
 from dasdoa.frontend import BinSnapshots, FrequencyBinSet, band_for, \
     band_transform, bin_covariances, dft_vector, frame_count, \
     sample_covariance, select_bins
-from dasdoa.simulate import SnapshotMatrix, delay_channels
+from dasdoa.simulate import delay_channels
 
 FS = 5120.0
 NFFT = 512
@@ -88,14 +88,6 @@ def test_band_transform_frames_hop_half_a_dft_length():
     rec = np.zeros((3, 3 * NFFT))
     out = band_transform(rec, FrequencyBinSet(NFFT, np.arange(10, 13), FS))
     assert out.n_frames == 5 and out.hop == NFFT // 2
-
-
-def test_band_transform_rejects_snapshot_domain():
-    block = SnapshotMatrix(np.ones((3, 600), dtype=complex),
-                           "narrowband-snapshot")
-    bins = FrequencyBinSet(NFFT, np.array([10]), FS)
-    with pytest.raises(ConfigError):
-        band_transform(block, bins)
 
 
 def test_sample_covariance_matches_bin_covariances():

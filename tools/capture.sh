@@ -21,7 +21,8 @@
 # inputs the CLI rejects (non-finite flags, propeller rates too large for a
 # default sample count or a band-pass design, sample counts too large for
 # numpy, propeller records shorter than one period of the band's lower
-# edge, records whose header rate is not a positive finite number). BLAS
+# edge, records whose header rate is not a positive finite number, time
+# records without --spacing or with --frequency). BLAS
 # runs on one thread unless the environment says otherwise. Takes a few
 # minutes on a 2-vCPU host.
 set -u
@@ -141,6 +142,10 @@ run rej-sim-rate-inf simulate --rate inf --out rec.bin
 run rej-sim-rate-nan simulate --rate nan --out rec.bin
 run rej-est-frequency-inf estimate --input "$SNAP" --frequency inf --spacing 0.25
 run rej-btr-step-nan btr --input "$TIME" --step nan --out btr.csv
+run rej-est-time-no-spacing estimate --input "$TIME" --estimator cbf --k 2
+run rej-btr-no-spacing btr --input "$TIME" --out btr.csv
+run rej-est-time-frequency estimate --input "$TIME" --spacing 1.25 --frequency 3000 \
+    --estimator cbf --k 2
 for rate in nan 0 -5120 inf; do
     dir="$out/rej-load-rate$rate"
     mkdir -p "$dir"
