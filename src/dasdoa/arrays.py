@@ -80,25 +80,28 @@ def full_sector(convention: str = "broadside") -> tuple[float, float]:
     return (-90.0, 90.0) if convention == "broadside" else (0.0, 180.0)
 
 
-def _check_angles(theta_deg: np.ndarray, convention: str) -> None:
+def axis_cosines(theta_deg, convention: str = "broadside") -> np.ndarray:
+    """sin(theta) (broadside) or cos(theta) (endfire) of each angle: the
+    cosine of its bearing from the array axis. Checks the convention and its
+    angle range."""
+    theta = np.atleast_1d(np.asarray(theta_deg, dtype=float))
     if convention not in CONVENTIONS:
         raise ConfigError(f"unknown convention {convention!r}; use one of {CONVENTIONS}")
     lo, hi = full_sector(convention)
-    if theta_deg.size and (theta_deg.min() < lo - 1e-9 or theta_deg.max() > hi + 1e-9):
+    if theta.size and (theta.min() < lo - 1e-9 or theta.max() > hi + 1e-9):
         raise ConfigError(
             f"{convention} angles must lie in [{lo}, {hi}] degrees, "
-            f"got range [{theta_deg.min()}, {theta_deg.max()}]")
+            f"got range [{theta.min()}, {theta.max()}]")
+    rad = np.deg2rad(theta)
+    return np.sin(rad) if convention == "broadside" else np.cos(rad)
 
 
 def steering_matrix(geometry: ArrayGeometry, frequency: float,
                     theta_deg, convention: str = "broadside") -> np.ndarray:
     """(M, G) matrix of steering vectors at `frequency` for the given angles."""
-    theta = np.atleast_1d(np.asarray(theta_deg, dtype=float))
-    _check_angles(theta, convention)
+    direction = axis_cosines(theta_deg, convention)
     if not (frequency > 0 and np.isfinite(frequency)):
         raise ConfigError(f"frequency must be a positive finite number, got {frequency}")
-    rad = np.deg2rad(theta)
-    direction = np.sin(rad) if convention == "broadside" else np.cos(rad)
     phase = (2.0 * np.pi * frequency * geometry.spacing / geometry.sound_speed
              * np.outer(geometry.offsets, direction))
     return np.exp(-1j * phase)

@@ -25,7 +25,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .arrays import build_dictionary, perturb_geometry, uniform_line_array
+from .arrays import build_dictionary, half_wavelength_spacing, perturb_geometry, \
+    uniform_line_array
 from .errors import ConfigError, ToolkitError
 from .estimators import ESTIMATORS, SolverConfig
 from .frontend import sample_covariance
@@ -139,6 +140,13 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown methods {sorted(unknown)}; "
                               f"registered: {sorted(ESTIMATORS)}")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods must name at least one estimator, each "
+                              f"once, got {list(self.methods)}")
+        counts = [self.snapshots, *(self.sweep_values if self.sweep == "snapshots" else ())]
+        bad = [n for n in counts if not (float(n).is_integer() and n >= 1)]
+        if bad:
+            raise ConfigError(f"snapshot counts must be whole numbers >= 1, got {bad}")
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -189,7 +197,7 @@ def _trial_point(cfg: ScenarioConfig, sweep_idx: int):
 
 def _make_context(cfg: ScenarioConfig):
     geometry = uniform_line_array(cfg.n_elements,
-                                  spacing=1500.0 / (2 * cfg.carrier_hz))
+                                  spacing=half_wavelength_spacing(cfg.carrier_hz))
     dictionary = build_dictionary(geometry, cfg.carrier_hz, cfg.sector,
                                   cfg.baseline_step)
     solver = SolverConfig(r=cfg.r, q=cfg.q, max_iter=cfg.max_iter,

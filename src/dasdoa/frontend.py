@@ -1,5 +1,5 @@
 """Spectral frontend: turn time-domain multichannel records into per-bin
-narrowband snapshots Z_l, form per-bin sample covariances, and rank bins by
+narrowband snapshots Z_l, form sample covariances, and rank bins by
 eigenvalue separation.
 
 The bin correlation uses v_l = [1, z_l, ..., z_l^(N-1)] with z_l = e^{+2i pi l/N}
@@ -7,8 +7,9 @@ The bin correlation uses v_l = [1, z_l, ..., z_l^(N-1)] with z_l = e^{+2i pi l/N
 `simulate.delay_channels` produces Z proportional to the e^{-j...} steering
 vector at the bin frequency.
 
-The narrowband simulation path does not come through here: snapshot-domain
-scenarios feed estimators directly with F = N snapshots.
+`sample_covariance` forms every covariance, of one snapshot matrix (a
+narrowband record) or of a stack (the bins), so a bin's covariance is
+bit for bit the narrowband covariance of its snapshots.
 """
 from __future__ import annotations
 
@@ -71,14 +72,16 @@ class BinSnapshots:
 
 
 def band_for(bins_hz: tuple, n_fft: int, sample_rate: float) -> FrequencyBinSet:
-    """All integer bins whose frequency falls inside [f_lo, f_hi]."""
+    """All integer bins l with frequency in [f_lo, f_hi], each 0 < l < N/2."""
     f_lo, f_hi = two_numbers(bins_hz, "band")
     lo = int(np.ceil(f_lo * n_fft / sample_rate - 1e-9))
     hi = int(np.floor(f_hi * n_fft / sample_rate + 1e-9))
     if hi < lo:
         raise ConfigError(f"band {bins_hz} contains no DFT bins at N={n_fft}")
-    return FrequencyBinSet(n_fft, np.arange(max(lo, 0), min(hi, n_fft - 1) + 1),
-                           sample_rate)
+    if lo < 1 or 2 * hi >= n_fft:
+        raise ConfigError(f"band {bins_hz} Hz at rate {sample_rate:g} Hz must lie inside "
+                          f"(0, fs/2) = (0, {sample_rate / 2:g}) Hz, off the DC and Nyquist bins")
+    return FrequencyBinSet(n_fft, np.arange(lo, hi + 1), sample_rate)
 
 
 def dft_vector(ell: int, n: int) -> np.ndarray:
@@ -117,20 +120,18 @@ def band_transform(record, bins: FrequencyBinSet) -> BinSnapshots:
     return BinSnapshots(z, bins, hop)
 
 
-def sample_covariance(z_bin: np.ndarray) -> np.ndarray:
-    """(1/F) sum_f z_f z_f^H for z_bin M x F, formed in z_bin's dtype and
-    Hermitian-symmetrized in complex128."""
-    if z_bin.ndim != 2 or z_bin.shape[1] < 1:
-        raise ConfigError("bin snapshots must be M x F with F >= 1")
-    R = np.asarray((z_bin @ z_bin.conj().T) / z_bin.shape[1], dtype=complex)
-    return 0.5 * (R + R.conj().T)
+def sample_covariance(z: np.ndarray) -> np.ndarray:
+    """(1/F) sum_f z_f z_f^H of z (M, F), or of each matrix of a stack
+    (..., M, F): one product in z's dtype, symmetrized in complex128."""
+    if z.ndim < 2 or z.shape[-1] < 1:
+        raise ConfigError("snapshots must be M x F (or a stack of them) with F >= 1")
+    R = np.asarray((z @ z.conj().swapaxes(-1, -2)) / z.shape[-1], dtype=complex)
+    return 0.5 * (R + R.conj().swapaxes(-1, -2))
 
 
 def bin_covariances(snapshots: BinSnapshots) -> np.ndarray:
-    """(P, M, M) stack of per-bin sample covariances."""
-    z = snapshots.z
-    R = np.einsum("pmf,pnf->pmn", z, z.conj()) / z.shape[2]
-    return 0.5 * (R + np.conj(np.transpose(R, (0, 2, 1))))
+    """(P, M, M) per-bin sample covariances: sample_covariance of the stack."""
+    return sample_covariance(snapshots.z)
 
 
 def select_bins(covariances: np.ndarray, k: int, count: int) -> np.ndarray:
@@ -146,9 +147,7 @@ def select_bins(covariances: np.ndarray, k: int, count: int) -> np.ndarray:
         raise ConfigError(f"source count k must satisfy 1 <= k < M={m}")
     if not 1 <= count <= p_bins:
         raise ConfigError(f"count must lie in [1, {p_bins}]")
-    scores = np.empty(p_bins)
-    for i in range(p_bins):
-        ev = np.linalg.eigvalsh(covs[i])[::-1]
-        scores[i] = ev[k - 1] / max(ev[k], 1e-300)
+    ev = np.linalg.eigvalsh(covs)          # ascending along the last axis
+    scores = ev[:, m - k] / np.maximum(ev[:, m - k - 1], 1e-300)
     order = np.lexsort((np.arange(p_bins), -scores))
     return np.sort(order[:count])

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import butter, sosfiltfilt
 
-from .arrays import ArrayGeometry, steering_matrix, two_numbers
+from .arrays import ArrayGeometry, axis_cosines, steering_matrix, two_numbers
 from .errors import ConfigError, UnsupportedModelError
 
 NOISE_KINDS = ("uniform-gaussian", "nonuniform-gaussian", "impulsive-sas")
@@ -287,11 +287,10 @@ def delay_channels(wave: np.ndarray, geometry: ArrayGeometry, theta_deg: float,
                    fs: float, convention: str = "broadside") -> np.ndarray:
     """Plane-wave array response of one waveform: circular fractional delays
     via the real FFT. Channel m gets s(t + tau_m) (advance convention)."""
+    direction = axis_cosines(theta_deg, convention)
     n = wave.size
     W = np.fft.rfft(wave)
     f = np.fft.rfftfreq(n, 1 / fs)
-    rad = np.deg2rad(theta_deg)
-    direction = np.sin(rad) if convention == "broadside" else np.cos(rad)
     tau = geometry.offsets * geometry.spacing * direction / geometry.sound_speed
     return np.fft.irfft(W[None, :] * np.exp(2j * np.pi * f[None, :] * tau[:, None]), n)
 

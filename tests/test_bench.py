@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,28 @@ def test_scenario_config_validation():
         _tiny_config(methods=("cbf", "esprit"))
     with pytest.raises(ConfigError):
         _tiny_config(noise="nonuniform-gaussian", noise_diag=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(methods=()), "methods must name at least one estimator"),
+    (dict(methods=("cbf", "music", "cbf")), "each once"),
+    (dict(snapshots=0), "whole numbers >= 1, got [0]"),
+    (dict(snapshots=2.5), "whole numbers >= 1, got [2.5]"),
+    (dict(sweep="snapshots", sweep_values=(30, 30.7)), "got [30.7]"),
+    (dict(sweep="snapshots", sweep_values=(0.5,)), "got [0.5]"),
+    (dict(sweep="snapshots", sweep_values=(-30.0,)), "got [-30.0]"),
+], ids=["methods-empty", "methods-repeated", "snapshots-zero", "snapshots-half",
+        "sweep-fraction", "sweep-half", "sweep-negative"])
+def test_scenario_rejects_methods_and_snapshot_counts(kw, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _tiny_config(**kw)
+
+
+def test_whole_float_snapshot_counts_stay_valid():
+    # the CLI reads sweep values as floats; 30.0 is thirty snapshots
+    cfg = _tiny_config(sweep="snapshots", sweep_values=(30.0, 60))
+    assert bench._trial_point(cfg, 0)[1] == 30
+    assert _tiny_config(sweep="snr", sweep_values=(0.5,)).sweep_values == (0.5,)
 
 
 def test_scenario_digest_tracks_content():

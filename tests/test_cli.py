@@ -679,3 +679,53 @@ def test_btr_bad_frame_option_exits_2(flags, name, records, tmp_path):
                            "--out", str(tmp_path / "b.csv")] + flags)
     assert (code, out) == (2, "")
     assert name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "btr"])
+@pytest.mark.parametrize("flags", [["--band", "2000,3000"], ["--band", "0,100", "--n-fft", "64"]],
+                         ids=["past-nyquist", "dc-bin"])
+def test_band_outside_positive_frequencies_exits_2(command, flags, records, tmp_path):
+    # bins at or past N/2 would be aliased negative frequencies of the record
+    out = tmp_path / "out.csv"
+    code, stdout, err = _run([command, "--input", str(records[1]), "--spacing", "1.25",
+                              "--estimator", "cbf", "--k", "1", "--out", str(out)] + flags)
+    assert (code, stdout) == (2, "")
+    assert "at rate 5120 Hz must lie inside (0, fs/2) = (0, 2560) Hz" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["tonal", "propeller-broadband"])
+@pytest.mark.parametrize("flags, config, message", [
+    ([], {"convention": "sideways"}, "unknown convention 'sideways'"),
+    (["--angles", "120"], {}, "broadside angles must lie in [-90.0, 90.0] degrees"),
+    (["--angles", "-10"], {"convention": "endfire"},
+     "endfire angles must lie in [0.0, 180.0] degrees"),
+], ids=["convention", "broadside-angle", "endfire-angle"])
+def test_simulate_checks_convention_and_angles(kind, flags, config, message, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.bin"
+    code, stdout, err = _run(["simulate", "--kind", kind, "--rate", "5120",
+                              "--samples", "2048", "--out", str(out),
+                              "--config", str(cfg)] + flags)
+    assert (code, stdout) == (2, "")
+    assert message in err and "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--preset", "table1", "--sweep-values", "9", "--methods", ""],
+     "methods must name at least one"),
+    (["--preset", "table1", "--sweep-values", "9", "--methods", "cbf,cbf"],
+     "each once, got ['cbf', 'cbf']"),
+    (["--preset", "table1-snapshots", "--methods", "cbf", "--sweep-values", "30.7"],
+     "snapshot counts must be whole numbers >= 1, got [30.7]"),
+    (["--preset", "table1-snapshots", "--methods", "cbf", "--sweep-values", "0.5"],
+     "snapshot counts must be whole numbers >= 1, got [0.5]"),
+], ids=["methods-empty", "methods-repeated", "sweep-fraction", "sweep-half"])
+def test_bench_rejects_methods_and_snapshot_counts(flags, message, tmp_path):
+    out, timing = tmp_path / "m.csv", tmp_path / "t.csv"
+    code, stdout, err = _run(["bench", "--trials", "1", "--out", str(out),
+                              "--timing-out", str(timing)] + flags)
+    assert (code, stdout) == (2, "")
+    assert message in err and "Traceback" not in err
+    assert not out.exists() and not timing.exists()

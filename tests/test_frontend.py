@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from dasdoa.arrays import uniform_line_array, steering_matrix
@@ -22,10 +23,20 @@ def test_dft_vector_definition():
         dft_vector(-1, 16)
 
 
+@pytest.mark.parametrize("band", [(2000.0, 3000.0), (2000.0, 2560.0), (0.0, 100.0),
+                                  (-50.0, 100.0), (-100.0, -50.0)])
+def test_band_for_rejects_dc_and_bins_past_nyquist(band):
+    # bins 0 and l >= N/2 are not positive frequencies of a real record
+    with pytest.raises(ConfigError, match=r"inside \(0, fs/2\) = \(0, 2560\) Hz"):
+        band_for(band, NFFT, FS)
+
+
 def test_band_for_standard_band():
     bins = band_for((100.0, 1000.0), NFFT, FS)
     assert bins.indices[0] == 10 and bins.indices[-1] == 100
     assert_allclose(bins.frequencies, bins.indices * 10.0)
+    assert band_for((1.0, 2559.0), NFFT, FS).indices[[0, -1]].tolist() == [1, 255]
+    assert band_for((0.5, 31.0), 63, 63.0).indices[[0, -1]].tolist() == [1, 31]   # odd N
     with pytest.raises(ConfigError):
         band_for((101.0, 104.0), NFFT, FS)   # between bins 10 and 11
     for band in ((100.0,), (100.0, 500.0, 900.0)):
@@ -90,16 +101,31 @@ def test_band_transform_frames_hop_half_a_dft_length():
     assert out.n_frames == 5 and out.hop == NFFT // 2
 
 
-def test_sample_covariance_matches_bin_covariances():
-    rng = np.random.default_rng(1)
-    z = rng.standard_normal((4, 5, 7)) + 1j * rng.standard_normal((4, 5, 7))
-    bins = FrequencyBinSet(NFFT, np.arange(4), FS)
+@given(seed=st.integers(0, 2 ** 16), p=st.integers(1, 8), m=st.integers(1, 12),
+       f=st.integers(1, 25), dtype=st.sampled_from([np.complex128, np.complex64]))
+def test_sample_covariance_matches_bin_covariances(seed, p, m, f, dtype):
+    # a bin's covariance is, bit for bit, the narrowband covariance of its
+    # snapshots, and so is each matrix of a stack with more leading axes
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((p, m, f))
+         + 1j * rng.standard_normal((p, m, f))).astype(dtype)
+    bins = FrequencyBinSet(NFFT, np.arange(p), FS)
     covs = bin_covariances(BinSnapshots(z, bins, NFFT // 2))
-    assert covs.shape == (4, 5, 5)
-    for p in range(4):
-        r = sample_covariance(z[p])
-        assert_allclose(covs[p], r, atol=1e-12)
-        assert_allclose(r, r.conj().T, atol=1e-12)
+    assert covs.shape == (p, m, m) and covs.dtype == np.complex128
+    assert np.array_equal(covs, sample_covariance(z))
+    for i in range(p):
+        r = sample_covariance(z[i])
+        assert np.array_equal(covs[i], r)
+        assert np.array_equal(r, r.conj().T)
+    if p % 2 == 0:
+        pairs = sample_covariance(z.reshape(2, p // 2, m, f))
+        assert np.array_equal(pairs.reshape(p, m, m), covs)
+
+
+def test_sample_covariance_validation():
+    for bad in (np.ones(4, complex), np.ones((3, 0), complex), np.ones((2, 3, 0))):
+        with pytest.raises(ConfigError):
+            sample_covariance(bad)
 
 
 def test_sample_covariance_of_complex64_is_hermitian_complex128():
@@ -127,6 +153,24 @@ def test_select_bins_ranks_by_eigen_gap():
     covs = np.array(covs)
     assert list(select_bins(covs, 1, 2)) == [1, 3]
     assert list(select_bins(covs, 1, 3)) == [1, 2, 3]
+
+
+@given(seed=st.integers(0, 2 ** 16), p=st.integers(1, 10), m=st.integers(2, 8),
+       data=st.data())
+def test_select_bins_matches_per_bin_eigvalsh(seed, p, m, data):
+    # the batched scores are the per-bin eigenvalue ratios of a loop, so the
+    # picks are too
+    k = data.draw(st.integers(1, m - 1))
+    count = data.draw(st.integers(1, p))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((p, m, m + 2)) + 1j * rng.standard_normal((p, m, m + 2))
+    covs = sample_covariance(x[:, :, : rng.integers(1, m + 3)])
+    scores = np.empty(p)
+    for i in range(p):
+        ev = np.linalg.eigvalsh(covs[i])[::-1]
+        scores[i] = ev[k - 1] / max(ev[k], 1e-300)
+    ranked = sorted(range(p), key=lambda i: (-scores[i], i))
+    assert select_bins(covs, k, count).tolist() == sorted(ranked[:count])
 
 
 def test_select_bins_tie_breaks_low_position():

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 from dasdoa.arrays import uniform_line_array, steering_matrix
 from dasdoa.errors import ConfigError, UnsupportedModelError
 from dasdoa.simulate import NoiseModel, SnapshotMatrix, SourceSpec, \
-    generate_noise, generate_sources, harmonic_lines, measure_snr, \
-    propeller_waveform, sample_sas, synthesize
+    delay_channels, generate_noise, generate_sources, harmonic_lines, \
+    measure_snr, propeller_waveform, sample_sas, synthesize
 
 TABLE_DIAG = (12, 2.3, 20.5, 5.5, 11.1, 6.5, 2, 13.5, 0.8, 1.7, 13.6, 5.2)
 # mean per-element SNR of a unit-power signal under TABLE_DIAG, frozen from
@@ -211,6 +211,20 @@ def test_synthesize_propeller_time_domain():
     assert block.domain == "time"
     assert not np.iscomplexobj(block.data)
     assert block.data.shape == (4, 2048)
+
+
+@pytest.mark.parametrize("theta, convention, message", [
+    (120.0, "broadside", r"broadside angles must lie in \[-90.0, 90.0\]"),
+    (-10.0, "endfire", r"endfire angles must lie in \[0.0, 180.0\]"),
+    (10.0, "sideways", "unknown convention 'sideways'")],
+    ids=["broadside-angle", "endfire-angle", "convention"])
+def test_delays_check_angles_like_steering(theta, convention, message):
+    # both kinds of synthesis map and check an angle through one helper
+    geom = uniform_line_array(4, spacing=1.25)
+    with pytest.raises(ConfigError, match=message):
+        delay_channels(np.ones(64), geom, theta, 5120.0, convention)
+    with pytest.raises(ConfigError, match=message):
+        steering_matrix(geom, 3000.0, theta, convention)
 
 
 def test_tonal_needs_dictionary_frequency():

@@ -22,7 +22,10 @@
 # default sample count or a band-pass design, sample counts too large for
 # numpy, propeller records shorter than one period of the band's lower
 # edge, records whose header rate is not a positive finite number, time
-# records without --spacing or with --frequency). BLAS
+# records without --spacing or with --frequency, bands that reach the DC bin
+# or past Nyquist, propeller scenes with an unknown convention or an angle
+# outside it, bench methods empty or repeated, a fractional snapshot
+# sweep). BLAS
 # runs on one thread unless the environment says otherwise. Takes a few
 # minutes on a 2-vCPU host.
 set -u
@@ -146,6 +149,20 @@ run rej-est-time-no-spacing estimate --input "$TIME" --estimator cbf --k 2
 run rej-btr-no-spacing btr --input "$TIME" --out btr.csv
 run rej-est-time-frequency estimate --input "$TIME" --spacing 1.25 --frequency 3000 \
     --estimator cbf --k 2
+run rej-est-band-past-nyquist estimate --input "$TIME" --spacing 1.25 \
+    --estimator cbf --k 2 --band 2000,3000
+run rej-est-band-dc estimate --input "$TIME" --spacing 1.25 --estimator cbf --k 2 \
+    --band 0,100 --n-fft 64
+echo '{"convention": "sideways"}' >"$out/sideways.json"
+run rej-sim-propeller-convention simulate "${PROP[@]}" --samples 2048 \
+    --config ../sideways.json --out rec.bin
+run rej-sim-propeller-angle simulate --kind propeller-broadband --angles 120 \
+    --samples 2048 --out rec.bin
+BENCH=(bench --trials 1 --sweep-values 9 --out table.csv --timing-out t.csv)
+run rej-bench-methods-empty "${BENCH[@]}" --preset table1 --methods ""
+run rej-bench-methods-repeated "${BENCH[@]}" --preset table1 --methods cbf,cbf
+run rej-bench-sweep-fractional "${BENCH[@]}" --preset table1-snapshots --methods cbf \
+    --sweep-values 30.7
 for rate in nan 0 -5120 inf; do
     dir="$out/rej-load-rate$rate"
     mkdir -p "$dir"
