@@ -13,11 +13,17 @@
 #   diff -r out-old out-new
 #
 # The set: simulate (tonal, propeller, CSV and impulsive records, the
-# impulsive one also at alpha = 1, the Cauchy branch); estimate
+# impulsive one also at alpha = 1, the Cauchy branch, and each noise kind
+# with sigma2, gamma and noise_diag from a config); estimate
 # with every estimator on a snapshot record, and on a time record with and
-# without --select-bins; btr with cbf (at frame hops that share snapshots
-# and at 0.37 of a frame, which shares none), music, qspice and gnr2; bench
-# table1-table4 and impulsive at --trials 2, each with --jobs 1 and 2; and
+# without --select-bins, with --gnuplot, and with the solver and refine
+# keys from a config; btr with cbf (at frame hops that share snapshots
+# and at 0.37 of a frame, which shares none, and with the frame length and
+# hop from a config), music, qspice and gnr2, with --gnuplot; bench
+# table1-table4 and impulsive at --trials 2, each with --jobs 1 and 2, and
+# with --gnuplot; cable-sens with its defaults, with set flags and with a
+# config; a missing input (exit 3); an estimator that resolves too few
+# sources (exit 4); and
 # inputs the CLI rejects (non-finite flags, propeller rates too large for a
 # default sample count or a band-pass design, sample counts too large for
 # numpy, propeller records shorter than one period of the band's lower
@@ -25,7 +31,7 @@
 # records without --spacing or with --frequency, bands that reach the DC bin
 # or past Nyquist, propeller scenes with an unknown convention or an angle
 # outside it, bench methods empty or repeated, a fractional snapshot
-# sweep). BLAS
+# sweep, an unknown bench noise kind). BLAS
 # runs on one thread unless the environment says otherwise. Takes a few
 # minutes on a 2-vCPU host.
 set -u
@@ -84,6 +90,14 @@ PROP=(--kind propeller-broadband --angles 10,25 --rate 5120 --elements 12
 run sim-propeller simulate "${PROP[@]}" --samples 10240 --seed 5 --out rec.bin
 run sim-propeller-csv simulate "${PROP[@]}" --samples 2048 --seed 7 --format csv \
     --out rec.csv
+run sim-propeller-seed0 simulate "${PROP[@]}" --samples 10240 --out rec.bin
+
+echo '{"sigma2": 2.5, "gamma": 0.5, "noise_diag": [12, 2.3, 20.5, 5.5, 11.1, 6.5, 2, 13.5, 0.8, 1.7, 13.6, 5.2]}' \
+    >"$out/noise.json"
+for noise in uniform-gaussian nonuniform-gaussian impulsive-sas; do
+    run "sim-config-$noise" simulate --out rec.bin --seed 9 --noise "$noise" \
+        --config ../noise.json
+done
 
 # narrowband estimates
 SNAP=../sim-tonal/rec.bin
@@ -97,6 +111,15 @@ run est-snap-csv estimate --input ../sim-tonal-csv/rec.csv --format csv \
 run est-snap-impulsive estimate --input ../sim-impulsive/rec.bin --frequency 3000 \
     --estimator qspice --k 2 --out spec.csv
 
+echo '{"r": 1.0, "q": 1.0, "max_iter": 200, "rel_tol": 1e-5, "initial_step": 2.0, "target_step": 0.1}' \
+    >"$out/solver.json"
+for est in qspice gnr2; do
+    run "est-snap-$est-config" estimate --input "$SNAP" --frequency 3000 \
+        --estimator "$est" --k 2 --config ../solver.json --out spec.csv
+done
+run est-snap-gnuplot estimate --input "$SNAP" --frequency 3000 --estimator cbf \
+    --k 2 --out spec.csv --gnuplot
+
 # broadband estimates
 TIME=../sim-propeller/rec.bin
 for est in cbf music spice qspice gnr2; do
@@ -107,6 +130,13 @@ for est in cbf music spice qspice gnr2; do
 done
 run est-time-csv estimate --input ../sim-propeller-csv/rec.csv --format csv \
     --estimator cbf --k 2 --spacing 1.25 --out spec.csv
+
+for est in qspice gnr2; do
+    run "est-time-$est-config" estimate --input "$TIME" --estimator "$est" --k 2 \
+        --spacing 1.25 --select-bins 20 --config ../solver.json --out spec.csv
+done
+run est-time-gnuplot estimate --input "$TIME" --estimator cbf --k 2 --spacing 1.25 \
+    --out spec.csv --gnuplot
 
 # bearing-time records
 run btr-cbf btr --input "$TIME" --spacing 1.25 --out btr.csv
@@ -121,6 +151,11 @@ run btr-music btr --input "$TIME" --spacing 1.25 --estimator music --k 2 \
 run btr-gnr2 btr --input "$TIME" --spacing 1.25 --estimator gnr2 --k 2 \
     --select-bins 20 --out btr.csv
 
+echo '{"frame_seconds": 0.75, "hop_fraction": 0.25}' >"$out/frames.json"
+run btr-cbf-config btr --input "$TIME" --spacing 1.25 --config ../frames.json \
+    --out btr.csv
+run btr-cbf-gnuplot btr --input "$TIME" --spacing 1.25 --out btr.csv --gnuplot
+
 # Monte Carlo sweeps
 for preset in table1 table2 table3 table4 impulsive; do
     for jobs in 1 2; do
@@ -128,6 +163,17 @@ for preset in table1 table2 table3 table4 impulsive; do
             --jobs "$jobs" --out table.csv
     done
 done
+
+run bench-gnuplot bench --preset table1 --trials 1 --methods cbf,qspice \
+    --sweep-values 9 --out table.csv --gnuplot
+
+# cable sensitivity
+run cable-default cable-sens
+run cable-flags cable-sens --inner-radius 3e-3 --outer-radius 9e-3 --poisson 0.3 \
+    --modulus 2e9 --p1 0.5 --p2 2 --index 1.45 --wavelength 1310e-9 \
+    --wound-length 8 --cable-length 2
+echo '{"p1": 0.25, "p2": 3.0, "wound_length": 5.0}' >"$out/cable.json"
+run cable-config cable-sens --config ../cable.json
 
 # rejected inputs
 run rej-sim-propeller-rate-inf simulate --kind propeller-broadband --rate inf \
@@ -163,6 +209,15 @@ run rej-bench-methods-empty "${BENCH[@]}" --preset table1 --methods ""
 run rej-bench-methods-repeated "${BENCH[@]}" --preset table1 --methods cbf,cbf
 run rej-bench-sweep-fractional "${BENCH[@]}" --preset table1-snapshots --methods cbf \
     --sweep-values 30.7
+echo '{"noise": "bogus"}' >"$out/bogus-noise.json"
+# no --timing-out: a version that accepts this config writes wall-clock seconds
+run rej-bench-noise-unknown bench --preset table1 --trials 1 --methods cbf \
+    --sweep-values 9 --config ../bogus-noise.json --out table.csv
+run rej-est-input-missing estimate --input ../no-such-record.bin --frequency 3000 \
+    --estimator cbf --k 2
+# gnr2 on 8 selected bins resolves 1 of the 2 sources of this record
+run rej-est-gnr2-shortfall estimate --input ../sim-propeller-seed0/rec.bin \
+    --estimator gnr2 --k 2 --spacing 1.25 --select-bins 8
 for rate in nan 0 -5120 inf; do
     dir="$out/rej-load-rate$rate"
     mkdir -p "$dir"
