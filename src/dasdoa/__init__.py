@@ -24,9 +24,9 @@ from .errors import ConfigError, DataError, DegenerateInputError, \
     UnsupportedModelError
 from .estimators import PowerVector, SolverConfig, SolverResult, \
     SpatialSpectrum, cbf_spectrum, fixed_grid_spectrum, kkt_residual, \
-    music_spectrum, objective_value, peak_pick, qspice_solve, spice_weights
+    music_spectrum, objective_value, peak_pick, qspice_solve
 from .frontend import BinSnapshots, FrequencyBinSet, band_for, \
-    band_transform, bin_covariances, dft_vector, frame_count, \
+    band_transform, bin_covariances, frame_count, \
     sample_covariance, select_bins
 from .recordio import load_config, load_record, render_table, save_record, \
     save_table, save_timing_table, scenario_from_dict, write_gnuplot

@@ -118,12 +118,12 @@ class ScenarioConfig:
     baseline_step: float = 0.5
     cbf_guard: float = 1.0
     methods: tuple = ESTIMATORS
-    r: float = 1.0
-    q: float = 2.0
-    max_iter: int = 500
-    rel_tol: float = 1e-6
-    refine_initial_step: float = 1.0
-    refine_target_step: float = 0.05
+    r: float = SolverConfig.r
+    q: float = SolverConfig.q
+    max_iter: int = SolverConfig.max_iter
+    rel_tol: float = SolverConfig.rel_tol
+    refine_initial_step: float = RefineConfig.initial_step
+    refine_target_step: float = RefineConfig.target_step
 
     def __post_init__(self):
         if self.sweep not in ("snr", "snapshots", "pos_error"):
@@ -136,6 +136,7 @@ class ScenarioConfig:
             raise ConfigError("need at least one source angle")
         if self.noise == "nonuniform-gaussian" and len(self.noise_diag) != self.n_elements:
             raise ConfigError("noise_diag must supply one variance per element")
+        self.noise_model()
         unknown = set(self.methods) - set(ESTIMATORS)
         if unknown:
             raise ConfigError(f"unknown methods {sorted(unknown)}; "
@@ -147,6 +148,10 @@ class ScenarioConfig:
         bad = [n for n in counts if not (float(n).is_integer() and n >= 1)]
         if bad:
             raise ConfigError(f"snapshot counts must be whole numbers >= 1, got {bad}")
+
+    def noise_model(self) -> NoiseModel:
+        """The trials' noise; an unknown kind raises ConfigError."""
+        return NoiseModel(self.noise, diag=tuple(self.noise_diag), alpha=self.alpha)
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -205,15 +210,7 @@ def _make_context(cfg: ScenarioConfig):
     refine = RefineConfig(initial_step=cfg.refine_initial_step,
                           target_step=cfg.refine_target_step)
     return {"geometry": geometry, "dictionary": dictionary, "solver": solver,
-            "refine": refine}
-
-
-def _noise_model(cfg: ScenarioConfig) -> NoiseModel:
-    if cfg.noise == "nonuniform-gaussian":
-        return NoiseModel("nonuniform-gaussian", diag=tuple(cfg.noise_diag))
-    if cfg.noise == "impulsive-sas":
-        return NoiseModel("impulsive-sas", alpha=cfg.alpha, gamma=1.0)
-    return NoiseModel("uniform-gaussian", sigma2=1.0)
+            "refine": refine, "noise": cfg.noise_model()}
 
 
 def _trial_covariance(cfg: ScenarioConfig, ctx, sweep_idx: int, trial: int) -> np.ndarray:
@@ -229,7 +226,7 @@ def _trial_covariance(cfg: ScenarioConfig, ctx, sweep_idx: int, trial: int) -> n
                          freqs=tuple(cfg.carrier_hz + i * cfg.tone_spacing_hz
                                      for i in range(k)),
                          snapshot_rate=cfg.snapshot_rate)
-    block = synthesize(geometry, sources, _noise_model(cfg), snr, n, rng,
+    block = synthesize(geometry, sources, ctx["noise"], snr, n, rng,
                        dictionary_frequency=cfg.carrier_hz)
     return sample_covariance(block.data)
 

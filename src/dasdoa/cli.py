@@ -4,10 +4,11 @@ Subcommands: simulate, estimate, btr, bench, cable-sens. Every subcommand
 accepts --config with a flat JSON object whose keys are declared once in
 build_parser: the dests of its option flags plus its config-only keys. A
 flag overrides its config key, which overrides the default (for bench, the
-preset).
+preset). An option that is set neither way is not passed on, so the
+defaults of the library's functions and dataclasses hold.
 
-Exit codes: 0 success, 2 configuration problem (including argparse usage
-errors), 3 unusable input data, 4 estimator failure.
+Exit codes: 0 success, 2 argparse usage errors, and otherwise the
+`exit_code` of the ToolkitError raised (see errors).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .bench import PRESETS, ScenarioConfig, run_monte_carlo
 from .broadband import broadband_estimate, btr
 from .cable import FiberSpec, MandrelSpec, cable_sensitivity, \
     mandrel_radial_displacement
-from .errors import ConfigError, DataError, EstimationError, ToolkitError
+from .errors import ConfigError, EstimationError, ToolkitError
 from .estimators import ESTIMATORS, SolverConfig, peak_pick
 from .frontend import sample_covariance
 from .recordio import load_config, load_record, render_table, save_record, \
@@ -127,6 +128,14 @@ class _Options:
             return flag
         return self.config.get(key, default)
 
+    def given(self, *keys, **renamed):
+        """The options that are set, as keyword arguments: each of `keys`
+        under its own name, each `param=key` of `renamed` as param. An unset
+        one is left out, so the callee's default holds."""
+        names = {**{key: key for key in keys}, **renamed}
+        return {param: value for param, key in names.items()
+                if (value := self.get(key)) is not None}
+
 
 def _geometry(opt: _Options, n_channels: int, default_spacing=None) -> ArrayGeometry:
     """The array of n_channels channels: `offsets` in units of `spacing` (m),
@@ -134,7 +143,7 @@ def _geometry(opt: _Options, n_channels: int, default_spacing=None) -> ArrayGeom
     `spacing` the spacing is default_spacing(sound_speed), if one is given."""
     offsets = opt.get("offsets")
     spacing = opt.get("spacing")
-    speed = opt.get("sound_speed", 1500.0)
+    speed = opt.get("sound_speed", ArrayGeometry.sound_speed)
     if spacing is None:
         if default_spacing is None:
             raise ConfigError("time records need --spacing, the element spacing "
@@ -157,32 +166,25 @@ def _cmd_simulate(args) -> int:
     kind = opt.get("kind", "tonal")
     angles = opt.get("angles", (2.36, 27.62))
     powers = opt.get("powers", (1.0,) * len(angles))
-    rate = opt.get("rate", 6000.0)
     frequency = opt.get("frequency", 3000.0)
+    spec = opt.given("freqs", "band", "lines", snapshot_rate="rate")
     if kind == "tonal":
-        freqs = opt.get("freqs", tuple(frequency + 100.0 * i
-                                       for i in range(len(angles))))
-        samples = opt.get("samples", 60)
-    else:
-        freqs = opt.get("freqs", ())
-        samples = opt.get("samples")
-        if samples is None:
-            if not np.isfinite(2 * rate):
-                raise ConfigError(f"rate {rate} Hz has no default sample count "
-                                  f"(2 s of samples); set samples")
-            samples = round(2 * rate)
-    sources = SourceSpec(kind, angles, powers, freqs=freqs, snapshot_rate=rate,
-                         band=opt.get("band", (100.0, 1000.0)),
-                         lines=opt.get("lines", ()))
+        spec.setdefault("freqs", tuple(frequency + 100.0 * i for i in range(len(angles))))
+    sources = SourceSpec(kind, angles, powers, **spec)
+    rate = sources.snapshot_rate
+    samples = opt.get("samples", 60 if kind == "tonal" else None)
+    if samples is None:
+        if not np.isfinite(2 * rate):
+            raise ConfigError(f"rate {rate} Hz has no default sample count "
+                              f"(2 s of samples); set samples")
+        samples = round(2 * rate)
 
     noise_kind = opt.get("noise", "uniform-gaussian")
     if noise_kind == "none":
         model, snr = None, None
     else:
-        model = NoiseModel(noise_kind, sigma2=opt.get("sigma2", 1.0),
-                           diag=opt.get("noise_diag", ()),
-                           alpha=opt.get("alpha", 1.2),
-                           gamma=opt.get("gamma", 1.0))
+        model = NoiseModel(noise_kind, **opt.given("sigma2", "alpha", "gamma",
+                                                   diag="noise_diag"))
         snr = opt.get("snr", 5.0)
 
     # the scene's array: half a wavelength at a tonal carrier, else 0.75 m
@@ -199,7 +201,7 @@ def _cmd_simulate(args) -> int:
     block = synthesize(geometry, sources, model, snr, samples, rng,
                        dictionary_frequency=frequency,
                        convention=opt.get("convention", "broadside"))
-    save_record(block, args.out, opt.get("format", "binary"))
+    save_record(block, args.out, **opt.given(fmt="format"))
     print(f"wrote {args.out}: {block.n_channels} channels x "
           f"{block.n_samples} samples ({block.domain})")
     return 0
@@ -213,17 +215,13 @@ def _pipeline_options(opt: _Options, default_estimator: str,
     """The options estimate and btr share, as keyword arguments of
     broadband_estimate and btr; gnr2's coarse grid defaults to 1 deg."""
     estimator = opt.get("estimator", default_estimator)
-    return dict(bins=opt.get("band", (50.0, 1050.0)),
-                n_fft=opt.get("n_fft", 512), estimator=estimator, k=opt.get("k"),
-                sector=opt.get("sector"),
+    return dict(estimator=estimator, k=opt.get("k"), sector=opt.get("sector"),
                 step=opt.get("step", 1.0 if estimator == "gnr2" else fixed_grid_step),
                 convention=opt.get("convention", "broadside"),
                 select_count=opt.get("select_bins"),
-                solver_cfg=SolverConfig(r=opt.get("r", 1.0), q=opt.get("q", 2.0),
-                                        max_iter=opt.get("max_iter", 500),
-                                        rel_tol=opt.get("rel_tol", 1e-6)),
-                refine_cfg=RefineConfig(initial_step=opt.get("initial_step", 1.0),
-                                        target_step=opt.get("target_step", 0.05)))
+                solver_cfg=SolverConfig(**opt.given("r", "q", "max_iter", "rel_tol")),
+                refine_cfg=RefineConfig(**opt.given("initial_step", "target_step")),
+                **opt.given("n_fft", bins="band"))
 
 
 # options of the time-record pipeline that a snapshot record cannot use
@@ -232,7 +230,7 @@ _TIME_ONLY = ("band", "n_fft", "select_bins")
 
 def _cmd_estimate(args) -> int:
     opt = _Options(args)
-    record = load_record(args.input, opt.get("format", "binary"))
+    record = load_record(args.input, **opt.given(fmt="format"))
     kw = _pipeline_options(opt, "qspice", 0.5)
     estimator, k = kw["estimator"], kw["k"]
     frequency = opt.get("frequency")
@@ -244,8 +242,8 @@ def _cmd_estimate(args) -> int:
         spectrum, estimates = broadband_estimate(record, geometry, **kw)
         shortfall = k is not None and len(estimates) < k
         if estimator != "gnr2" and k is not None:
-            guard = opt.get("peak_guard", 0.0) if estimator == "cbf" else 0.0
-            estimates, shortfall = peak_pick(spectrum, k, guard)
+            guard = opt.given(guard_deg="peak_guard") if estimator == "cbf" else {}
+            estimates, shortfall = peak_pick(spectrum, k, **guard)
     else:
         for key in _TIME_ONLY:
             if opt.get(key) is not None:
@@ -260,7 +258,7 @@ def _cmd_estimate(args) -> int:
                                       kw["convention"])
         spectrum, estimates, shortfall = narrowband_estimate(
             estimator, sample_covariance(record.data), dictionary, sector, k,
-            kw["solver_cfg"], kw["refine_cfg"], opt.get("peak_guard", 1.0))
+            kw["solver_cfg"], kw["refine_cfg"], **opt.given(cbf_guard="peak_guard"))
 
     if args.out:
         save_table(spectrum, args.out)
@@ -279,11 +277,10 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_btr(args) -> int:
     opt = _Options(args)
-    record = load_record(args.input, opt.get("format", "binary"))
+    record = load_record(args.input, **opt.given(fmt="format"))
     geometry = _geometry(opt, record.n_channels)
-    result = btr(record, geometry,
-                 frame_seconds=opt.get("frame_seconds", 1.0),
-                 frame_hop_fraction=opt.get("hop_fraction", 0.5),
+    result = btr(record, geometry, **opt.given("frame_seconds",
+                                               frame_hop_fraction="hop_fraction"),
                  **_pipeline_options(opt, "cbf", 1.0))
     save_table(result, args.out)
     if args.gnuplot:
@@ -330,7 +327,7 @@ def _cmd_cable(args) -> int:
         outer_radius=opt.get("outer_radius", 8.0e-3),
         poisson_ratio=opt.get("poisson_ratio", 0.4),
         youngs_modulus=opt.get("youngs_modulus", 1.0e9),
-        p1=opt.get("p1", 0.0), p2=opt.get("p2", 1.0))
+        p2=opt.get("p2", 1.0), **opt.given("p1"))
     fiber = FiberSpec(
         refractive_index=opt.get("refractive_index", 1.468),
         wavelength=opt.get("wavelength", 1550e-9),
@@ -466,18 +463,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ToolkitError as exc:           # future subtypes
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception taxonomy for the toolkit.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-EstimationError -> 4. Everything raised on a user-facing path derives from
+Each class carries the CLI's exit code for it as `exit_code`, and a
+subclass inherits its parent's: ToolkitError and ConfigError 2, DataError
+3, EstimationError 4. Everything raised on a user-facing path derives from
 ToolkitError so callers can catch one base class.
 """
 from numpy.linalg import LinAlgError
@@ -9,6 +10,8 @@ from numpy.linalg import LinAlgError
 
 class ToolkitError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 2
 
 
 class ConfigError(ToolkitError):
@@ -24,6 +27,8 @@ class UnsupportedModelError(ConfigError):
 
 class DataError(ToolkitError):
     """Input data cannot be used (missing, malformed, or inconsistent)."""
+
+    exit_code = 3
 
 
 class ParseError(DataError):
@@ -42,6 +47,8 @@ class DegenerateInputError(DataError):
 
 class EstimationError(ToolkitError):
     """An estimator could not produce the requested result."""
+
+    exit_code = 4
 
 
 class SingularModelError(EstimationError, LinAlgError):

@@ -150,15 +150,6 @@ def _as_problems(data, dictionary):
     return R_hat, np.broadcast_to(A, R_hat.shape[:1] + A.shape[-2:]), single
 
 
-def spice_weights(dictionary, data) -> tuple[np.ndarray, np.ndarray]:
-    """(signal weights w_g = ||a_g||^2/E, noise weights w_m = 1/E) with
-    E = z^H z for a snapshot or tr(R_hat) for a covariance."""
-    model = _Model(data, dictionary)
-    if model.single:
-        return model.w_p[0], model.w_s[0]
-    return model.w_p, model.w_s
-
-
 def _cbf_power(A, R_hat) -> np.ndarray:
     """Delay-and-sum power a_g^H R_hat a_g / M^2, clipped at zero, per
     problem of a stack, in one batched product. Re sum_m a conj(R_hat a)

@@ -25,7 +25,8 @@ from .errors import ConfigError
 @dataclass(frozen=True)
 class FrequencyBinSet:
     """DFT length, distinct ascending bin indices, and the sample rate that
-    maps index l to l*fs/N hertz."""
+    maps index l to l*fs/N hertz. The band rule: each bin lies strictly
+    between the DC bin and N/2, so every frequency lies inside (0, fs/2)."""
 
     n_fft: int
     indices: np.ndarray
@@ -38,12 +39,17 @@ class FrequencyBinSet:
             raise ConfigError("DFT length must be >= 1")
         if idx.ndim != 1 or idx.size < 1:
             raise ConfigError("need at least one bin index")
-        if idx.min() < 0 or idx.max() >= self.n_fft:
-            raise ConfigError("bin indices must satisfy 0 <= l < N")
         if np.any(np.diff(idx) <= 0):
             raise ConfigError("bin indices must be distinct and ascending")
-        if not self.sample_rate > 0:
-            raise ConfigError("sample rate must be positive")
+        if not (self.sample_rate > 0 and np.isfinite(self.sample_rate)):
+            raise ConfigError(f"sample rate must be a positive finite number, "
+                              f"got {self.sample_rate}")
+        if idx[0] < 1 or 2 * idx[-1] >= self.n_fft:
+            n, fs = self.n_fft, self.sample_rate
+            raise ConfigError(
+                f"bins {idx[0]}..{idx[-1]} of N={n} ({idx[0] * fs / n:g}..{idx[-1] * fs / n:g}"
+                f" Hz) at rate {fs:g} Hz must lie inside (0, fs/2) = (0, {fs / 2:g}) Hz, "
+                f"off the DC and Nyquist bins")
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -51,8 +57,8 @@ class FrequencyBinSet:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        """(P, N) DFT basis, row p the bin vector of indices[p] (see
-        dft_vector); made once per bin set, read-only."""
+        """(P, N) DFT basis, row p the bin vector [1, z, ..., z^(N-1)] with
+        z = e^{+2i pi l/N}, l = indices[p]; made once per bin set, read-only."""
         V = np.exp(2j * np.pi * np.outer(self.indices, np.arange(self.n_fft)) / self.n_fft)
         V.flags.writeable = False
         return V
@@ -72,23 +78,13 @@ class BinSnapshots:
 
 
 def band_for(bins_hz: tuple, n_fft: int, sample_rate: float) -> FrequencyBinSet:
-    """All integer bins l with frequency in [f_lo, f_hi], each 0 < l < N/2."""
+    """The bin set of all integer bins l with frequency in [f_lo, f_hi]."""
     f_lo, f_hi = two_numbers(bins_hz, "band")
     lo = int(np.ceil(f_lo * n_fft / sample_rate - 1e-9))
     hi = int(np.floor(f_hi * n_fft / sample_rate + 1e-9))
     if hi < lo:
         raise ConfigError(f"band {bins_hz} contains no DFT bins at N={n_fft}")
-    if lo < 1 or 2 * hi >= n_fft:
-        raise ConfigError(f"band {bins_hz} Hz at rate {sample_rate:g} Hz must lie inside "
-                          f"(0, fs/2) = (0, {sample_rate / 2:g}) Hz, off the DC and Nyquist bins")
     return FrequencyBinSet(n_fft, np.arange(lo, hi + 1), sample_rate)
-
-
-def dft_vector(ell: int, n: int) -> np.ndarray:
-    """[1, z, z^2, ..., z^(N-1)] with z = e^{+2i pi ell/N}."""
-    if not 0 <= ell < n:
-        raise ConfigError(f"bin index {ell} out of range [0, {n})")
-    return np.exp(2j * np.pi * ell * np.arange(n) / n)
 
 
 def frame_count(n_total: int, frame_len: int, hop: int) -> int:

@@ -208,13 +208,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _manifest_line(config_hash: str, seed) -> str:
-    return f"# manifest config={config_hash} seed={seed}\n"
-
-
 def _meta_hash(*parts) -> str:
     blob = json.dumps([str(p) for p in parts])
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _table(title: str, config_hash: str, seed, header, rows) -> str:
+    """CSV text: the title comment, the manifest comment (config hash and
+    seed), the header row and the rows."""
+    buf = io.StringIO()
+    buf.write(f"# {title}\n# manifest config={config_hash} seed={seed}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def save_table(result, path) -> None:
@@ -225,49 +232,38 @@ def save_table(result, path) -> None:
 def render_table(result) -> str:
     """The CSV text of save_table. A bench table's manifest carries its
     config's seed; spectrum and bearing-time tables carry seed=na."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     if isinstance(result, SpatialSpectrum):
         freq = _fmt(float(result.frequency))
-        buf.write(f"# spectrum estimator={result.estimator} frequency={freq}\n")
-        buf.write(_manifest_line(
-            _meta_hash(result.estimator, freq, result.angles.tobytes()), "na"))
-        writer.writerow(["angle_deg", "power_db"])
-        for ang, pdb in zip(result.angles, result.power_db):
-            writer.writerow([_fmt(float(ang)), _fmt(float(pdb))])
-    elif isinstance(result, BearingTimeRecord):
-        buf.write(f"# btr estimator={result.estimator} "
-                  f"frames={len(result.times)}\n")
-        buf.write(_manifest_line(
-            _meta_hash(result.estimator, result.angles.tobytes()), "na"))
-        writer.writerow(["time_s"] + [_fmt(float(a)) for a in result.angles])
-        for t, row in zip(result.times.tolist(), result.power_db.tolist()):
-            writer.writerow([FLOAT_FMT % t] + [FLOAT_FMT % v for v in row])
-    elif isinstance(result, BenchResult):
+        return _table(f"spectrum estimator={result.estimator} frequency={freq}",
+                      _meta_hash(result.estimator, freq, result.angles.tobytes()), "na",
+                      ["angle_deg", "power_db"],
+                      ([_fmt(float(ang)), _fmt(float(pdb))]
+                       for ang, pdb in zip(result.angles, result.power_db)))
+    if isinstance(result, BearingTimeRecord):
+        return _table(f"btr estimator={result.estimator} frames={len(result.times)}",
+                      _meta_hash(result.estimator, result.angles.tobytes()), "na",
+                      ["time_s"] + [_fmt(float(a)) for a in result.angles],
+                      ([FLOAT_FMT % t] + [FLOAT_FMT % v for v in row]
+                       for t, row in zip(result.times.tolist(), result.power_db.tolist())))
+    if isinstance(result, BenchResult):
         cfg = result.config
-        buf.write(f"# bench preset={cfg.name} sweep={cfg.sweep}\n")
-        buf.write(_manifest_line(cfg.digest(), cfg.seed))
-        writer.writerow(["sweep_param", "value", "method", "trials",
-                         "shortfalls", "success_pct", "rmse_deg"])
-        for row in result.rows:
-            writer.writerow([row.sweep, _fmt(row.value), row.method,
-                             row.trials, row.shortfalls,
-                             _fmt(row.success_pct), _fmt(row.rmse_deg)])
-    else:
-        raise ConfigError(f"cannot serialize {type(result).__name__} as a table")
-    return buf.getvalue()
+        return _table(f"bench preset={cfg.name} sweep={cfg.sweep}", cfg.digest(), cfg.seed,
+                      ["sweep_param", "value", "method", "trials", "shortfalls",
+                       "success_pct", "rmse_deg"],
+                      ([row.sweep, _fmt(row.value), row.method, row.trials,
+                        row.shortfalls, _fmt(row.success_pct), _fmt(row.rmse_deg)]
+                       for row in result.rows))
+    raise ConfigError(f"cannot serialize {type(result).__name__} as a table")
 
 
 def save_timing_table(result: BenchResult, path) -> None:
     """Wall-clock totals, kept apart from the deterministic metrics table."""
-    buf = io.StringIO()
-    buf.write(f"# bench-timing preset={result.config.name}\n")
-    buf.write(_manifest_line(result.config.digest(), result.config.seed))
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "total_s", "ratio"])
-    for method, total, ratio in timing_ratios(result):
-        writer.writerow([method, _fmt(total), _fmt(ratio)])
-    _write(path, "table", buf.getvalue())
+    cfg = result.config
+    _write(path, "table", _table(
+        f"bench-timing preset={cfg.name}", cfg.digest(), cfg.seed,
+        ["method", "total_s", "ratio"],
+        ([method, _fmt(total), _fmt(ratio)]
+         for method, total, ratio in timing_ratios(result))))
 
 
 # -----------------------------

@@ -98,7 +98,8 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
-            raise ConfigError(f"unknown noise kind {self.kind!r}")
+            raise ConfigError(f"unknown noise kind {self.kind!r}; the kinds are "
+                              f"{', '.join(NOISE_KINDS)}")
         if self.kind == "uniform-gaussian" and not self.sigma2 > 0:
             raise ConfigError("uniform noise variance must be positive")
         if self.kind == "nonuniform-gaussian":

@@ -98,6 +98,24 @@ def test_scenario_config_validation():
         _tiny_config(noise="nonuniform-gaussian", noise_diag=(1.0, 2.0))
 
 
+def test_unknown_noise_kind_is_rejected_before_any_trial(monkeypatch):
+    # NoiseModel owns the kinds; the scenario asks it before any synthesis
+    monkeypatch.setattr(bench, "synthesize", lambda *a, **kw: pytest.fail("synthesized"))
+    with pytest.raises(ConfigError, match="unknown noise kind 'bogus'; the kinds are "
+                       "uniform-gaussian, nonuniform-gaussian, impulsive-sas"):
+        _tiny_config(noise="bogus")
+
+
+def test_preset_digests_are_unchanged():
+    # the manifest digests of the presets and of the default scenario
+    digests = {"table1": "3df33280c918", "table1-snapshots": "f4137dd32eda",
+               "table2": "608727e0ed3e", "table3": "083291ab45f7",
+               "table3-snapshots": "e15f4c71c8ea", "table4": "947074f2b831",
+               "impulsive": "4820ff4cf364", "impulsive-snapshots": "eec071d85d0f"}
+    assert {name: factory().digest() for name, factory in PRESETS.items()} == digests
+    assert ScenarioConfig().digest() == "da9bc8b1415a"
+
+
 @pytest.mark.parametrize("kw, message", [
     (dict(methods=()), "methods must name at least one estimator"),
     (dict(methods=("cbf", "music", "cbf")), "each once"),

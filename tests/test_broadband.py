@@ -12,7 +12,8 @@ from dasdoa.broadband import _fuse_rows, broadband_estimate, broadband_gnr2, \
 from dasdoa.errors import ConfigError, DegenerateInputError
 from dasdoa.estimators import SolverConfig, SpatialSpectrum, fixed_grid_spectrum, \
     peak_pick
-from dasdoa.frontend import band_for, band_transform, bin_covariances, select_bins
+from dasdoa.frontend import FrequencyBinSet, band_for, band_transform, bin_covariances, \
+    select_bins
 from dasdoa.simulate import NoiseModel, SnapshotMatrix, SourceSpec, harmonic_lines, \
     synthesize
 
@@ -33,8 +34,8 @@ def _plane_wave_covs(geom, freqs, theta, noise=0.01):
     return np.array(covs)
 
 
-def _record(truth, seed, duration=2.0, snr=10.0):
-    geom = uniform_line_array(8, spacing=1.25)
+def _record(truth, seed, duration=2.0, snr=10.0, elements=8):
+    geom = uniform_line_array(elements, spacing=1.25)
     lines = tuple(harmonic_lines(100.0 - 10.0 * i, BAND)
                   for i in range(len(truth)))
     src = SourceSpec("propeller-broadband", tuple(truth),
@@ -180,6 +181,15 @@ def test_broadband_estimate_validation():
         None, None, 16, np.random.default_rng(0), dictionary_frequency=3000.0)
     with pytest.raises(ConfigError):
         broadband_estimate(snapshot, geom)
+
+
+@pytest.mark.parametrize("run", [broadband_estimate, btr], ids=["estimate", "btr"])
+def test_a_bin_set_past_nyquist_is_rejected(run):
+    # bins 200..300 at N = 512 reach past fs/2 = 2560 Hz; the bin set, not
+    # only a band in Hz, keeps them out, where CBF would peak at an alias
+    block, geom = _record((10.0, 25.0), seed=5, duration=0.5, elements=12)
+    with pytest.raises(ConfigError, match=r"bins 200\.\.300 of N=512"):
+        run(block, geom, bins=FrequencyBinSet(512, np.arange(200, 301), FS))
 
 
 @pytest.mark.parametrize("run", [broadband_estimate, btr], ids=["estimate", "btr"])

@@ -6,15 +6,15 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dasdoa import cli, estimators
+from dasdoa import cli, errors, estimators
 from dasdoa.arrays import build_dictionary, full_sector, half_wavelength_spacing, \
     uniform_line_array
 from dasdoa.bench import PRESETS
 from dasdoa.broadband import broadband_estimate
-from dasdoa.estimators import ESTIMATORS
+from dasdoa.estimators import ESTIMATORS, SolverConfig
 from dasdoa.frontend import sample_covariance
 from dasdoa.recordio import load_record, render_table
-from dasdoa.refine import narrowband_estimate
+from dasdoa.refine import RefineConfig, narrowband_estimate
 
 
 def _simulate_snapshot(tmp_path, **extra):
@@ -202,6 +202,29 @@ def test_singular_model_exits_4(records, monkeypatch):
                            "3000", "--estimator", "qspice", "--k", "2"])
     assert (code, out) == (4, "")
     assert "2-th leading minor" in err
+
+
+# every ToolkitError class and the exit code it carries
+_EXIT_CODES = {errors.ToolkitError: 2, errors.ConfigError: 2,
+               errors.UnsupportedModelError: 2, errors.DataError: 3,
+               errors.ParseError: 3, errors.DegenerateInputError: 3,
+               errors.EstimationError: 4, errors.SingularModelError: 4}
+
+
+def test_exit_code_table_names_every_toolkit_error():
+    def family(cls):
+        return {cls}.union(*(family(sub) for sub in cls.__subclasses__()))
+    assert family(errors.ToolkitError) == set(_EXIT_CODES)
+
+
+@pytest.mark.parametrize("error, code", _EXIT_CODES.items(),
+                         ids=[cls.__name__ for cls in _EXIT_CODES])
+def test_each_toolkit_error_exits_with_its_code(error, code, monkeypatch):
+    def handler(args):
+        raise error("the handler failed")
+    monkeypatch.setattr(cli, "_cmd_cable", handler)
+    assert error.exit_code == code
+    assert _run(["cable-sens"]) == (code, "", "error: the handler failed\n")
 
 
 def test_bad_preset_exits_2_via_argparse(capsys):
@@ -477,6 +500,45 @@ def test_config_null_is_unset(tmp_path):
     assert cli.main(["simulate", "--out", str(plain)]) == 0
     assert cli.main(["simulate", "--out", str(nulls), "--config", str(cfg)]) == 0
     assert nulls.read_bytes() == plain.read_bytes()
+
+
+def test_an_empty_config_leaves_the_library_defaults(records, tmp_path, monkeypatch):
+    # options set neither by flag nor by config are not passed on
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    calls = {}
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            calls[name] = (args, kwargs)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, call)
+    spy("narrowband_estimate")
+    spy("btr")
+    assert _run(["estimate", "--input", str(records[0]), "--frequency", "3000",
+                 "--k", "2", "--config", str(cfg)])[0] == 0
+    assert _run(["btr", "--input", str(records[1]), "--spacing", "1.25",
+                 "--config", str(cfg), "--out", str(tmp_path / "btr.csv")])[0] == 0
+    args, kwargs = calls["narrowband_estimate"]
+    assert args[5:] == (SolverConfig(), RefineConfig()) and kwargs == {}
+    _, kwargs = calls["btr"]
+    assert set(kwargs) == {"estimator", "k", "sector", "step", "convention",
+                           "select_count", "solver_cfg", "refine_cfg"}
+    assert (kwargs["solver_cfg"], kwargs["refine_cfg"]) == (SolverConfig(), RefineConfig())
+
+
+def test_bench_rejects_an_unknown_noise_kind(tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "m.csv"
+    cfg.write_text(json.dumps({"noise": "bogus"}))
+    code, stdout, err = _run(["bench", "--preset", "table1", "--trials", "1",
+                              "--methods", "cbf", "--sweep-values", "9",
+                              "--config", str(cfg), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert ("unknown noise kind 'bogus'; the kinds are uniform-gaussian, "
+            "nonuniform-gaussian, impulsive-sas") in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_bench_config_values_reach_the_digest_as_written(tmp_path):

@@ -10,10 +10,9 @@ from dasdoa import estimators
 from dasdoa.arrays import Dictionary, build_dictionary, uniform_line_array
 from dasdoa.errors import ConfigError, DegenerateInputError, EstimationError, \
     SingularModelError, ToolkitError
-from dasdoa.estimators import DB_FLOOR, SolverConfig, SpatialSpectrum, _block_minimize, \
-    _pick, cbf_spectrum, fixed_grid_powers, fixed_grid_spectrum, kkt_residual, \
-    music_spectrum, \
-    objective_value, peak_pick, qspice_solve, spice_weights
+from dasdoa.estimators import DB_FLOOR, SolverConfig, SpatialSpectrum, _Model, \
+    _block_minimize, _pick, cbf_spectrum, fixed_grid_powers, fixed_grid_spectrum, \
+    kkt_residual, music_spectrum, objective_value, peak_pick, qspice_solve
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -386,9 +385,9 @@ def test_fixed_grid_powers_check_every_problem(name):
 def test_spice_weights_convention():
     a = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
     r_hat = 2.0 * np.eye(2, dtype=complex)
-    w_p, w_s = spice_weights(a, r_hat)
-    assert_allclose(w_p, [2.0 / 4.0, 2.0 / 4.0])   # ||a_g||^2 / tr
-    assert_allclose(w_s, [0.25, 0.25])             # 1 / tr
+    model = _Model(r_hat, a)
+    assert_allclose(model.w_p, [[2.0 / 4.0, 2.0 / 4.0]])   # ||a_g||^2 / tr
+    assert_allclose(model.w_s, [[0.25, 0.25]])             # 1 / tr
 
 
 def test_solver_config_validation():

@@ -6,21 +6,12 @@ from numpy.testing import assert_allclose
 from dasdoa.arrays import uniform_line_array, steering_matrix
 from dasdoa.errors import ConfigError
 from dasdoa.frontend import BinSnapshots, FrequencyBinSet, band_for, \
-    band_transform, bin_covariances, dft_vector, frame_count, \
+    band_transform, bin_covariances, frame_count, \
     sample_covariance, select_bins
 from dasdoa.simulate import delay_channels
 
 FS = 5120.0
 NFFT = 512
-
-
-def test_dft_vector_definition():
-    v = dft_vector(3, 16)
-    assert_allclose(v, np.exp(2j * np.pi * 3 * np.arange(16) / 16))
-    with pytest.raises(ConfigError):
-        dft_vector(16, 16)
-    with pytest.raises(ConfigError):
-        dft_vector(-1, 16)
 
 
 @pytest.mark.parametrize("band", [(2000.0, 3000.0), (2000.0, 2560.0), (0.0, 100.0),
@@ -51,6 +42,22 @@ def test_bin_set_validation_and_subset():
         FrequencyBinSet(NFFT, np.array([5, 600]), FS)    # out of range
 
 
+@pytest.mark.parametrize("indices", [[0], [0, 5], [256], [5, 256], [300], [200, 300]])
+def test_bin_set_holds_the_band_rule(indices):
+    # the bin set itself keeps 0 < l < N/2, however it was built
+    with pytest.raises(ConfigError, match=rf"bins {indices[0]}\.\.{indices[-1]} of "
+                       r"N=512 .* at rate 5120 Hz must lie inside \(0, fs/2\) = "
+                       r"\(0, 2560\) Hz"):
+        FrequencyBinSet(NFFT, np.array(indices), FS)
+    assert FrequencyBinSet(NFFT, np.array([1, 255]), FS).indices.tolist() == [1, 255]
+
+
+@pytest.mark.parametrize("rate", [np.inf, np.nan, 0.0, -FS])
+def test_bin_set_rejects_a_rate_that_is_not_positive_and_finite(rate):
+    with pytest.raises(ConfigError, match="sample rate must be a positive finite"):
+        FrequencyBinSet(NFFT, np.array([5]), rate)
+
+
 def test_frame_count_arithmetic():
     assert frame_count(NFFT, NFFT, NFFT // 2) == 1
     assert frame_count(NFFT + 256, NFFT, 256) == 2
@@ -77,7 +84,8 @@ def test_dft_basis_is_made_once_per_bin_set():
     V = bins.basis
     assert bins.basis is V and not V.flags.writeable
     for row, ell in zip(V, bins.indices):
-        assert_allclose(row, dft_vector(ell, NFFT), rtol=1e-12)
+        # [1, z, ..., z^(N-1)] with z = e^{+2i pi l/N}
+        assert_allclose(row, np.exp(2j * np.pi * ell * np.arange(NFFT) / NFFT), rtol=1e-12)
 
 
 def test_band_transform_plane_wave_matches_steering():
@@ -109,7 +117,7 @@ def test_sample_covariance_matches_bin_covariances(seed, p, m, f, dtype):
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((p, m, f))
          + 1j * rng.standard_normal((p, m, f))).astype(dtype)
-    bins = FrequencyBinSet(NFFT, np.arange(p), FS)
+    bins = FrequencyBinSet(NFFT, np.arange(1, p + 1), FS)
     covs = bin_covariances(BinSnapshots(z, bins, NFFT // 2))
     assert covs.shape == (p, m, m) and covs.dtype == np.complex128
     assert np.array_equal(covs, sample_covariance(z))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from dasdoa.bench import ScenarioConfig, run_monte_carlo
+from dasdoa.bench import BenchResult, BenchRow, ScenarioConfig, run_monte_carlo
 from dasdoa.broadband import BearingTimeRecord
 from dasdoa.errors import ConfigError, ParseError
 from dasdoa.estimators import SpatialSpectrum
@@ -257,6 +257,38 @@ def test_save_table_bench_deterministic(tmp_path):
     timing = tmp_path / "timing.csv"
     save_timing_table(run_monte_carlo(cfg), timing)
     assert timing.read_text().splitlines()[2] == "method,total_s,ratio"
+
+
+def test_tables_render_their_literal_text(tmp_path):
+    # title, manifest, header and rows of each table kind, byte for byte
+    spec = SpatialSpectrum(np.array([-1.0, 0.0, 1.5]), np.array([0.5, 2.0, 1.0]),
+                           "cbf", 3000.0)
+    assert render_table(spec) == (
+        "# spectrum estimator=cbf frequency=3000\n"
+        "# manifest config=a6e4d29c81ff seed=na\n"
+        "angle_deg,power_db\n-1,-3.01029996\n0,3.01029996\n1.5,0\n")
+    rec = BearingTimeRecord(np.array([0.5, 0.75]), np.array([-1.0, 0.0, 2.5]),
+                            np.array([[-3.0, 0.0, -1.25], [-0.1, -200.0 / 3, 0.0]]), "cbf")
+    assert render_table(rec) == (
+        "# btr estimator=cbf frames=2\n"
+        "# manifest config=6757e5871bb7 seed=na\n"
+        "time_s,-1,0,2.5\n0.5,-3,0,-1.25\n0.75,-0.1,-66.6666667,0\n")
+    cfg = ScenarioConfig(name="tiny", sweep_values=(9.0,), trials=2,
+                         methods=("cbf", "gnr2"), seed=3)
+    result = BenchResult(cfg, (BenchRow("snr", 9.0, "cbf", 2, 1, 50.0, 0.1234567891),
+                               BenchRow("snr", 9.0, "gnr2", 2, 2, 0.0, float("nan"))),
+                         (("cbf", 0.25), ("gnr2", 2.0)))
+    assert render_table(result) == (
+        "# bench preset=tiny sweep=snr\n"
+        "# manifest config=86c099d4d9cf seed=3\n"
+        "sweep_param,value,method,trials,shortfalls,success_pct,rmse_deg\n"
+        "snr,9,cbf,2,1,50,0.123456789\nsnr,9,gnr2,2,2,0,nan\n")
+    timing = tmp_path / "timing.csv"
+    save_timing_table(result, timing)
+    assert timing.read_text() == (
+        "# bench-timing preset=tiny\n"
+        "# manifest config=86c099d4d9cf seed=3\n"
+        "method,total_s,ratio\ncbf,0.25,0.125\ngnr2,2,1\n")
 
 
 def test_save_table_rejects_unknown_type(tmp_path):
