@@ -16,8 +16,9 @@
 # impulsive one also at alpha = 1, the Cauchy branch, and each noise kind
 # with sigma2, gamma and noise_diag from a config); estimate
 # with every estimator on a snapshot record, and on a time record with and
-# without --select-bins, with --gnuplot, and with the solver and refine
-# keys from a config; btr with cbf (at frame hops that share snapshots
+# without --select-bins, with --gnuplot, with an odd DFT length, and with
+# the solver and refine keys from a config; cbf on a time record whose
+# sample count leaves a partial half DFT length, binary and CSV; btr with cbf (at frame hops that share snapshots
 # and at 0.37 of a frame, which shares none, and with the frame length and
 # hop from a config), music, qspice and gnr2, with --gnuplot; bench
 # table1-table4 and impulsive at --trials 2, each with --jobs 1 and 2, and
@@ -31,7 +32,8 @@
 # records without --spacing or with --frequency, bands that reach the DC bin
 # or past Nyquist, propeller scenes with an unknown convention or an angle
 # outside it, bench methods empty or repeated, a fractional snapshot
-# sweep, an unknown bench noise kind). BLAS
+# sweep, an unknown bench noise kind, bench noise keys that the noise kind
+# does not read). BLAS
 # runs on one thread unless the environment says otherwise. Takes a few
 # minutes on a 2-vCPU host.
 set -u
@@ -91,6 +93,10 @@ run sim-propeller simulate "${PROP[@]}" --samples 10240 --seed 5 --out rec.bin
 run sim-propeller-csv simulate "${PROP[@]}" --samples 2048 --seed 7 --format csv \
     --out rec.csv
 run sim-propeller-seed0 simulate "${PROP[@]}" --samples 10240 --out rec.bin
+# 10300 samples: 40 half DFT lengths of 256 and 60 samples over
+run sim-propeller-partial simulate "${PROP[@]}" --samples 10300 --seed 11 --out rec.bin
+run sim-propeller-partial-csv simulate "${PROP[@]}" --samples 10300 --seed 11 \
+    --format csv --out rec.csv
 
 echo '{"sigma2": 2.5, "gamma": 0.5, "noise_diag": [12, 2.3, 20.5, 5.5, 11.1, 6.5, 2, 13.5, 0.8, 1.7, 13.6, 5.2]}' \
     >"$out/noise.json"
@@ -130,6 +136,12 @@ for est in cbf music spice qspice gnr2; do
 done
 run est-time-csv estimate --input ../sim-propeller-csv/rec.csv --format csv \
     --estimator cbf --k 2 --spacing 1.25 --out spec.csv
+run est-time-partial estimate --input ../sim-propeller-partial/rec.bin \
+    --estimator cbf --k 2 --spacing 1.25 --out spec.csv
+run est-time-partial-csv estimate --input ../sim-propeller-partial-csv/rec.csv \
+    --format csv --estimator cbf --k 2 --spacing 1.25 --out spec.csv
+run est-time-nfft511 estimate --input "$TIME" --estimator cbf --k 2 --spacing 1.25 \
+    --n-fft 511 --out spec.csv
 
 for est in qspice gnr2; do
     run "est-time-$est-config" estimate --input "$TIME" --estimator "$est" --k 2 \
@@ -213,6 +225,10 @@ echo '{"noise": "bogus"}' >"$out/bogus-noise.json"
 # no --timing-out: a version that accepts this config writes wall-clock seconds
 run rej-bench-noise-unknown bench --preset table1 --trials 1 --methods cbf \
     --sweep-values 9 --config ../bogus-noise.json --out table.csv
+echo '{"noise_diag": [12, 2.3, 20.5, 5.5, 11.1, 6.5, 2, 13.5, 0.8, 1.7, 13.6, 5.2], "alpha": 0.5}' \
+    >"$out/ignored-noise-keys.json"
+run rej-bench-noise-keys bench --preset table1 --trials 2 --methods cbf,qspice \
+    --sweep-values 9 --config ../ignored-noise-keys.json --out table.csv
 run rej-est-input-missing estimate --input ../no-such-record.bin --frequency 3000 \
     --estimator cbf --k 2
 # gnr2 on 8 selected bins resolves 1 of the 2 sources of this record
