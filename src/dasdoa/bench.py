@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .arrays import build_dictionary, half_wavelength_spacing, perturb_geometry, \
     uniform_line_array
@@ -47,6 +46,8 @@ CHUNK_TRIALS = 16
 def pair_errors(estimates, truth) -> np.ndarray:
     """Signed errors after matching estimates to truths by the assignment
     that minimizes the total absolute error."""
+    # imported here: scipy.optimize would cost every CLI start-up ~0.5 s
+    from scipy.optimize import linear_sum_assignment
     est = np.asarray(estimates, dtype=float)
     tru = np.asarray(truth, dtype=float)
     if est.shape != tru.shape:
@@ -137,6 +138,12 @@ class ScenarioConfig:
         if self.noise == "nonuniform-gaussian" and len(self.noise_diag) != self.n_elements:
             raise ConfigError("noise_diag must supply one variance per element")
         self.noise_model()
+        if len(self.noise_diag) and self.noise != "nonuniform-gaussian":
+            raise ConfigError(f"noise_diag is read only by nonuniform-gaussian noise, "
+                              f"not {self.noise}")
+        if self.alpha != ScenarioConfig.alpha and self.noise != "impulsive-sas":
+            raise ConfigError(f"alpha is read only by impulsive-sas noise, not "
+                              f"{self.noise} (got alpha={self.alpha:g})")
         unknown = set(self.methods) - set(ESTIMATORS)
         if unknown:
             raise ConfigError(f"unknown methods {sorted(unknown)}; "

@@ -11,13 +11,14 @@ in the estimators' sense: covariances (P, M, M) on the steering stack
 (P, M, G) that arrays.steering_stack builds, a matrix per bin.
 
 A broadband request (broadband_estimate, or btr over all its frames) builds
-what does not depend on the frame once: the frequency bins and their DFT
-basis, the angle grid and, for the fixed-grid estimators, all its bins'
+what does not depend on the frame once: the frequency bins and their real
+half basis, the angle grid and, for the fixed-grid estimators, all its bins'
 steering stack, whether or not its frames select bins. Overlapping frames
 share their snapshots: when the frame hop is a multiple of the DFT hop
 N/2, a frame keeps the snapshots at the sample offsets of the frame before
-and runs frontend.band_transform only on the segment of its new ones, so
-a record's snapshots are each computed once. Each frame then runs the bin
+and runs frontend.band_transform only on the segment of its new ones, one
+(M(F+1) x N/2)(N/2 x 2P) real product over the half blocks of its F new
+snapshots, so a record's snapshots are each computed once. Each frame then runs the bin
 covariances, the bin selection (which indexes the stack) and
 estimators.fixed_grid_powers: one covariance check for the kept bins and
 one (P, G) power matrix (for CBF one batched product), fused in one

@@ -5,7 +5,10 @@ eigenvalue separation.
 The bin correlation uses v_l = [1, z_l, ..., z_l^(N-1)] with z_l = e^{+2i pi l/N}
 (a +i DFT), so a plane wave arriving under the advance convention of
 `simulate.delay_channels` produces Z proportional to the e^{-j...} steering
-vector at the bin frequency.
+vector at the bin frequency. Frames lie N/2 apart, so frame f is the half
+blocks f and f + 1, and z_l^{N/2} = e^{i pi l} = (-1)^l: `band_transform`
+correlates each N/2-sample block once, in one (M(F+1) x N/2)(N/2 x 2P)
+real product against the bins' half basis, and adds the two halves.
 
 `sample_covariance` forms every covariance, of one snapshot matrix (a
 narrowband record) or of a stack (the bins), so a bin's covariance is
@@ -56,12 +59,16 @@ class FrequencyBinSet:
         return self.indices * self.sample_rate / self.n_fft
 
     @cached_property
-    def basis(self) -> np.ndarray:
-        """(P, N) DFT basis, row p the bin vector [1, z, ..., z^(N-1)] with
-        z = e^{+2i pi l/N}, l = indices[p]; made once per bin set, read-only."""
-        V = np.exp(2j * np.pi * np.outer(self.indices, np.arange(self.n_fft)) / self.n_fft)
-        V.flags.writeable = False
-        return V
+    def half_basis(self) -> np.ndarray:
+        """(N//2, 2P) real basis of the first N//2 samples: columns 2p and
+        2p + 1 hold the real and imaginary parts of [1, z, ..., z^(N//2-1)]
+        with z = e^{+2i pi l/N}, l = indices[p], so its complex view is that
+        (N//2, P) basis; made once per bin set, read-only."""
+        V = np.exp(2j * np.pi * np.outer(np.arange(self.n_fft // 2), self.indices)
+                   / self.n_fft)
+        W = V.view(float)
+        W.flags.writeable = False
+        return W
 
 
 @dataclass(frozen=True)
@@ -96,24 +103,48 @@ def frame_count(n_total: int, frame_len: int, hop: int) -> int:
     return (n_total - frame_len) // hop + 1
 
 
-def band_transform(record, bins: FrequencyBinSet) -> BinSnapshots:
-    """Correlate each length-N frame of the record, frames N/2 apart, against
-    the bin vectors (bare correlation, no window).
+# Frames per real product: a long record is correlated one run of frames at
+# a time, so its float64 copy and its correlations stay a few MB.
+RUN_FRAMES = 128
 
-    record: M x n array of time samples.
+
+def band_transform(record, bins: FrequencyBinSet) -> BinSnapshots:
+    """Correlate each length-N frame of the record, frames h = N//2 apart,
+    against the bin vectors (bare correlation, no window).
+
+    Frame f is the half blocks f and f + 1 of h samples (and, for an odd N,
+    the sample after them), and bin l's vector over the second block is
+    z^h = e^{i pi l (2h/N)} times its vector over the first, (-1)^l for an
+    even N. So each half block is correlated once, in one
+    (M(F+1) x h)(h x 2P) real product Y against `FrequencyBinSet.half_basis`,
+    and snapshot f is Y_f + z^h Y_(f+1) (plus the last sample's term for an
+    odd N), written into the (P, M, F) stack. A record of more than
+    RUN_FRAMES frames takes one such product per run of RUN_FRAMES frames.
+
+    record: M x n real array of time samples.
     """
     data = np.asarray(record)
     if data.ndim != 2:
         raise ConfigError("record must be an M x n matrix")
-    n_fft = bins.n_fft
-    hop = n_fft // 2
-    n_frames = frame_count(data.shape[1], n_fft, hop)
-    V = bins.basis
-    z = np.empty((bins.indices.size, data.shape[0], n_frames), dtype=complex)
-    for f in range(n_frames):
-        frame = data[:, f * hop: f * hop + n_fft]
-        z[:, :, f] = V @ frame.T
-    return BinSnapshots(z, bins, hop)
+    if np.iscomplexobj(data):
+        raise ConfigError(f"a time record must be real, got {data.dtype} samples")
+    n_fft, half = bins.n_fft, bins.n_fft // 2
+    n_frames = frame_count(data.shape[1], n_fft, half)
+    m, ell, odd = data.shape[0], bins.indices, n_fft % 2
+    shift = np.exp(2j * np.pi * ell * half / n_fft) if odd else (-1.0) ** ell
+    z = np.empty((ell.size, m, n_frames), dtype=complex)
+    for f0 in range(0, n_frames, RUN_FRAMES):
+        f1 = min(f0 + RUN_FRAMES, n_frames)
+        blocks = np.ascontiguousarray(data[:, f0 * half:(f1 + 1) * half], dtype=float)
+        y = (blocks.reshape(-1, half) @ bins.half_basis).view(complex).reshape(
+            m, f1 - f0 + 1, -1)
+        out = z[:, :, f0:f1].transpose(1, 2, 0)
+        np.multiply(y[:, 1:], shift, out=out)
+        out += y[:, :-1]
+        if odd:
+            out += (data[:, (f0 + 2) * half::half][:, :f1 - f0, None]
+                    * np.exp(-2j * np.pi * ell / n_fft))
+    return BinSnapshots(z, bins, half)
 
 
 def sample_covariance(z: np.ndarray) -> np.ndarray:

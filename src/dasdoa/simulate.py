@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, sosfiltfilt
 
 from .arrays import ArrayGeometry, axis_cosines, steering_matrix, two_numbers
 from .errors import ConfigError, UnsupportedModelError
@@ -200,6 +199,8 @@ def propeller_waveform(n: int, fs: float, band: tuple, lines, rng) -> np.ndarray
     its slot. The record must span the filter's edge padding and one period
     of the band's lower edge (n >= fs / f_lo).
     """
+    # imported here: scipy.signal would cost every CLI start-up ~0.5 s
+    from scipy.signal import butter, sosfiltfilt
     f_lo, f_hi = band
     if not 0 < f_lo < f_hi < fs / 2:
         raise ConfigError("band must satisfy 0 < f_lo < f_hi < fs/2 (Nyquist)")

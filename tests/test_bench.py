@@ -106,6 +106,24 @@ def test_unknown_noise_kind_is_rejected_before_any_trial(monkeypatch):
         _tiny_config(noise="bogus")
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(noise_diag=NONUNIFORM_DIAG), "noise_diag is read only by nonuniform-gaussian "
+                                      "noise, not uniform-gaussian"),
+    (dict(noise="impulsive-sas", noise_diag=NONUNIFORM_DIAG),
+     "noise_diag is read only by nonuniform-gaussian noise, not impulsive-sas"),
+    (dict(alpha=0.5), r"alpha is read only by impulsive-sas noise, not uniform-gaussian "
+                      r"\(got alpha=0.5\)"),
+    (dict(noise="nonuniform-gaussian", noise_diag=NONUNIFORM_DIAG, alpha=2.0),
+     "alpha is read only by impulsive-sas noise, not nonuniform-gaussian")])
+def test_noise_keys_the_kind_does_not_read_are_rejected(kw, message):
+    # a key the noise kind ignores would change the manifest, not the rows
+    with pytest.raises(ConfigError, match=message):
+        _tiny_config(**kw)
+    assert _tiny_config(noise="impulsive-sas", alpha=0.5).alpha == 0.5
+    assert _tiny_config(noise="nonuniform-gaussian",
+                        noise_diag=NONUNIFORM_DIAG).noise_diag == NONUNIFORM_DIAG
+
+
 def test_preset_digests_are_unchanged():
     # the manifest digests of the presets and of the default scenario
     digests = {"table1": "3df33280c918", "table1-snapshots": "f4137dd32eda",

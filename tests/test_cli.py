@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -539,6 +543,30 @@ def test_bench_rejects_an_unknown_noise_kind(tmp_path):
     assert ("unknown noise kind 'bogus'; the kinds are uniform-gaussian, "
             "nonuniform-gaussian, impulsive-sas") in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_bench_rejects_noise_keys_the_kind_does_not_read(tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "m.csv"
+    cfg.write_text(json.dumps({"noise_diag": [12, 2.3, 20.5, 5.5, 11.1, 6.5, 2, 13.5,
+                                              0.8, 1.7, 13.6, 5.2], "alpha": 0.5}))
+    code, stdout, err = _run(["bench", "--preset", "table1", "--trials", "2",
+                              "--methods", "cbf,qspice", "--sweep-values", "9",
+                              "--config", str(cfg), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert "noise_diag is read only by nonuniform-gaussian noise, not uniform-gaussian" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_cli_import_leaves_scipy_signal_and_optimize_unloaded():
+    # only a propeller simulation needs scipy.signal and only bench scoring
+    # scipy.optimize; each is imported where it is called
+    code = ("import sys, dasdoa.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_bench_config_values_reach_the_digest_as_written(tmp_path):

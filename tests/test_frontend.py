@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dasdoa.arrays import uniform_line_array, steering_matrix
+from dasdoa import frontend
 from dasdoa.errors import ConfigError
 from dasdoa.frontend import BinSnapshots, FrequencyBinSet, band_for, \
     band_transform, bin_covariances, frame_count, \
@@ -82,11 +83,62 @@ def test_band_transform_exact_bin_tone():
 
 def test_dft_basis_is_made_once_per_bin_set():
     bins = FrequencyBinSet(NFFT, np.array([3, 20, 41]), FS)
-    V = bins.basis
-    assert bins.basis is V and not V.flags.writeable
-    for row, ell in zip(V, bins.indices):
-        # [1, z, ..., z^(N-1)] with z = e^{+2i pi l/N}
-        assert_allclose(row, np.exp(2j * np.pi * ell * np.arange(NFFT) / NFFT), rtol=1e-12)
+    W = bins.half_basis
+    assert bins.half_basis is W and not W.flags.writeable
+    assert W.shape == (NFFT // 2, 6) and W.dtype == np.float64
+    for p, ell in enumerate(bins.indices):
+        # columns 2p, 2p + 1: the real and imaginary parts of
+        # [1, z, ..., z^(N/2-1)] with z = e^{+2i pi l/N}
+        v = W[:, 2 * p] + 1j * W[:, 2 * p + 1]
+        assert_allclose(v, np.exp(2j * np.pi * ell * np.arange(NFFT // 2) / NFFT),
+                        rtol=1e-12)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n_fft=st.integers(3, 80), m=st.integers(1, 5),
+       frames=st.integers(1, 6), extra=st.integers(0, 40), lead=st.integers(0, 5),
+       dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+def test_band_transform_is_the_written_out_correlation(seed, n_fft, m, frames, extra,
+                                                       lead, dtype, data):
+    # z[p, m, f] = sum_n x[m, f h + n] e^{+2i pi l_p n/N}, h = N//2, for odd
+    # and even bins and DFT lengths, float32 and float64 records, lengths
+    # that leave a partial half block, and a segment view of a longer record
+    half = n_fft // 2
+    n = n_fft + (frames - 1) * half + extra % max(half, 1)
+    ell = np.array(sorted(data.draw(st.sets(st.integers(1, (n_fft - 1) // 2), min_size=1))))
+    rng = np.random.default_rng(seed)
+    record = rng.standard_normal((m, lead + n + 3)).astype(dtype)
+    x = record[:, lead:lead + n]
+    bins = FrequencyBinSet(n_fft, ell, FS)
+    z = band_transform(x, bins).z
+    n_frames = (n - n_fft) // half + 1
+    expect = np.empty((ell.size, m, n_frames), dtype=complex)
+    for f in range(n_frames):
+        frame = x[:, f * half:f * half + n_fft].astype(float)
+        for p, l_p in enumerate(ell):
+            expect[p, :, f] = (frame * np.exp(2j * np.pi * l_p * np.arange(n_fft)
+                                              / n_fft)).sum(axis=1)
+    assert z.shape == expect.shape and z.dtype == np.complex128
+    assert np.abs(z - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("n_fft", [64, 63])
+def test_band_transform_runs_of_frames_keep_the_bits(n_fft, monkeypatch):
+    # a long record is correlated a run of frames at a time; each half
+    # block is the same row of its run's product, so runs change no bit
+    record = np.random.default_rng(5).standard_normal((3, 40 * n_fft)).astype(np.float32)
+    bins = FrequencyBinSet(n_fft, np.arange(1, (n_fft + 1) // 2), FS)
+    whole = band_transform(record, bins).z
+    assert whole.shape[2] < frontend.RUN_FRAMES
+    monkeypatch.setattr(frontend, "RUN_FRAMES", 7)
+    assert band_transform(record, bins).z.tobytes() == whole.tobytes()
+
+
+def test_band_transform_rejects_complex_samples():
+    # the real product would drop the imaginary part
+    rec = np.ones((2, NFFT), dtype=complex)
+    with pytest.raises(ConfigError, match="a time record must be real, got complex128"):
+        band_transform(rec, FrequencyBinSet(NFFT, np.array([10]), FS))
 
 
 def test_band_transform_plane_wave_matches_steering():
