@@ -18,11 +18,11 @@ share their snapshots: when the frame hop is a multiple of the DFT hop
 N/2, a frame keeps the snapshots at the sample offsets of the frame before
 and runs frontend.band_transform only on the segment of its new ones, one
 (M(F+1) x N/2)(N/2 x 2P) real product over the half blocks of its F new
-snapshots, so a record's snapshots are each computed once. Each frame then runs the bin
-covariances, the bin selection (which indexes the stack) and
-estimators.fixed_grid_powers: one covariance check for the kept bins and
-one (P, G) power matrix (for CBF one batched product), fused in one
-reduction. A broadband_gnr2 frame builds its own stack per refine round,
+snapshots, so a record's snapshots are each computed once. Each frame
+then runs the bin covariances, the bin selection (which indexes the
+stack) and estimators.fixed_grid_powers: one covariance check for the
+kept bins and one (P, G) power matrix (for CBF one batched product),
+fused in one reduction. A broadband_gnr2 frame builds its own stack per refine round,
 since the round's grid changes.
 """
 from __future__ import annotations

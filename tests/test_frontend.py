@@ -104,7 +104,7 @@ def test_band_transform_is_the_written_out_correlation(seed, n_fft, m, frames, e
     # and even bins and DFT lengths, float32 and float64 records, lengths
     # that leave a partial half block, and a segment view of a longer record
     half = n_fft // 2
-    n = n_fft + (frames - 1) * half + extra % max(half, 1)
+    n = n_fft + (frames - 1) * half + extra % half
     ell = np.array(sorted(data.draw(st.sets(st.integers(1, (n_fft - 1) // 2), min_size=1))))
     rng = np.random.default_rng(seed)
     record = rng.standard_normal((m, lead + n + 3)).astype(dtype)

@@ -106,7 +106,7 @@ def _text(raw: bytes):
         return None
 
 
-def compare_dirs(dir_a: Path, dir_b: Path, out=sys.stdout) -> int:
+def compare_dirs(dir_a: Path, dir_b: Path) -> int:
     files = sorted({p.relative_to(d).as_posix() for d in (dir_a, dir_b)
                     for p in d.rglob("*") if p.is_file()})
     counts = dict(identical=0, differ=0, one_side=0)
@@ -115,25 +115,25 @@ def compare_dirs(dir_a: Path, dir_b: Path, out=sys.stdout) -> int:
         pa, pb = dir_a / name, dir_b / name
         if not (pa.is_file() and pb.is_file()):
             counts["one_side"] += 1
-            print(f"only in {'A' if pa.is_file() else 'B'}  {name}", file=out)
+            print(f"only in {'A' if pa.is_file() else 'B'}  {name}")
             continue
         raw_a, raw_b = pa.read_bytes(), pb.read_bytes()
         if raw_a == raw_b:
             counts["identical"] += 1
-            print(f"identical  {name}", file=out)
+            print(f"identical  {name}")
             continue
         counts["differ"] += 1
         a_lines, b_lines = _text(raw_a), _text(raw_b)
         if a_lines is None or b_lines is None:
             n_diff = sum(x != y for x, y in zip(raw_a, raw_b)) + abs(len(raw_a) - len(raw_b))
             print(f"differs    {name}: binary, {n_diff} of {max(len(raw_a), len(raw_b))} "
-                  f"bytes", file=out)
+                  f"bytes")
             continue
         report, max_abs, max_rel, changed = compare_text(a_lines, b_lines)
         print(f"differs    {name}: {len(report)} lines; max abs {max_abs:.3g}, "
-              f"max rel {max_rel:.3g}", file=out)
+              f"max rel {max_rel:.3g}")
         for line in report:
-            print(line, file=out)
+            print(line)
         if pa.name == "exit":
             exits.append(f"{name} ({raw_a.decode().strip()} -> {raw_b.decode().strip()})")
         if any(line.startswith("angles_deg:") for line in changed):
@@ -141,10 +141,10 @@ def compare_dirs(dir_a: Path, dir_b: Path, out=sys.stdout) -> int:
         if any(lines and lines[0].startswith("# bench") for lines in (a_lines, b_lines)):
             bench.append(name)
     print(f"{len(files)} files: {counts['identical']} identical, {counts['differ']} "
-          f"differ, {counts['one_side']} on one side only", file=out)
+          f"differ, {counts['one_side']} on one side only")
     for what, names in (("exit codes", exits), ("pick lines", picks),
                         ("bench rows", bench)):
-        print(f"{what} changed: {', '.join(names) if names else 'none'}", file=out)
+        print(f"{what} changed: {', '.join(names) if names else 'none'}")
     if exits or picks or bench or counts["one_side"]:
         return 3
     return 1 if counts["differ"] else 0
