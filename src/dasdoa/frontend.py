@@ -7,8 +7,10 @@ The bin correlation uses v_l = [1, z_l, ..., z_l^(N-1)] with z_l = e^{+2i pi l/N
 `simulate.delay_channels` produces Z proportional to the e^{-j...} steering
 vector at the bin frequency. Frames lie N/2 apart, so frame f is the half
 blocks f and f + 1, and z_l^{N/2} = e^{i pi l} = (-1)^l: `band_transform`
-correlates each N/2-sample block once, in one (M(F+1) x N/2)(N/2 x 2P)
-real product against the bins' half basis, and adds the two halves.
+correlates each N/2-sample block once, in one stacked real product of an
+(M x N/2)(N/2 x 2P) product per block against the bins' half basis, and
+adds the two halves. Every block's product has that one shape, so a block
+has the same bits in every record and run of frames it is part of.
 
 `sample_covariance` forms every covariance, of one snapshot matrix (a
 narrowband record) or of a stack (the bins), so a bin's covariance is
@@ -115,10 +117,14 @@ def band_transform(record, bins: FrequencyBinSet) -> BinSnapshots:
     Frame f is the half blocks f and f + 1 of h samples (and, for an odd N,
     the sample after them), and bin l's vector over the second block is
     z^h = e^{i pi l (2h/N)} times its vector over the first, (-1)^l for an
-    even N. So each half block is correlated once, in one
-    (M(F+1) x h)(h x 2P) real product Y against `FrequencyBinSet.half_basis`,
-    and snapshot f is Y_f + z^h Y_(f+1) (plus the last sample's term for an
-    odd N), written into the (P, M, F) stack. A record of more than
+    even N. So each half block is correlated once, in one stacked real
+    product Y against `FrequencyBinSet.half_basis`, and snapshot f is
+    Y_f + z^h Y_(f+1) (plus the last sample's term for an odd N), written
+    into the (P, M, F) stack. The stack holds one (M x h)(h x 2P) product per
+    half block, not one (M(F+1) x h) product: BLAS may round a row by where
+    it lies in a larger product and by how many threads share it, so only a
+    shape fixed per block keeps a frame's snapshots the same bits whether a
+    frame's own segment or a longer record made them. A record of more than
     RUN_FRAMES frames takes one such product per run of RUN_FRAMES frames.
 
     record: M x n real array of time samples.
@@ -136,13 +142,13 @@ def band_transform(record, bins: FrequencyBinSet) -> BinSnapshots:
     for f0 in range(0, n_frames, RUN_FRAMES):
         f1 = min(f0 + RUN_FRAMES, n_frames)
         blocks = np.ascontiguousarray(data[:, f0 * half:(f1 + 1) * half], dtype=float)
-        y = (blocks.reshape(-1, half) @ bins.half_basis).view(complex).reshape(
-            m, f1 - f0 + 1, -1)
-        out = z[:, :, f0:f1].transpose(1, 2, 0)
-        np.multiply(y[:, 1:], shift, out=out)
-        out += y[:, :-1]
+        y = (blocks.reshape(m, -1, half).transpose(1, 0, 2)
+             @ bins.half_basis).view(complex)
+        out = z[:, :, f0:f1].transpose(2, 1, 0)
+        np.multiply(y[1:], shift, out=out)
+        out += y[:-1]
         if odd:
-            out += (data[:, (f0 + 2) * half::half][:, :f1 - f0, None]
+            out += (data[:, (f0 + 2) * half::half][:, :f1 - f0].T[:, :, None]
                     * np.exp(-2j * np.pi * ell / n_fft))
     return BinSnapshots(z, bins, half)
 

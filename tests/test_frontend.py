@@ -125,13 +125,30 @@ def test_band_transform_is_the_written_out_correlation(seed, n_fft, m, frames, e
 @pytest.mark.parametrize("n_fft", [64, 63])
 def test_band_transform_runs_of_frames_keep_the_bits(n_fft, monkeypatch):
     # a long record is correlated a run of frames at a time; each half
-    # block is the same row of its run's product, so runs change no bit
+    # block has a product of its own, of one shape, so runs change no bit
     record = np.random.default_rng(5).standard_normal((3, 40 * n_fft)).astype(np.float32)
     bins = FrequencyBinSet(n_fft, np.arange(1, (n_fft + 1) // 2), FS)
     whole = band_transform(record, bins).z
     assert whole.shape[2] < frontend.RUN_FRAMES
     monkeypatch.setattr(frontend, "RUN_FRAMES", 7)
     assert band_transform(record, bins).z.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("m, n_fft, lo, hi", [(8, 512, 10, 100), (5, 127, 1, 63)])
+def test_band_transform_of_a_segment_keeps_the_whole_records_bits(m, n_fft, lo, hi):
+    # a segment that starts on a half block has the whole record's snapshots
+    # of its frames, bit for bit, at any length and at sizes where BLAS
+    # splits a product over threads: a frame's snapshots must not depend on
+    # what record made them (the BTR reuses those of the frame before)
+    half = n_fft // 2
+    record = np.random.default_rng(3).standard_normal((m, 40 * n_fft)).astype(np.float32)
+    bins = FrequencyBinSet(n_fft, np.arange(lo, hi + 1), FS)
+    whole = band_transform(record, bins).z
+    for start in (1, 3, 8, 13):
+        for frames in (1, 3, 11, 40):
+            seg = record[:, start * half:start * half + n_fft + (frames - 1) * half]
+            assert (band_transform(seg, bins).z.tobytes()
+                    == whole[:, :, start:start + frames].tobytes())
 
 
 def test_band_transform_rejects_complex_samples():
