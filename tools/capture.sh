@@ -13,8 +13,10 @@
 #   diff -r out-old out-new
 #
 # The set: simulate (tonal, propeller, CSV and impulsive records, the
-# impulsive one also at alpha = 1, the Cauchy branch, and each noise kind
-# with sigma2, gamma and noise_diag from a config); estimate
+# impulsive one also at alpha = 1, the Cauchy branch, each noise kind with
+# sigma2, gamma and noise_diag from one config, and each noise kind with
+# the keys it reads from a config: sigma2 for uniform, noise_diag for
+# nonuniform, gamma and alpha for impulsive); estimate
 # with every estimator on a snapshot record, and on a time record with and
 # without --select-bins, with --gnuplot, with an odd DFT length, and with
 # the solver and refine keys from a config; cbf on a time record whose
@@ -33,7 +35,7 @@
 # or past Nyquist, propeller scenes with an unknown convention or an angle
 # outside it, bench methods empty or repeated, a fractional snapshot
 # sweep, an unknown bench noise kind, bench noise keys that the noise kind
-# does not read). BLAS
+# does not read, simulate with --alpha under uniform noise). BLAS
 # runs on one thread unless the environment says otherwise. Takes a few
 # minutes on a 2-vCPU host.
 set -u
@@ -103,6 +105,14 @@ echo '{"sigma2": 2.5, "gamma": 0.5, "noise_diag": [12, 2.3, 20.5, 5.5, 11.1, 6.5
 for noise in uniform-gaussian nonuniform-gaussian impulsive-sas; do
     run "sim-config-$noise" simulate --out rec.bin --seed 9 --noise "$noise" \
         --config ../noise.json
+done
+echo '{"sigma2": 2.5}' >"$out/noise-uniform-gaussian.json"
+echo '{"noise_diag": [12, 2.3, 20.5, 5.5, 11.1, 6.5, 2, 13.5, 0.8, 1.7, 13.6, 5.2]}' \
+    >"$out/noise-nonuniform-gaussian.json"
+echo '{"gamma": 0.5, "alpha": 1.5}' >"$out/noise-impulsive-sas.json"
+for noise in uniform-gaussian nonuniform-gaussian impulsive-sas; do
+    run "sim-noise-$noise" simulate --out rec.bin --seed 9 --noise "$noise" \
+        --config "../noise-$noise.json"
 done
 
 # narrowband estimates
@@ -229,6 +239,7 @@ echo '{"noise_diag": [12, 2.3, 20.5, 5.5, 11.1, 6.5, 2, 13.5, 0.8, 1.7, 13.6, 5.
     >"$out/ignored-noise-keys.json"
 run rej-bench-noise-keys bench --preset table1 --trials 2 --methods cbf,qspice \
     --sweep-values 9 --config ../ignored-noise-keys.json --out table.csv
+run rej-sim-noise-keys simulate --out rec.bin --seed 3 --alpha 1.5
 run rej-est-input-missing estimate --input ../no-such-record.bin --frequency 3000 \
     --estimator cbf --k 2
 # gnr2 on 8 selected bins resolves 1 of the 2 sources of this record
