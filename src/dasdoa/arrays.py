@@ -80,6 +80,11 @@ def full_sector(convention: str = "broadside") -> tuple[float, float]:
     return (-90.0, 90.0) if convention == "broadside" else (0.0, 180.0)
 
 
+def sector_or_full(sector, convention: str = "broadside"):
+    """The given search sector, or with None the convention's full sector."""
+    return full_sector(convention) if sector is None else sector
+
+
 def axis_cosines(theta_deg, convention: str = "broadside") -> np.ndarray:
     """sin(theta) (broadside) or cos(theta) (endfire) of each angle: the
     cosine of its bearing from the array axis. Checks the convention and its

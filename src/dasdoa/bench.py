@@ -138,12 +138,6 @@ class ScenarioConfig:
         if self.noise == "nonuniform-gaussian" and len(self.noise_diag) != self.n_elements:
             raise ConfigError("noise_diag must supply one variance per element")
         self.noise_model()
-        if len(self.noise_diag) and self.noise != "nonuniform-gaussian":
-            raise ConfigError(f"noise_diag is read only by nonuniform-gaussian noise, "
-                              f"not {self.noise}")
-        if self.alpha != ScenarioConfig.alpha and self.noise != "impulsive-sas":
-            raise ConfigError(f"alpha is read only by impulsive-sas noise, not "
-                              f"{self.noise} (got alpha={self.alpha:g})")
         unknown = set(self.methods) - set(ESTIMATORS)
         if unknown:
             raise ConfigError(f"unknown methods {sorted(unknown)}; "

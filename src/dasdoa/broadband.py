@@ -10,20 +10,20 @@ round's grid and picks peaks on the fused spectrum. The bins are a stack
 in the estimators' sense: covariances (P, M, M) on the steering stack
 (P, M, G) that arrays.steering_stack builds, a matrix per bin.
 
-A broadband request (broadband_estimate, or btr over all its frames) builds
-what does not depend on the frame once: the frequency bins and their real
-half basis, the angle grid and, for the fixed-grid estimators, all its bins'
-steering stack, whether or not its frames select bins. Overlapping frames
-share their snapshots: when the frame hop is a multiple of the DFT hop
-N/2, a frame keeps the snapshots at the sample offsets of the frame before
-and runs frontend.band_transform only on the segment of its new ones, one
-(M(F+1) x N/2)(N/2 x 2P) real product over the half blocks of its F new
-snapshots, so a record's snapshots are each computed once. Each frame
-then runs the bin covariances, the bin selection (which indexes the
-stack) and estimators.fixed_grid_powers: one covariance check for the
-kept bins and one (P, G) power matrix (for CBF one batched product),
-fused in one reduction. A broadband_gnr2 frame builds its own stack per refine round,
-since the round's grid changes.
+A broadband request (broadband_estimate, or btr over all its frames) takes
+`bins` as an (f_lo, f_hi) band in Hz and builds its bin set at the record's
+own sample rate. It builds what does not depend on the frame once: the bins
+and their real half basis, the angle grid and, for the fixed-grid
+estimators, all its bins' steering stack, whether or not its frames select
+bins. Overlapping frames share their snapshots: when the frame hop is a
+multiple of the DFT hop N/2, a frame keeps the snapshots at the sample
+offsets of the frame before and runs frontend.band_transform only on the
+segment of its new ones, so a record's snapshots are each computed once.
+Each frame then runs the bin covariances, the bin selection (which indexes
+the stack) and estimators.fixed_grid_powers: one covariance check for the
+kept bins and one (P, G) power matrix (for CBF one batched product), fused
+in one reduction. A broadband_gnr2 frame builds its own stack per refine
+round, since the round's grid changes.
 """
 from __future__ import annotations
 
@@ -31,14 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, angle_grid, full_sector, steering_stack
+from .arrays import ArrayGeometry, angle_grid, sector_or_full, steering_stack
 from .errors import ConfigError
 from .estimators import SolverConfig, SpatialSpectrum, check_estimator, fixed_grid_powers
 # not called here (fixed_grid_powers runs the solver), but kept importable
 # from here: perfbench's tracer patches it in each dasdoa module that holds it
 from .estimators import qspice_solve  # noqa: F401
-from .frontend import BinSnapshots, FrequencyBinSet, band_for, band_transform, \
-    bin_covariances, frame_count, select_bins
+from .frontend import BinSnapshots, band_for, band_transform, bin_covariances, \
+    frame_count, select_bins
 from .refine import RefineConfig, RefineResult, _refine_result, refine_loop
 from .simulate import SnapshotMatrix
 
@@ -89,7 +89,7 @@ def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
 
 
 def broadband_gnr2(covs, freqs, geometry: ArrayGeometry, k: int,
-                   sector=(-90.0, 90.0), convention: str = "broadside",
+                   sector=None, convention: str = "broadside",
                    solver_cfg: SolverConfig | None = None,
                    refine_cfg: RefineConfig | None = None) -> RefineResult:
     """Grid-neighborhood refinement on the fused per-bin solver spectrum:
@@ -98,7 +98,7 @@ def broadband_gnr2(covs, freqs, geometry: ArrayGeometry, k: int,
     return _refine_result(refine_loop(
         lambda angles: broadband_spectrum(covs, freqs, geometry, angles, convention,
                                           "qspice", k, solver_cfg).power,
-        sector, k, refine_cfg), 0.0)
+        sector_or_full(sector, convention), k, refine_cfg), 0.0)
 
 
 @dataclass(frozen=True)
@@ -115,16 +115,15 @@ class BearingTimeRecord:
 def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
                     convention, select_count, solver_cfg, refine_cfg):
     """Validate a broadband request and build what its frames share. Returns
-    its frequency bins, its angle grid and the pipeline of one analysis
-    frame, its BinSnapshots -> (fused spectrum, estimates)."""
+    its frequency bins, built at the record's rate, its angle grid and the
+    pipeline of one analysis frame, its BinSnapshots -> (fused spectrum, estimates)."""
     if record.domain != "time":
         raise ConfigError("broadband estimation expects a time-domain record")
     check_estimator(estimator, k)
     if select_count is not None and k is None:
         raise ConfigError("bin selection needs the source count k")
-    if not isinstance(bins, FrequencyBinSet):
-        bins = band_for(bins, n_fft, record.sample_rate)
-    angles = angle_grid(full_sector(convention) if sector is None else sector, step)
+    bins = band_for(bins, n_fft, record.sample_rate)
+    angles = angle_grid(sector_or_full(sector, convention), step)
     freqs = bins.frequencies
     if estimator != "gnr2":
         A = steering_stack(geometry, freqs, angles, convention)
@@ -164,19 +163,19 @@ def _frame_snapshots(data, bins, frame_len, hop, n_frames):
     for start in range(hop, n_frames * hop, hop):
         new = band_transform(data[:, start + shared * half: start + frame_len], bins)
         snaps = BinSnapshots(np.concatenate((snaps.z[:, :, per_frame - shared:], new.z),
-                                            axis=2), bins, half) if shared else new
+                                            axis=2), bins) if shared else new
         yield snaps
 
 
 def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
-                       bins: FrequencyBinSet | tuple = (50.0, 1050.0),
+                       bins: tuple = (50.0, 1050.0),
                        n_fft: int = 512, estimator: str = "cbf",
                        k: int | None = None, sector=None, step: float = 1.0,
                        convention: str = "broadside",
                        select_count: int | None = None,
                        solver_cfg: SolverConfig | None = None,
                        refine_cfg: RefineConfig | None = None):
-    """Single-shot broadband pipeline over the whole record.
+    """Single-shot broadband pipeline over the whole record (bins as in btr).
 
     Returns (SpatialSpectrum, estimates tuple); estimates are non-empty for
     the refinement estimator only.
@@ -188,7 +187,7 @@ def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
 
 
 def btr(record: SnapshotMatrix, geometry: ArrayGeometry,
-        bins: FrequencyBinSet | tuple = (50.0, 1050.0), n_fft: int = 512,
+        bins: tuple = (50.0, 1050.0), n_fft: int = 512,
         frame_seconds: float = 1.0, frame_hop_fraction: float = 0.5,
         estimator: str = "cbf", k: int | None = None,
         sector=None, step: float = 1.0, convention: str = "broadside",
@@ -197,7 +196,7 @@ def btr(record: SnapshotMatrix, geometry: ArrayGeometry,
         refine_cfg: RefineConfig | None = None) -> BearingTimeRecord:
     """Bearing-time record: the broadband pipeline per analysis frame.
 
-    bins: FrequencyBinSet or an (f_lo, f_hi) band resolved against n_fft.
+    bins: an (f_lo, f_hi) band in Hz, its bins at n_fft and the record's rate.
     frame_seconds: frame length, a positive finite number of seconds that
     spans at least one DFT length; frame_hop_fraction: the hop between
     frames as a positive finite fraction of the frame length, at least one

@@ -19,8 +19,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .arrays import CONVENTIONS, ArrayGeometry, build_dictionary, full_sector, \
-    half_wavelength_spacing, uniform_line_array
+from .arrays import CONVENTIONS, ArrayGeometry, build_dictionary, \
+    half_wavelength_spacing, sector_or_full, uniform_line_array
 from .bench import PRESETS, ScenarioConfig, run_monte_carlo
 from .broadband import broadband_estimate, btr
 from .cable import FiberSpec, MandrelSpec, cable_sensitivity, \
@@ -253,7 +253,7 @@ def _cmd_estimate(args) -> int:
                               "the steering dictionary")
         geometry = _geometry(opt, record.n_channels,
                              lambda speed: half_wavelength_spacing(frequency, speed))
-        sector = full_sector(kw["convention"]) if kw["sector"] is None else kw["sector"]
+        sector = sector_or_full(kw["sector"], kw["convention"])
         dictionary = build_dictionary(geometry, frequency, sector, kw["step"],
                                       kw["convention"])
         spectrum, estimates, shortfall = narrowband_estimate(

@@ -11,6 +11,7 @@ correlates each N/2-sample block once, in one stacked real product of an
 (M x N/2)(N/2 x 2P) product per block against the bins' half basis, and
 adds the two halves. Every block's product has that one shape, so a block
 has the same bits in every record and run of frames it is part of.
+`BinSnapshots` takes its hop N/2 from its bin set, built at a record's rate.
 
 `sample_covariance` forms every covariance, of one snapshot matrix (a
 narrowband record) or of a stack (the bins), so a bin's covariance is
@@ -79,7 +80,10 @@ class BinSnapshots:
 
     z: np.ndarray
     bins: FrequencyBinSet
-    hop: int
+
+    @property
+    def hop(self) -> int:
+        return self.bins.n_fft // 2
 
     @property
     def n_frames(self) -> int:
@@ -150,7 +154,7 @@ def band_transform(record, bins: FrequencyBinSet) -> BinSnapshots:
         if odd:
             out += (data[:, (f0 + 2) * half::half][:, :f1 - f0].T[:, :, None]
                     * np.exp(-2j * np.pi * ell / n_fft))
-    return BinSnapshots(z, bins, half)
+    return BinSnapshots(z, bins)
 
 
 def sample_covariance(z: np.ndarray) -> np.ndarray:

@@ -6,8 +6,13 @@ Binary record layout (little-endian throughout):
     bytes 8..11   channel count M, uint32
     bytes 12..19  sample count N, uint64
     bytes 20..27  sample rate in Hz, float64, positive and finite
-    byte  28      data kind: 0 = real32, 1 = complex64
+    byte  28      data kind code (the kind table below)
     bytes 29..    payload, M*N values row-major by channel
+
+A CSV record is the header "# channels=M samples=N rate=R kind=NAME" and a
+row of N values per channel at 9 significant digits, which round-trip its
+dtype. Both formats take a record's kind from one table, _KINDS: code 0 is
+"real32" (<f4) for real samples, code 1 "complex64" (<c8) for complex ones.
 
 Parsers reject rather than guess: any mismatch between header and payload
 raises ParseError naming the byte offset, and nothing partial is returned.
@@ -36,7 +41,8 @@ from .simulate import SnapshotMatrix
 
 MAGIC = b"DASREC1\x00"
 _HEADER = struct.Struct("<IQdB")
-_KINDS = {0: np.dtype("<f4"), 1: np.dtype("<c8")}
+# kind code (the index) -> (CSV name, stored dtype, CSV value parser)
+_KINDS = (("real32", np.dtype("<f4"), float), ("complex64", np.dtype("<c8"), complex))
 HEADER_SIZE = len(MAGIC) + _HEADER.size
 FLOAT_FMT = "%.9g"
 
@@ -44,15 +50,14 @@ FLOAT_FMT = "%.9g"
 # -----------------------------
 # Multichannel records
 # -----------------------------
-def _good_rate(rate) -> bool:
-    """Whether a record's sample rate is a positive finite number of Hz."""
-    return rate > 0 and np.isfinite(rate)
+def _check_rate(rate, path, offset) -> None:
+    """A ParseError at offset unless a header's rate is positive and finite."""
+    if not (rate > 0 and np.isfinite(rate)):
+        raise ParseError(f"header sample rate {rate} in {path} is not a "
+                         f"positive finite number", offset=offset)
 
 
 def save_record(block: SnapshotMatrix, path, fmt: str = "binary") -> None:
-    if not _good_rate(block.sample_rate):
-        raise ConfigError(f"a record's sample rate must be a positive finite "
-                          f"number, got {block.sample_rate}")
     if fmt == "binary":
         _save_record_binary(block, path)
     elif fmt == "csv":
@@ -72,10 +77,6 @@ def load_record(path, fmt: str = "binary") -> SnapshotMatrix:
     raise ConfigError(f"unknown record format {fmt!r}")
 
 
-def _record_kind(data: np.ndarray) -> int:
-    return 1 if np.iscomplexobj(data) else 0
-
-
 def _write(path, what: str, *chunks) -> None:
     """Write text chunks (newlines as given) or bytes-like chunks to path;
     an OSError becomes a DataError naming what and where."""
@@ -88,8 +89,8 @@ def _write(path, what: str, *chunks) -> None:
 
 
 def _save_record_binary(block: SnapshotMatrix, path) -> None:
-    kind = _record_kind(block.data)
-    payload = np.ascontiguousarray(block.data, dtype=_KINDS[kind])
+    kind = int(np.iscomplexobj(block.data))
+    payload = np.ascontiguousarray(block.data, dtype=_KINDS[kind][1])
     header = _HEADER.pack(*payload.shape, float(block.sample_rate), kind)
     _write(path, "record", MAGIC, header, payload)
 
@@ -106,13 +107,12 @@ def _load_record_binary(path) -> SnapshotMatrix:
         if len(head) < HEADER_SIZE:
             raise ParseError(f"truncated header in {path}", offset=len(head))
         m, n, rate, kind = _HEADER.unpack_from(head, len(MAGIC))
-        if not _good_rate(rate):
-            raise ParseError(f"header sample rate {rate} in {path} is not a "
-                             f"positive finite number", offset=len(MAGIC) + 12)
-        if kind not in _KINDS:
+        _check_rate(rate, path, len(MAGIC) + 12)
+        if kind >= len(_KINDS):
             raise ParseError(f"unknown data kind {kind} in {path}",
                              offset=HEADER_SIZE - 1)
-        expect = m * n * _KINDS[kind].itemsize
+        dtype = _KINDS[kind][1]
+        expect = m * n * dtype.itemsize
         st = os.fstat(fh.fileno())
         payload = None if stat.S_ISREG(st.st_mode) else fh.read()
         actual = st.st_size - HEADER_SIZE if payload is None else len(payload)
@@ -121,30 +121,26 @@ def _load_record_binary(path) -> SnapshotMatrix:
                 raise ParseError(f"header dimensions {m}x{n} out of range in {path}",
                                  offset=len(MAGIC))
             if payload is None:
-                data = np.empty((m, n), dtype=_KINDS[kind])
+                data = np.empty((m, n), dtype=dtype)
                 # a file that shrank since fstat reads short
                 actual = fh.readinto(data)
             else:
-                data = np.frombuffer(payload, dtype=_KINDS[kind]).reshape(m, n).copy()
+                data = np.frombuffer(payload, dtype=dtype).reshape(m, n).copy()
         if actual != expect:
             raise ParseError(
                 f"payload length mismatch in {path}: header promises {expect} "
                 f"bytes for {m}x{n}, found {actual}", offset=HEADER_SIZE)
-    domain = "narrowband-snapshot" if kind == 1 else "time"
-    return SnapshotMatrix(data, domain, sample_rate=rate)
+    return SnapshotMatrix(data, rate)
 
 
 def _save_record_csv(block: SnapshotMatrix, path) -> None:
-    data = block.data
-    m, n = data.shape
-    kind = "complex64" if _record_kind(data) else "real32"
+    m, n = block.data.shape
+    name, dtype, _ = _KINDS[int(np.iscomplexobj(block.data))]
     lines = [f"# channels={m} samples={n} rate={float(block.sample_rate)!r} "
-             f"kind={kind}\n"]
-    for row in data:
-        if kind == "complex64":
-            cells = [f"{FLOAT_FMT % v.real}{v.imag:+.9g}j" for v in row]
-        else:
-            cells = [FLOAT_FMT % v for v in row]
+             f"kind={name}\n"]
+    for row in block.data.astype(dtype, copy=False):
+        cells = ([f"{FLOAT_FMT % v.real}{v.imag:+.9g}j" for v in row.tolist()]
+                 if dtype.kind == "c" else [FLOAT_FMT % v for v in row.tolist()])
         lines.append(",".join(cells) + "\n")
     _write(path, "record", *lines)
 
@@ -157,18 +153,16 @@ def _load_record_csv(path) -> SnapshotMatrix:
         try:
             fields = dict(part.split("=", 1)
                           for part in header[2:].split())
-            m = int(fields["channels"])
-            n = int(fields["samples"])
-            rate = float(fields["rate"])
-            kind = fields["kind"]
+            m, n = int(fields["channels"]), int(fields["samples"])
+            rate, kind = float(fields["rate"]), fields["kind"]
         except (KeyError, ValueError) as exc:
             raise ParseError(f"malformed record header in {path}: {exc}",
                              offset=0) from exc
-        if kind not in ("real32", "complex64"):
+        kinds = {name: (dtype, parse) for name, dtype, parse in _KINDS}
+        if kind not in kinds:
             raise ParseError(f"unknown data kind {kind!r} in {path}", offset=0)
-        if not _good_rate(rate):
-            raise ParseError(f"header sample rate {rate} in {path} is not a "
-                             f"positive finite number", offset=0)
+        dtype, parse = kinds[kind]
+        _check_rate(rate, path, 0)
         rows = []
         offset = len(header)
         for i in range(m):
@@ -184,8 +178,7 @@ def _load_record_csv(path) -> SnapshotMatrix:
                 raise ParseError(f"row {i} of {path} has {len(cells)} values, "
                                  f"header promises {n}", offset=offset)
             try:
-                conv = complex if kind == "complex64" else float
-                rows.append([conv(c) for c in cells])
+                rows.append([parse(c) for c in cells])
             except ValueError as exc:
                 raise ParseError(f"unparsable value in row {i} of {path}",
                                  offset=offset) from exc
@@ -193,10 +186,7 @@ def _load_record_csv(path) -> SnapshotMatrix:
         if fh.read(1):
             raise ParseError(f"content after the {m} channel rows of {path}",
                              offset=offset)
-    dtype = _KINDS[1] if kind == "complex64" else _KINDS[0]
-    data = np.array(rows, dtype=dtype)
-    domain = "narrowband-snapshot" if kind == "complex64" else "time"
-    return SnapshotMatrix(data, domain, sample_rate=rate)
+    return SnapshotMatrix(np.array(rows, dtype=dtype), rate)
 
 
 # -----------------------------

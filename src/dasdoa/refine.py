@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Dictionary, angle_grid, steering_matrix, \
-    steering_stack
+from .arrays import ArrayGeometry, Dictionary, angle_grid, sector_or_full, \
+    steering_matrix, steering_stack
 from .errors import ConfigError
 from .estimators import SolverConfig, SpatialSpectrum, _pick, check_estimator, \
     fixed_grid_powers, peak_pick, qspice_solve
@@ -176,7 +176,7 @@ def refine_loop(solve_fn, sector, k, refine_cfg: RefineConfig | None = None):
 
 
 def gnr2_estimate(data, geometry: ArrayGeometry, frequency: float, k: int,
-                  sector=(-90.0, 90.0), convention: str = "broadside",
+                  sector=None, convention: str = "broadside",
                   solver_cfg: SolverConfig | None = None,
                   refine_cfg: RefineConfig | None = None):
     """Narrowband refinement on a snapshot z (M,) or sample covariance
@@ -185,6 +185,7 @@ def gnr2_estimate(data, geometry: ArrayGeometry, frequency: float, k: int,
     lockstep, with one qspice_solve per round and grid size on a bare
     (P, M, G) steering stack; each problem's result is that of it alone."""
     check_estimator("gnr2", k)
+    sector = sector_or_full(sector, convention)
     if np.ndim(data) < 3:
         def solve(angles):
             A = steering_matrix(geometry, frequency, angles, convention)

@@ -4,7 +4,9 @@ Narrowband snapshot model
     Y = A(theta) S + E        (complex M x N)
 with A built at a single dictionary frequency; tonal sources are complex
 exponentials with a random phase per trial. Time-domain records are real
-M x n waveforms built by fractional-delay plane-wave propagation.
+M x n waveforms built by fractional-delay plane-wave propagation. A record,
+SnapshotMatrix, holds its samples and their sample rate; its kind is its
+dtype: complex samples are narrowband snapshots, real ones a time record.
 
 Arrival convention (time domain): channel m receives s(t + tau_m) with
 tau_m = alpha_m * d * sin(theta) / c, i.e. the wave reaches far elements
@@ -87,7 +89,8 @@ class SourceSpec:
 @dataclass(frozen=True)
 class NoiseModel:
     """One of uniform-gaussian (sigma2), nonuniform-gaussian (diag),
-    impulsive-sas (alpha, gamma): symmetric and centred alpha-stable noise."""
+    impulsive-sas (alpha, gamma): symmetric and centred alpha-stable noise.
+    A kind takes only its own parameters; the others keep their defaults."""
 
     kind: str
     sigma2: float = 1.0
@@ -99,31 +102,44 @@ class NoiseModel:
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}; the kinds are "
                               f"{', '.join(NOISE_KINDS)}")
-        if self.kind == "uniform-gaussian" and not self.sigma2 > 0:
+        for key, reader in (("sigma2", "uniform-gaussian"), ("noise_diag", "nonuniform-gaussian"),
+                            ("alpha", "impulsive-sas"), ("gamma", "impulsive-sas")):
+            name = key.removeprefix("noise_")      # the config key noise_diag sets diag
+            value = getattr(self, name)
+            if self.kind != reader and not np.array_equal(value, getattr(NoiseModel, name)):
+                raise ConfigError(f"{key} is read only by {reader} noise, not "
+                                  f"{self.kind} (got {key}={value})")
+        if not self.sigma2 > 0:
             raise ConfigError("uniform noise variance must be positive")
-        if self.kind == "nonuniform-gaussian":
-            if len(self.diag) == 0 or any(v <= 0 for v in self.diag):
-                raise ConfigError("non-uniform noise needs a positive variance per element")
-        if self.kind == "impulsive-sas":
-            if not (0 < self.alpha <= 2):
-                raise ConfigError("stable index alpha must lie in (0, 2]")
-            if not self.gamma > 0:
-                raise ConfigError("dispersion gamma must be positive")
+        if self.kind == "nonuniform-gaussian" and (
+                len(self.diag) == 0 or any(v <= 0 for v in self.diag)):
+            raise ConfigError("non-uniform noise needs a positive variance per element")
+        if not (0 < self.alpha <= 2):
+            raise ConfigError("stable index alpha must lie in (0, 2]")
+        if not self.gamma > 0:
+            raise ConfigError("dispersion gamma must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SnapshotMatrix:
-    """Multichannel data block plus the metadata needed downstream."""
+    """A record: M x N samples and their sample rate in Hz."""
 
     data: np.ndarray
-    domain: str                      # "narrowband-snapshot" | "time"
-    sample_rate: float = 0.0         # Hz; time domain only
+    sample_rate: float
 
     def __post_init__(self):
         if self.data.ndim != 2 or self.data.shape[0] < 2 or self.data.shape[1] < 1:
             raise ConfigError("snapshot matrix must be M x N with M >= 2, N >= 1")
         if not np.all(np.isfinite(self.data)):
             raise ConfigError("snapshot matrix entries must be finite")
+        if not (self.sample_rate > 0 and np.isfinite(self.sample_rate)):
+            raise ConfigError(f"a record's sample rate must be a positive finite "
+                              f"number, got {self.sample_rate}")
+
+    @property
+    def domain(self) -> str:
+        """The record's kind: "narrowband-snapshot" if complex, else "time"."""
+        return "narrowband-snapshot" if np.iscomplexobj(self.data) else "time"
 
     @property
     def n_channels(self) -> int:
@@ -275,13 +291,6 @@ def measure_snr(signal_power: float, model: NoiseModel) -> float:
         "infinite variance); impulsive scenarios fix gamma and scale the signal")
 
 
-def _noise_scale_for_snr(signal_power: float, model: NoiseModel,
-                         target_snr_db: float) -> float:
-    """Linear factor applied to unit-model noise so measured SNR == target."""
-    current = measure_snr(signal_power, model)
-    return 10 ** ((current - target_snr_db) / 20)
-
-
 # -----------------------------
 # Scene assembly
 # -----------------------------
@@ -301,14 +310,13 @@ def synthesize(geometry: ArrayGeometry, sources: SourceSpec, model: NoiseModel |
                target_snr_db: float | None, n: int, rng,
                dictionary_frequency: float | None = None,
                convention: str = "broadside") -> SnapshotMatrix:
-    """Y = A(theta) S + E (tonal) or summed delayed waveforms + E (propeller).
+    """Y = A(theta) S + E (tonal) or summed delayed waveforms + E (propeller),
+    a record at the sources' snapshot rate; model None yields the clean field.
 
-    Gaussian noise is scaled analytically so measure_snr(P_y, scaled model)
-    equals target_snr_db. For impulsive noise the dispersion gamma stays as
-    given and the *signal* is scaled against the realized noise power of the
-    block (documented convention; see module docstring). model=None (or
-    target_snr_db=None with Gaussian kinds skipping noise) yields the clean
-    field.
+    Gaussian noise is scaled so measure_snr(P_y, scaled model) equals
+    target_snr_db (None: the model as given). Impulsive noise keeps gamma,
+    and the *signal* is scaled against the block's realized noise power
+    (see the module docstring).
     """
     rng = np.random.default_rng(rng)
     src_rng, noise_rng = rng.spawn(2)
@@ -319,28 +327,26 @@ def synthesize(geometry: ArrayGeometry, sources: SourceSpec, model: NoiseModel |
         A = steering_matrix(geometry, dictionary_frequency, np.asarray(sources.angles),
                             convention)
         X = A @ S
-        domain, rate = "narrowband-snapshot", sources.snapshot_rate
     else:
         X = np.zeros((geometry.n_elements, n))
         for k in range(sources.n_sources):
             X += delay_channels(S[k].real, geometry, sources.angles[k],
                                 sources.snapshot_rate, convention)
-        domain, rate = "time", sources.snapshot_rate
     if model is None:
-        return SnapshotMatrix(X, domain, rate)
+        return SnapshotMatrix(X, sources.snapshot_rate)
 
     p_y = float(np.mean(np.abs(X) ** 2))
     if model.kind == "impulsive-sas":
-        if domain == "time":
+        if sources.kind != "tonal":
             raise UnsupportedModelError("time-domain impulsive synthesis is not supported")
         E = generate_noise(model, geometry.n_elements, n, noise_rng)
         if target_snr_db is not None:
             realized = float(np.mean(np.abs(E) ** 2))
             X = X * np.sqrt(realized * 10 ** (target_snr_db / 10) / p_y)
-        return SnapshotMatrix(X + E, domain, rate)
-
-    scale = 1.0 if target_snr_db is None else _noise_scale_for_snr(p_y, model, target_snr_db)
-    E = generate_noise(model, geometry.n_elements, n, noise_rng) * scale
-    if domain == "time":
-        E = E.real * np.sqrt(2)  # real field: keep per-channel variance
-    return SnapshotMatrix(X + E, domain, rate)
+    else:
+        scale = (1.0 if target_snr_db is None
+                 else 10 ** ((measure_snr(p_y, model) - target_snr_db) / 20))
+        E = generate_noise(model, geometry.n_elements, n, noise_rng) * scale
+        if sources.kind != "tonal":
+            E = E.real * np.sqrt(2)  # real field: keep per-channel variance
+    return SnapshotMatrix(X + E, sources.snapshot_rate)

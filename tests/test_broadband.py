@@ -147,6 +147,17 @@ def test_broadband_gnr2_refines_offgrid_truth():
     assert res.angles[0] == pytest.approx(18.43, abs=0.1)
 
 
+def test_broadband_gnr2_default_sector_follows_the_convention():
+    # endfire angles lie in [0, 180]; the default sector is that, not [-90, 90]
+    geom = uniform_line_array(8, spacing=1.25)
+    freqs = np.array([300.0, 500.0, 700.0])
+    a = np.stack([steering_matrix(geom, f, np.array([118.2]), "endfire") for f in freqs])
+    covs = a @ a.conj().swapaxes(1, 2) + 0.1 * np.eye(8)
+    res = broadband_gnr2(covs, freqs, geom, 1, convention="endfire")
+    assert not res.shortfall
+    assert res.angles[0] == pytest.approx(118.2, abs=0.1)
+
+
 def test_broadband_estimate_end_to_end():
     block, geom = _record([12.0], seed=30)
     spec, estimates = broadband_estimate(block, geom, bins=BAND,
@@ -185,17 +196,21 @@ def test_broadband_estimate_validation():
 
 @pytest.mark.parametrize("run", [broadband_estimate, btr], ids=["estimate", "btr"])
 def test_a_bin_set_past_nyquist_is_rejected(run):
-    # bins 200..300 at N = 512 reach past fs/2 = 2560 Hz; the bin set, not
-    # only a band in Hz, keeps them out, where CBF would peak at an alias
+    # 2000..3000 Hz is bins 200..300 at N = 512 and the record's rate, past
+    # fs/2 = 2560 Hz; the bin set keeps them out, where CBF would peak at an
+    # alias. bins is a band in Hz only: a prebuilt bin set, which could
+    # carry another rate than the record's, is not one
     block, geom = _record((10.0, 25.0), seed=5, duration=0.5, elements=12)
     with pytest.raises(ConfigError, match=r"bins 200\.\.300 of N=512"):
-        run(block, geom, bins=FrequencyBinSet(512, np.arange(200, 301), FS))
+        run(block, geom, bins=(2000.0, 3000.0))
+    with pytest.raises(ConfigError, match="band needs exactly two numbers"):
+        run(block, geom, bins=FrequencyBinSet(512, np.arange(20, 201), 6000.0))
 
 
 @pytest.mark.parametrize("run", [broadband_estimate, btr], ids=["estimate", "btr"])
 def test_a_snapshot_domain_record_is_rejected(run):
     # the broadband pipeline, single-shot or framed, reads time records only
-    block = SnapshotMatrix(np.ones((3, 600), dtype=complex), "narrowband-snapshot")
+    block = SnapshotMatrix(np.ones((3, 600), dtype=complex), FS)
     with pytest.raises(ConfigError, match="expects a time-domain record"):
         run(block, uniform_line_array(3, 1.25))
 
@@ -250,7 +265,7 @@ def _moving_record():
                          band=BAND, lines=(harmonic_lines(f0, BAND),))
         parts.append(synthesize(geom, src, NoiseModel("uniform-gaussian"), 10.0,
                                 int(0.5 * FS), np.random.default_rng(40 + i)).data)
-    return SnapshotMatrix(np.concatenate(parts, axis=1), "time", FS), geom
+    return SnapshotMatrix(np.concatenate(parts, axis=1), FS), geom
 
 
 @pytest.mark.parametrize("estimator, select_count", [
@@ -277,7 +292,7 @@ def test_btr_rows_are_the_single_shot_run_of_each_frame(estimator, select_count)
                                        select_count)) for seg in segments}
             assert len(picks) > 1
         for row, est, seg in zip(rec.power_db, rec.estimates, segments):
-            spec, estimates = broadband_estimate(SnapshotMatrix(seg, "time", FS),
+            spec, estimates = broadband_estimate(SnapshotMatrix(seg, FS),
                                                  geom, **kw)
             assert row.tobytes() == spec.power_db.tobytes()
             assert est == estimates

@@ -557,6 +557,30 @@ def test_bench_rejects_noise_keys_the_kind_does_not_read(tmp_path):
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["--seed", "3", "--alpha", "1.5"], {},
+     "alpha is read only by impulsive-sas noise, not uniform-gaussian"),
+    (["--noise", "nonuniform-gaussian"], {"gamma": 7, "sigma2": 9},
+     "sigma2 is read only by uniform-gaussian noise, not nonuniform-gaussian"),
+    (["--noise", "impulsive-sas"], {"sigma2": 2.5},
+     "sigma2 is read only by uniform-gaussian noise, not impulsive-sas"),
+    (["--noise-diag", "1,2,3,4"], {},
+     "noise_diag is read only by nonuniform-gaussian noise, not uniform-gaussian"),
+    (["--noise", "uniform-gaussian"], {"gamma": 0.5},
+     "gamma is read only by impulsive-sas noise, not uniform-gaussian")],
+    ids=["alpha", "gamma-sigma2", "sigma2", "noise_diag", "gamma"])
+def test_simulate_rejects_noise_keys_the_kind_does_not_read(argv, config, message,
+                                                            tmp_path):
+    # a key the noise kind ignores would write the record of the run without it
+    cfg, out = tmp_path / "cfg.json", tmp_path / "rec.bin"
+    cfg.write_text(json.dumps(config))
+    code, stdout, err = _run(["simulate", "--out", str(out), "--config", str(cfg)]
+                             + argv)
+    assert (code, stdout) == (2, "")
+    assert message in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_cli_import_leaves_scipy_signal_and_optimize_unloaded():
     # only a propeller simulation needs scipy.signal and only bench scoring
     # scipy.optimize; each is imported where it is called

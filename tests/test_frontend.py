@@ -188,7 +188,7 @@ def test_sample_covariance_matches_bin_covariances(seed, p, m, f, dtype):
     z = (rng.standard_normal((p, m, f))
          + 1j * rng.standard_normal((p, m, f))).astype(dtype)
     bins = FrequencyBinSet(NFFT, np.arange(1, p + 1), FS)
-    covs = bin_covariances(BinSnapshots(z, bins, NFFT // 2))
+    covs = bin_covariances(BinSnapshots(z, bins))
     assert covs.shape == (p, m, m) and covs.dtype == np.complex128
     assert np.array_equal(covs, sample_covariance(z))
     for i in range(p):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from dasdoa.arrays import angle_grid, uniform_line_array, steering_matrix
+from dasdoa.arrays import angle_grid, half_wavelength_spacing, uniform_line_array, \
+    steering_matrix
 from dasdoa.errors import ConfigError
 from dasdoa.estimators import _pick
 from dasdoa.refine import NEIGHBORHOOD_HALFWIDTH, RefineConfig, refine_lockstep, \
@@ -201,3 +202,13 @@ def test_gnr2_estimate_k_validation():
     geom = uniform_line_array(4, spacing=0.25)
     with pytest.raises(ConfigError):
         gnr2_estimate(np.eye(4, dtype=complex), geom, 3000.0, 0)
+
+
+@pytest.mark.parametrize("convention, truth", [("broadside", -31.7), ("endfire", 121.3)])
+def test_gnr2_default_sector_is_the_conventions_full_sector(convention, truth):
+    geom = uniform_line_array(8, half_wavelength_spacing(3000.0))
+    a = steering_matrix(geom, 3000.0, np.array([truth]), convention)
+    R = a @ a.conj().T + 0.1 * np.eye(8)
+    # an endfire truth past 90 deg lies outside the broadside sector
+    res = gnr2_estimate(R, geom, 3000.0, 1, convention=convention)
+    assert not res.shortfall and res.angles[0] == pytest.approx(truth, abs=0.1)

@@ -237,9 +237,24 @@ def test_tonal_needs_dictionary_frequency():
 
 def test_snapshot_matrix_validation():
     with pytest.raises(ConfigError):
-        SnapshotMatrix(np.ones((1, 5)), "time")
+        SnapshotMatrix(np.ones((1, 5)), 100.0)
     with pytest.raises(ConfigError):
-        SnapshotMatrix(np.full((3, 4), np.nan), "time")
+        SnapshotMatrix(np.full((3, 4), np.nan), 100.0)
+
+
+@pytest.mark.parametrize("rate", [0.0, np.nan, np.inf, -100.0])
+def test_snapshot_matrix_rejects_a_rate_that_is_not_positive_finite(rate):
+    with pytest.raises(ConfigError, match="sample rate must be a positive finite"):
+        SnapshotMatrix(np.ones((3, 4)), rate)
+
+
+def test_snapshot_matrix_kind_is_its_dtype():
+    for dtype, domain in ((np.float32, "time"), (np.float64, "time"),
+                          (np.complex64, "narrowband-snapshot"),
+                          (np.complex128, "narrowband-snapshot")):
+        assert SnapshotMatrix(np.ones((3, 4), dtype=dtype), 100.0).domain == domain
+    with pytest.raises(TypeError):                 # the rate has no default
+        SnapshotMatrix(np.ones((3, 4)))
 
 
 def test_source_spec_validation():
