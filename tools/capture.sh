@@ -30,12 +30,16 @@
 # inputs the CLI rejects (non-finite flags, propeller rates too large for a
 # default sample count or a band-pass design, sample counts too large for
 # numpy, propeller records shorter than one period of the band's lower
-# edge, records whose header rate is not a positive finite number, time
+# edge, records whose header rate is not a positive finite number, records
+# with a NaN sample or one channel, binary and CSV, time
 # records without --spacing or with --frequency, bands that reach the DC bin
 # or past Nyquist, propeller scenes with an unknown convention or an angle
 # outside it, bench methods empty or repeated, a fractional snapshot
 # sweep, an unknown bench noise kind, bench noise keys that the noise kind
-# does not read, simulate with --alpha under uniform noise). BLAS
+# does not read, simulate with --alpha under uniform noise or with noise
+# keys and --snr under no noise, simulate with powers whose samples
+# overflow the stored float32); and gnr2 over a sector that its grid step
+# does not divide. BLAS
 # runs on one thread unless the environment says otherwise. Takes a few
 # minutes on a 2-vCPU host.
 set -u
@@ -79,6 +83,32 @@ if source.endswith(".csv"):
     raw = head + b"\n" + rest
 else:
     raw = raw[:20] + struct.pack("<d", rate) + raw[28:]
+open(dest, "wb").write(raw)
+EOF
+}
+
+# edited SOURCE DEST EDIT: a copy of a record with EDIT applied, "nan" (its
+# first sample set to NaN) or "one-channel" (its first channel alone)
+edited() {
+    "$PY" - "$@" <<'EOF'
+import struct
+import sys
+
+source, dest, edit = sys.argv[1:]
+raw = open(source, "rb").read()
+if source.endswith(".csv"):
+    head, first, rest = raw.split(b"\n", 2)
+    if edit == "nan":
+        raw = b"\n".join((head, b"nan" + first[first.index(b","):], rest))
+    else:
+        raw = head.replace(head.split()[1], b"channels=1") + b"\n" + first + b"\n"
+else:
+    m, n = struct.unpack_from("<IQ", raw, 8)
+    if edit == "nan":
+        raw = raw[:29] + struct.pack("<f", float("nan")) + raw[33:]
+    else:
+        width = (len(raw) - 29) // (m * n)
+        raw = raw[:8] + struct.pack("<I", 1) + raw[12:29 + n * width]
 open(dest, "wb").write(raw)
 EOF
 }
@@ -144,6 +174,9 @@ for est in cbf music spice qspice gnr2; do
     run "est-time-$est-select" estimate --input "$TIME" --estimator "$est" --k 2 \
         --spacing 1.25 --select-bins 20 --out spec.csv
 done
+# a step of 0.7 does not divide the sector: it sets only gnr2's output grid
+run est-time-gnr2-sector estimate --input "$TIME" --spacing 1.25 --estimator gnr2 \
+    --k 1 --sector=0,10 --step 0.7
 run est-time-csv estimate --input ../sim-propeller-csv/rec.csv --format csv \
     --estimator cbf --k 2 --spacing 1.25 --out spec.csv
 run est-time-partial estimate --input ../sim-propeller-partial/rec.bin \
@@ -240,6 +273,9 @@ echo '{"noise_diag": [12, 2.3, 20.5, 5.5, 11.1, 6.5, 2, 13.5, 0.8, 1.7, 13.6, 5.
 run rej-bench-noise-keys bench --preset table1 --trials 2 --methods cbf,qspice \
     --sweep-values 9 --config ../ignored-noise-keys.json --out table.csv
 run rej-sim-noise-keys simulate --out rec.bin --seed 3 --alpha 1.5
+run rej-sim-noise-none-keys simulate --out rec.bin --seed 3 --noise none --alpha 1.5 \
+    --snr 3
+run rej-sim-powers-overflow simulate --out rec.bin --seed 3 --powers 1e80,1
 run rej-est-input-missing estimate --input ../no-such-record.bin --frequency 3000 \
     --estimator cbf --k 2
 # gnr2 on 8 selected bins resolves 1 of the 2 sources of this record
@@ -254,5 +290,15 @@ for rate in nan 0 -5120 inf; do
         --spacing 1.25
     run "rej-load-rate$rate/csv" estimate --input ../rec.csv --format csv \
         --estimator cbf --k 2 --spacing 1.25
+done
+for edit in nan one-channel; do
+    dir="$out/rej-load-$edit"
+    mkdir -p "$dir"
+    edited "$out/sim-tonal/rec.bin" "$dir/rec.bin" "$edit"
+    edited "$out/sim-tonal-csv/rec.csv" "$dir/rec.csv" "$edit"
+    run "rej-load-$edit/bin" estimate --input ../rec.bin --frequency 3000 \
+        --estimator cbf --k 2
+    run "rej-load-$edit/csv" estimate --input ../rec.csv --format csv \
+        --frequency 3000 --estimator cbf --k 2
 done
 echo "captured $(find "$out" -name exit | wc -l) commands into $out"
