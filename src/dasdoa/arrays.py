@@ -9,6 +9,9 @@ alpha_0 = 0. A steering vector at frequency f and direction theta has entries
 with cos(theta) replacing sin(theta) in the endfire convention. Broadside
 angles live in [-90, 90] degrees, endfire angles in [0, 180] degrees; the
 convention is fixed per dictionary.
+
+`positive_finite` states the rule that a rate, frequency, spacing or step
+must be positive and finite, and `two_numbers` that a band or sector is a pair.
 """
 from __future__ import annotations
 
@@ -40,10 +43,8 @@ class ArrayGeometry:
             raise ConfigError("first element is the reference and must sit at offset 0")
         if np.any(np.diff(off) <= 0):
             raise ConfigError("geometry offsets must be strictly increasing")
-        if not (self.spacing > 0 and np.isfinite(self.spacing)):
-            raise ConfigError("spacing must be a positive finite number")
-        if not (self.sound_speed > 0 and np.isfinite(self.sound_speed)):
-            raise ConfigError("sound speed must be a positive finite number")
+        positive_finite(self.spacing, "spacing")
+        positive_finite(self.sound_speed, "sound speed")
 
     @property
     def n_elements(self) -> int:
@@ -53,8 +54,6 @@ class ArrayGeometry:
 def uniform_line_array(n_elements: int, spacing: float = 1.0,
                        sound_speed: float = 1500.0) -> ArrayGeometry:
     """ULA with offsets 0, 1, ..., n-1 (units of `spacing`)."""
-    if n_elements < 2:
-        raise ConfigError("a line array needs at least 2 elements")
     return ArrayGeometry(np.arange(n_elements, dtype=float), spacing, sound_speed)
 
 
@@ -63,6 +62,12 @@ def half_wavelength_spacing(frequency: float, sound_speed: float = 1500.0) -> fl
     if frequency <= 0:
         raise ConfigError("frequency must be positive")
     return sound_speed / (2.0 * frequency)
+
+
+def positive_finite(value, what: str) -> None:
+    """A ConfigError naming `what` unless value > 0 and it is finite."""
+    if not (value > 0 and np.isfinite(value)):
+        raise ConfigError(f"{what} must be a positive finite number, got {value}")
 
 
 def two_numbers(pair, what: str) -> tuple[float, float]:
@@ -105,8 +110,7 @@ def steering_matrix(geometry: ArrayGeometry, frequency: float,
                     theta_deg, convention: str = "broadside") -> np.ndarray:
     """(M, G) matrix of steering vectors at `frequency` for the given angles."""
     direction = axis_cosines(theta_deg, convention)
-    if not (frequency > 0 and np.isfinite(frequency)):
-        raise ConfigError(f"frequency must be a positive finite number, got {frequency}")
+    positive_finite(frequency, "frequency")
     phase = (2.0 * np.pi * frequency * geometry.spacing / geometry.sound_speed
              * np.outer(geometry.offsets, direction))
     return np.exp(-1j * phase)
@@ -145,8 +149,7 @@ def angle_grid(sector: tuple[float, float], step: float) -> np.ndarray:
         raise ConfigError(f"sector bounds must be finite, got ({lo}, {hi})")
     if not (hi > lo):
         raise ConfigError("sector upper bound must exceed lower bound")
-    if not (np.isfinite(step) and step > 0):
-        raise ConfigError(f"grid step must be a positive finite number, got {step}")
+    positive_finite(step, "grid step")
     return np.arange(lo, hi + 1e-9, step).round(9)
 
 

@@ -1,7 +1,7 @@
 """Accuracy metrics and the Monte Carlo benchmark harness.
 
 A trial succeeds when the estimator returns the full K angles and every
-matched absolute error is below the threshold (0.3 deg default). Estimates
+matched absolute error is below SUCCESS_THRESHOLD_DEG (0.3 deg). Estimates
 are matched to truths by minimum-total-absolute-error assignment. Shortfall
 trials (fewer than K peaks) count as failures and are excluded from RMSE,
 which would otherwise be undefined for them.
@@ -71,25 +71,18 @@ def rmse(per_trial_estimates, truth) -> float:
     return float(np.sqrt(np.mean(sq)))
 
 
-def success_ratio(per_trial_estimates, truth,
-                  threshold: float = SUCCESS_THRESHOLD_DEG) -> float:
-    """Percent of trials whose matched errors are all below threshold.
-    Entries with fewer estimates than truths count as failures."""
-    if not threshold > 0:
-        raise ConfigError("success threshold must be positive")
+def success_ratio(per_trial_estimates, truth) -> float:
+    """Percent of trials whose matched errors are all below
+    SUCCESS_THRESHOLD_DEG. Entries with fewer estimates than truths count
+    as failures."""
     tru = np.asarray(truth, dtype=float)
-    n_ok = 0
-    total = 0
-    for est in per_trial_estimates:
-        total += 1
-        est = np.asarray(est, dtype=float)
-        if est.size != tru.size:
-            continue
-        if np.all(np.abs(pair_errors(est, tru)) < threshold):
-            n_ok += 1
-    if total == 0:
+    trials = [np.asarray(est, dtype=float) for est in per_trial_estimates]
+    if not trials:
         raise ConfigError("no trials supplied")
-    return 100.0 * n_ok / total
+    n_ok = sum(bool(est.size == tru.size
+                    and np.all(np.abs(pair_errors(est, tru)) < SUCCESS_THRESHOLD_DEG))
+               for est in trials)
+    return 100.0 * n_ok / len(trials)
 
 
 # -----------------------------
@@ -104,7 +97,7 @@ class ScenarioConfig:
     doas: tuple = (2.36, 27.62)
     carrier_hz: float = 3000.0
     tone_spacing_hz: float = 100.0
-    snapshot_rate: float = 6000.0
+    snapshot_rate: float = SourceSpec.snapshot_rate
     noise: str = "uniform-gaussian"
     noise_diag: tuple = ()
     alpha: float = 1.2
@@ -159,34 +152,29 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _table(name, **kw) -> ScenarioConfig:
-    return ScenarioConfig(name=name, **kw)
-
-
+# the paper's tables, each a change to the default scene
 PRESETS = {
-    "table1": lambda: _table("table1", noise="uniform-gaussian",
-                             sweep="snr", sweep_values=(-3, 0, 3, 6, 9, 12, 15)),
-    "table1-snapshots": lambda: _table("table1-snapshots", noise="uniform-gaussian",
-                                       snr_db=5.0, sweep="snapshots",
-                                       sweep_values=(30, 60, 90, 120, 150)),
-    "table2": lambda: _table("table2", noise="uniform-gaussian",
-                             doas=(-2.36, 19.78), snr_db=10.0, sweep="pos_error",
-                             sweep_values=(0.1, 0.2, 0.3, 0.4)),
-    "table3": lambda: _table("table3", noise="nonuniform-gaussian",
-                             noise_diag=NONUNIFORM_DIAG, sweep="snr",
-                             sweep_values=(-9, -6, -3, 0, 3, 6, 9)),
-    "table3-snapshots": lambda: _table("table3-snapshots", noise="nonuniform-gaussian",
-                                       noise_diag=NONUNIFORM_DIAG, snr_db=-3.0,
-                                       sweep="snapshots",
-                                       sweep_values=(30, 60, 90, 120, 150)),
-    "table4": lambda: _table("table4", noise="nonuniform-gaussian",
-                             noise_diag=NONUNIFORM_DIAG, pos_error_level=0.1,
-                             sweep="snr", sweep_values=(-9, -6, -3, 0, 3, 6, 9)),
-    "impulsive": lambda: _table("impulsive", noise="impulsive-sas", snapshots=400,
-                                sweep="snr", sweep_values=(-9, -6, -3, 0, 3, 6, 9, 12)),
-    "impulsive-snapshots": lambda: _table("impulsive-snapshots", noise="impulsive-sas",
-                                          snr_db=0.0, sweep="snapshots",
-                                          sweep_values=(50, 100, 150, 200, 250)),
+    "table1": lambda: ScenarioConfig("table1"),
+    "table1-snapshots": lambda: ScenarioConfig(
+        "table1-snapshots", sweep="snapshots", sweep_values=(30, 60, 90, 120, 150)),
+    "table2": lambda: ScenarioConfig(
+        "table2", doas=(-2.36, 19.78), snr_db=10.0, sweep="pos_error",
+        sweep_values=(0.1, 0.2, 0.3, 0.4)),
+    "table3": lambda: ScenarioConfig(
+        "table3", noise="nonuniform-gaussian", noise_diag=NONUNIFORM_DIAG,
+        sweep_values=(-9, -6, -3, 0, 3, 6, 9)),
+    "table3-snapshots": lambda: ScenarioConfig(
+        "table3-snapshots", noise="nonuniform-gaussian", noise_diag=NONUNIFORM_DIAG,
+        snr_db=-3.0, sweep="snapshots", sweep_values=(30, 60, 90, 120, 150)),
+    "table4": lambda: ScenarioConfig(
+        "table4", noise="nonuniform-gaussian", noise_diag=NONUNIFORM_DIAG,
+        pos_error_level=0.1, sweep_values=(-9, -6, -3, 0, 3, 6, 9)),
+    "impulsive": lambda: ScenarioConfig(
+        "impulsive", noise="impulsive-sas", snapshots=400,
+        sweep_values=(-9, -6, -3, 0, 3, 6, 9, 12)),
+    "impulsive-snapshots": lambda: ScenarioConfig(
+        "impulsive-snapshots", noise="impulsive-sas", snr_db=0.0, sweep="snapshots",
+        sweep_values=(50, 100, 150, 200, 250)),
 }
 
 

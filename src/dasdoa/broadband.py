@@ -140,8 +140,9 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
             pos = select_bins(covs, 1, select_count)
             covs = covs[pos]
         if estimator == "gnr2":
-            res = broadband_gnr2(covs, freqs[pos], geometry, k, (angles[0], angles[-1]),
-                                 convention, solver_cfg, refine_cfg)
+            res = broadband_gnr2(covs, freqs[pos], geometry, k,
+                                 sector_or_full(sector, convention), convention,
+                                 solver_cfg, refine_cfg)
             power = np.interp(angles, res.spectrum.angles, res.spectrum.power)
             fused = SpatialSpectrum(angles, power, "qspice-gnr2", 0.0)
             return fused, tuple(res.angles)

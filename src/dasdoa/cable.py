@@ -110,19 +110,16 @@ def sensitivity_from_phase(fiber: FiberSpec, delta_phi: float,
 
 def pressure_sensitivity(fiber: FiberSpec, delta_r_over_r: float,
                          pressure: float) -> float:
-    """dB re 1 rad/(uPa*m) from the fractional mandrel displacement.
-
-    Expands the phase path with dL = (dr/r) * L; agrees exactly with
-    sensitivity_from_phase(phase_change(fiber, dL)).
+    """dB re 1 rad/(uPa*m) from the fractional mandrel displacement: the
+    phase path sensitivity_from_phase(phase_change(fiber, dL)) with the
+    fiber's length change dL = (dr/r) * L.
     """
     if not pressure > 0:
         raise ConfigError("pressure must be positive")
     if delta_r_over_r == 0:
         raise DegenerateInputError("dr/r = 0: sensitivity undefined")
-    amp = (4 * math.pi * fiber.refractive_index
-           / (fiber.wavelength * pressure * PA_TO_UPA * fiber.cable_length)
-           * abs(delta_r_over_r) * fiber.wound_length)
-    return 20 * math.log10(amp)
+    return sensitivity_from_phase(
+        fiber, phase_change(fiber, delta_r_over_r * fiber.wound_length), pressure)
 
 
 def cable_sensitivity(mandrel: MandrelSpec, fiber: FiberSpec) -> float:

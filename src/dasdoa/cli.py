@@ -163,32 +163,36 @@ def _geometry(opt: _Options, n_channels: int, default_spacing=None) -> ArrayGeom
 # -----------------------------
 def _cmd_simulate(args) -> int:
     opt = _Options(args)
+    scene = ScenarioConfig      # the default scene: the paper's Table-1 scene
     kind = opt.get("kind", "tonal")
-    angles = opt.get("angles", (2.36, 27.62))
+    angles = opt.get("angles", scene.doas)
     powers = opt.get("powers", (1.0,) * len(angles))
-    frequency = opt.get("frequency", 3000.0)
+    frequency = opt.get("frequency", scene.carrier_hz)
     spec = opt.given("freqs", "band", "lines", snapshot_rate="rate")
     if kind == "tonal":
-        spec.setdefault("freqs", tuple(frequency + 100.0 * i for i in range(len(angles))))
+        spec.setdefault("freqs", tuple(frequency + scene.tone_spacing_hz * i
+                                       for i in range(len(angles))))
     sources = SourceSpec(kind, angles, powers, **spec)
     rate = sources.snapshot_rate
-    samples = opt.get("samples", 60 if kind == "tonal" else None)
+    samples = opt.get("samples", scene.snapshots if kind == "tonal" else None)
     if samples is None:
         if not np.isfinite(2 * rate):
             raise ConfigError(f"rate {rate} Hz has no default sample count "
                               f"(2 s of samples); set samples")
         samples = round(2 * rate)
 
-    noise_kind = opt.get("noise", "uniform-gaussian")
+    noise_kind = opt.get("noise", scene.noise)
     if noise_kind == "none":
+        if ignored := opt.given("sigma2", "alpha", "gamma", "noise_diag", "snr"):
+            raise ConfigError(f"noise none reads no noise keys, got {sorted(ignored)}")
         model, snr = None, None
     else:
         model = NoiseModel(noise_kind, **opt.given("sigma2", "alpha", "gamma",
                                                    diag="noise_diag"))
-        snr = opt.get("snr", 5.0)
+        snr = opt.get("snr", scene.snr_db)
 
     # the scene's array: half a wavelength at a tonal carrier, else 0.75 m
-    geometry = _geometry(opt, opt.get("elements", 12), lambda speed: (
+    geometry = _geometry(opt, opt.get("elements", scene.n_elements), lambda speed: (
         half_wavelength_spacing(frequency, speed) if kind == "tonal" and frequency
         else 0.75))
     # the largest array of a synthesis: M x N complex128

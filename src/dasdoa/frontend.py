@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import two_numbers
+from .arrays import positive_finite, two_numbers
 from .errors import ConfigError
 
 
@@ -47,9 +47,7 @@ class FrequencyBinSet:
             raise ConfigError("need at least one bin index")
         if np.any(np.diff(idx) <= 0):
             raise ConfigError("bin indices must be distinct and ascending")
-        if not (self.sample_rate > 0 and np.isfinite(self.sample_rate)):
-            raise ConfigError(f"sample rate must be a positive finite number, "
-                              f"got {self.sample_rate}")
+        positive_finite(self.sample_rate, "sample rate")
         if idx[0] < 1 or 2 * idx[-1] >= self.n_fft:
             n, fs = self.n_fft, self.sample_rate
             raise ConfigError(

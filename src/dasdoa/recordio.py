@@ -14,8 +14,10 @@ row of N values per channel at 9 significant digits, which round-trip its
 dtype. Both formats take a record's kind from one table, _KINDS: code 0 is
 "real32" (<f4) for real samples, code 1 "complex64" (<c8) for complex ones.
 
-Parsers reject rather than guess: any mismatch between header and payload
-raises ParseError naming the byte offset, and nothing partial is returned.
+Parsers reject rather than guess: any mismatch between header and payload,
+and any shape or sample that SnapshotMatrix rejects, raises ParseError
+naming the byte offset, and nothing partial is returned. Writers refuse a
+record whose samples overflow the stored dtype before writing a byte.
 
 Tables are CSV with '#' comment lines. Every table carries a manifest
 comment (config hash + seed) so the artifact can be reproduced; nothing
@@ -57,13 +59,39 @@ def _check_rate(rate, path, offset) -> None:
                          f"positive finite number", offset=offset)
 
 
+def _record(data, rate, path, offset) -> SnapshotMatrix:
+    """The record of data at rate; a shape or a sample that SnapshotMatrix
+    rejects is a ParseError at offset, where the samples start."""
+    try:
+        return SnapshotMatrix(data, rate)
+    except ConfigError as exc:
+        raise ParseError(f"{exc} in {path}", offset=offset) from None
+
+
 def save_record(block: SnapshotMatrix, path, fmt: str = "binary") -> None:
-    if fmt == "binary":
-        _save_record_binary(block, path)
-    elif fmt == "csv":
-        _save_record_csv(block, path)
-    else:
+    """Write a record, its samples cast to the dtype of its kind; a
+    ConfigError, before anything is written, if fmt is unknown or a cast
+    sample is not finite (it overflowed the dtype)."""
+    if fmt not in ("binary", "csv"):
         raise ConfigError(f"unknown record format {fmt!r}")
+    kind = int(np.iscomplexobj(block.data))
+    name, dtype, _ = _KINDS[kind]
+    with np.errstate(over="ignore"):
+        data = np.ascontiguousarray(block.data, dtype=dtype)
+    if not np.isfinite(data).all():
+        raise ConfigError(f"samples up to {np.abs(block.data).max():g} in magnitude "
+                          f"overflow a {name} record")
+    m, n = data.shape
+    rate = float(block.sample_rate)
+    if fmt == "binary":
+        _write(path, "record", MAGIC, _HEADER.pack(m, n, rate, kind), data)
+        return
+    lines = [f"# channels={m} samples={n} rate={rate!r} kind={name}\n"]
+    for row in data:
+        cells = ([f"{FLOAT_FMT % v.real}{v.imag:+.9g}j" for v in row.tolist()] if kind
+                 else [FLOAT_FMT % v for v in row.tolist()])
+        lines.append(",".join(cells) + "\n")
+    _write(path, "record", *lines)
 
 
 def load_record(path, fmt: str = "binary") -> SnapshotMatrix:
@@ -88,13 +116,6 @@ def _write(path, what: str, *chunks) -> None:
         raise DataError(f"cannot write {what} {path}: {exc}") from exc
 
 
-def _save_record_binary(block: SnapshotMatrix, path) -> None:
-    kind = int(np.iscomplexobj(block.data))
-    payload = np.ascontiguousarray(block.data, dtype=_KINDS[kind][1])
-    header = _HEADER.pack(*payload.shape, float(block.sample_rate), kind)
-    _write(path, "record", MAGIC, header, payload)
-
-
 def _load_record_binary(path) -> SnapshotMatrix:
     """Read the header, check it against the payload size, then read the
     payload into the record's array: straight into it from a regular file,
@@ -116,33 +137,21 @@ def _load_record_binary(path) -> SnapshotMatrix:
         st = os.fstat(fh.fileno())
         payload = None if stat.S_ISREG(st.st_mode) else fh.read()
         actual = st.st_size - HEADER_SIZE if payload is None else len(payload)
+        # numpy makes no (0, n) array of a huge n; SnapshotMatrix rejects
+        # (0, 0) as it would any empty shape
+        shape = (m, n) if expect else (0, 0)
         if actual == expect:
-            if m < 2 or n < 1:
-                raise ParseError(f"header dimensions {m}x{n} out of range in {path}",
-                                 offset=len(MAGIC))
             if payload is None:
-                data = np.empty((m, n), dtype=dtype)
+                data = np.empty(shape, dtype=dtype)
                 # a file that shrank since fstat reads short
                 actual = fh.readinto(data)
             else:
-                data = np.frombuffer(payload, dtype=dtype).reshape(m, n).copy()
+                data = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
         if actual != expect:
             raise ParseError(
                 f"payload length mismatch in {path}: header promises {expect} "
                 f"bytes for {m}x{n}, found {actual}", offset=HEADER_SIZE)
-    return SnapshotMatrix(data, rate)
-
-
-def _save_record_csv(block: SnapshotMatrix, path) -> None:
-    m, n = block.data.shape
-    name, dtype, _ = _KINDS[int(np.iscomplexobj(block.data))]
-    lines = [f"# channels={m} samples={n} rate={float(block.sample_rate)!r} "
-             f"kind={name}\n"]
-    for row in block.data.astype(dtype, copy=False):
-        cells = ([f"{FLOAT_FMT % v.real}{v.imag:+.9g}j" for v in row.tolist()]
-                 if dtype.kind == "c" else [FLOAT_FMT % v for v in row.tolist()])
-        lines.append(",".join(cells) + "\n")
-    _write(path, "record", *lines)
+    return _record(data, rate, path, HEADER_SIZE)
 
 
 def _load_record_csv(path) -> SnapshotMatrix:
@@ -164,7 +173,7 @@ def _load_record_csv(path) -> SnapshotMatrix:
         dtype, parse = kinds[kind]
         _check_rate(rate, path, 0)
         rows = []
-        offset = len(header)
+        offset = start = len(header)
         for i in range(m):
             line = fh.readline()
             if not line:
@@ -186,7 +195,7 @@ def _load_record_csv(path) -> SnapshotMatrix:
         if fh.read(1):
             raise ParseError(f"content after the {m} channel rows of {path}",
                              offset=offset)
-    return SnapshotMatrix(np.array(rows, dtype=dtype), rate)
+    return _record(np.array(rows, dtype=dtype), rate, path, start)
 
 
 # -----------------------------

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, axis_cosines, steering_matrix, two_numbers
+from .arrays import ArrayGeometry, axis_cosines, positive_finite, steering_matrix, \
+    two_numbers
 from .errors import ConfigError, UnsupportedModelError
 
 NOISE_KINDS = ("uniform-gaussian", "nonuniform-gaussian", "impulsive-sas")
@@ -65,9 +66,7 @@ class SourceSpec:
             raise ConfigError("need at least one source")
         if len(self.powers) != k or any(p <= 0 for p in self.powers):
             raise ConfigError("each source needs a positive power")
-        if not (self.snapshot_rate > 0 and np.isfinite(self.snapshot_rate)):
-            raise ConfigError(f"snapshot rate must be a positive finite number, "
-                              f"got {self.snapshot_rate}")
+        positive_finite(self.snapshot_rate, "snapshot rate")
         if self.kind == "tonal":
             if len(self.freqs) != k:
                 raise ConfigError("tonal sources need one frequency per source")
@@ -114,10 +113,7 @@ class NoiseModel:
         if self.kind == "nonuniform-gaussian" and (
                 len(self.diag) == 0 or any(v <= 0 for v in self.diag)):
             raise ConfigError("non-uniform noise needs a positive variance per element")
-        if not (0 < self.alpha <= 2):
-            raise ConfigError("stable index alpha must lie in (0, 2]")
-        if not self.gamma > 0:
-            raise ConfigError("dispersion gamma must be positive")
+        _check_stable_law(self.alpha, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -132,9 +128,7 @@ class SnapshotMatrix:
             raise ConfigError("snapshot matrix must be M x N with M >= 2, N >= 1")
         if not np.all(np.isfinite(self.data)):
             raise ConfigError("snapshot matrix entries must be finite")
-        if not (self.sample_rate > 0 and np.isfinite(self.sample_rate)):
-            raise ConfigError(f"a record's sample rate must be a positive finite "
-                              f"number, got {self.sample_rate}")
+        positive_finite(self.sample_rate, "a record's sample rate")
 
     @property
     def domain(self) -> str:
@@ -153,16 +147,21 @@ class SnapshotMatrix:
 # -----------------------------
 # Elementary generators
 # -----------------------------
+def _check_stable_law(alpha, gamma) -> None:
+    """A ConfigError unless 0 < alpha <= 2 and gamma > 0, as SaS needs."""
+    if not (0 < alpha <= 2):
+        raise ConfigError("stable index alpha must lie in (0, 2]")
+    if not gamma > 0:
+        raise ConfigError("dispersion gamma must be positive")
+
+
 def sample_sas(alpha, gamma, n, rng):
     """i.i.d. draws from the symmetric stable law SaS(alpha, gamma), centred
     at 0: characteristic function exp(-gamma^alpha |t|^alpha).
 
     Chambers-Mallows-Stuck construction (JASA 71(354), 1976) at skewness 0.
     """
-    if not (0 < alpha <= 2):
-        raise ConfigError("stable index alpha must lie in (0, 2]")
-    if not gamma > 0:
-        raise ConfigError("dispersion gamma must be positive")
+    _check_stable_law(alpha, gamma)
     rng = np.random.default_rng(rng)
     U = rng.uniform(-np.pi / 2, np.pi / 2, n)
     W = rng.exponential(1.0, n)    # unused at alpha = 1, but it advances rng

@@ -7,8 +7,31 @@ from dasdoa.arrays import ArrayGeometry, angle_grid, build_dictionary, \
     half_wavelength_spacing, perturb_geometry, steering_matrix, steering_stack, \
     uniform_line_array
 from dasdoa.errors import ConfigError
+from dasdoa.frontend import FrequencyBinSet
+from dasdoa.simulate import SnapshotMatrix, SourceSpec
 
 C = 1500.0
+
+# every site of the positive-finite rule: what it names, and a call of it
+POSITIVE_FINITE_SITES = {
+    "snapshot rate": lambda v: SourceSpec("tonal", (0.0,), (1.0,), (100.0,), v),
+    "a record's sample rate": lambda v: SnapshotMatrix(np.zeros((2, 3)), v),
+    "sample rate": lambda v: FrequencyBinSet(8, np.array([1]), v),
+    "frequency": lambda v: steering_matrix(uniform_line_array(3), v, [10.0]),
+    "grid step": lambda v: angle_grid((0.0, 10.0), v),
+    "spacing": lambda v: ArrayGeometry(np.arange(3.0), v),
+    "sound speed": lambda v: ArrayGeometry(np.arange(3.0), 1.0, v),
+}
+
+
+@pytest.mark.parametrize("what", POSITIVE_FINITE_SITES)
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_every_site_of_the_positive_finite_rule_states_it_alike(what, value):
+    site = POSITIVE_FINITE_SITES[what]
+    with pytest.raises(ConfigError) as err:
+        site(value)
+    assert str(err.value) == f"{what} must be a positive finite number, got {value}"
+    site(2.0)
 
 
 def test_uniform_line_array_offsets():

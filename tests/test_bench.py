@@ -80,8 +80,6 @@ def test_success_ratio_counts_shortfalls_as_failures():
 
 def test_success_ratio_validation():
     with pytest.raises(ConfigError):
-        success_ratio([(1.0,)], (1.0,), threshold=0.0)
-    with pytest.raises(ConfigError):
         success_ratio([], (1.0,))
 
 

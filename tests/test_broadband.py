@@ -298,6 +298,20 @@ def test_btr_rows_are_the_single_shot_run_of_each_frame(estimator, select_count)
             assert est == estimates
 
 
+@pytest.mark.parametrize("estimates", [
+    lambda *args, **kw: broadband_estimate(*args, **kw)[1],
+    lambda *args, **kw: btr(*args, frame_seconds=0.5, **kw).estimates,
+], ids=["single-shot", "btr"])
+def test_gnr2_step_sets_only_the_output_grid(estimates):
+    # a step that does not divide the sector leaves the refinement its whole
+    # sector, so a source near the sector's edge gets one estimate at any step
+    block, geom = _record((9.9,), seed=4, duration=1.0)
+    picks = {estimates(block, geom, bins=BAND, estimator="gnr2", k=1, sector=(0.0, 10.0),
+                       step=step, select_count=8)
+             for step in (1.0, 0.7, 0.3)}
+    assert len(picks) == 1
+
+
 @pytest.mark.parametrize("fraction", [0.5, 0.3, 1.0, 2.0, 0.25, 0.37])
 def test_a_request_transforms_each_snapshot_once(fraction, monkeypatch):
     # a frame keeps the snapshots it shares with the frame before (a hop that

@@ -7,18 +7,20 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dasdoa import cli, errors, estimators
 from dasdoa.arrays import build_dictionary, full_sector, half_wavelength_spacing, \
     uniform_line_array
-from dasdoa.bench import PRESETS
+from dasdoa.bench import PRESETS, ScenarioConfig
 from dasdoa.broadband import broadband_estimate
 from dasdoa.estimators import ESTIMATORS, SolverConfig
 from dasdoa.frontend import sample_covariance
-from dasdoa.recordio import load_record, render_table
+from dasdoa.recordio import load_record, render_table, save_record
 from dasdoa.refine import RefineConfig, narrowband_estimate
+from dasdoa.simulate import NoiseModel, SourceSpec, synthesize
 
 
 def _simulate_snapshot(tmp_path, **extra):
@@ -488,7 +490,10 @@ def test_propeller_rate_too_large_exits_2(flags, message, tmp_path):
     (["--kind", "propeller-broadband", "--rate", "1e9", "--samples", "2048"],
      "propeller waveform of 2048 samples is shorter than one period of the "
      "band's lower edge"),
-], ids=["default-samples-at-rate-1e300", "samples-1e23", "propeller-too-short"])
+    # amplitudes of 1e40 overflow the record's complex64 samples
+    (["--seed", "3", "--powers", "1e80,1"], "in magnitude overflow a complex64 record"),
+], ids=["default-samples-at-rate-1e300", "samples-1e23", "propeller-too-short",
+        "powers-overflow"])
 def test_simulate_rejects_a_record_it_cannot_make(flags, message, tmp_path):
     out = tmp_path / "x.bin"
     code, stdout, err = _run(["simulate", "--out", str(out), *flags])
@@ -579,6 +584,37 @@ def test_simulate_rejects_noise_keys_the_kind_does_not_read(argv, config, messag
     assert (code, stdout) == (2, "")
     assert message in err
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, keys", [
+    (["--seed", "3", "--alpha", "1.5", "--snr", "3"], {}, ["alpha", "snr"]),
+    ([], {"sigma2": 2.5, "gamma": 0.5, "noise_diag": [1, 2], "snr": 1},
+     ["gamma", "noise_diag", "sigma2", "snr"])], ids=["flags", "config"])
+def test_simulate_noise_none_takes_no_noise_keys(argv, config, keys, tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "rec.bin"
+    cfg.write_text(json.dumps(config))
+    code, stdout, err = _run(["simulate", "--out", str(out), "--noise", "none",
+                              "--config", str(cfg)] + argv)
+    assert (code, stdout) == (2, "")
+    assert f"noise none reads no noise keys, got {keys}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_simulate_defaults_are_the_default_scenario_scene(tmp_path):
+    # no flags: the scene of ScenarioConfig's defaults, drawn from seed 0
+    scene = ScenarioConfig()
+    k = len(scene.doas)
+    sources = SourceSpec("tonal", scene.doas, (1.0,) * k,
+                         tuple(scene.carrier_hz + i * scene.tone_spacing_hz
+                               for i in range(k)), scene.snapshot_rate)
+    geometry = uniform_line_array(scene.n_elements,
+                                  half_wavelength_spacing(scene.carrier_hz))
+    block = synthesize(geometry, sources, NoiseModel(scene.noise), scene.snr_db,
+                       scene.snapshots, np.random.default_rng(0),
+                       dictionary_frequency=scene.carrier_hz)
+    save_record(block, tmp_path / "expected.bin")
+    assert cli.main(["simulate", "--out", str(tmp_path / "r.bin")]) == 0
+    assert (tmp_path / "r.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes()
 
 
 def test_cli_import_leaves_scipy_signal_and_optimize_unloaded():

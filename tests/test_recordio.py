@@ -1,6 +1,8 @@
 import os
+import re
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +208,62 @@ def test_a_header_rate_that_is_not_positive_finite_is_rejected(rate, fmt, offset
     # nor can a record with such a rate be made, so none is written
     with pytest.raises(ConfigError, match="sample rate must be a positive finite"):
         SnapshotMatrix(_real_block().data, rate)
+
+
+def _edited(raw, fmt, edit):
+    """A record file's bytes with its first sample NaN ("nan") or its first
+    channel alone ("one-channel"), and the offset where its samples start."""
+    if fmt == "binary":
+        if edit == "nan":
+            raw = raw[:HEADER_SIZE] + struct.pack("<f", np.nan) + raw[HEADER_SIZE + 4:]
+        else:
+            n = struct.unpack_from("<Q", raw, 12)[0]
+            raw = raw[:8] + struct.pack("<I", 1) + raw[12:HEADER_SIZE + 4 * n]
+        return raw, HEADER_SIZE
+    head, first, rest = raw.split(b"\n", 2)
+    if edit == "nan":
+        raw = b"\n".join((head, b"nan" + first[first.index(b","):], rest))
+    else:
+        raw = b"\n".join((head.replace(b"channels=3", b"channels=1"), first, b""))
+    return raw, len(head) + 1
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+@pytest.mark.parametrize("edit, message", [
+    ("nan", "snapshot matrix entries must be finite"),
+    ("one-channel", "snapshot matrix must be M x N with M >= 2, N >= 1")])
+def test_a_record_that_snapshot_matrix_rejects_is_a_parse_error(edit, message, fmt,
+                                                                tmp_path):
+    # a data error (exit 3) in both formats, at the offset of the samples
+    path = tmp_path / "rec"
+    save_record(_real_block(), path, fmt)
+    raw, start = _edited(path.read_bytes(), fmt, edit)
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        load_record(path, fmt)
+    assert err.value.offset == start and err.value.exit_code == 3
+
+
+@pytest.mark.parametrize("m, n", [(0, 2 ** 64 - 1), (0, 0), (5, 0)])
+def test_an_empty_binary_record_is_a_parse_error(m, n, tmp_path):
+    path = tmp_path / "rec.bin"
+    path.write_bytes(b"DASREC1\0" + struct.pack("<IQdB", m, n, 100.0, 0))
+    with pytest.raises(ParseError, match="M >= 2, N >= 1") as err:
+        load_record(path)
+    assert err.value.offset == HEADER_SIZE
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+@pytest.mark.parametrize("data, name", [(np.full((3, 4), 1e39), "real32"),
+                                        (np.full((3, 4), 1e39j), "complex64")])
+def test_samples_that_overflow_the_stored_dtype_are_not_written(data, name, fmt,
+                                                                tmp_path):
+    path = tmp_path / "big"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f"overflow a {name} record") as err:
+            save_record(SnapshotMatrix(data, 100.0), path, fmt)
+    assert err.value.exit_code == 2 and not path.exists()
 
 
 def test_csv_record_header_errors(tmp_path):

@@ -51,6 +51,18 @@ def test_sample_sas_validation():
         sample_sas(1.2, -1.0, 10, rng)
 
 
+@pytest.mark.parametrize("alpha, gamma, message", [
+    (0.0, 1.0, "stable index alpha must lie in (0, 2]"),
+    (2.5, 1.0, "stable index alpha must lie in (0, 2]"),
+    (1.5, 0.0, "dispersion gamma must be positive")])
+def test_sample_sas_and_noise_model_check_the_stable_law_alike(alpha, gamma, message):
+    for draw in (lambda: sample_sas(alpha, gamma, 4, 0),
+                 lambda: NoiseModel("impulsive-sas", alpha=alpha, gamma=gamma)):
+        with pytest.raises(ConfigError) as err:
+            draw()
+        assert str(err.value) == message
+
+
 def test_generate_noise_variances():
     rng = np.random.default_rng(4)
     e = generate_noise(NoiseModel("uniform-gaussian", sigma2=3.0), 4, 50_000, rng)
