@@ -38,7 +38,10 @@
 # sweep, an unknown bench noise kind, bench noise keys that the noise kind
 # does not read, simulate with --alpha under uniform noise or with noise
 # keys and --snr under no noise, simulate with powers whose samples
-# overflow the stored float32); and gnr2 over a sector that its grid step
+# overflow the stored float32, simulate with a source key that its kind
+# does not read: a band or lines for tonal sources, freqs or a frequency
+# for propeller ones, and lines of the wrong shape); a propeller record
+# with lines from a config; and gnr2 over a sector that its grid step
 # does not divide. BLAS
 # runs on one thread unless the environment says otherwise. Takes a few
 # minutes on a 2-vCPU host.
@@ -129,6 +132,9 @@ run sim-propeller-seed0 simulate "${PROP[@]}" --samples 10240 --out rec.bin
 run sim-propeller-partial simulate "${PROP[@]}" --samples 10300 --seed 11 --out rec.bin
 run sim-propeller-partial-csv simulate "${PROP[@]}" --samples 10300 --seed 11 \
     --format csv --out rec.csv
+echo '{"lines": [[[200, 10], [400, 6]], [[300, 10]]]}' >"$out/lines.json"
+run sim-propeller-lines simulate "${PROP[@]}" --samples 10240 --seed 12 \
+    --config ../lines.json --out rec.bin
 
 echo '{"sigma2": 2.5, "gamma": 0.5, "noise_diag": [12, 2.3, 20.5, 5.5, 11.1, 6.5, 2, 13.5, 0.8, 1.7, 13.6, 5.2]}' \
     >"$out/noise.json"
@@ -276,6 +282,18 @@ run rej-sim-noise-keys simulate --out rec.bin --seed 3 --alpha 1.5
 run rej-sim-noise-none-keys simulate --out rec.bin --seed 3 --noise none --alpha 1.5 \
     --snr 3
 run rej-sim-powers-overflow simulate --out rec.bin --seed 3 --powers 1e80,1
+# source keys the kind does not read: a version that ignores them writes
+# the record of the same run without them
+run rej-sim-tonal-band simulate --out rec.bin --seed 1 --kind tonal --band 100,900
+echo '{"lines": [[[200, 10]], [[300, 10]]]}' >"$out/tonal-lines.json"
+run rej-sim-tonal-lines simulate --out rec.bin --seed 1 --config ../tonal-lines.json
+PROP_KEYS=(--kind propeller-broadband --rate 5120 --samples 10240 --seed 1)
+run rej-sim-propeller-freqs simulate "${PROP_KEYS[@]}" --freqs 300 --out rec.bin
+run rej-sim-propeller-frequency simulate "${PROP_KEYS[@]}" --frequency 2500 \
+    --out rec.bin
+echo '{"lines": [5]}' >"$out/lines-shape.json"
+run rej-sim-lines-shape simulate "${PROP[@]}" --samples 10240 --seed 12 \
+    --config ../lines-shape.json --out rec.bin
 run rej-est-input-missing estimate --input ../no-such-record.bin --frequency 3000 \
     --estimator cbf --k 2
 # gnr2 on 8 selected bins resolves 1 of the 2 sources of this record
