@@ -51,13 +51,14 @@ class ArrayGeometry:
         return self.offsets.size
 
 
-def uniform_line_array(n_elements: int, spacing: float = 1.0,
-                       sound_speed: float = 1500.0) -> ArrayGeometry:
+def uniform_line_array(n_elements: int, spacing: float = ArrayGeometry.spacing,
+                       sound_speed: float = ArrayGeometry.sound_speed) -> ArrayGeometry:
     """ULA with offsets 0, 1, ..., n-1 (units of `spacing`)."""
     return ArrayGeometry(np.arange(n_elements, dtype=float), spacing, sound_speed)
 
 
-def half_wavelength_spacing(frequency: float, sound_speed: float = 1500.0) -> float:
+def half_wavelength_spacing(frequency: float,
+                            sound_speed: float = ArrayGeometry.sound_speed) -> float:
     """d = lambda/2 at the given frequency."""
     if frequency <= 0:
         raise ConfigError("frequency must be positive")

@@ -20,7 +20,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -194,10 +194,9 @@ def _make_context(cfg: ScenarioConfig):
                                   spacing=half_wavelength_spacing(cfg.carrier_hz))
     dictionary = build_dictionary(geometry, cfg.carrier_hz, cfg.sector,
                                   cfg.baseline_step)
-    solver = SolverConfig(r=cfg.r, q=cfg.q, max_iter=cfg.max_iter,
-                          rel_tol=cfg.rel_tol)
-    refine = RefineConfig(initial_step=cfg.refine_initial_step,
-                          target_step=cfg.refine_target_step)
+    solver = SolverConfig(**{f.name: getattr(cfg, f.name) for f in fields(SolverConfig)})
+    refine = RefineConfig(**{f.name: getattr(cfg, "refine_" + f.name)
+                             for f in fields(RefineConfig)})
     return {"geometry": geometry, "dictionary": dictionary, "solver": solver,
             "refine": refine, "noise": cfg.noise_model()}
 
@@ -272,10 +271,6 @@ class BenchResult:
     config: ScenarioConfig
     rows: tuple                 # BenchRow per (sweep value, method)
     timings: tuple              # (method, total seconds) over the whole run
-
-    @property
-    def digest(self) -> str:
-        return self.config.digest()
 
     def row(self, value, method) -> BenchRow:
         for r in self.rows:

@@ -42,6 +42,9 @@ from .frontend import BinSnapshots, band_for, band_transform, bin_covariances, \
 from .refine import RefineConfig, RefineResult, _refine_result, refine_loop
 from .simulate import SnapshotMatrix
 
+# the default band in Hz and DFT length of broadband_estimate and btr
+_BAND, _N_FFT = (50.0, 1050.0), 512
+
 
 def fuse_spectra(spectra) -> SpatialSpectrum:
     """Linear-domain mean of unit-max-normalized per-bin spectra.
@@ -63,10 +66,13 @@ def fuse_spectra(spectra) -> SpatialSpectrum:
 def _fuse_rows(powers) -> np.ndarray:
     """The fusion of per-bin powers on one grid (a (P, G) matrix or P
     rows): one reduction over the rows, normalized to unit maximum, which
-    adds them in row order onto zero."""
+    adds them in row order onto zero. numpy sums one column pairwise, so a
+    one-point grid takes the running sum, + 0.0 for zero + -0.0 = 0.0."""
     powers = np.asarray(powers, dtype=float)
     unit = powers / np.maximum(powers.max(axis=1, keepdims=True), 1e-300)
-    return np.add.reduce(unit, axis=0, initial=0.0) / len(powers)
+    total = (np.cumsum(unit, axis=0)[-1] + 0.0 if unit.shape[1] == 1
+             else np.add.reduce(unit, axis=0, initial=0.0))
+    return total / len(powers)
 
 
 def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
@@ -169,8 +175,7 @@ def _frame_snapshots(data, bins, frame_len, hop, n_frames):
 
 
 def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
-                       bins: tuple = (50.0, 1050.0),
-                       n_fft: int = 512, estimator: str = "cbf",
+                       bins: tuple = _BAND, n_fft: int = _N_FFT, estimator: str = "cbf",
                        k: int | None = None, sector=None, step: float = 1.0,
                        convention: str = "broadside",
                        select_count: int | None = None,
@@ -188,7 +193,7 @@ def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
 
 
 def btr(record: SnapshotMatrix, geometry: ArrayGeometry,
-        bins: tuple = (50.0, 1050.0), n_fft: int = 512,
+        bins: tuple = _BAND, n_fft: int = _N_FFT,
         frame_seconds: float = 1.0, frame_hop_fraction: float = 0.5,
         estimator: str = "cbf", k: int | None = None,
         sector=None, step: float = 1.0, convention: str = "broadside",

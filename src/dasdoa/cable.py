@@ -7,7 +7,8 @@ fiber shifts the round-trip optical phase. The sensitivity is reported in
 dB re 1 rad/(uPa*m).
 
 Units are SI throughout; pressures in Pa are converted to uPa only inside
-the logarithm, matching the reference unit.
+the logarithm, matching the reference unit. The MandrelSpec and FiberSpec
+defaults are the shipped cable, unloaded (p1 = p2 = 0, no acoustic drive).
 """
 from __future__ import annotations
 
@@ -27,10 +28,10 @@ class MandrelSpec:
     p1/p2 are internal/external pressures in Pa.
     """
 
-    inner_radius: float
-    outer_radius: float
-    poisson_ratio: float
-    youngs_modulus: float
+    inner_radius: float = 4e-3
+    outer_radius: float = 8e-3
+    poisson_ratio: float = 0.4
+    youngs_modulus: float = 1e9
     p1: float = 0.0
     p2: float = 0.0
 
@@ -48,10 +49,10 @@ class MandrelSpec:
 class FiberSpec:
     """Optical parameters of the wound fiber."""
 
-    refractive_index: float
-    wavelength: float           # light wavelength in m (not acoustic)
-    wound_length: float         # fiber length L in m
-    cable_length: float         # cable span L_c in m
+    refractive_index: float = 1.468
+    wavelength: float = 1550e-9     # light wavelength in m (not acoustic)
+    wound_length: float = 6.3       # fiber length L in m
+    cable_length: float = 1.0       # cable span L_c in m
 
     def __post_init__(self):
         if not self.refractive_index > 1:

@@ -31,7 +31,7 @@ from .frontend import sample_covariance
 from .recordio import load_config, load_record, render_table, save_record, \
     save_table, save_timing_table, scenario_from_dict, write_gnuplot
 from .refine import RefineConfig, narrowband_estimate
-from .simulate import NoiseModel, SourceSpec, synthesize
+from .simulate import NOISE_KEYS, SOURCE_KEYS, NoiseModel, SourceSpec, synthesize
 
 JOBS_ENV = "DASDOA_JOBS"
 # flags that name files or steer output; they are not config keys
@@ -62,7 +62,15 @@ def _names(text):
 
 def _lines(value):
     """Config `lines`: per source, a list of [frequency_hz, level_db] pairs."""
-    return tuple(tuple(_floats(pair) for pair in src) for src in value)
+    try:
+        if isinstance(value, list) and all(isinstance(src, list) for src in value) \
+                and all(isinstance(pair, list) and len(pair) == 2
+                        for src in value for pair in src):
+            return tuple(tuple(_floats(pair) for pair in src) for src in value)
+    except argparse.ArgumentTypeError:
+        pass
+    raise ValueError(f"expected a list of per-source lists of [frequency_hz, "
+                     f"level_db] pairs of finite numbers, got {value!r}")
 
 
 def _integer(value):
@@ -87,6 +95,11 @@ def _finite(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a finite number, got {text!r}") from None
+
+
+def _fields(*classes) -> dict:
+    """Each field of the dataclasses, by name, with the type of its default."""
+    return {f.name: type(f.default) for cls in classes for f in fields(cls)}
 
 
 def _as_given(convert):
@@ -168,11 +181,13 @@ def _cmd_simulate(args) -> int:
     angles = opt.get("angles", scene.doas)
     powers = opt.get("powers", (1.0,) * len(angles))
     frequency = opt.get("frequency", scene.carrier_hz)
-    spec = opt.given("freqs", "band", "lines", snapshot_rate="rate")
+    spec = opt.given(*SOURCE_KEYS, snapshot_rate="rate")
     if kind == "tonal":
         spec.setdefault("freqs", tuple(frequency + scene.tone_spacing_hz * i
                                        for i in range(len(angles))))
     sources = SourceSpec(kind, angles, powers, **spec)
+    if kind != "tonal" and opt.get("frequency") is not None:
+        raise ConfigError(f"frequency is read only by tonal sources, not {kind}")
     rate = sources.snapshot_rate
     samples = opt.get("samples", scene.snapshots if kind == "tonal" else None)
     if samples is None:
@@ -183,12 +198,12 @@ def _cmd_simulate(args) -> int:
 
     noise_kind = opt.get("noise", scene.noise)
     if noise_kind == "none":
-        if ignored := opt.given("sigma2", "alpha", "gamma", "noise_diag", "snr"):
+        if ignored := opt.given(*NOISE_KEYS, "snr"):
             raise ConfigError(f"noise none reads no noise keys, got {sorted(ignored)}")
         model, snr = None, None
     else:
-        model = NoiseModel(noise_kind, **opt.given("sigma2", "alpha", "gamma",
-                                                   diag="noise_diag"))
+        model = NoiseModel(noise_kind, **opt.given(
+            **{key.removeprefix("noise_"): key for key in NOISE_KEYS}))
         snr = opt.get("snr", scene.snr_db)
 
     # the scene's array: half a wavelength at a tonal carrier, else 0.75 m
@@ -203,8 +218,7 @@ def _cmd_simulate(args) -> int:
                           f"larger than numpy can allocate")
     rng = np.random.default_rng(opt.get("seed", 0))
     block = synthesize(geometry, sources, model, snr, samples, rng,
-                       dictionary_frequency=frequency,
-                       convention=opt.get("convention", "broadside"))
+                       dictionary_frequency=frequency, **opt.given("convention"))
     save_record(block, args.out, **opt.given(fmt="format"))
     print(f"wrote {args.out}: {block.n_channels} channels x "
           f"{block.n_samples} samples ({block.domain})")
@@ -223,13 +237,9 @@ def _pipeline_options(opt: _Options, default_estimator: str,
                 step=opt.get("step", 1.0 if estimator == "gnr2" else fixed_grid_step),
                 convention=opt.get("convention", "broadside"),
                 select_count=opt.get("select_bins"),
-                solver_cfg=SolverConfig(**opt.given("r", "q", "max_iter", "rel_tol")),
-                refine_cfg=RefineConfig(**opt.given("initial_step", "target_step")),
+                solver_cfg=SolverConfig(**opt.given(*_fields(SolverConfig))),
+                refine_cfg=RefineConfig(**opt.given(*_fields(RefineConfig))),
                 **opt.given("n_fft", bins="band"))
-
-
-# options of the time-record pipeline that a snapshot record cannot use
-_TIME_ONLY = ("band", "n_fft", "select_bins")
 
 
 def _cmd_estimate(args) -> int:
@@ -249,7 +259,7 @@ def _cmd_estimate(args) -> int:
             guard = opt.given(guard_deg="peak_guard") if estimator == "cbf" else {}
             estimates, shortfall = peak_pick(spectrum, k, **guard)
     else:
-        for key in _TIME_ONLY:
+        for key in ("band", "n_fft", "select_bins"):    # time-record options
             if opt.get(key) is not None:
                 raise ConfigError(f"option {key!r} applies only to time records")
         if frequency is None:
@@ -312,7 +322,7 @@ def _cmd_bench(args) -> int:
         if args.gnuplot:
             write_gnuplot(args.out, args.out + ".gp", "bench")
         print(f"wrote {args.out}: {len(result.rows)} rows "
-              f"(config {result.digest})")
+              f"(config {result.config.digest()})")
     else:
         sys.stdout.write(render_table(result))
     if args.timing_out:
@@ -326,42 +336,32 @@ def _cmd_bench(args) -> int:
 # -----------------------------
 def _cmd_cable(args) -> int:
     opt = _Options(args)
-    mandrel = MandrelSpec(
-        inner_radius=opt.get("inner_radius", 4.0e-3),
-        outer_radius=opt.get("outer_radius", 8.0e-3),
-        poisson_ratio=opt.get("poisson_ratio", 0.4),
-        youngs_modulus=opt.get("youngs_modulus", 1.0e9),
-        p2=opt.get("p2", 1.0), **opt.given("p1"))
-    fiber = FiberSpec(
-        refractive_index=opt.get("refractive_index", 1.468),
-        wavelength=opt.get("wavelength", 1550e-9),
-        wound_length=opt.get("wound_length", 6.3),
-        cable_length=opt.get("cable_length", 1.0))
-    dr = mandrel_radial_displacement(mandrel)
-    sens = cable_sensitivity(mandrel, fiber)
-    print(f"radial_displacement_m: {dr:.6e}")
-    print(f"sensitivity_db_re_1rad_per_uPa_m: {sens:.2f}")
+    # the report drives the cable at p2 = 1 Pa unless p2 is set
+    mandrel = MandrelSpec(**{"p2": 1.0, **opt.given(*_fields(MandrelSpec))})
+    fiber = FiberSpec(**opt.given(*_fields(FiberSpec)))
+    print(f"radial_displacement_m: {mandrel_radial_displacement(mandrel):.6e}\n"
+          f"sensitivity_db_re_1rad_per_uPa_m: {cable_sensitivity(mandrel, fiber):.2f}")
     return 0
 
 
 # -----------------------------
 # Parser
 # -----------------------------
-_PIPELINE_CONFIG_ONLY = dict(r=float, q=float, max_iter=int, rel_tol=float,
-                             initial_step=float, target_step=float,
-                             sound_speed=float)
+_PIPELINE_CONFIG_ONLY = dict(_fields(SolverConfig, RefineConfig), sound_speed=float)
+
+
+# a config value's converter by the type of its flag or of its field's default
+_STRICT = {int: _integer, float: _real, _finite: _real, tuple: _floats}
 
 
 def _declare(parser: argparse.ArgumentParser, fn, **config_only) -> None:
     """Set a subcommand's handler and its config keys: the dest of each
     option flag, converted by the flag's type, plus `config_only`. An
     int-typed key takes only a JSON integer, a float-typed key a number."""
-    keys = {a.dest: a.type or str for a in parser._actions
-            if a.dest not in _NOT_CONFIG}
-    strict = {int: _integer, float: _real, _finite: _real}
-    keys = {key: strict.get(convert, convert)
-            for key, convert in {**keys, **config_only}.items()}
-    parser.set_defaults(fn=fn, config_keys=keys)
+    keys = {**{a.dest: a.type or str for a in parser._actions
+               if a.dest not in _NOT_CONFIG}, **config_only}
+    parser.set_defaults(fn=fn, config_keys={
+        key: _STRICT.get(convert, convert) for key, convert in keys.items()})
 
 
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
@@ -440,24 +440,19 @@ def build_parser() -> argparse.ArgumentParser:
                      help="wall-clock CSV path (non-deterministic)")
     ben.add_argument("--gnuplot", action="store_true")
     # every ScenarioConfig field, typed like its default, passed on as written
-    convert = {str: str, int: _integer, float: _real, tuple: _floats}
-    keys = {f.name: _as_given(convert[type(f.default)])
-            for f in fields(ScenarioConfig)}
+    keys = {key: _as_given(_STRICT.get(kind, kind))
+            for key, kind in _fields(ScenarioConfig).items()}
     keys["methods"] = _as_given(_names)
     _declare(ben, _cmd_bench, **keys)
 
     cab = sub.add_parser("cable-sens", help="spiral cable pressure sensitivity")
     cab.add_argument("--config")
-    cab.add_argument("--inner-radius", dest="inner_radius", type=_finite)
-    cab.add_argument("--outer-radius", dest="outer_radius", type=_finite)
-    cab.add_argument("--poisson", dest="poisson_ratio", type=_finite)
-    cab.add_argument("--modulus", dest="youngs_modulus", type=_finite)
-    cab.add_argument("--p1", type=_finite)
-    cab.add_argument("--p2", type=_finite)
-    cab.add_argument("--index", dest="refractive_index", type=_finite)
-    cab.add_argument("--wavelength", type=_finite)
-    cab.add_argument("--wound-length", dest="wound_length", type=_finite)
-    cab.add_argument("--cable-length", dest="cable_length", type=_finite)
+    # a flag per MandrelSpec and FiberSpec field, three of them renamed
+    renamed = dict(poisson_ratio="poisson", youngs_modulus="modulus",
+                   refractive_index="index")
+    for key in _fields(MandrelSpec, FiberSpec):
+        cab.add_argument("--" + renamed.get(key, key).replace("_", "-"), dest=key,
+                         type=_finite)
     _declare(cab, _cmd_cable)
     return parser
 

@@ -475,13 +475,6 @@ def check_estimator(name: str, k: int | None) -> None:
         raise ConfigError(f"{name} needs the source count k")
 
 
-def _fit_config(name: str, solver_cfg: SolverConfig | None) -> SolverConfig:
-    """The solver config of a fit: SPICE is the solver at r = q = 1 with
-    solver_cfg's max_iter and rel_tol; qspice runs solver_cfg as given."""
-    cfg = solver_cfg or SolverConfig()
-    return replace(cfg, r=1.0, q=1.0) if name == "spice" else cfg
-
-
 def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
                       solver_cfg: SolverConfig | None = None):
     """(power, floor) of the fixed-grid estimator `name` on one problem or a
@@ -489,11 +482,13 @@ def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
     row per problem, and floor (P,), the dB floor of each row.
 
     CBF is one batched product for the stack and MUSIC one eigendecomposition
-    per problem; spice and qspice run the solver (see _fit_config) once for
-    the stack and keep its power floor as their dB floor.
+    per problem; spice and qspice run the solver once for the stack and keep
+    its power floor as their dB floor. SPICE is the solver at r = q = 1 with
+    solver_cfg's max_iter and rel_tol; qspice runs solver_cfg as given.
     """
     if name in ("spice", "qspice"):
-        res = qspice_solve(data, dictionary, _fit_config(name, solver_cfg))
+        cfg = solver_cfg or SolverConfig()
+        res = qspice_solve(data, dictionary, replace(cfg, r=1.0, q=1.0) if name == "spice" else cfg)
         power = res.powers.signal
         return (power.reshape(-1, power.shape[-1]),
                 np.maximum(np.reshape(res.floor, -1), DB_FLOOR))

@@ -201,12 +201,6 @@ def _load_record_csv(path) -> SnapshotMatrix:
 # -----------------------------
 # Result tables
 # -----------------------------
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return FLOAT_FMT % value
-    return str(value)
-
-
 def _meta_hash(*parts) -> str:
     blob = json.dumps([str(p) for p in parts])
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -232,16 +226,16 @@ def render_table(result) -> str:
     """The CSV text of save_table. A bench table's manifest carries its
     config's seed; spectrum and bearing-time tables carry seed=na."""
     if isinstance(result, SpatialSpectrum):
-        freq = _fmt(float(result.frequency))
+        freq = FLOAT_FMT % result.frequency
         return _table(f"spectrum estimator={result.estimator} frequency={freq}",
                       _meta_hash(result.estimator, freq, result.angles.tobytes()), "na",
                       ["angle_deg", "power_db"],
-                      ([_fmt(float(ang)), _fmt(float(pdb))]
-                       for ang, pdb in zip(result.angles, result.power_db)))
+                      ([FLOAT_FMT % ang, FLOAT_FMT % pdb]
+                       for ang, pdb in zip(result.angles.tolist(), result.power_db.tolist())))
     if isinstance(result, BearingTimeRecord):
         return _table(f"btr estimator={result.estimator} frames={len(result.times)}",
                       _meta_hash(result.estimator, result.angles.tobytes()), "na",
-                      ["time_s"] + [_fmt(float(a)) for a in result.angles],
+                      ["time_s"] + [FLOAT_FMT % a for a in result.angles.tolist()],
                       ([FLOAT_FMT % t] + [FLOAT_FMT % v for v in row]
                        for t, row in zip(result.times.tolist(), result.power_db.tolist())))
     if isinstance(result, BenchResult):
@@ -249,8 +243,9 @@ def render_table(result) -> str:
         return _table(f"bench preset={cfg.name} sweep={cfg.sweep}", cfg.digest(), cfg.seed,
                       ["sweep_param", "value", "method", "trials", "shortfalls",
                        "success_pct", "rmse_deg"],
-                      ([row.sweep, _fmt(row.value), row.method, row.trials,
-                        row.shortfalls, _fmt(row.success_pct), _fmt(row.rmse_deg)]
+                      ([row.sweep, FLOAT_FMT % row.value, row.method, row.trials,
+                        row.shortfalls, FLOAT_FMT % row.success_pct,
+                        FLOAT_FMT % row.rmse_deg]
                        for row in result.rows))
     raise ConfigError(f"cannot serialize {type(result).__name__} as a table")
 
@@ -261,7 +256,7 @@ def save_timing_table(result: BenchResult, path) -> None:
     _write(path, "table", _table(
         f"bench-timing preset={cfg.name}", cfg.digest(), cfg.seed,
         ["method", "total_s", "ratio"],
-        ([method, _fmt(total), _fmt(ratio)]
+        ([method, FLOAT_FMT % total, FLOAT_FMT % ratio]
          for method, total, ratio in timing_ratios(result))))
 
 
@@ -300,25 +295,19 @@ def scenario_from_dict(options: dict) -> ScenarioConfig:
 # -----------------------------
 # Plot companions
 # -----------------------------
+# plot kind -> x label, y label, its settings, and its plot of the table
+_PLOTS = {"spectrum": ("angle (deg)", "power (dB)", "", "plot {} using 1:2 with lines"),
+          "btr": ("angle (deg)", "time (s)", "set view map\n",
+                  "splot {} matrix nonuniform with image"),
+          "bench": ("sweep value", "RMSE (deg)", "set key outside\n",
+                    "plot {} using 2:7 with linespoints")}
+
+
 def write_gnuplot(csv_path, script_path, kind: str = "spectrum") -> None:
     """Companion gnuplot script for a saved table; no plotting here."""
-    if kind == "spectrum":
-        body = (f'set datafile separator ","\n'
-                f'set xlabel "angle (deg)"\n'
-                f'set ylabel "power (dB)"\n'
-                f'plot "{csv_path}" skip 3 using 1:2 with lines notitle\n')
-    elif kind == "btr":
-        body = (f'set datafile separator ","\n'
-                f'set xlabel "angle (deg)"\n'
-                f'set ylabel "time (s)"\n'
-                f'set view map\n'
-                f'splot "{csv_path}" skip 3 matrix nonuniform with image notitle\n')
-    elif kind == "bench":
-        body = (f'set datafile separator ","\n'
-                f'set xlabel "sweep value"\n'
-                f'set ylabel "RMSE (deg)"\n'
-                f'set key outside\n'
-                f'plot "{csv_path}" skip 3 using 2:7 with linespoints notitle\n')
-    else:
+    if kind not in _PLOTS:
         raise ConfigError(f"unknown plot kind {kind!r}")
-    _write(script_path, "script", body)
+    xlabel, ylabel, settings, plot = _PLOTS[kind]
+    _write(script_path, "script", f'set datafile separator ","\nset xlabel "{xlabel}"\n'
+           f'set ylabel "{ylabel}"\n{settings}'
+           + plot.format(f'"{csv_path}" skip 3') + " notitle\n")

@@ -7,6 +7,8 @@ exponentials with a random phase per trial. Time-domain records are real
 M x n waveforms built by fractional-delay plane-wave propagation. A record,
 SnapshotMatrix, holds its samples and their sample rate; its kind is its
 dtype: complex samples are narrowband snapshots, real ones a time record.
+A SourceSpec or NoiseModel that sets a key its kind does not read away from
+its default raises ConfigError: each kind reads only its own keys.
 
 Arrival convention (time domain): channel m receives s(t + tau_m) with
 tau_m = alpha_m * d * sin(theta) / c, i.e. the wave reaches far elements
@@ -35,6 +37,27 @@ from .errors import ConfigError, UnsupportedModelError
 
 NOISE_KINDS = ("uniform-gaussian", "nonuniform-gaussian", "impulsive-sas")
 SOURCE_KINDS = ("tonal", "propeller-broadband")
+# each key of a kind and the kind that reads it; the key noise_diag sets diag
+NOISE_KEYS = {"sigma2": "uniform-gaussian", "noise_diag": "nonuniform-gaussian",
+              "alpha": "impulsive-sas", "gamma": "impulsive-sas"}
+SOURCE_KEYS = {"freqs": "tonal", "band": "propeller-broadband",
+               "lines": "propeller-broadband"}
+
+
+def _check_kind_keys(spec, keys: dict, what: str) -> None:
+    """A ConfigError for the first of `keys` that spec sets away from its class
+    default though its kind does not read it."""
+    for key, reader in keys.items():
+        if spec.kind == reader:
+            continue
+        name = key.removeprefix("noise_")
+        value, default = getattr(spec, name), getattr(type(spec), name)
+        # a sequence item by item: lines may be ragged, so no array of them
+        if not (hasattr(value, "__len__") and len(value) == len(default)
+                and all(map(np.array_equal, value, default))
+                if isinstance(default, tuple) else np.array_equal(value, default)):
+            raise ConfigError(f"{key} is read only by {reader} {what}, not "
+                              f"{spec.kind} (got {key}={value})")
 
 
 # -----------------------------
@@ -79,6 +102,7 @@ class SourceSpec:
             for src in self.lines:
                 for line in src:
                     two_numbers(line, "a line (frequency_hz, level_db)")
+        _check_kind_keys(self, SOURCE_KEYS, "sources")
 
     @property
     def n_sources(self) -> int:
@@ -101,13 +125,7 @@ class NoiseModel:
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}; the kinds are "
                               f"{', '.join(NOISE_KINDS)}")
-        for key, reader in (("sigma2", "uniform-gaussian"), ("noise_diag", "nonuniform-gaussian"),
-                            ("alpha", "impulsive-sas"), ("gamma", "impulsive-sas")):
-            name = key.removeprefix("noise_")      # the config key noise_diag sets diag
-            value = getattr(self, name)
-            if self.kind != reader and not np.array_equal(value, getattr(NoiseModel, name)):
-                raise ConfigError(f"{key} is read only by {reader} noise, not "
-                                  f"{self.kind} (got {key}={value})")
+        _check_kind_keys(self, NOISE_KEYS, "noise")
         if not self.sigma2 > 0:
             raise ConfigError("uniform noise variance must be positive")
         if self.kind == "nonuniform-gaussian" and (

@@ -179,3 +179,21 @@ def test_perturb_geometry_rejects_order_breaking_level():
     geom = uniform_line_array(4, spacing=0.25)
     with pytest.raises(ConfigError):
         perturb_geometry(geom, 0.5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ArrayGeometry(np.array([0.0, np.inf])), "geometry offsets must be finite"),
+    (lambda: perturb_geometry(uniform_line_array(4), -0.1, 0),
+     "perturbation level must be non-negative"),
+], ids=["offsets-not-finite", "negative-perturbation"])
+def test_each_rejection_states_its_rule(call, message):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_array_defaults_are_the_geometrys():
+    geometry = uniform_line_array(3)
+    assert (geometry.spacing, geometry.sound_speed) == (ArrayGeometry.spacing,
+                                                        ArrayGeometry.sound_speed)
+    assert half_wavelength_spacing(750.0) == ArrayGeometry.sound_speed / 1500.0

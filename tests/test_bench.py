@@ -12,6 +12,7 @@ from dasdoa.bench import PRESETS, BenchRow, NONUNIFORM_DIAG, ScenarioConfig, \
     timing_ratios, _make_context
 from dasdoa.errors import ConfigError
 from dasdoa.recordio import render_table
+from dasdoa.refine import RefineConfig
 
 
 def _tiny_config(**kw):
@@ -359,3 +360,20 @@ def test_one_failing_problem_stays_isolated(monkeypatch):
                 assert len(got[0]) == 2 and not got[1]
             else:
                 assert got == ((), True)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ScenarioConfig(doas=()), "need at least one source angle"),
+], ids=["no-source"])
+def test_each_rejection_states_its_rule(call, message):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_context_configs_are_the_scenarios_solver_and_refine_fields():
+    cfg = ScenarioConfig(r=1.5, q=1.25, max_iter=40, rel_tol=1e-4,
+                         refine_initial_step=2.0, refine_target_step=0.25)
+    ctx = _make_context(cfg)
+    assert ctx["solver"] == estimators.SolverConfig(1.5, 1.25, 40, 1e-4)
+    assert ctx["refine"] == RefineConfig(2.0, 0.25)

@@ -2,7 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
@@ -71,6 +71,9 @@ def test_fuse_validation():
 
 @given(arrays(float, st.tuples(st.integers(1, 120), st.integers(1, 200)),
               elements=st.floats(0.0, 1e6)))
+# one grid point: numpy sums a column pairwise, which changes the last bit
+@example(power=np.full((9, 1), 1e-301))
+@example(power=np.full((3, 1), -0.0))
 def test_fusion_helper_bit_equals_sequential_fusion(power):
     # the fusion of one spectrum at a time, each normalized to unit peak; the
     # helper is one reduction over the rows of up to a BTR frame's P = 101
@@ -375,3 +378,14 @@ def test_btr_rejects_bad_frame_options(seconds, hop, match):
     block, geom = _record([5.0], seed=37, duration=0.5)
     with pytest.raises(ConfigError, match=match):
         btr(block, geom, bins=BAND, frame_seconds=seconds, frame_hop_fraction=hop)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: broadband_spectrum(np.zeros((0, 4, 4)), [], uniform_line_array(4),
+                                np.arange(3.0)),
+     "need at least one frequency bin"),
+], ids=["no-bins"])
+def test_each_rejection_states_its_rule(call, message):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value) == message

@@ -116,3 +116,17 @@ def test_cable_sensitivity_end_to_end_order_of_magnitude():
     assert -170.0 < sens < -120.0
     with pytest.raises(ConfigError):
         cable_sensitivity(MandrelSpec(**MANDREL, p1=1.0, p2=1.0), FIBER)
+
+
+def test_the_defaults_are_the_shipped_cable_unloaded():
+    assert MandrelSpec() == MandrelSpec(**MANDREL, p1=0.0, p2=0.0)
+    assert FiberSpec() == FIBER
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sensitivity_from_phase(FIBER, 1.0, 0.0), "pressure must be positive"),
+], ids=["phase-at-zero-pressure"])
+def test_each_rejection_states_its_rule(call, message):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value) == message

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -16,6 +17,8 @@ from dasdoa.arrays import build_dictionary, full_sector, half_wavelength_spacing
     uniform_line_array
 from dasdoa.bench import PRESETS, ScenarioConfig
 from dasdoa.broadband import broadband_estimate
+from dasdoa.cable import FiberSpec, MandrelSpec, cable_sensitivity, \
+    mandrel_radial_displacement
 from dasdoa.estimators import ESTIMATORS, SolverConfig
 from dasdoa.frontend import sample_covariance
 from dasdoa.recordio import load_record, render_table, save_record
@@ -879,3 +882,144 @@ def test_bench_rejects_methods_and_snapshot_counts(flags, message, tmp_path):
     assert (code, stdout) == (2, "")
     assert message in err and "Traceback" not in err
     assert not out.exists() and not timing.exists()
+
+
+def _converter_name(convert):
+    """A config key's converter by name; a bench key's is _as_given(its own)."""
+    if convert.__qualname__.startswith("_as_given"):
+        return f"_as_given({_converter_name(convert.__closure__[0].cell_contents)})"
+    return convert.__name__
+
+
+# each subcommand's config keys by converter, as the CLI has always read them
+_CONFIG_KEYS = {
+    "simulate": {
+        "_floats": "angles band freqs noise_diag offsets powers",
+        "_real": "alpha frequency gamma rate sigma2 snr sound_speed spacing",
+        "_integer": "elements samples seed", "str": "convention format kind noise",
+        "_lines": "lines"},
+    "estimate": {
+        "_floats": "band offsets sector", "str": "convention estimator format",
+        "_integer": "k max_iter n_fft select_bins",
+        "_real": "frequency initial_step peak_guard q r rel_tol sound_speed spacing "
+                 "step target_step"},
+    "btr": {
+        "_floats": "band offsets sector", "str": "convention estimator format",
+        "_integer": "k max_iter n_fft select_bins",
+        "_real": "frame_seconds hop_fraction initial_step q r rel_tol sound_speed "
+                 "spacing step target_step"},
+    "bench": {
+        "_as_given(_real)": "alpha baseline_step carrier_hz cbf_guard pos_error_level q "
+                            "r refine_initial_step refine_target_step rel_tol "
+                            "snapshot_rate snr_db tone_spacing_hz",
+        "_as_given(_integer)": "max_iter n_elements seed snapshots trials",
+        "_as_given(_floats)": "doas noise_diag sector sweep_values",
+        "_as_given(str)": "name noise sweep", "_as_given(_names)": "methods"},
+    "cable-sens": {
+        "_real": "cable_length inner_radius outer_radius p1 p2 poisson_ratio "
+                 "refractive_index wavelength wound_length youngs_modulus"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIG_KEYS))
+def test_config_keys_and_their_converters_are_pinned(command):
+    # keys read from the dataclasses' fields keep the names and converters
+    # that the CLI wrote out by hand
+    args = cli.build_parser().parse_args(
+        {"simulate": ["simulate", "--out", "x"], "estimate": ["estimate", "--input", "x"],
+         "btr": ["btr", "--input", "x", "--out", "y"], "bench": ["bench"],
+         "cable-sens": ["cable-sens"]}[command])
+    expected = {key: name for name, keys in _CONFIG_KEYS[command].items()
+                for key in keys.split()}
+    assert {key: _converter_name(convert)
+            for key, convert in args.config_keys.items()} == expected
+
+
+def test_cable_sens_drives_the_shipped_cable_at_1_pa():
+    # the dataclass defaults are the shipped cable; the report adds p2 = 1 Pa
+    mandrel = MandrelSpec(p2=1.0)
+    code, out, _ = _run(["cable-sens"])
+    assert code == 0
+    assert out == (f"radial_displacement_m: {mandrel_radial_displacement(mandrel):.6e}\n"
+                   f"sensitivity_db_re_1rad_per_uPa_m: "
+                   f"{cable_sensitivity(mandrel, FiberSpec()):.2f}\n")
+
+
+_TONAL_KEYS = ["simulate", "--seed", "1"]
+_PROPELLER_KEYS = ["simulate", "--kind", "propeller-broadband", "--rate", "5120",
+                   "--samples", "10240", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (_TONAL_KEYS + ["--kind", "tonal", "--band", "100,900"], {},
+     "band is read only by propeller-broadband sources, not tonal "
+     "(got band=(100.0, 900.0))"),
+    (_TONAL_KEYS, {"lines": [[[200, 10]], [[300, 10]]]},
+     "lines is read only by propeller-broadband sources, not tonal "
+     "(got lines=(((200.0, 10.0),), ((300.0, 10.0),)))"),
+    (_PROPELLER_KEYS + ["--freqs", "300"], {},
+     "freqs is read only by tonal sources, not propeller-broadband (got freqs=(300.0,))"),
+    (_PROPELLER_KEYS + ["--frequency", "2500"], {},
+     "frequency is read only by tonal sources, not propeller-broadband"),
+    (_PROPELLER_KEYS, {"frequency": 2500},
+     "frequency is read only by tonal sources, not propeller-broadband"),
+], ids=["tonal-band", "tonal-lines", "propeller-freqs", "propeller-frequency",
+        "propeller-frequency-config"])
+def test_simulate_rejects_source_keys_the_kind_does_not_read(argv, config, message,
+                                                             tmp_path):
+    # a key the source kind ignores would write the record of the run without it
+    cfg, out = tmp_path / "cfg.json", tmp_path / "rec.bin"
+    cfg.write_text(json.dumps(config))
+    code, stdout, err = _run(argv + ["--out", str(out), "--config", str(cfg)])
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", [
+    "oops", [5], [[5]], [[[200, 10, 3]]], [[["200,10"]]], [["200,10"]],
+    [[[True, 10]]], [[[200, "x"]]], [[[200, None]]], {"a": 1}],
+    ids=["text", "numbers", "flat-pairs", "triple", "text-pair", "text-line",
+         "bool", "text-level", "null-level", "object"])
+def test_simulate_lines_take_per_source_lists_of_pairs(lines, tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "rec.bin"
+    cfg.write_text(json.dumps({"lines": lines}))
+    code, stdout, err = _run(["simulate", "--kind", "propeller-broadband",
+                              "--out", str(out), "--config", str(cfg)])
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: config key 'lines': expected a list of per-source lists "
+                   f"of [frequency_hz, level_db] pairs of finite numbers, "
+                   f"got {lines!r}\n")
+    assert not out.exists()
+
+
+def test_simulate_lines_from_a_config_are_synthesized(tmp_path):
+    lines = (((200.0, 10.0), (400.0, 6.0)), ((300.0, 10.0),))
+    cfg, out = tmp_path / "cfg.json", tmp_path / "rec.bin"
+    cfg.write_text(json.dumps({"lines": lines}))
+    assert cli.main(["simulate", "--kind", "propeller-broadband", "--angles", "10,25",
+                     "--rate", "5120", "--samples", "2048", "--elements", "6",
+                     "--spacing", "1.25", "--seed", "12", "--out", str(out),
+                     "--config", str(cfg)]) == 0
+    sources = SourceSpec("propeller-broadband", (10.0, 25.0), (1.0, 1.0),
+                         snapshot_rate=5120.0, lines=lines)
+    block = synthesize(uniform_line_array(6, 1.25), sources,
+                       NoiseModel("uniform-gaussian"), ScenarioConfig.snr_db, 2048,
+                       np.random.default_rng(12))
+    save_record(block, tmp_path / "expected.bin")
+    assert out.read_bytes() == (tmp_path / "expected.bin").read_bytes()
+    # without the lines, the record differs
+    assert cli.main(["simulate", "--kind", "propeller-broadband", "--angles", "10,25",
+                     "--rate", "5120", "--samples", "2048", "--elements", "6",
+                     "--spacing", "1.25", "--seed", "12", "--out", str(out)]) == 0
+    assert out.read_bytes() != (tmp_path / "expected.bin").read_bytes()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: cli._floats("1,nan"), argparse.ArgumentTypeError,
+     "expected comma-separated finite numbers, got '1,nan'"),
+    (lambda: cli._as_given(cli._floats)("9"), ValueError, "'9' has the wrong type"),
+], ids=["floats-not-finite", "bench-value-of-the-wrong-type"])
+def test_each_rejection_states_its_rule(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -518,3 +518,23 @@ def test_spatial_spectrum_db_floor():
     db = spec.power_db
     assert db[0] == 0.0
     assert np.isfinite(db[1])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SolverConfig(rel_tol=0.0), "rel_tol must be positive"),
+    (lambda: SpatialSpectrum(np.zeros(3), np.zeros(2)),
+     "angle grid and power must have matching shapes"),
+    (lambda: SpatialSpectrum(np.zeros(2), np.array([1.0, np.nan])),
+     "spectrum power must be finite"),
+    (lambda: qspice_solve(np.eye(2), np.ones(3)),
+     "dictionary must be an M x G matrix or a P x M x G stack"),
+    (lambda: qspice_solve(np.ones(3), np.ones((2, 4))), "snapshot length 3 != array size 2"),
+    (lambda: objective_value(np.ones((2, 4)), np.ones((2, 2)),
+                             np.stack([np.eye(2)] * 2), np.ones((2, 4))),
+     "the objective is evaluated for one problem, not a stack"),
+], ids=["rel-tol", "spectrum-shapes", "spectrum-not-finite", "dictionary-ndim",
+        "snapshot-length", "objective-of-a-stack"])
+def test_each_rejection_states_its_rule(call, message):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value) == message

@@ -266,3 +266,17 @@ def test_select_bins_validation():
         select_bins(covs, 4, 1)
     with pytest.raises(ConfigError):
         select_bins(covs, 1, 9)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FrequencyBinSet(0, [1], 100.0), "DFT length must be >= 1"),
+    (lambda: FrequencyBinSet(8, [], 100.0), "need at least one bin index"),
+    (lambda: frame_count(10, 0, 1), "frame length and hop must be >= 1"),
+    (lambda: band_transform(np.zeros(64), FrequencyBinSet(8, [1], 100.0)),
+     "record must be an M x n matrix"),
+    (lambda: select_bins(np.zeros((2, 3, 4)), 1, 1), "covariances must be a (P, M, M) stack"),
+], ids=["dft-length", "no-bins", "frame-length", "record-1d", "covariance-shape"])
+def test_each_rejection_states_its_rule(call, message):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value) == message

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from dasdoa.bench import BenchResult, BenchRow, ScenarioConfig, run_monte_carlo
 from dasdoa.broadband import BearingTimeRecord
-from dasdoa.errors import ConfigError, ParseError
+from dasdoa.errors import ConfigError, DataError, ParseError
 from dasdoa.estimators import SpatialSpectrum
 from dasdoa.recordio import HEADER_SIZE, load_config, load_record, \
     render_table, save_record, save_table, save_timing_table, \
@@ -383,3 +383,26 @@ def test_write_gnuplot_kinds(tmp_path):
         assert "data.csv" in script.read_text()
     with pytest.raises(ConfigError):
         write_gnuplot("data.csv", tmp_path / "x.gp", "histogram")
+
+
+def _unparsable_csv(tmp):
+    path = tmp / "rec.csv"
+    path.write_text("# channels=2 samples=2 rate=100.0 kind=real32\n1,x\n1,2\n")
+    return load_record(path, "csv")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: save_record(SnapshotMatrix(np.ones((2, 2)), 1.0), tmp / "r", "hdf5"),
+     ConfigError, "unknown record format 'hdf5'"),
+    (lambda tmp: load_record(tmp / "r", "hdf5"), ConfigError, "unknown record format 'hdf5'"),
+    (_unparsable_csv, ParseError,
+     "unparsable value in row 0 of {tmp}/rec.csv (byte offset 46)"),
+    (lambda tmp: load_config(tmp / "none.json"), DataError,
+     "cannot read config {tmp}/none.json: [Errno 2] No such file or directory: "
+     "'{tmp}/none.json'"),
+], ids=["save-format", "load-format", "csv-value", "config-missing"])
+def test_each_rejection_states_its_rule(call, error, message, tmp_path):
+    with pytest.raises(error) as err:
+        call(tmp_path)
+    assert str(err.value) == message.format(tmp=tmp_path)
+    assert not (tmp_path / "r").exists()

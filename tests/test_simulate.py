@@ -297,3 +297,48 @@ def test_noise_model_validation():
         NoiseModel("impulsive-sas", alpha=0.0)
     with pytest.raises(ConfigError):
         NoiseModel("purple")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SourceSpec("tonal", (), ()), "need at least one source"),
+    (lambda: SourceSpec("propeller-broadband", (1.0,), (1.0,), band=(900.0, 100.0)),
+     "band must satisfy f_lo < f_hi"),
+    (lambda: SourceSpec("propeller-broadband", (1.0, 2.0), (1.0, 1.0),
+                        lines=(((200.0, 10.0),),)),
+     "lines, when given, need one list per source"),
+    (lambda: NoiseModel("nonuniform-gaussian"),
+     "non-uniform noise needs a positive variance per element"),
+    (lambda: harmonic_lines(0.0, (100.0, 1000.0)), "line base frequency must be positive"),
+    (lambda: propeller_waveform(4096, 5120.0, (100.0, 1000.0), [(50.0, 10.0)], 0),
+     "line at 50.0 Hz falls outside the band (100.0, 1000.0)"),
+    (lambda: measure_snr(0.0, NoiseModel("uniform-gaussian")),
+     "signal power must be positive"),
+], ids=["no-source", "band-order", "lines-per-source", "nonuniform-no-diag",
+        "line-base", "line-outside-band", "signal-power"])
+def test_each_rejection_states_its_rule(call, message):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind, kw, message", [
+    ("tonal", dict(band=(100.0, 900.0)),
+     "band is read only by propeller-broadband sources, not tonal "
+     "(got band=(100.0, 900.0))"),
+    ("tonal", dict(band=5.0),
+     "band is read only by propeller-broadband sources, not tonal (got band=5.0)"),
+    # ragged lines: one line for the first source, two for the second
+    ("tonal", dict(lines=(((200.0, 10.0),), ((300.0, 10.0), (600.0, 6.0)))),
+     "lines is read only by propeller-broadband sources, not tonal "
+     "(got lines=(((200.0, 10.0),), ((300.0, 10.0), (600.0, 6.0))))"),
+    ("propeller-broadband", dict(freqs=(300.0, 400.0)),
+     "freqs is read only by tonal sources, not propeller-broadband "
+     "(got freqs=(300.0, 400.0))"),
+], ids=["tonal-band", "tonal-band-scalar", "tonal-lines", "propeller-freqs"])
+def test_source_spec_rejects_keys_its_kind_does_not_read(kind, kw, message):
+    freqs = {"freqs": (3000.0, 3100.0)} if kind == "tonal" else {}
+    with pytest.raises(ConfigError) as err:
+        SourceSpec(kind, (2.36, 27.62), (1.0, 1.0), **freqs, **kw)
+    assert str(err.value) == message
+    # each kind's own keys, and the others at their defaults, are accepted
+    SourceSpec(kind, (2.36, 27.62), (1.0, 1.0), **freqs, band=[100, 1000], lines=[])
