@@ -65,14 +65,11 @@ def fuse_spectra(spectra) -> SpatialSpectrum:
 
 def _fuse_rows(powers) -> np.ndarray:
     """The fusion of per-bin powers on one grid (a (P, G) matrix or P
-    rows): one reduction over the rows, normalized to unit maximum, which
-    adds them in row order onto zero. numpy sums one column pairwise, so a
-    one-point grid takes the running sum, + 0.0 for zero + -0.0 = 0.0."""
+    rows), normalized to unit maximum, added in row order onto zero: a
+    running sum, since numpy sums one column pairwise (+ 0.0 for -0.0)."""
     powers = np.asarray(powers, dtype=float)
     unit = powers / np.maximum(powers.max(axis=1, keepdims=True), 1e-300)
-    total = (np.cumsum(unit, axis=0)[-1] + 0.0 if unit.shape[1] == 1
-             else np.add.reduce(unit, axis=0, initial=0.0))
-    return total / len(powers)
+    return (np.cumsum(unit, axis=0)[-1] + 0.0) / len(powers)
 
 
 def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
@@ -175,7 +172,8 @@ def _frame_snapshots(data, bins, frame_len, hop, n_frames):
 
 
 def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
-                       bins: tuple = _BAND, n_fft: int = _N_FFT, estimator: str = "cbf",
+                       bins: tuple = _BAND,
+                       n_fft: int = _N_FFT, estimator: str = "cbf",
                        k: int | None = None, sector=None, step: float = 1.0,
                        convention: str = "broadside",
                        select_count: int | None = None,

@@ -31,7 +31,8 @@ from .frontend import sample_covariance
 from .recordio import load_config, load_record, render_table, save_record, \
     save_table, save_timing_table, scenario_from_dict, write_gnuplot
 from .refine import RefineConfig, narrowband_estimate
-from .simulate import NOISE_KEYS, SOURCE_KEYS, NoiseModel, SourceSpec, synthesize
+from .simulate import NOISE_KEYS, NOISE_KINDS, SOURCE_KEYS, SOURCE_KINDS, NoiseModel, \
+    SourceSpec, synthesize
 
 JOBS_ENV = "DASDOA_JOBS"
 # flags that name files or steer output; they are not config keys
@@ -66,8 +67,8 @@ def _lines(value):
         if isinstance(value, list) and all(isinstance(src, list) for src in value) \
                 and all(isinstance(pair, list) and len(pair) == 2
                         for src in value for pair in src):
-            return tuple(tuple(_floats(pair) for pair in src) for src in value)
-    except argparse.ArgumentTypeError:
+            return tuple(tuple(tuple(map(_real, pair)) for pair in src) for src in value)
+    except ValueError:
         pass
     raise ValueError(f"expected a list of per-source lists of [frequency_hz, "
                      f"level_db] pairs of finite numbers, got {value!r}")
@@ -97,9 +98,14 @@ def _finite(text):
             f"expected a finite number, got {text!r}") from None
 
 
+# a config value's converter by the type of its flag or of its field's default
+_STRICT = {str: str, int: _integer, float: _real, _finite: _real, tuple: _floats}
+
+
 def _fields(*classes) -> dict:
-    """Each field of the dataclasses, by name, with the type of its default."""
-    return {f.name: type(f.default) for cls in classes for f in fields(cls)}
+    """Each field of the dataclasses, by name, with the config converter of
+    its default's type; a type without one fails here."""
+    return {f.name: _STRICT[type(f.default)] for cls in classes for f in fields(cls)}
 
 
 def _as_given(convert):
@@ -339,8 +345,10 @@ def _cmd_cable(args) -> int:
     # the report drives the cable at p2 = 1 Pa unless p2 is set
     mandrel = MandrelSpec(**{"p2": 1.0, **opt.given(*_fields(MandrelSpec))})
     fiber = FiberSpec(**opt.given(*_fields(FiberSpec)))
-    print(f"radial_displacement_m: {mandrel_radial_displacement(mandrel):.6e}\n"
-          f"sensitivity_db_re_1rad_per_uPa_m: {cable_sensitivity(mandrel, fiber):.2f}")
+    dr = mandrel_radial_displacement(mandrel)
+    sens = cable_sensitivity(mandrel, fiber)
+    print(f"radial_displacement_m: {dr:.6e}")
+    print(f"sensitivity_db_re_1rad_per_uPa_m: {sens:.2f}")
     return 0
 
 
@@ -348,10 +356,6 @@ def _cmd_cable(args) -> int:
 # Parser
 # -----------------------------
 _PIPELINE_CONFIG_ONLY = dict(_fields(SolverConfig, RefineConfig), sound_speed=float)
-
-
-# a config value's converter by the type of its flag or of its field's default
-_STRICT = {int: _integer, float: _real, _finite: _real, tuple: _floats}
 
 
 def _declare(parser: argparse.ArgumentParser, fn, **config_only) -> None:
@@ -394,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", help="JSON file with option keys")
     sim.add_argument("--out", required=True)
     sim.add_argument("--format", choices=("binary", "csv"))
-    sim.add_argument("--kind", choices=("tonal", "propeller-broadband"))
+    sim.add_argument("--kind", choices=SOURCE_KINDS)
     sim.add_argument("--angles", type=_floats)
     sim.add_argument("--powers", type=_floats)
     sim.add_argument("--freqs", type=_floats)
@@ -405,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--spacing", type=_finite, help="element spacing in m")
     sim.add_argument("--samples", type=int)
     sim.add_argument("--snr", type=_finite)
-    sim.add_argument("--noise", choices=("none", "uniform-gaussian",
-                                         "nonuniform-gaussian", "impulsive-sas"))
+    sim.add_argument("--noise", choices=("none",) + NOISE_KINDS)
     sim.add_argument("--noise-diag", dest="noise_diag", type=_floats)
     sim.add_argument("--alpha", type=_finite)
     sim.add_argument("--seed", type=int)
@@ -440,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="wall-clock CSV path (non-deterministic)")
     ben.add_argument("--gnuplot", action="store_true")
     # every ScenarioConfig field, typed like its default, passed on as written
-    keys = {key: _as_given(_STRICT.get(kind, kind))
-            for key, kind in _fields(ScenarioConfig).items()}
+    keys = {key: _as_given(convert) for key, convert in _fields(ScenarioConfig).items()}
     keys["methods"] = _as_given(_names)
     _declare(ben, _cmd_bench, **keys)
 

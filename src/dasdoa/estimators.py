@@ -488,7 +488,9 @@ def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
     """
     if name in ("spice", "qspice"):
         cfg = solver_cfg or SolverConfig()
-        res = qspice_solve(data, dictionary, replace(cfg, r=1.0, q=1.0) if name == "spice" else cfg)
+        if name == "spice":
+            cfg = replace(cfg, r=1.0, q=1.0)
+        res = qspice_solve(data, dictionary, cfg)
         power = res.powers.signal
         return (power.reshape(-1, power.shape[-1]),
                 np.maximum(np.reshape(res.floor, -1), DB_FLOOR))

@@ -295,19 +295,25 @@ def scenario_from_dict(options: dict) -> ScenarioConfig:
 # -----------------------------
 # Plot companions
 # -----------------------------
-# plot kind -> x label, y label, its settings, and its plot of the table
-_PLOTS = {"spectrum": ("angle (deg)", "power (dB)", "", "plot {} using 1:2 with lines"),
-          "btr": ("angle (deg)", "time (s)", "set view map\n",
-                  "splot {} matrix nonuniform with image"),
-          "bench": ("sweep value", "RMSE (deg)", "set key outside\n",
-                    "plot {} using 2:7 with linespoints")}
-
-
 def write_gnuplot(csv_path, script_path, kind: str = "spectrum") -> None:
     """Companion gnuplot script for a saved table; no plotting here."""
-    if kind not in _PLOTS:
+    if kind == "spectrum":
+        body = (f'set datafile separator ","\n'
+                f'set xlabel "angle (deg)"\n'
+                f'set ylabel "power (dB)"\n'
+                f'plot "{csv_path}" skip 3 using 1:2 with lines notitle\n')
+    elif kind == "btr":
+        body = (f'set datafile separator ","\n'
+                f'set xlabel "angle (deg)"\n'
+                f'set ylabel "time (s)"\n'
+                f'set view map\n'
+                f'splot "{csv_path}" skip 3 matrix nonuniform with image notitle\n')
+    elif kind == "bench":
+        body = (f'set datafile separator ","\n'
+                f'set xlabel "sweep value"\n'
+                f'set ylabel "RMSE (deg)"\n'
+                f'set key outside\n'
+                f'plot "{csv_path}" skip 3 using 2:7 with linespoints notitle\n')
+    else:
         raise ConfigError(f"unknown plot kind {kind!r}")
-    xlabel, ylabel, settings, plot = _PLOTS[kind]
-    _write(script_path, "script", f'set datafile separator ","\nset xlabel "{xlabel}"\n'
-           f'set ylabel "{ylabel}"\n{settings}'
-           + plot.format(f'"{csv_path}" skip 3') + " notitle\n")
+    _write(script_path, "script", body)

@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -935,6 +935,19 @@ def test_config_keys_and_their_converters_are_pinned(command):
             for key, convert in args.config_keys.items()} == expected
 
 
+def test_config_keys_need_a_converter_for_each_default_type():
+    # a field whose default has no config converter fails when the keys are
+    # read, not later as a converter that is the type itself
+    @dataclass
+    class Unconverted:
+        count: int = 1
+        label: object = None
+
+    assert cli._fields(ScenarioConfig)["name"] is str
+    with pytest.raises(KeyError):
+        cli._fields(Unconverted)
+
+
 def test_cable_sens_drives_the_shipped_cable_at_1_pa():
     # the dataclass defaults are the shipped cable; the report adds p2 = 1 Pa
     mandrel = MandrelSpec(p2=1.0)
@@ -977,9 +990,9 @@ def test_simulate_rejects_source_keys_the_kind_does_not_read(argv, config, messa
 
 @pytest.mark.parametrize("lines", [
     "oops", [5], [[5]], [[[200, 10, 3]]], [[["200,10"]]], [["200,10"]],
-    [[[True, 10]]], [[[200, "x"]]], [[[200, None]]], {"a": 1}],
+    [[[True, 10]]], [[[200, "x"]]], [[[200, None]]], [[["200", "10"]]], {"a": 1}],
     ids=["text", "numbers", "flat-pairs", "triple", "text-pair", "text-line",
-         "bool", "text-level", "null-level", "object"])
+         "bool", "text-level", "null-level", "text-numbers", "object"])
 def test_simulate_lines_take_per_source_lists_of_pairs(lines, tmp_path):
     cfg, out = tmp_path / "cfg.json", tmp_path / "rec.bin"
     cfg.write_text(json.dumps({"lines": lines}))
