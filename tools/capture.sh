@@ -19,7 +19,8 @@
 # nonuniform, gamma and alpha for impulsive); estimate
 # with every estimator on a snapshot record, and on a time record with and
 # without --select-bins, with --gnuplot, with an odd DFT length, and with
-# the solver and refine keys from a config; cbf on a time record whose
+# the solver and refine keys from a config (qspice also with the solver
+# keys alone, the keys it reads); cbf on a time record whose
 # sample count leaves a partial half DFT length, binary and CSV; btr with cbf (at frame hops that share snapshots
 # and at 0.37 of a frame, which shares none, and with the frame length and
 # hop from a config), music, qspice and gnr2, with --gnuplot; bench
@@ -40,7 +41,9 @@
 # keys and --snr under no noise, simulate with powers whose samples
 # overflow the stored float32, simulate with a source key that its kind
 # does not read: a band or lines for tonal sources, freqs or a frequency
-# for propeller ones, and lines of the wrong shape); a propeller record
+# for propeller ones, and lines of the wrong shape, and estimate and btr
+# with a config key that the estimator does not read, or gnr2 with --step
+# on a snapshot record); a propeller record
 # with lines from a config; and gnr2 over a sector that its grid step
 # does not divide. BLAS
 # runs on one thread unless the environment says otherwise. Takes a few
@@ -169,6 +172,9 @@ for est in qspice gnr2; do
     run "est-snap-$est-config" estimate --input "$SNAP" --frequency 3000 \
         --estimator "$est" --k 2 --config ../solver.json --out spec.csv
 done
+echo '{"r": 1.0, "q": 1.0, "max_iter": 200, "rel_tol": 1e-5}' >"$out/solver-keys.json"
+run est-snap-qspice-solver-config estimate --input "$SNAP" --frequency 3000 \
+    --estimator qspice --k 2 --config ../solver-keys.json --out spec.csv
 run est-snap-gnuplot estimate --input "$SNAP" --frequency 3000 --estimator cbf \
     --k 2 --out spec.csv --gnuplot
 
@@ -196,6 +202,8 @@ for est in qspice gnr2; do
     run "est-time-$est-config" estimate --input "$TIME" --estimator "$est" --k 2 \
         --spacing 1.25 --select-bins 20 --config ../solver.json --out spec.csv
 done
+run est-time-qspice-solver-config estimate --input "$TIME" --estimator qspice --k 2 \
+    --spacing 1.25 --select-bins 20 --config ../solver-keys.json --out spec.csv
 run est-time-gnuplot estimate --input "$TIME" --estimator cbf --k 2 --spacing 1.25 \
     --out spec.csv --gnuplot
 
@@ -294,6 +302,27 @@ run rej-sim-propeller-frequency simulate "${PROP_KEYS[@]}" --frequency 2500 \
 echo '{"lines": [5]}' >"$out/lines-shape.json"
 run rej-sim-lines-shape simulate "${PROP[@]}" --samples 10240 --seed 12 \
     --config ../lines-shape.json --out rec.bin
+# config keys the estimator does not read: a version that ignores them
+# writes the output of the same run without them (est-snap-*, btr-cbf,
+# btr-music)
+echo '{"r": 2.0, "q": 1.5}' >"$out/rq.json"
+echo '{"max_iter": 1, "initial_step": 5.0, "target_step": 4.0}' >"$out/solver-unread.json"
+echo '{"peak_guard": 30.0}' >"$out/peak-guard.json"
+for est in spice music; do
+    run "rej-est-$est-rq" estimate --input "$SNAP" --frequency 3000 \
+        --estimator "$est" --k 2 --config ../rq.json --out spec.csv
+done
+run rej-est-cbf-solver-keys estimate --input "$SNAP" --frequency 3000 \
+    --estimator cbf --k 2 --config ../solver-unread.json --out spec.csv
+run rej-est-qspice-peak-guard estimate --input "$SNAP" --frequency 3000 \
+    --estimator qspice --k 2 --config ../peak-guard.json --out spec.csv
+run rej-btr-cbf-rq btr --input "$TIME" --spacing 1.25 --config ../rq.json \
+    --out btr.csv
+run rej-btr-music-solver-keys btr --input "$TIME" --spacing 1.25 --estimator music \
+    --k 2 --select-bins 20 --config ../solver-unread.json --out btr.csv
+# narrowband gnr2 refines from initial_step: its step sets nothing
+run rej-est-snap-gnr2-step estimate --input "$SNAP" --frequency 3000 \
+    --estimator gnr2 --k 2 --step 0.3 --out spec.csv
 run rej-est-input-missing estimate --input ../no-such-record.bin --frequency 3000 \
     --estimator cbf --k 2
 # gnr2 on 8 selected bins resolves 1 of the 2 sources of this record
