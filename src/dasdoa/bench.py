@@ -111,7 +111,7 @@ class ScenarioConfig:
     sector: tuple = (-90.0, 90.0)
     baseline_step: float = 0.5
     cbf_guard: float = 1.0
-    methods: tuple = ESTIMATORS
+    methods: tuple = tuple(ESTIMATORS)
     r: float = SolverConfig.r
     q: float = SolverConfig.q
     max_iter: int = SolverConfig.max_iter

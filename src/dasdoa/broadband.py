@@ -122,13 +122,13 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
     pipeline of one analysis frame, its BinSnapshots -> (fused spectrum, estimates)."""
     if record.domain != "time":
         raise ConfigError("broadband estimation expects a time-domain record")
-    check_estimator(estimator, k)
+    entry = check_estimator(estimator, k)
     if select_count is not None and k is None:
         raise ConfigError("bin selection needs the source count k")
     bins = band_for(bins, n_fft, record.sample_rate)
     angles = angle_grid(sector_or_full(sector, convention), step)
     freqs = bins.frequencies
-    if estimator != "gnr2":
+    if not entry.refines:
         A = steering_stack(geometry, freqs, angles, convention)
 
     def frame(snapshots):
@@ -142,7 +142,7 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
             # where close sources blur together
             pos = select_bins(covs, 1, select_count)
             covs = covs[pos]
-        if estimator == "gnr2":
+        if entry.refines:
             res = broadband_gnr2(covs, freqs[pos], geometry, k,
                                  sector_or_full(sector, convention), convention,
                                  solver_cfg, refine_cfg)

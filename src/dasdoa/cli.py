@@ -5,7 +5,8 @@ accepts --config with a flat JSON object whose keys are declared once in
 build_parser: the dests of its option flags plus its config-only keys. A
 flag overrides its config key, which overrides the default (for bench, the
 preset). An option that is set neither way is not passed on, so the
-defaults of the library's functions and dataclasses hold.
+defaults of the library's functions and dataclasses hold. estimate and btr
+reject a set key that the estimator does not read (its ESTIMATORS entry).
 
 Exit codes: 0 success, 2 argparse usage errors, and otherwise the
 `exit_code` of the ToolkitError raised (see errors).
@@ -26,7 +27,7 @@ from .broadband import broadband_estimate, btr
 from .cable import FiberSpec, MandrelSpec, cable_sensitivity, \
     mandrel_radial_displacement
 from .errors import ConfigError, EstimationError, ToolkitError
-from .estimators import ESTIMATORS, SolverConfig, peak_pick
+from .estimators import ESTIMATORS, SolverConfig, check_estimator, peak_pick
 from .frontend import sample_covariance
 from .recordio import load_config, load_record, render_table, save_record, \
     save_table, save_timing_table, scenario_from_dict, write_gnuplot
@@ -239,8 +240,11 @@ def _pipeline_options(opt: _Options, default_estimator: str,
     """The options estimate and btr share, as keyword arguments of
     broadband_estimate and btr; gnr2's coarse grid defaults to 1 deg."""
     estimator = opt.get("estimator", default_estimator)
+    entry = check_estimator(estimator, opt.get("k"))
+    if unread := sorted(set(opt.given(*_ESTIMATOR_KEYS)) - entry.reads):
+        raise ConfigError(f"estimator {estimator} does not read {unread}")
     return dict(estimator=estimator, k=opt.get("k"), sector=opt.get("sector"),
-                step=opt.get("step", 1.0 if estimator == "gnr2" else fixed_grid_step),
+                step=opt.get("step", 1.0 if entry.refines else fixed_grid_step),
                 convention=opt.get("convention", "broadside"),
                 select_count=opt.get("select_bins"),
                 solver_cfg=SolverConfig(**opt.given(*_fields(SolverConfig))),
@@ -253,6 +257,7 @@ def _cmd_estimate(args) -> int:
     record = load_record(args.input, **opt.given(fmt="format"))
     kw = _pipeline_options(opt, "qspice", 0.5)
     estimator, k = kw["estimator"], kw["k"]
+    entry = ESTIMATORS[estimator]
     frequency = opt.get("frequency")
 
     if record.domain == "time":
@@ -261,11 +266,12 @@ def _cmd_estimate(args) -> int:
         geometry = _geometry(opt, record.n_channels)
         spectrum, estimates = broadband_estimate(record, geometry, **kw)
         shortfall = k is not None and len(estimates) < k
-        if estimator != "gnr2" and k is not None:
-            guard = opt.given(guard_deg="peak_guard") if estimator == "cbf" else {}
+        if not entry.refines and k is not None:
+            guard = opt.given(guard_deg="peak_guard")
             estimates, shortfall = peak_pick(spectrum, k, **guard)
     else:
-        for key in ("band", "n_fft", "select_bins"):    # time-record options
+        # gnr2 refines from initial_step: its step sets a time record's grid
+        for key in ("band", "n_fft", "select_bins") + ("step",) * entry.refines:
             if opt.get(key) is not None:
                 raise ConfigError(f"option {key!r} applies only to time records")
         if frequency is None:
@@ -356,6 +362,7 @@ def _cmd_cable(args) -> int:
 # Parser
 # -----------------------------
 _PIPELINE_CONFIG_ONLY = dict(_fields(SolverConfig, RefineConfig), sound_speed=float)
+_ESTIMATOR_KEYS = (*_fields(SolverConfig, RefineConfig), "peak_guard")
 
 
 def _declare(parser: argparse.ArgumentParser, fn, **config_only) -> None:

@@ -38,10 +38,12 @@ solve as the stack of one, bit for bit. It starts every problem from its
 CBF spectrum and returns powers, power floors and, per problem, the
 objective of each evaluation it ran in, its iteration count and whether it
 converged; a spectrum on a Dictionary's angles is fixed_grid_spectrum's.
+ESTIMATORS is the registry: each estimator's entry says what it needs and
+reads, and every dispatch on an estimator reads the entry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg import eigh, get_lapack_funcs
@@ -50,9 +52,6 @@ from .arrays import Dictionary
 from .errors import ConfigError, DegenerateInputError, SingularModelError
 
 DB_FLOOR = 1e-300
-# every estimator the toolkit runs; all but gnr2 (grid refinement, see
-# refine.narrowband_estimate) give a spectrum on a fixed grid
-ESTIMATORS = ("cbf", "music", "spice", "qspice", "gnr2")
 
 
 @dataclass(frozen=True)
@@ -464,15 +463,41 @@ def peak_pick(spectrum: SpatialSpectrum, k: int, guard_deg: float = 0.0):
 # -----------------------------
 # Estimator registry
 # -----------------------------
-def check_estimator(name: str, k: int | None) -> None:
-    """Reject an unknown estimator name, a source count k below 1, or a
-    missing k for the estimators that need one (MUSIC and GNR²)."""
-    if name not in ESTIMATORS:
-        raise ConfigError(f"unknown estimator {name!r}; use one of {ESTIMATORS}")
+@dataclass(frozen=True)
+class Estimator:
+    """The config keys an estimator reads (SolverConfig and RefineConfig
+    fields, peak_guard), the SolverConfig fields it fixes, whether it needs
+    the source count k, and whether it refines its grid (refine) or gives a
+    spectrum on a fixed grid (fixed_grid_powers)."""
+
+    reads: frozenset = frozenset()
+    fixes: dict = field(default_factory=dict)
+    needs_k: bool = False
+    refines: bool = False
+
+
+_SOLVER_KEYS = frozenset(f.name for f in fields(SolverConfig))
+# every estimator the toolkit runs, by name
+ESTIMATORS = {
+    "cbf": Estimator(frozenset({"peak_guard"})),
+    "music": Estimator(needs_k=True),
+    "spice": Estimator(frozenset({"max_iter", "rel_tol"}), fixes={"r": 1.0, "q": 1.0}),
+    "qspice": Estimator(_SOLVER_KEYS),
+    "gnr2": Estimator(_SOLVER_KEYS | {"initial_step", "target_step"}, needs_k=True,
+                      refines=True),
+}
+
+
+def check_estimator(name: str, k: int | None) -> Estimator:
+    """The entry of estimator `name`. Rejects an unknown name, a source
+    count k below 1, or a missing k for the estimators that need one."""
+    if (entry := ESTIMATORS.get(name)) is None:
+        raise ConfigError(f"unknown estimator {name!r}; use one of {tuple(ESTIMATORS)}")
     if k is not None and k < 1:
         raise ConfigError(f"source count k must be >= 1, got {k}")
-    if name in ("music", "gnr2") and k is None:
+    if entry.needs_k and k is None:
         raise ConfigError(f"{name} needs the source count k")
+    return entry
 
 
 def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
@@ -481,27 +506,25 @@ def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
     stack, data and dictionary as qspice_solve takes them: power (P, G), a
     row per problem, and floor (P,), the dB floor of each row.
 
-    CBF is one batched product for the stack and MUSIC one eigendecomposition
-    per problem; spice and qspice run the solver once for the stack and keep
-    its power floor as their dB floor. SPICE is the solver at r = q = 1 with
-    solver_cfg's max_iter and rel_tol; qspice runs solver_cfg as given.
+    CBF is one batched product for the stack and MUSIC (it needs k) one
+    eigendecomposition per problem; spice and qspice read the solver keys and
+    run the solver once for the stack, with the fields their entry fixes
+    (SPICE's r = q = 1), and keep its power floor as their dB floor.
     """
-    if name in ("spice", "qspice"):
-        cfg = solver_cfg or SolverConfig()
-        if name == "spice":
-            cfg = replace(cfg, r=1.0, q=1.0)
-        res = qspice_solve(data, dictionary, cfg)
+    if (entry := ESTIMATORS.get(name)) is None or entry.refines:
+        raise ConfigError(f"{name!r} is not a fixed-grid estimator")
+    if entry.reads & _SOLVER_KEYS:
+        res = qspice_solve(data, dictionary,
+                           replace(solver_cfg or SolverConfig(), **entry.fixes))
         power = res.powers.signal
         return (power.reshape(-1, power.shape[-1]),
                 np.maximum(np.reshape(res.floor, -1), DB_FLOOR))
-    if name not in ("cbf", "music"):
-        raise ConfigError(f"{name!r} is not a fixed-grid estimator")
     R_hat, A, _ = _as_problems(data, dictionary)
     P, M, G = A.shape
-    if name == "music" and not 1 <= (k or 0) < M:
-        raise ConfigError(f"source count k must satisfy 1 <= k < M={M}, got {k}")
-    if name == "cbf":
+    if not entry.needs_k:
         return _cbf_power(A, R_hat), np.full(P, DB_FLOOR)
+    if not 1 <= (k or 0) < M:
+        raise ConfigError(f"source count k must satisfy 1 <= k < M={M}, got {k}")
     power = np.empty((P, G))
     for i, (A_i, R_i) in enumerate(zip(A, R_hat)):
         power[i] = _music_power(A_i, R_i, k)

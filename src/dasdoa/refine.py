@@ -226,15 +226,15 @@ def narrowband_estimate(name: str, data, dictionary: Dictionary, sector,
     Returns (spectrum, angles, shortfall), for a stack a tuple of P; without
     k, angles is empty.
     """
-    check_estimator(name, k)
+    entry = check_estimator(name, k)
     stack = np.ndim(data) == 3
-    if name == "gnr2":
+    if entry.refines:
         res = gnr2_estimate(data, dictionary.geometry, dictionary.frequency, k,
                             sector, dictionary.convention, solver_cfg, refine_cfg)
         out = [(r.spectrum, r.angles, r.shortfall) for r in (res if stack else (res,))]
     else:
         power, floor = fixed_grid_powers(name, data, dictionary, k, solver_cfg)
-        guard = cbf_guard if name == "cbf" else 0.0
+        guard = cbf_guard if "peak_guard" in entry.reads else 0.0
         out = []
         for power_i, floor_i in zip(power, floor):
             spectrum = SpatialSpectrum(dictionary.angles, power_i, name,

@@ -265,7 +265,7 @@ def test_stacked_sweep_equals_per_trial_path(monkeypatch, kind, chunk):
     # a chunk of 4 straddles the two sweep points; each trial of a stacked
     # sweep gets what its chunk of one, run_trial, gives
     monkeypatch.setattr(bench, "CHUNK_TRIALS", chunk)
-    cfg = _tiny_config(trials=3, methods=estimators.ESTIMATORS, **SWEEPS[kind])
+    cfg = _tiny_config(trials=3, methods=tuple(estimators.ESTIMATORS), **SWEEPS[kind])
     trials, seconds = bench._sweep(cfg)
     assert set(seconds) == set(cfg.methods)
     ctx = _make_context(cfg)
@@ -279,7 +279,7 @@ def test_stacked_sweep_equals_per_trial_path(monkeypatch, kind, chunk):
 @pytest.mark.parametrize("kind", SWEEPS)
 def test_sweep_table_does_not_depend_on_jobs(monkeypatch, kind):
     monkeypatch.setattr(bench, "CHUNK_TRIALS", 2)
-    cfg = _tiny_config(trials=3, methods=estimators.ESTIMATORS, **SWEEPS[kind])
+    cfg = _tiny_config(trials=3, methods=tuple(estimators.ESTIMATORS), **SWEEPS[kind])
     tables = {render_table(run_monte_carlo(cfg, jobs=jobs))
               for jobs in (1, 2, 3)}
     assert len(tables) == 1

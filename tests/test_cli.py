@@ -796,6 +796,53 @@ def test_unwritable_output_exits_3(argv, records, tmp_path):
     assert "cannot write" in err and str(missing) in err
 
 
+# a value of each key that an estimator reads or not, one that moves the
+# output of an estimator that reads it
+_ESTIMATOR_KEY_VALUES = {"r": 2.0, "q": 1.5, "max_iter": 1, "rel_tol": 0.5,
+                         "initial_step": 2.0, "target_step": 0.5, "peak_guard": 30.0}
+_TABLE_RUNS = {"estimate": (0, ["--frequency", "3000", "--k", "2"]),
+               "btr": (1, ["--spacing", "1.25", "--k", "1", "--select-bins", "4"])}
+
+
+@pytest.mark.parametrize("command, estimator, key", [
+    (command, estimator, key) for command in _TABLE_RUNS for estimator in ESTIMATORS
+    for key in _ESTIMATOR_KEY_VALUES
+    if key in _SUBCOMMANDS[command].get_default("config_keys")] + [
+    # narrowband gnr2 refines from initial_step: its step sets nothing
+    ("estimate", "gnr2", "step")])
+def test_estimate_and_btr_take_only_the_keys_the_estimator_reads(
+        command, estimator, key, records, tmp_path):
+    # a key that the estimator's ESTIMATORS entry lists moves the exit code,
+    # stdout or the written bytes; any other key exits 2, names the key and
+    # writes no file
+    record, argv = _TABLE_RUNS[command]
+    out, cfg = tmp_path / "out.csv", tmp_path / "cfg.json"
+
+    def run(config):
+        cfg.write_text(json.dumps(config))
+        code, stdout, err = _run([command, "--input", str(records[record]),
+                                  "--estimator", estimator, "--config", str(cfg),
+                                  "--out", str(out)] + argv)
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return (code, stdout, written), err
+
+    keyed, err = run({key: {**_ESTIMATOR_KEY_VALUES, "step": 0.3}[key]})
+    if key in estimators.ESTIMATORS[estimator].reads:
+        assert keyed != run({})[0]
+    else:
+        assert keyed == (2, "", None)
+        assert repr(key) in err and "Traceback" not in err
+
+
+def test_the_estimator_table_names_every_estimator_choice():
+    names = tuple(ESTIMATORS)
+    assert ScenarioConfig().methods == names
+    for command in ("estimate", "btr"):
+        (choice,) = [a for a in _SUBCOMMANDS[command]._actions if a.dest == "estimator"]
+        assert tuple(choice.choices) == names
+
+
 def test_peak_guard_applies_to_cbf_on_time_records(tmp_path):
     # two sources 15 deg apart: their CBF peaks lie closer than a 20 deg guard
     record = tmp_path / "pair.bin"
