@@ -43,7 +43,7 @@ reads, and every dispatch on an estimator reads the entry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg import eigh, get_lapack_funcs
@@ -465,13 +465,13 @@ def peak_pick(spectrum: SpatialSpectrum, k: int, guard_deg: float = 0.0):
 # -----------------------------
 @dataclass(frozen=True)
 class Estimator:
-    """The config keys an estimator reads (SolverConfig and RefineConfig
-    fields, peak_guard), the SolverConfig fields it fixes, whether it needs
-    the source count k, and whether it refines its grid (refine) or gives a
-    spectrum on a fixed grid (fixed_grid_powers)."""
+    """An estimator's config keys read (SolverConfig and RefineConfig fields,
+    peak_guard), its fixed SolverConfig (field, value) pairs, whether it
+    needs the source count k, and whether it refines its grid (refine) or
+    gives a spectrum on a fixed grid (fixed_grid_powers)."""
 
     reads: frozenset = frozenset()
-    fixes: dict = field(default_factory=dict)
+    fixes: tuple = ()
     needs_k: bool = False
     refines: bool = False
 
@@ -481,7 +481,7 @@ _SOLVER_KEYS = frozenset(f.name for f in fields(SolverConfig))
 ESTIMATORS = {
     "cbf": Estimator(frozenset({"peak_guard"})),
     "music": Estimator(needs_k=True),
-    "spice": Estimator(frozenset({"max_iter", "rel_tol"}), fixes={"r": 1.0, "q": 1.0}),
+    "spice": Estimator(frozenset({"max_iter", "rel_tol"}), fixes=(("r", 1.0), ("q", 1.0))),
     "qspice": Estimator(_SOLVER_KEYS),
     "gnr2": Estimator(_SOLVER_KEYS | {"initial_step", "target_step"}, needs_k=True,
                       refines=True),
@@ -515,7 +515,7 @@ def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
         raise ConfigError(f"{name!r} is not a fixed-grid estimator")
     if entry.reads & _SOLVER_KEYS:
         res = qspice_solve(data, dictionary,
-                           replace(solver_cfg or SolverConfig(), **entry.fixes))
+                           replace(solver_cfg or SolverConfig(), **dict(entry.fixes)))
         power = res.powers.signal
         return (power.reshape(-1, power.shape[-1]),
                 np.maximum(np.reshape(res.floor, -1), DB_FLOOR))

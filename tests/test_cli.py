@@ -804,14 +804,14 @@ _TABLE_RUNS = {"estimate": (0, ["--frequency", "3000", "--k", "2"]),
                "btr": (1, ["--spacing", "1.25", "--k", "1", "--select-bins", "4"])}
 
 
-@pytest.mark.parametrize("command, estimator, key", [
-    (command, estimator, key) for command in _TABLE_RUNS for estimator in ESTIMATORS
-    for key in _ESTIMATOR_KEY_VALUES
+@pytest.mark.parametrize("command, estimator, key, value", [
+    (command, estimator, key, value) for command in _TABLE_RUNS for estimator in ESTIMATORS
+    for key, value in _ESTIMATOR_KEY_VALUES.items()
     if key in _SUBCOMMANDS[command].get_default("config_keys")] + [
     # narrowband gnr2 refines from initial_step: its step sets nothing
-    ("estimate", "gnr2", "step")])
+    ("estimate", "gnr2", "step", 0.3)])
 def test_estimate_and_btr_take_only_the_keys_the_estimator_reads(
-        command, estimator, key, records, tmp_path):
+        command, estimator, key, value, records, tmp_path):
     # a key that the estimator's ESTIMATORS entry lists moves the exit code,
     # stdout or the written bytes; any other key exits 2, names the key and
     # writes no file
@@ -827,7 +827,7 @@ def test_estimate_and_btr_take_only_the_keys_the_estimator_reads(
         out.unlink(missing_ok=True)
         return (code, stdout, written), err
 
-    keyed, err = run({key: {**_ESTIMATOR_KEY_VALUES, "step": 0.3}[key]})
+    keyed, err = run({key: value})
     if key in estimators.ESTIMATORS[estimator].reads:
         assert keyed != run({})[0]
     else:
