@@ -20,7 +20,9 @@
 # with every estimator on a snapshot record, and on a time record with and
 # without --select-bins, with --gnuplot, with an odd DFT length, and with
 # the solver and refine keys from a config (qspice also with the solver
-# keys alone, the keys it reads); cbf on a time record whose
+# keys alone, the keys it reads); cbf on a time record on a 0.25 deg grid
+# (the default CBF guard) and with peak_guard from a config; cbf on a time
+# record whose
 # sample count leaves a partial half DFT length, binary and CSV; btr with cbf (at frame hops that share snapshots
 # and at 0.37 of a frame, which shares none, and with the frame length and
 # hop from a config), music, qspice and gnr2, with --gnuplot; bench
@@ -43,7 +45,8 @@
 # does not read: a band or lines for tonal sources, freqs or a frequency
 # for propeller ones, and lines of the wrong shape, and estimate and btr
 # with a config key that the estimator does not read, or gnr2 with --step
-# on a snapshot record); a propeller record
+# on a snapshot record, and btr with a k that cbf and qspice do not read
+# without --select-bins); a propeller record
 # with lines from a config; and gnr2 over a sector that its grid step
 # does not divide. BLAS
 # runs on one thread unless the environment says otherwise. Takes a few
@@ -206,6 +209,12 @@ run est-time-qspice-solver-config estimate --input "$TIME" --estimator qspice --
     --spacing 1.25 --select-bins 20 --config ../solver-keys.json --out spec.csv
 run est-time-gnuplot estimate --input "$TIME" --estimator cbf --k 2 --spacing 1.25 \
     --out spec.csv --gnuplot
+# a fine grid, on which the default CBF guard could part two picks
+run est-time-cbf-step025 estimate --input "$TIME" --estimator cbf --k 2 \
+    --spacing 1.25 --step 0.25 --out spec.csv
+echo '{"peak_guard": 20}' >"$out/peak-guard-20.json"
+run est-time-cbf-peak-guard estimate --input "$TIME" --estimator cbf --k 2 \
+    --spacing 1.25 --config ../peak-guard-20.json --out spec.csv
 
 # bearing-time records
 run btr-cbf btr --input "$TIME" --spacing 1.25 --out btr.csv
@@ -320,6 +329,11 @@ run rej-btr-cbf-rq btr --input "$TIME" --spacing 1.25 --config ../rq.json \
     --out btr.csv
 run rej-btr-music-solver-keys btr --input "$TIME" --spacing 1.25 --estimator music \
     --k 2 --select-bins 20 --config ../solver-unread.json --out btr.csv
+# btr writes no picks: without --select-bins, cbf and qspice read no k
+for est in cbf qspice; do
+    run "rej-btr-$est-k" btr --input "$TIME" --spacing 1.25 --estimator "$est" --k 2 \
+        --out btr.csv
+done
 # narrowband gnr2 refines from initial_step: its step sets nothing
 run rej-est-snap-gnr2-step estimate --input "$SNAP" --frequency 3000 \
     --estimator gnr2 --k 2 --step 0.3 --out spec.csv
