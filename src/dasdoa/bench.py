@@ -27,7 +27,7 @@ import numpy as np
 from .arrays import build_dictionary, half_wavelength_spacing, perturb_geometry, \
     uniform_line_array
 from .errors import ConfigError, ToolkitError
-from .estimators import ESTIMATORS, SolverConfig
+from .estimators import CBF_GUARD, ESTIMATORS, SolverConfig
 from .frontend import sample_covariance
 from .refine import RefineConfig, narrowband_estimate
 from .simulate import NoiseModel, SourceSpec, synthesize
@@ -110,7 +110,7 @@ class ScenarioConfig:
     seed: int = 42
     sector: tuple = (-90.0, 90.0)
     baseline_step: float = 0.5
-    cbf_guard: float = 1.0
+    cbf_guard: float = CBF_GUARD
     methods: tuple = tuple(ESTIMATORS)
     r: float = SolverConfig.r
     q: float = SolverConfig.q
@@ -131,6 +131,8 @@ class ScenarioConfig:
         if self.noise == "nonuniform-gaussian" and len(self.noise_diag) != self.n_elements:
             raise ConfigError("noise_diag must supply one variance per element")
         self.noise_model()
+        if type(self.methods) is not tuple or not all(type(m) is str for m in self.methods):
+            raise ConfigError(f"methods must be a tuple of names, got {self.methods!r}")
         unknown = set(self.methods) - set(ESTIMATORS)
         if unknown:
             raise ConfigError(f"unknown methods {sorted(unknown)}; "
@@ -322,10 +324,10 @@ def run_monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> BenchResult:
 
 
 def timing_ratios(result: BenchResult):
-    """(method, total_s, ratio-to-gnr2) rows; mirrors relative-runtime
-    reporting. The reference falls back to the first method without gnr2."""
+    """(method, total_s, ratio) rows, each total over the reference's: the
+    first method that refines its grid, or else the first method."""
     methods = [m for m, _ in result.timings]
-    ref = "gnr2" if "gnr2" in methods else methods[0]
+    ref = next((m for m in methods if ESTIMATORS[m].refines), methods[0])
     ref_total = dict(result.timings)[ref]
     return tuple((m, t, t / ref_total if ref_total > 0 else float("nan"))
                  for m, t in result.timings)

@@ -22,8 +22,8 @@ segment of its new ones, so a record's snapshots are each computed once.
 Each frame then runs the bin covariances, the bin selection (which indexes
 the stack) and estimators.fixed_grid_powers: one covariance check for the
 kept bins and one (P, G) power matrix (for CBF one batched product), fused
-in one reduction. A broadband_gnr2 frame builds its own stack per refine
-round, since the round's grid changes.
+in one reduction and picked (Estimator.picks). A broadband_gnr2 frame builds
+its own stack per refine round, since the round's grid changes.
 """
 from __future__ import annotations
 
@@ -33,7 +33,8 @@ import numpy as np
 
 from .arrays import ArrayGeometry, angle_grid, sector_or_full, steering_stack
 from .errors import ConfigError
-from .estimators import SolverConfig, SpatialSpectrum, check_estimator, fixed_grid_powers
+from .estimators import CBF_GUARD, SolverConfig, SpatialSpectrum, check_estimator, \
+    fixed_grid_powers
 # not called here (fixed_grid_powers runs the solver), but kept importable
 # from here: perfbench's tracer patches it in each dasdoa module that holds it
 from .estimators import qspice_solve  # noqa: F401
@@ -112,11 +113,11 @@ class BearingTimeRecord:
     angles: np.ndarray          # common angle grid, degrees
     power_db: np.ndarray        # frames x angles
     estimator: str
-    estimates: tuple = ()       # per-frame refined angles (gnr2 only)
+    estimates: tuple = ()       # per-frame picks, given k
 
 
 def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
-                    convention, select_count, solver_cfg, refine_cfg):
+                    convention, select_count, solver_cfg, refine_cfg, cbf_guard):
     """Validate a broadband request and build what its frames share. Returns
     its frequency bins, built at the record's rate, its angle grid and the
     pipeline of one analysis frame, its BinSnapshots -> (fused spectrum, estimates)."""
@@ -150,7 +151,8 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
             fused = SpatialSpectrum(angles, power, "qspice-gnr2", 0.0)
             return fused, tuple(res.angles)
         power, _ = fixed_grid_powers(estimator, covs, A[pos], k, solver_cfg)
-        return SpatialSpectrum(angles, _fuse_rows(power), estimator, 0.0), ()
+        fused = SpatialSpectrum(angles, _fuse_rows(power), estimator, 0.0)
+        return fused, tuple(entry.picks(fused, k, cbf_guard)[0])
     return bins, angles, frame
 
 
@@ -178,15 +180,16 @@ def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
                        convention: str = "broadside",
                        select_count: int | None = None,
                        solver_cfg: SolverConfig | None = None,
-                       refine_cfg: RefineConfig | None = None):
+                       refine_cfg: RefineConfig | None = None,
+                       cbf_guard: float = CBF_GUARD):
     """Single-shot broadband pipeline over the whole record (bins as in btr).
 
-    Returns (SpatialSpectrum, estimates tuple); estimates are non-empty for
-    the refinement estimator only.
+    Returns (SpatialSpectrum, estimates tuple): given k, the refinement's
+    estimates or else Estimator.picks' (`cbf_guard` apart for CBF).
     """
     bins, _, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
                                      sector, step, convention, select_count,
-                                     solver_cfg, refine_cfg)
+                                     solver_cfg, refine_cfg, cbf_guard)
     return frame(band_transform(record.data, bins))
 
 
@@ -209,7 +212,7 @@ def btr(record: SnapshotMatrix, geometry: ArrayGeometry,
     """
     bins, angles, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
                                           sector, step, convention, select_count,
-                                          solver_cfg, refine_cfg)
+                                          solver_cfg, refine_cfg, CBF_GUARD)
     fs = record.sample_rate
     if not (frame_seconds > 0 and np.isfinite(frame_seconds * fs)):
         raise ConfigError(f"frame_seconds must be a positive finite number, "

@@ -27,7 +27,7 @@ from .broadband import broadband_estimate, btr
 from .cable import FiberSpec, MandrelSpec, cable_sensitivity, \
     mandrel_radial_displacement
 from .errors import ConfigError, EstimationError, ToolkitError
-from .estimators import ESTIMATORS, SolverConfig, check_estimator, peak_pick
+from .estimators import ESTIMATORS, SolverConfig, check_estimator
 from .frontend import sample_covariance
 from .recordio import load_config, load_record, render_table, save_record, \
     save_table, save_timing_table, scenario_from_dict, write_gnuplot
@@ -259,16 +259,13 @@ def _cmd_estimate(args) -> int:
     estimator, k = kw["estimator"], kw["k"]
     entry = ESTIMATORS[estimator]
     frequency = opt.get("frequency")
+    guard = opt.given(cbf_guard="peak_guard")
 
     if record.domain == "time":
         if frequency is not None:
             raise ConfigError("option 'frequency' applies only to snapshot records")
         geometry = _geometry(opt, record.n_channels)
-        spectrum, estimates = broadband_estimate(record, geometry, **kw)
-        shortfall = k is not None and len(estimates) < k
-        if not entry.refines and k is not None:
-            guard = opt.given(guard_deg="peak_guard")
-            estimates, shortfall = peak_pick(spectrum, k, **guard)
+        spectrum, estimates = broadband_estimate(record, geometry, **kw, **guard)
     else:
         # gnr2 refines from initial_step: its step sets a time record's grid
         for key in ("band", "n_fft", "select_bins") + ("step",) * entry.refines:
@@ -282,16 +279,16 @@ def _cmd_estimate(args) -> int:
         sector = sector_or_full(kw["sector"], kw["convention"])
         dictionary = build_dictionary(geometry, frequency, sector, kw["step"],
                                       kw["convention"])
-        spectrum, estimates, shortfall = narrowband_estimate(
+        spectrum, estimates, _ = narrowband_estimate(
             estimator, sample_covariance(record.data), dictionary, sector, k,
-            kw["solver_cfg"], kw["refine_cfg"], **opt.given(cbf_guard="peak_guard"))
+            kw["solver_cfg"], kw["refine_cfg"], **guard)
 
     if args.out:
         save_table(spectrum, args.out)
         if args.gnuplot:
             write_gnuplot(args.out, args.out + ".gp", "spectrum")
     if k is not None:
-        if shortfall:
+        if len(estimates) < k:
             raise EstimationError(
                 f"{estimator} resolved {len(estimates)} of {k} sources")
         print("angles_deg: " + " ".join(f"{a:.4f}" for a in estimates))
@@ -305,9 +302,11 @@ def _cmd_btr(args) -> int:
     opt = _Options(args)
     record = load_record(args.input, **opt.given(fmt="format"))
     geometry = _geometry(opt, record.n_channels)
+    kw = _pipeline_options(opt, "cbf", 1.0)
+    if kw["k"] and kw["select_count"] is None and not ESTIMATORS[kw["estimator"]].needs_k:
+        raise ConfigError(f"btr writes no picks: {kw['estimator']} reads k only with select_bins")
     result = btr(record, geometry, **opt.given("frame_seconds",
-                                               frame_hop_fraction="hop_fraction"),
-                 **_pipeline_options(opt, "cbf", 1.0))
+                                               frame_hop_fraction="hop_fraction"), **kw)
     save_table(result, args.out)
     if args.gnuplot:
         write_gnuplot(args.out, args.out + ".gp", "btr")

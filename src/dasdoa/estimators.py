@@ -39,7 +39,7 @@ CBF spectrum and returns powers, power floors and, per problem, the
 objective of each evaluation it ran in, its iteration count and whether it
 converged; a spectrum on a Dictionary's angles is fixed_grid_spectrum's.
 ESTIMATORS is the registry: each estimator's entry says what it needs and
-reads, and every dispatch on an estimator reads the entry.
+reads, and every dispatch on an estimator, its picks too, reads the entry.
 """
 from __future__ import annotations
 
@@ -52,6 +52,7 @@ from .arrays import Dictionary
 from .errors import ConfigError, DegenerateInputError, SingularModelError
 
 DB_FLOOR = 1e-300
+CBF_GUARD = 1.0     # the least separation in degrees of CBF's picks, by default
 
 
 @dataclass(frozen=True)
@@ -474,6 +475,12 @@ class Estimator:
     fixes: tuple = ()
     needs_k: bool = False
     refines: bool = False
+
+    def picks(self, spectrum: SpatialSpectrum, k: int | None, guard: float = CBF_GUARD):
+        """(angles, shortfall) of the k picks of a fixed-grid spectrum, at least
+        `guard` degrees apart if the entry reads peak_guard; none without k."""
+        guard = guard if "peak_guard" in self.reads else 0.0
+        return peak_pick(spectrum, k, guard) if k else ((), False)
 
 
 _SOLVER_KEYS = frozenset(f.name for f in fields(SolverConfig))

@@ -32,8 +32,8 @@ import numpy as np
 from .arrays import ArrayGeometry, Dictionary, angle_grid, sector_or_full, \
     steering_matrix, steering_stack
 from .errors import ConfigError
-from .estimators import SolverConfig, SpatialSpectrum, _pick, check_estimator, \
-    fixed_grid_powers, peak_pick, qspice_solve
+from .estimators import CBF_GUARD, SolverConfig, SpatialSpectrum, _pick, \
+    check_estimator, fixed_grid_powers, qspice_solve
 
 
 REFINE_FACTOR = 4
@@ -213,16 +213,16 @@ def narrowband_estimate(name: str, data, dictionary: Dictionary, sector,
                         k: int | None = None,
                         solver_cfg: SolverConfig | None = None,
                         refine_cfg: RefineConfig | None = None,
-                        cbf_guard: float = 1.0):
+                        cbf_guard: float = CBF_GUARD):
     """Any estimator of estimators.ESTIMATORS on one snapshot or covariance,
     or on each covariance of a stack (P, M, M), all on one dictionary.
 
     The fixed-grid estimators run on `dictionary` (a stack shares it, in one
     fixed_grid_powers call); gnr2 refines over `sector` with the
     dictionary's geometry, frequency and convention, a stack in lockstep
-    (see gnr2_estimate). With a source count k, picks the k strongest
-    peaks, at least `cbf_guard` degrees apart for CBF and with no guard
-    otherwise. Each problem of a stack gets what it would alone.
+    (see gnr2_estimate). With a source count k, a fixed-grid spectrum gets
+    its entry's picks (Estimator.picks, `cbf_guard` degrees apart for CBF).
+    Each problem of a stack gets what it would alone.
     Returns (spectrum, angles, shortfall), for a stack a tuple of P; without
     k, angles is empty.
     """
@@ -234,11 +234,9 @@ def narrowband_estimate(name: str, data, dictionary: Dictionary, sector,
         out = [(r.spectrum, r.angles, r.shortfall) for r in (res if stack else (res,))]
     else:
         power, floor = fixed_grid_powers(name, data, dictionary, k, solver_cfg)
-        guard = cbf_guard if "peak_guard" in entry.reads else 0.0
         out = []
         for power_i, floor_i in zip(power, floor):
             spectrum = SpatialSpectrum(dictionary.angles, power_i, name,
                                        dictionary.frequency, floor_i)
-            out.append((spectrum, *peak_pick(spectrum, k, guard)) if k
-                       else (spectrum, (), False))
+            out.append((spectrum, *entry.picks(spectrum, k, cbf_guard)))
     return tuple(out) if stack else out[0]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dasdoa import bench, estimators
-from dasdoa.bench import PRESETS, BenchRow, NONUNIFORM_DIAG, ScenarioConfig, \
+from dasdoa.bench import PRESETS, BenchResult, BenchRow, NONUNIFORM_DIAG, ScenarioConfig, \
     pair_errors, rmse, run_monte_carlo, run_trial, success_ratio, \
     timing_ratios, _make_context
 from dasdoa.errors import ConfigError
@@ -135,13 +135,17 @@ def test_preset_digests_are_unchanged():
 
 @pytest.mark.parametrize("kw, message", [
     (dict(methods=()), "methods must name at least one estimator"),
+    (dict(methods=estimators.ESTIMATORS), "methods must be a tuple of names"),
+    (dict(methods=["cbf"]), "methods must be a tuple of names, got ['cbf']"),
+    (dict(methods=("cbf", 1)), "methods must be a tuple of names, got ('cbf', 1)"),
     (dict(methods=("cbf", "music", "cbf")), "each once"),
     (dict(snapshots=0), "whole numbers >= 1, got [0]"),
     (dict(snapshots=2.5), "whole numbers >= 1, got [2.5]"),
     (dict(sweep="snapshots", sweep_values=(30, 30.7)), "got [30.7]"),
     (dict(sweep="snapshots", sweep_values=(0.5,)), "got [0.5]"),
     (dict(sweep="snapshots", sweep_values=(-30.0,)), "got [-30.0]"),
-], ids=["methods-empty", "methods-repeated", "snapshots-zero", "snapshots-half",
+], ids=["methods-empty", "methods-registry", "methods-list", "methods-not-names",
+        "methods-repeated", "snapshots-zero", "snapshots-half",
         "sweep-fraction", "sweep-half", "sweep-negative"])
 def test_scenario_rejects_methods_and_snapshot_counts(kw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -239,6 +243,12 @@ def test_timing_ratios_reference_fallback():
     rows = timing_ratios(res)   # gnr2 absent -> first method
     assert rows[0][0] == "cbf"
     assert rows[0][2] == pytest.approx(1.0)
+
+
+def test_timing_ratios_reference_is_the_first_refining_method():
+    res = BenchResult(_tiny_config(), (), (("cbf", 1.0), ("gnr2", 4.0), ("qspice", 2.0)))
+    assert timing_ratios(res) == (("cbf", 1.0, 0.25), ("gnr2", 4.0, 1.0),
+                                  ("qspice", 2.0, 0.5))
 
 
 def test_pos_error_sweep_perturbs_truth_geometry():

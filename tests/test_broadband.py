@@ -10,7 +10,8 @@ from dasdoa.arrays import Dictionary, uniform_line_array, steering_matrix
 from dasdoa.broadband import _fuse_rows, broadband_estimate, broadband_gnr2, \
     broadband_spectrum, btr, fuse_spectra
 from dasdoa.errors import ConfigError, DegenerateInputError
-from dasdoa.estimators import SolverConfig, SpatialSpectrum, fixed_grid_spectrum, \
+from dasdoa.estimators import CBF_GUARD, ESTIMATORS, SolverConfig, SpatialSpectrum, \
+    fixed_grid_spectrum, \
     peak_pick
 from dasdoa.frontend import FrequencyBinSet, band_for, band_transform, bin_covariances, \
     select_bins
@@ -168,6 +169,23 @@ def test_broadband_estimate_end_to_end():
     assert estimates == ()
     peak = spec.angles[np.argmax(spec.power)]
     assert peak == pytest.approx(12.0, abs=1.0)
+
+
+@pytest.mark.parametrize("estimator",
+                         [name for name, entry in ESTIMATORS.items() if not entry.refines])
+def test_broadband_estimate_picks_every_fixed_grid_spectrum(estimator):
+    # a time record's picks are made where a snapshot record's are: by the
+    # entry's pick rule on the spectrum returned, CBF's cbf_guard apart
+    block, geom = _record((10.0, 25.0), seed=5, duration=0.5, elements=12)
+    kw = dict(bins=BAND, estimator=estimator, k=2, select_count=8)
+    spec, estimates = broadband_estimate(block, geom, **kw)
+    picks, shortfall = ESTIMATORS[estimator].picks(spec, 2, CBF_GUARD)
+    assert estimates == tuple(picks) and len(estimates) == 2 and not shortfall
+    assert np.abs(np.array(estimates) - (10.0, 25.0)).max() < 2.0
+    # a 20 deg guard parts CBF's two picks 15 deg apart; it is CBF's alone
+    spec, guarded = broadband_estimate(block, geom, cbf_guard=20.0, **kw)
+    assert guarded == tuple(ESTIMATORS[estimator].picks(spec, 2, 20.0)[0])
+    assert (guarded != estimates) == (estimator == "cbf")
 
 
 def test_broadband_estimate_gnr2_returns_estimates():

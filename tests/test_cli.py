@@ -739,7 +739,7 @@ def test_time_record_needs_spacing(command, offsets, records, tmp_path):
     # a record holds no geometry, so its spacing is not guessed; offsets are
     # in units of the spacing and do not set it
     out = tmp_path / "out.csv"
-    argv = [command, "--input", str(records[1]), "--k", "1", "--out", str(out)]
+    argv = [command, "--input", str(records[1]), "--out", str(out)]
     if offsets:
         argv += ["--offsets", "0,1,2,3,4,5,6,7"]
     code, stdout, err = _run(argv)
@@ -843,6 +843,23 @@ def test_the_estimator_table_names_every_estimator_choice():
         assert tuple(choice.choices) == names
 
 
+@pytest.mark.parametrize("estimator, flags, code", [
+    ("cbf", [], 2), ("spice", [], 2), ("qspice", [], 2),
+    ("cbf", ["--select-bins", "4"], 0), ("music", [], 0)],
+    ids=["cbf", "spice", "qspice", "cbf-select-bins", "music"])
+def test_btr_takes_k_only_where_it_is_read(estimator, flags, code, records, tmp_path):
+    # btr writes no picks: k is read to select bins, or by an estimator that
+    # needs it; any other k exits 2, names k and writes no file
+    out = tmp_path / "btr.csv"
+    got, stdout, err = _run(["btr", "--input", str(records[1]), "--spacing", "1.25",
+                             "--estimator", estimator, "--k", "2", "--out", str(out)]
+                            + flags)
+    assert (got, out.exists()) == (code, code == 0)
+    if code:
+        assert stdout == ""
+        assert f"{estimator} reads k only with select_bins" in err
+
+
 def test_peak_guard_applies_to_cbf_on_time_records(tmp_path):
     # two sources 15 deg apart: their CBF peaks lie closer than a 20 deg guard
     record = tmp_path / "pair.bin"
@@ -860,7 +877,7 @@ def test_peak_guard_applies_to_cbf_on_time_records(tmp_path):
         return [float(tok) for tok in out.split()[1:]]
 
     unguarded = picks({})
-    assert unguarded == picks({"peak_guard": 0})     # the time-record default
+    assert unguarded == picks({"peak_guard": 1})     # the one default, CBF_GUARD
     assert abs(unguarded[0] - 10) < 1 and abs(unguarded[1] - 25) < 1
     guarded = picks({"peak_guard": 20})
     assert guarded != unguarded
@@ -888,7 +905,7 @@ def test_band_outside_positive_frequencies_exits_2(command, flags, records, tmp_
     # bins at or past N/2 would be aliased negative frequencies of the record
     out = tmp_path / "out.csv"
     code, stdout, err = _run([command, "--input", str(records[1]), "--spacing", "1.25",
-                              "--estimator", "cbf", "--k", "1", "--out", str(out)] + flags)
+                              "--estimator", "cbf", "--out", str(out)] + flags)
     assert (code, stdout) == (2, "")
     assert "at rate 5120 Hz must lie inside (0, fs/2) = (0, 2560) Hz" in err
     assert "Traceback" not in err and not out.exists()
