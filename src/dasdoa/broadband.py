@@ -185,7 +185,7 @@ def broadband_estimate(record: SnapshotMatrix, geometry: ArrayGeometry,
     """Single-shot broadband pipeline over the whole record (bins as in btr).
 
     Returns (SpatialSpectrum, estimates tuple): given k, the refinement's
-    estimates or else Estimator.picks' (`cbf_guard` apart for CBF).
+    estimates or else the picks of Estimator.picks, CBF's `cbf_guard` apart.
     """
     bins, _, frame = _frame_pipeline(record, geometry, bins, n_fft, estimator, k,
                                      sector, step, convention, select_count,

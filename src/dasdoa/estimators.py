@@ -476,7 +476,7 @@ class Estimator:
     needs_k: bool = False
     refines: bool = False
 
-    def picks(self, spectrum: SpatialSpectrum, k: int | None, guard: float = CBF_GUARD):
+    def picks(self, spectrum: SpatialSpectrum, k: int | None, guard: float):
         """(angles, shortfall) of the k picks of a fixed-grid spectrum, at least
         `guard` degrees apart if the entry reads peak_guard; none without k."""
         guard = guard if "peak_guard" in self.reads else 0.0

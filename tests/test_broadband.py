@@ -11,8 +11,7 @@ from dasdoa.broadband import _fuse_rows, broadband_estimate, broadband_gnr2, \
     broadband_spectrum, btr, fuse_spectra
 from dasdoa.errors import ConfigError, DegenerateInputError
 from dasdoa.estimators import CBF_GUARD, ESTIMATORS, SolverConfig, SpatialSpectrum, \
-    fixed_grid_spectrum, \
-    peak_pick
+    fixed_grid_spectrum, peak_pick
 from dasdoa.frontend import FrequencyBinSet, band_for, band_transform, bin_covariances, \
     select_bins
 from dasdoa.simulate import NoiseModel, SnapshotMatrix, SourceSpec, harmonic_lines, \
