@@ -39,7 +39,9 @@
 # or past Nyquist, propeller scenes with an unknown convention or an angle
 # outside it, bench methods empty or repeated, a fractional snapshot
 # sweep, an unknown bench noise kind, bench noise keys that the noise kind
-# does not read, simulate with --alpha under uniform noise or with noise
+# does not read, a bench cbf_guard below 0 or MUSIC with k not below M
+# (each a configuration fault, not failed trials), a config with a
+# repeated key, simulate with --alpha under uniform noise or with noise
 # keys and --snr under no noise, simulate with powers whose samples
 # overflow the stored float32, simulate with a source key that its kind
 # does not read: a band or lines for tonal sources, freqs or a frequency
@@ -295,6 +297,17 @@ echo '{"noise_diag": [12, 2.3, 20.5, 5.5, 11.1, 6.5, 2, 13.5, 0.8, 1.7, 13.6, 5.
     >"$out/ignored-noise-keys.json"
 run rej-bench-noise-keys bench --preset table1 --trials 2 --methods cbf,qspice \
     --sweep-values 9 --config ../ignored-noise-keys.json --out table.csv
+# configuration faults inside a trial: a version that counts them as
+# failed trials writes a table of shortfalls
+echo '{"cbf_guard": -1}' >"$out/cbf-guard.json"
+run rej-bench-cbf-guard bench --preset table1 --trials 1 --methods cbf \
+    --sweep-values 9 --config ../cbf-guard.json --out table.csv
+echo '{"n_elements": 2}' >"$out/two-elements.json"
+run rej-bench-music-k bench --preset table1 --trials 1 --methods music \
+    --sweep-values 9 --config ../two-elements.json --out table.csv
+echo '{"trials": 1, "trials": 3}' >"$out/duplicate-key.json"
+run rej-config-duplicate-key bench --preset table1 --methods cbf --sweep-values 9 \
+    --config ../duplicate-key.json --out table.csv
 run rej-sim-noise-keys simulate --out rec.bin --seed 3 --alpha 1.5
 run rej-sim-noise-none-keys simulate --out rec.bin --seed 3 --noise none --alpha 1.5 \
     --snr 3
