@@ -4,7 +4,8 @@ A trial succeeds when the estimator returns the full K angles and every
 matched absolute error is below SUCCESS_THRESHOLD_DEG (0.3 deg). Estimates
 are matched to truths by minimum-total-absolute-error assignment. Shortfall
 trials (fewer than K peaks) count as failures and are excluded from RMSE,
-which would otherwise be undefined for them.
+which would otherwise be undefined for them. An estimation or data error
+fails a trial, with no peaks; a configuration fault (ConfigError) ends the run.
 
 Reproducibility: trial t of sweep point i draws from
 SeedSequence(master_seed, spawn_key=(i, t)), so results are independent of
@@ -26,7 +27,7 @@ import numpy as np
 
 from .arrays import build_dictionary, half_wavelength_spacing, perturb_geometry, \
     uniform_line_array
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, DataError, EstimationError
 from .estimators import CBF_GUARD, ESTIMATORS, SolverConfig
 from .frontend import sample_covariance
 from .refine import RefineConfig, narrowband_estimate
@@ -222,23 +223,22 @@ def _trial_covariance(cfg: ScenarioConfig, ctx, sweep_idx: int, trial: int) -> n
 
 
 def _estimates(name: str, covs, cfg: ScenarioConfig, ctx) -> list:
-    """(angles tuple, shortfall) per covariance of the stack covs, from one
-    stacked narrowband_estimate. When it raises a ToolkitError, each problem
-    is retried alone, so only the failing one counts as a shortfall."""
+    """The angles tuple of each covariance of the stack covs, from one stacked
+    narrowband_estimate. On an EstimationError or a DataError each problem
+    is retried alone, so only the failing one fails, with no angles."""
     try:
-        return [(tuple(float(a) for a in np.atleast_1d(angles)), bool(shortfall))
-                for _, angles, shortfall in narrowband_estimate(
-                    name, covs, ctx["dictionary"], cfg.sector, len(cfg.doas),
-                    ctx["solver"], ctx["refine"], cfg.cbf_guard)]
-    except ToolkitError:
+        return [tuple(float(a) for a in angles) for _, angles in narrowband_estimate(
+            name, covs, ctx["dictionary"], cfg.sector, len(cfg.doas),
+            ctx["solver"], ctx["refine"], cfg.cbf_guard)]
+    except (EstimationError, DataError):
         if len(covs) == 1:
-            return [((), True)]
+            return [()]
         return [est for cov in covs for est in _estimates(name, cov[None], cfg, ctx)]
 
 
 def _run_chunk(cfg: ScenarioConfig, covs, ctx=None) -> dict:
     """Every method on a chunk of trials, the covariances covs (P, M, M):
-    {method: (per-trial (angles tuple, shortfall) list, seconds)}."""
+    {method: (per-trial angles tuple list, seconds)}."""
     ctx = ctx or _make_context(cfg)
     out = {}
     for name in cfg.methods:
@@ -250,10 +250,10 @@ def _run_chunk(cfg: ScenarioConfig, covs, ctx=None) -> dict:
 
 def run_trial(cfg: ScenarioConfig, sweep_idx: int, trial: int, ctx=None):
     """One synthetic trial, run_monte_carlo's chunk of one; returns
-    {method: (angles tuple, shortfall, seconds)}."""
+    {method: (angles tuple, seconds)}."""
     ctx = ctx or _make_context(cfg)
     covs = _trial_covariance(cfg, ctx, sweep_idx, trial)[None]
-    return {name: (*est[0], seconds)
+    return {name: (est[0], seconds)
             for name, (est, seconds) in _run_chunk(cfg, covs, ctx).items()}
 
 
@@ -282,8 +282,8 @@ class BenchResult:
 
 
 def _sweep(cfg: ScenarioConfig, jobs: int = 1):
-    """Every trial of the sweep: {method: per-trial (angles tuple,
-    shortfall) list, in (sweep point, trial) order} and {method: seconds}.
+    """Every trial of the sweep: {method: per-trial angles tuple list, in
+    (sweep point, trial) order} and {method: seconds}.
 
     Synthesizes every trial's covariance first, in that order, then runs
     each method once per chunk of CHUNK_TRIALS trials across sweep points;
@@ -314,12 +314,10 @@ def run_monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> BenchResult:
     for i, value in enumerate(cfg.sweep_values):
         for method in cfg.methods:
             point = trials[method][i * cfg.trials:(i + 1) * cfg.trials]
-            complete = [angles for angles, shortfall in point
-                        if not shortfall and len(angles) == len(cfg.doas)]
+            complete = [angles for angles in point if len(angles) == len(cfg.doas)]
             rows.append(BenchRow(cfg.sweep, float(value), method, cfg.trials,
                                  cfg.trials - len(complete),
-                                 success_ratio([angles for angles, _ in point], cfg.doas),
-                                 rmse(complete, cfg.doas)))
+                                 success_ratio(point, cfg.doas), rmse(complete, cfg.doas)))
     return BenchResult(cfg, tuple(rows), tuple(seconds.items()))
 
 

@@ -152,7 +152,7 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
             return fused, tuple(res.angles)
         power, _ = fixed_grid_powers(estimator, covs, A[pos], k, solver_cfg)
         fused = SpatialSpectrum(angles, _fuse_rows(power), estimator, 0.0)
-        return fused, tuple(entry.picks(fused, k, cbf_guard)[0])
+        return fused, tuple(entry.picks(fused, k, cbf_guard))
     return bins, angles, frame
 
 

@@ -279,7 +279,7 @@ def _cmd_estimate(args) -> int:
         sector = sector_or_full(kw["sector"], kw["convention"])
         dictionary = build_dictionary(geometry, frequency, sector, kw["step"],
                                       kw["convention"])
-        spectrum, estimates, _ = narrowband_estimate(
+        spectrum, estimates = narrowband_estimate(
             estimator, sample_covariance(record.data), dictionary, sector, k,
             kw["solver_cfg"], kw["refine_cfg"], **guard)
 

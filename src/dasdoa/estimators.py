@@ -432,7 +432,7 @@ def _pick(power, angles, k, guard=0.0):
 
     Plateaus count once at their lowest angle (strictly-greater test on the
     left, greater-or-equal on the right); ties in height resolve toward the
-    lower angle. Returns (sorted angles, shortfall flag).
+    lower angle. Returns the sorted angles, fewer than k on a shortfall.
     """
     n = len(power)
     idx = []
@@ -448,12 +448,11 @@ def _pick(power, angles, k, guard=0.0):
             chosen.append(i)
         if len(chosen) == k:
             break
-    picked = np.sort(np.asarray(angles, dtype=float)[chosen])
-    return picked, len(picked) < k
+    return np.sort(np.asarray(angles, dtype=float)[chosen])
 
 
 def peak_pick(spectrum: SpatialSpectrum, k: int, guard_deg: float = 0.0):
-    """(angles, shortfall) of the K strongest spectral peaks."""
+    """Sorted angles of the K strongest spectral peaks, fewer on a shortfall."""
     if k < 1:
         raise ConfigError("peak count must be >= 1")
     if guard_deg < 0:
@@ -477,10 +476,10 @@ class Estimator:
     refines: bool = False
 
     def picks(self, spectrum: SpatialSpectrum, k: int | None, guard: float):
-        """(angles, shortfall) of the k picks of a fixed-grid spectrum, at least
-        `guard` degrees apart if the entry reads peak_guard; none without k."""
+        """The k picks of a fixed-grid spectrum (peak_pick), at least `guard`
+        degrees apart if the entry reads peak_guard; none without k."""
         guard = guard if "peak_guard" in self.reads else 0.0
-        return peak_pick(spectrum, k, guard) if k else ((), False)
+        return peak_pick(spectrum, k, guard) if k else ()
 
 
 _SOLVER_KEYS = frozenset(f.name for f in fields(SolverConfig))

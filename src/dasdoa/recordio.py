@@ -265,13 +265,19 @@ def save_timing_table(result: BenchResult, path) -> None:
 # -----------------------------
 def load_config(path) -> dict:
     """JSON object of option keys; flat, no nesting required."""
+    def unique(pairs):  # a JSON object; a repeated key is a ParseError
+        keys = [key for key, _ in pairs]
+        if repeated := sorted({key for key in keys if keys.count(key) > 1}):
+            raise ParseError(f"config {path} repeats keys {repeated}")
+        return dict(pairs)
+
     try:
         with open(path, "r") as fh:
             raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     try:
-        obj = json.loads(raw)
+        obj = json.loads(raw, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path} is not valid JSON: {exc.msg}",
                          offset=exc.pos) from exc

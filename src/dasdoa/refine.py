@@ -56,7 +56,6 @@ class RefineResult:
     angles: np.ndarray          # sorted estimates (may be < K on shortfall)
     spectrum: SpatialSpectrum   # solution on the final (refined) grid
     rounds: int                 # refinement rounds run after the coarse round
-    shortfall: bool
 
 
 def _merge_intervals(intervals):
@@ -83,7 +82,7 @@ def _refine_rounds(sector, k, cfg: RefineConfig):
     shortfall, rounds, final_grid, final_power)."""
     coarse = angle_grid(sector, cfg.initial_step)
     power = yield coarse
-    est, _ = _pick(power, coarse, k)
+    est = _pick(power, coarse, k)
     if est.size == 0:
         return est, True, 0, coarse, power
 
@@ -115,7 +114,7 @@ def _refine_rounds(sector, k, cfg: RefineConfig):
         mask = np.zeros(grid.size, dtype=bool)
         for lo, hi in windows:
             mask |= (grid >= lo - 1e-9) & (grid <= hi + 1e-9)
-        picks, _ = _pick(np.where(mask, power, -np.inf), grid, k)
+        picks = _pick(np.where(mask, power, -np.inf), grid, k)
         if picks.size == k:
             est = picks
         step, rounds = new_step, rounds + 1
@@ -168,7 +167,8 @@ def refine_loop(solve_fn, sector, k, refine_cfg: RefineConfig | None = None):
     the c07 off-grid claim fails (refined MAE 0.053 against its 0.05 bound)
     and table1 gnr2 success at 0 dB falls from 80% to 23%. So every round
     solves cold.
-    Returns (estimates, shortfall, rounds, final_grid, final_power).
+    Returns (estimates, shortfall, rounds, final_grid, final_power); the
+    tracer of perfbench reads the round count at index 2, so the flag stays.
     """
     (result,) = refine_lockstep(lambda _, grids: [solve_fn(grids[0])], 1, sector, k,
                                 refine_cfg)
@@ -204,9 +204,8 @@ def gnr2_estimate(data, geometry: ArrayGeometry, frequency: float, k: int,
 
 
 def _refine_result(loop_result, frequency) -> RefineResult:
-    est, shortfall, rounds, grid, power = loop_result
-    return RefineResult(est, SpatialSpectrum(grid, power, "qspice-gnr2", frequency),
-                        rounds, shortfall)
+    est, _, rounds, grid, power = loop_result
+    return RefineResult(est, SpatialSpectrum(grid, power, "qspice-gnr2", frequency), rounds)
 
 
 def narrowband_estimate(name: str, data, dictionary: Dictionary, sector,
@@ -223,20 +222,20 @@ def narrowband_estimate(name: str, data, dictionary: Dictionary, sector,
     (see gnr2_estimate). With a source count k, a fixed-grid spectrum gets
     its entry's picks (Estimator.picks, `cbf_guard` degrees apart for CBF).
     Each problem of a stack gets what it would alone.
-    Returns (spectrum, angles, shortfall), for a stack a tuple of P; without
-    k, angles is empty.
+    Returns (spectrum, angles), for a stack a tuple of P; angles are fewer
+    than k on a shortfall, and empty without k.
     """
     entry = check_estimator(name, k)
     stack = np.ndim(data) == 3
     if entry.refines:
         res = gnr2_estimate(data, dictionary.geometry, dictionary.frequency, k,
                             sector, dictionary.convention, solver_cfg, refine_cfg)
-        out = [(r.spectrum, r.angles, r.shortfall) for r in (res if stack else (res,))]
+        out = [(r.spectrum, r.angles) for r in (res if stack else (res,))]
     else:
         power, floor = fixed_grid_powers(name, data, dictionary, k, solver_cfg)
         out = []
         for power_i, floor_i in zip(power, floor):
             spectrum = SpatialSpectrum(dictionary.angles, power_i, name,
                                        dictionary.frequency, floor_i)
-            out.append((spectrum, *entry.picks(spectrum, k, cbf_guard)))
+            out.append((spectrum, entry.picks(spectrum, k, cbf_guard)))
     return tuple(out) if stack else out[0]

@@ -181,11 +181,10 @@ def test_run_trial_deterministic():
     b = run_trial(cfg, 0, 1, ctx)
     for method in cfg.methods:
         assert a[method][0] == b[method][0]
-        assert a[method][1] == b[method][1]
 
 
 def test_singular_solve_is_a_failed_trial(monkeypatch):
-    # a Cholesky failure is a ToolkitError, so the trial counts it as a
+    # a Cholesky failure is an EstimationError, so the trial counts it as a
     # shortfall of that method instead of ending the sweep
     real = estimators.get_lapack_funcs
 
@@ -196,7 +195,7 @@ def test_singular_solve_is_a_failed_trial(monkeypatch):
     monkeypatch.setattr(estimators, "get_lapack_funcs", failing_potrf)
     cfg = _tiny_config(methods=("cbf", "qspice"))
     out = run_trial(cfg, 0, 1, _make_context(cfg))
-    assert out["qspice"][:2] == ((), True)
+    assert out["qspice"][0] == ()
     assert len(out["cbf"][0]) == 2
 
 
@@ -283,7 +282,7 @@ def test_stacked_sweep_equals_per_trial_path(monkeypatch, kind, chunk):
         for t in range(cfg.trials):
             one = run_trial(cfg, i, t, ctx)
             for method in cfg.methods:
-                assert trials[method][i * cfg.trials + t] == one[method][:2]
+                assert trials[method][i * cfg.trials + t] == one[method][0]
 
 
 @pytest.mark.parametrize("kind", SWEEPS)
@@ -367,9 +366,22 @@ def test_one_failing_problem_stays_isolated(monkeypatch):
             if j != bad:
                 assert got == want
             elif method == "cbf":
-                assert len(got[0]) == 2 and not got[1]
+                assert len(got) == 2
             else:
-                assert got == ((), True)
+                assert got == ()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("scene, message", [
+    (dict(cbf_guard=-1.0, methods=("cbf",)), "guard must be non-negative"),
+    (dict(n_elements=2, methods=("music",)), "1 <= k < M=2, got 2"),
+], ids=["cbf-guard", "music-k"])
+def test_a_configuration_fault_in_a_trial_ends_the_run(monkeypatch, scene, message, jobs):
+    # only an estimation or data error fails a trial: a configuration fault
+    # ends the sweep, and comes back from the pool's two chunks alike
+    monkeypatch.setattr(bench, "CHUNK_TRIALS", 2)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_monte_carlo(_tiny_config(**scene), jobs=jobs)
 
 
 @pytest.mark.parametrize("call, message", [

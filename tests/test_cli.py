@@ -186,6 +186,18 @@ def test_missing_input_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_config_with_a_repeated_key_exits_3(tmp_path, capsys):
+    # JSON keeps the last of repeated keys; the config parser rejects them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"trials": 1, "trials": 3}')
+    code = cli.main(["bench", "--preset", "table1", "--methods", "cbf",
+                     "--sweep-values", "9", "--config", str(cfg),
+                     "--out", str(tmp_path / "table.csv")])
+    assert code == 3
+    assert "repeats keys ['trials']" in capsys.readouterr().err
+    assert not (tmp_path / "table.csv").exists()
+
+
 def test_shortfall_exits_4(tmp_path, capsys):
     # A guard wider than the sector leaves at most one CBF pick, so asking
     # for two sources must surface as an estimation failure.
@@ -775,7 +787,7 @@ def test_snapshot_estimate_is_narrowband_estimate_of_sample_covariance(
                                   half_wavelength_spacing(3000.0, 1500.0))
     step = 1.0 if estimator == "gnr2" else 0.5
     dictionary = build_dictionary(geometry, 3000.0, full_sector(), step)
-    spectrum, _, _ = narrowband_estimate(
+    spectrum, _ = narrowband_estimate(
         estimator, sample_covariance(record.data), dictionary, full_sector(), 2)
     assert out.read_text() == render_table(spectrum)
 

@@ -433,8 +433,8 @@ def test_music_recovers_on_grid_sources():
     a_true = dic.matrix[:, idx]
     r = a_true @ a_true.conj().T + 0.01 * np.eye(12)
     spec = music_spectrum(r, dic, 2)
-    est, shortfall = peak_pick(spec, 2)
-    assert not shortfall
+    est = peak_pick(spec, 2)
+    assert len(est) == 2
     assert_allclose(est, truth, atol=1e-9)
 
 
@@ -456,27 +456,27 @@ def _spectrum(power, start=0.0, step=1.0):
 
 
 def test_peak_pick_plateau_takes_left_edge():
-    est, shortfall = peak_pick(_spectrum([1.0, 2.0, 2.0, 1.0]), 1)
-    assert not shortfall
+    est = peak_pick(_spectrum([1.0, 2.0, 2.0, 1.0]), 1)
+    assert len(est) == 1
     assert_allclose(est, [1.0])
 
 
 def test_peak_pick_equal_peaks_sorted_by_angle():
-    est, shortfall = peak_pick(_spectrum([0, 3, 0, 3, 0]), 2)
-    assert not shortfall
+    est = peak_pick(_spectrum([0, 3, 0, 3, 0]), 2)
+    assert len(est) == 2
     assert_allclose(est, [1.0, 3.0])
 
 
 def test_peak_pick_guard_suppresses_near_duplicates():
     spec = _spectrum([0, 5, 4.9, 0, 0, 3, 0], step=0.5)
-    est, shortfall = peak_pick(spec, 2, guard_deg=1.0)
-    assert not shortfall
+    est = peak_pick(spec, 2, guard_deg=1.0)
+    assert len(est) == 2
     assert_allclose(est, [0.5, 2.5])
 
 
 def test_peak_pick_shortfall_flag():
-    est, shortfall = peak_pick(_spectrum([0, 1, 0, 0]), 2)
-    assert shortfall
+    est = peak_pick(_spectrum([0, 1, 0, 0]), 2)
+    assert len(est) < 2
     assert_allclose(est, [1.0])
 
 
@@ -489,7 +489,7 @@ def test_pick_property(power, k, guard):
     # refinement rounds do
     power = np.array(power)
     angles = np.arange(power.size, dtype=float)
-    picks, shortfall = _pick(power, angles, k, guard)
+    picks = _pick(power, angles, k, guard)
     n = power.size
     peaks = [i for i in range(n) if np.isfinite(power[i])
              and (i == 0 or power[i] > power[i - 1])
@@ -497,11 +497,11 @@ def test_pick_property(power, k, guard):
     chosen = [int(i) for i in np.searchsorted(angles, picks)]
     assert set(chosen) <= set(peaks)
     assert all(abs(a - b) >= guard for a in picks for b in picks if a != b)
-    assert shortfall == (len(picks) < k)
+    assert len(picks) <= k
     for j in set(peaks) - set(chosen):
         near = [c for c in chosen if abs(angles[j] - angles[c]) < guard]
         # with picks to spare, only the guard leaves a peak out
-        assert near or not shortfall
+        assert near or len(picks) == k
         # a higher peak could have replaced pick i unless another pick guards it
         assert all(any(c != i for c in near) for i in chosen if power[j] > power[i])
 

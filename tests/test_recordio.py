@@ -391,6 +391,12 @@ def _unparsable_csv(tmp):
     return load_record(path, "csv")
 
 
+def _repeated_keys_config(tmp):
+    path = tmp / "cfg.json"
+    path.write_text('{"trials": 1, "seed": 2, "trials": 3, "seed": 2, "r": 1}')
+    return load_config(path)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda tmp: save_record(SnapshotMatrix(np.ones((2, 2)), 1.0), tmp / "r", "hdf5"),
      ConfigError, "unknown record format 'hdf5'"),
@@ -400,7 +406,8 @@ def _unparsable_csv(tmp):
     (lambda tmp: load_config(tmp / "none.json"), DataError,
      "cannot read config {tmp}/none.json: [Errno 2] No such file or directory: "
      "'{tmp}/none.json'"),
-], ids=["save-format", "load-format", "csv-value", "config-missing"])
+    (_repeated_keys_config, ParseError, "config {tmp}/cfg.json repeats keys ['seed', 'trials']"),
+], ids=["save-format", "load-format", "csv-value", "config-missing", "config-repeated-keys"])
 def test_each_rejection_states_its_rule(call, error, message, tmp_path):
     with pytest.raises(error) as err:
         call(tmp_path)
