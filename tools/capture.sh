@@ -25,7 +25,10 @@
 # record whose
 # sample count leaves a partial half DFT length, binary and CSV; btr with cbf (at frame hops that share snapshots
 # and at 0.37 of a frame, which shares none, and with the frame length and
-# hop from a config), music, qspice and gnr2, with --gnuplot; bench
+# hop from a config), music, qspice and gnr2, with --gnuplot; btr with cbf
+# on the non-uniform --offsets of the c06 pair array, on --offsets
+# 0,1,...,11 (the bytes of the --spacing run) and endfire on a 0.25 deg
+# grid, and cbf on a time record with the c06 --offsets; bench
 # table1-table4 and impulsive at --trials 2, each with --jobs 1 and 2, and
 # with --gnuplot; cable-sens with its defaults, with set flags and with a
 # config; a missing input (exit 3); an estimator that resolves too few
@@ -235,6 +238,15 @@ echo '{"frame_seconds": 0.75, "hop_fraction": 0.25}' >"$out/frames.json"
 run btr-cbf-config btr --input "$TIME" --spacing 1.25 --config ../frames.json \
     --out btr.csv
 run btr-cbf-gnuplot btr --input "$TIME" --spacing 1.25 --out btr.csv --gnuplot
+PAIR_OFFSETS=0,1.9,3.5,5.3,7.85,10,11.8,14.1,16,17.7,20,22.0
+run btr-cbf-offsets-pair btr --input "$TIME" --spacing 1.25 --offsets "$PAIR_OFFSETS" \
+    --out btr.csv
+run btr-cbf-offsets-uniform btr --input "$TIME" --spacing 1.25 \
+    --offsets 0,1,2,3,4,5,6,7,8,9,10,11 --out btr.csv
+run btr-cbf-endfire btr --input "$TIME" --spacing 1.25 --convention endfire \
+    --sector 0,180 --step 0.25 --out btr.csv
+run est-time-cbf-offsets-pair estimate --input "$TIME" --estimator cbf --k 2 \
+    --spacing 1.25 --offsets "$PAIR_OFFSETS" --out spec.csv
 
 # Monte Carlo sweeps
 for preset in table1 table2 table3 table4 impulsive; do
