@@ -10,12 +10,17 @@ with cos(theta) replacing sin(theta) in the endfire convention. Broadside
 angles live in [-90, 90] degrees, endfire angles in [0, 180] degrees; the
 convention is fixed per dictionary.
 
+`ArrayGeometry.lags_are_offsets` says whether every element pair's lag is
+itself an offset, which is the uniform line array: there a steering
+matrix's row l is the phase of lag l.
+
 `positive_finite` states the rule that a rate, frequency, spacing or step
 must be positive and finite, and `two_numbers` that a band or sector is a pair.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +54,15 @@ class ArrayGeometry:
     @property
     def n_elements(self) -> int:
         return self.offsets.size
+
+    @cached_property
+    def lags_are_offsets(self) -> bool:
+        """Whether each element pair's lag is itself an offset, exactly:
+        alpha_j - alpha_i == alpha_(j-i) for every j >= i, which holds for a
+        uniform line array alone. Then conj(a_i) a_j is row j - i of a
+        steering matrix, the coarray form of estimators' CBF."""
+        i, j = np.triu_indices(self.n_elements)
+        return np.array_equal(self.offsets[j] - self.offsets[i], self.offsets[j - i])
 
 
 def uniform_line_array(n_elements: int, spacing: float = ArrayGeometry.spacing,
@@ -156,13 +170,27 @@ def angle_grid(sector: tuple[float, float], step: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Steering dictionary: angles (deg), matrix A (M x G), and its provenance."""
+    """Steering dictionary: angles (deg), matrix A (M x G), and its provenance.
+    Rejects a convention outside CONVENTIONS, angles that are not 1-D and a
+    matrix that is not geometry.n_elements by angles.size."""
 
     angles: np.ndarray
     matrix: np.ndarray
     frequency: float
     convention: str
     geometry: ArrayGeometry = field(repr=False)
+
+    def __post_init__(self):
+        if self.convention not in CONVENTIONS:
+            raise ConfigError(f"unknown convention {self.convention!r}; "
+                              f"use one of {CONVENTIONS}")
+        if np.ndim(self.angles) != 1:
+            raise ConfigError(f"dictionary angles must be 1-D, got shape "
+                              f"{np.shape(self.angles)}")
+        shape = (self.geometry.n_elements, np.size(self.angles))
+        if np.shape(self.matrix) != shape:
+            raise ConfigError(f"dictionary matrix shape {np.shape(self.matrix)} != "
+                              f"{shape}: one row per element, one column per angle")
 
 
 def build_dictionary(geometry: ArrayGeometry, frequency: float,

@@ -21,9 +21,11 @@ offsets of the frame before and runs frontend.band_transform only on the
 segment of its new ones, so a record's snapshots are each computed once.
 Each frame then runs the bin covariances, the bin selection (which indexes
 the stack) and estimators.fixed_grid_powers: one covariance check for the
-kept bins and one (P, G) power matrix (for CBF one batched product), fused
-in one reduction and picked (Estimator.picks). A broadband_gnr2 frame builds
-its own stack per refine round, since the round's grid changes.
+kept bins and one (P, G) power matrix (for CBF one batched product, in its
+coarray form when the geometry that the stack was built from is a uniform
+line array), fused in one reduction and picked (Estimator.picks). A
+broadband_gnr2 frame builds its own stack per refine round, since the
+round's grid changes.
 """
 from __future__ import annotations
 
@@ -88,7 +90,7 @@ def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
     grid = np.asarray(angles, dtype=float)
     power, _ = fixed_grid_powers(estimator, covs,
                                  steering_stack(geometry, freqs, grid, convention),
-                                 k, solver_cfg)
+                                 k, solver_cfg, geometry)
     return SpatialSpectrum(grid, _fuse_rows(power), estimator, 0.0)
 
 
@@ -150,7 +152,7 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
             power = np.interp(angles, res.spectrum.angles, res.spectrum.power)
             fused = SpatialSpectrum(angles, power, "qspice-gnr2", 0.0)
             return fused, tuple(res.angles)
-        power, _ = fixed_grid_powers(estimator, covs, A[pos], k, solver_cfg)
+        power, _ = fixed_grid_powers(estimator, covs, A[pos], k, solver_cfg, geometry)
         fused = SpatialSpectrum(angles, _fuse_rows(power), estimator, 0.0)
         return fused, tuple(entry.picks(fused, k, cbf_guard))
     return bins, angles, frame

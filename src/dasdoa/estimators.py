@@ -43,12 +43,12 @@ reads, and every dispatch on an estimator, its picks too, reads the entry.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.linalg import eigh, get_lapack_funcs
 
-from .arrays import Dictionary
+from .arrays import ArrayGeometry, Dictionary
 from .errors import ConfigError, DegenerateInputError, SingularModelError
 
 DB_FLOOR = 1e-300
@@ -150,18 +150,57 @@ def _as_problems(data, dictionary):
     return R_hat, np.broadcast_to(A, R_hat.shape[:1] + A.shape[-2:]), single
 
 
-def _cbf_power(A, R_hat) -> np.ndarray:
+def get_lapack_funcs(names, dtype=None):
+    """scipy.linalg.get_lapack_funcs, imported at the first call: only the
+    solver's model factors, and scipy.linalg would cost every CLI start-up
+    ~0.15 s. Looked up here at each call, so a test can patch it."""
+    from scipy.linalg import get_lapack_funcs as lapack_funcs
+    return lapack_funcs(names, dtype=dtype)
+
+
+def _cbf_power(A, R_hat, geometry: ArrayGeometry | None = None) -> np.ndarray:
     """Delay-and-sum power a_g^H R_hat a_g / M^2, clipped at zero, per
-    problem of a stack, in one batched product. Re sum_m a conj(R_hat a)
-    has the bits of Re sum_m conj(a) (R_hat a) and needs no conj(A) copy."""
+    problem of a stack.
+
+    On a steering stack built from `geometry` whose element-pair lags are
+    its offsets (a uniform line array), conj(a_i) a_j is A[j - i], so the
+    form folds over the superdiagonals of the Hermitian R_hat (the coarray
+    form): tr R_hat + 2 Re sum_{l>=1} rho_l A[l, g], rho_l the sum of the
+    l-th superdiagonal. Row 0 of A is all ones (offset 0 is the
+    reference), so with tr R_hat / 2 in place of rho_0 it is one batched
+    (1 x M)(M x G) product. Otherwise it is one batched (M x M)(M x G)
+    product: Re sum_m a conj(R_hat a) has the bits of Re sum_m conj(a)
+    (R_hat a) and needs no conj(A) copy."""
+    M = A.shape[-2]
+    if geometry is not None and geometry.n_elements != M:
+        raise ConfigError(f"a steering stack of {M} rows for a "
+                          f"{geometry.n_elements}-element geometry")
+    if geometry is not None and geometry.lags_are_offsets:
+        flat, starts = _superdiagonals(M)
+        rho = np.add.reduceat(R_hat.reshape(len(R_hat), -1)[:, flat], starts, axis=1)
+        rho[:, 0] = 0.5 * rho[:, 0].real
+        power = np.matmul(rho[:, None, :], A)[:, 0].real
+        return np.maximum(power * (2.0 / M ** 2), 0.0)
     RA = R_hat @ A
     np.conjugate(RA, out=RA)
     np.multiply(A, RA, out=RA)
-    return np.maximum(np.add.reduce(RA, axis=-2).real / A.shape[-2] ** 2, 0.0)
+    return np.maximum(np.add.reduce(RA, axis=-2).real / M ** 2, 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _superdiagonals(M):
+    """(flat, starts): the flat indices of an M x M matrix's upper
+    triangle, one superdiagonal after another from the main one, and where
+    each begins among them (np.add.reduceat's segments)."""
+    i, j = np.triu_indices(M)
+    order = np.argsort(j - i, kind="stable")
+    return (i * M + j)[order], np.r_[0, np.cumsum(np.arange(M, 1, -1))]
 
 
 def _music_power(A, R_hat, k) -> np.ndarray:
     """MUSIC power of one problem on A (M, G), R_hat (M, M) checked."""
+    # imported here: scipy.linalg would cost every CLI start-up ~0.15 s
+    from scipy.linalg import eigh
     _, V = eigh(R_hat)                 # ascending eigenvalues
     En = V[:, : A.shape[0] - k]
     proj = np.sum(np.abs(En.conj().T @ A) ** 2, axis=0)
@@ -507,12 +546,16 @@ def check_estimator(name: str, k: int | None) -> Estimator:
 
 
 def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
-                      solver_cfg: SolverConfig | None = None):
+                      solver_cfg: SolverConfig | None = None,
+                      geometry: ArrayGeometry | None = None):
     """(power, floor) of the fixed-grid estimator `name` on one problem or a
     stack, data and dictionary as qspice_solve takes them: power (P, G), a
-    row per problem, and floor (P,), the dB floor of each row.
+    row per problem, and floor (P,), the dB floor of each row. `geometry`:
+    the array a steering stack was built from (arrays.steering_stack), if
+    one was.
 
-    CBF is one batched product for the stack and MUSIC (it needs k) one
+    CBF is one batched product for the stack (its coarray form on a
+    stack built from a uniform line array) and MUSIC (it needs k) one
     eigendecomposition per problem; spice and qspice read the solver keys and
     run the solver once for the stack, with the fields their entry fixes
     (SPICE's r = q = 1), and keep its power floor as their dB floor.
@@ -528,7 +571,7 @@ def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
     R_hat, A, _ = _as_problems(data, dictionary)
     P, M, G = A.shape
     if not entry.needs_k:
-        return _cbf_power(A, R_hat), np.full(P, DB_FLOOR)
+        return _cbf_power(A, R_hat, geometry), np.full(P, DB_FLOOR)
     if not 1 <= (k or 0) < M:
         raise ConfigError(f"source count k must satisfy 1 <= k < M={M}, got {k}")
     power = np.empty((P, G))

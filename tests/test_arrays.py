@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from dasdoa.arrays import ArrayGeometry, angle_grid, build_dictionary, \
+from dasdoa.arrays import ArrayGeometry, Dictionary, angle_grid, build_dictionary, \
     half_wavelength_spacing, perturb_geometry, steering_matrix, steering_stack, \
     uniform_line_array
 from dasdoa.errors import ConfigError
@@ -181,11 +181,27 @@ def test_perturb_geometry_rejects_order_breaking_level():
         perturb_geometry(geom, 0.5, np.random.default_rng(0))
 
 
+def _dictionary(angles, rows, convention="broadside", elements=None):
+    """A Dictionary of `rows` steering rows on `angles` for an array of
+    `elements` (by default `rows`), built by hand."""
+    matrix = np.ones((rows, np.size(angles)), dtype=complex)
+    return Dictionary(angles, matrix, 1000.0, convention,
+                      uniform_line_array(elements or rows))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: ArrayGeometry(np.array([0.0, np.inf])), "geometry offsets must be finite"),
     (lambda: perturb_geometry(uniform_line_array(4), -0.1, 0),
      "perturbation level must be non-negative"),
-], ids=["offsets-not-finite", "negative-perturbation"])
+    (lambda: _dictionary(np.linspace(-90.0, 90.0, 41), 4, elements=5),
+     "dictionary matrix shape (4, 41) != (5, 41): one row per element, one column "
+     "per angle"),
+    (lambda: _dictionary(np.zeros((2, 5)), 4),
+     "dictionary angles must be 1-D, got shape (2, 5)"),
+    (lambda: _dictionary(np.linspace(0.0, 90.0, 10), 4, "sideways"),
+     "unknown convention 'sideways'; use one of ('broadside', 'endfire')"),
+], ids=["offsets-not-finite", "negative-perturbation", "dictionary-matrix-shape",
+        "dictionary-angles-not-1d", "dictionary-convention"])
 def test_each_rejection_states_its_rule(call, message):
     with pytest.raises(ConfigError) as err:
         call()
@@ -197,3 +213,14 @@ def test_array_defaults_are_the_geometrys():
     assert (geometry.spacing, geometry.sound_speed) == (ArrayGeometry.spacing,
                                                         ArrayGeometry.sound_speed)
     assert half_wavelength_spacing(750.0) == ArrayGeometry.sound_speed / 1500.0
+
+
+@pytest.mark.parametrize("offsets, uniform", [
+    (np.arange(12.0), True), (np.arange(2.0), True), (0.5 * np.arange(7.0), True),
+    ([0, 1.9, 3.5, 5.3, 7.85, 10, 11.8, 14.1, 16, 17.7, 20, 22.0], False),
+    ([0.0, 1.0, 3.0], False),
+    # 0.3 - 0.1 != 0.2 in floating point: the lags must be the offsets exactly
+    ([0.0, 0.1, 0.2, 0.3], False),
+], ids=["ula-12", "ula-2", "ula-half", "c06-pair", "gap", "inexact"])
+def test_lags_are_offsets_on_a_uniform_array_alone(offsets, uniform):
+    assert ArrayGeometry(np.asarray(offsets, dtype=float)).lags_are_offsets is uniform

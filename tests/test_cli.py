@@ -632,16 +632,35 @@ def test_simulate_defaults_are_the_default_scenario_scene(tmp_path):
     assert (tmp_path / "r.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes()
 
 
-def test_cli_import_leaves_scipy_signal_and_optimize_unloaded():
-    # only a propeller simulation needs scipy.signal and only bench scoring
-    # scipy.optimize; each is imported where it is called
-    code = ("import sys, dasdoa.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
+def _fresh_interpreter(code):
+    """The stripped stdout of `code` run in a new interpreter on this src."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_signal_and_optimize_unloaded():
+    # only a propeller simulation needs scipy.signal, only bench scoring
+    # scipy.optimize and only the solver and MUSIC scipy.linalg; each is
+    # imported where it is called
+    assert _fresh_interpreter(
+        "import sys, dasdoa.cli; print(sorted(m for m in ('scipy.signal', "
+        "'scipy.optimize', 'scipy.linalg') if m in sys.modules))") == "[]"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["btr", "--input", "{time}", "--spacing", "1.25", "--estimator", "cbf",
+      "--out", "{tmp}/btr.csv"], False),
+    (["estimate", "--input", "{snap}", "--frequency", "3000", "--estimator", "qspice",
+      "--k", "2"], True)], ids=["btr-cbf", "estimate-qspice"])
+def test_scipy_linalg_loads_at_the_first_solve(argv, loaded, records, tmp_path):
+    # CBF runs on numpy alone; the solver's Cholesky factor imports scipy.linalg
+    argv = [a.format(snap=records[0], time=records[1], tmp=tmp_path) for a in argv]
+    assert _fresh_interpreter(
+        f"import sys, dasdoa.cli; code = dasdoa.cli.main({argv!r}); "
+        f"print(code, 'scipy.linalg' in sys.modules)").splitlines()[-1] == f"0 {loaded}"
 
 
 def test_bench_config_values_reach_the_digest_as_written(tmp_path):

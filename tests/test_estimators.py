@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dasdoa import estimators
-from dasdoa.arrays import Dictionary, build_dictionary, uniform_line_array
+from dasdoa.arrays import ArrayGeometry, Dictionary, build_dictionary, full_sector, \
+    steering_stack, uniform_line_array
 from dasdoa.errors import ConfigError, DegenerateInputError, EstimationError, \
     SingularModelError, ToolkitError
 from dasdoa.estimators import DB_FLOOR, SolverConfig, SpatialSpectrum, _Model, \
@@ -361,6 +362,82 @@ def test_stacked_cbf_has_the_bits_of_each_bins_spectrum(seed, n, m, g, shared):
         R_i = 0.5 * (covs[i] + covs[i].conj().T)
         per_bin = np.add.reduce(A_i.conj() * (R_i @ A_i), axis=0).real / m ** 2
         assert power[i].tobytes() == np.maximum(per_bin, 0.0).tobytes()
+
+
+def _cbf_stack(rng, geometry, p, g, convention):
+    """Covariances (P, M, M) and a steering stack (P, M, G) of `geometry` at P
+    drawn frequencies over the convention's sector; the covariances are not
+    Hermitian, so the check symmetrizes them."""
+    m = geometry.n_elements
+    A = steering_stack(geometry, rng.uniform(10.0, 3000.0, p),
+                       np.linspace(*full_sector(convention), g), convention)
+    y = rng.standard_normal((p, m, 20)) + 1j * rng.standard_normal((p, m, 20))
+    covs = y @ y.conj().transpose(0, 2, 1) / 20 \
+        + 1e-3 * (rng.standard_normal((p, m, m)) + 1j * rng.standard_normal((p, m, m)))
+    return covs, A
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 16), p=st.integers(1, 12), m=st.integers(2, 16),
+       g=st.integers(1, 400), spacing=st.floats(0.05, 5.0),
+       convention=st.sampled_from(["broadside", "endfire"]))
+def test_coarray_cbf_on_a_uniform_array_is_the_product(seed, p, m, g, spacing,
+                                                        convention):
+    # on a stack built from a ULA, CBF folds R_hat over its superdiagonals:
+    # within 1e-12 of each row's maximum of the batched product, and each
+    # row with the bits of its bin alone
+    rng = np.random.default_rng(seed)
+    geometry = uniform_line_array(m, spacing)
+    covs, A = _cbf_stack(rng, geometry, p, g, convention)
+    folded, floor = fixed_grid_powers("cbf", covs, A, geometry=geometry)
+    product, _ = fixed_grid_powers("cbf", covs, A)
+    assert folded.shape == (p, g) and _same_bits(floor, np.full(p, DB_FLOOR))
+    assert np.all(np.abs(folded - product) <= 1e-12 * product.max(axis=1, keepdims=True))
+    for i in range(p):
+        (alone,), _ = fixed_grid_powers("cbf", covs[i:i + 1], A[i:i + 1],
+                                        geometry=geometry)
+        assert _same_bits(folded[i], alone)
+
+
+PAIR_OFFSETS = (0, 1.9, 3.5, 5.3, 7.85, 10, 11.8, 14.1, 16, 17.7, 20, 22.0)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 16), p=st.integers(1, 12),
+       gaps=st.one_of(st.just(np.diff(PAIR_OFFSETS).tolist()),
+                      st.lists(st.floats(0.1, 3.0), min_size=1, max_size=15)),
+       g=st.integers(1, 200), convention=st.sampled_from(["broadside", "endfire"]))
+def test_cbf_on_a_non_uniform_array_keeps_the_products_bits(seed, p, gaps, g,
+                                                            convention):
+    # the c06 pair array and drawn offsets have lags that are not their
+    # offsets: their stacks keep the batched product, bit for bit
+    geometry = ArrayGeometry(np.cumsum([0.0] + gaps), 1.25)
+    assume(not geometry.lags_are_offsets)
+    covs, A = _cbf_stack(np.random.default_rng(seed), geometry, p, g, convention)
+    product, _ = fixed_grid_powers("cbf", covs, A)
+    assert _same_bits(fixed_grid_powers("cbf", covs, A, geometry=geometry)[0], product)
+
+
+def test_cbf_without_a_geometry_keeps_the_products_bits():
+    # a bare matrix or a Dictionary carries no promise of how its matrix was
+    # built: the product, whose bits cbf_spectrum has, on a ULA's matrix too
+    geometry = uniform_line_array(8, 1.25)
+    covs, A = _cbf_stack(np.random.default_rng(3), geometry, 1, 181, "broadside")
+    dic = Dictionary(np.linspace(-90.0, 90.0, 181), A[0], 500.0, "broadside", geometry)
+    R = 0.5 * (covs[0] + covs[0].conj().T)
+    product = np.maximum(np.add.reduce(A[0].conj() * (R @ A[0]), axis=0).real / 64, 0.0)
+    for dictionary in (A[0], dic):
+        assert cbf_spectrum(covs[0], dictionary).power.tobytes() == product.tobytes()
+    folded, _ = fixed_grid_powers("cbf", covs, A, geometry=geometry)
+    assert folded.tobytes() != product.tobytes()
+
+
+def test_cbf_rejects_a_geometry_of_another_size():
+    covs, A = _cbf_stack(np.random.default_rng(3), uniform_line_array(4), 2, 9,
+                         "broadside")
+    with pytest.raises(ConfigError, match="a steering stack of 4 rows for a "
+                                          "5-element geometry"):
+        fixed_grid_powers("cbf", covs, A, geometry=uniform_line_array(5))
 
 
 @pytest.mark.parametrize("name", ["cbf", "music", "spice", "qspice"])
