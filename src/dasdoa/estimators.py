@@ -191,10 +191,13 @@ def _cbf_power(A, R_hat, geometry: ArrayGeometry | None = None) -> np.ndarray:
 def _superdiagonals(M):
     """(flat, starts): the flat indices of an M x M matrix's upper
     triangle, one superdiagonal after another from the main one, and where
-    each begins among them (np.add.reduceat's segments)."""
+    each begins among them (np.add.reduceat's segments). Read-only, since
+    every call with the same M shares them."""
     i, j = np.triu_indices(M)
     order = np.argsort(j - i, kind="stable")
-    return (i * M + j)[order], np.r_[0, np.cumsum(np.arange(M, 1, -1))]
+    flat, starts = (i * M + j)[order], np.r_[0, np.cumsum(np.arange(M, 1, -1))]
+    flat.flags.writeable = starts.flags.writeable = False
+    return flat, starts
 
 
 def _music_power(A, R_hat, k) -> np.ndarray:
