@@ -51,7 +51,8 @@
 # for propeller ones, and lines of the wrong shape, and estimate and btr
 # with a config key that the estimator does not read, or gnr2 with --step
 # on a snapshot record, and btr with a k that cbf and qspice do not read
-# without --select-bins); a propeller record
+# without --select-bins, and grid steps below the grid's 1e-9 deg rounding
+# for estimate, btr and a bench baseline); a propeller record
 # with lines from a config; and gnr2 over a sector that its grid step
 # does not divide. BLAS
 # runs on one thread unless the environment says otherwise. Takes a few
@@ -362,6 +363,14 @@ done
 # narrowband gnr2 refines from initial_step: its step sets nothing
 run rej-est-snap-gnr2-step estimate --input "$SNAP" --frequency 3000 \
     --estimator gnr2 --k 2 --step 0.3 --out spec.csv
+# grid steps finer than the grid's 1e-9 deg rounding: a version without the
+# check fails in numpy, which refuses the grid's size or its allocation
+run rej-est-step-tiny estimate --input "$SNAP" --frequency 3000 --k 2 --step 1e-10 \
+    --out spec.csv
+run rej-btr-step-tiny btr --input "$TIME" --spacing 1.25 --step 1e-300 --out btr.csv
+echo '{"baseline_step": 1e-300}' >"$out/baseline-step-tiny.json"
+run rej-bench-baseline-step-tiny bench --preset table1 --trials 1 --methods cbf \
+    --sweep-values 9 --config ../baseline-step-tiny.json --out table.csv
 run rej-est-input-missing estimate --input ../no-such-record.bin --frequency 3000 \
     --estimator cbf --k 2
 # gnr2 on 8 selected bins resolves 1 of the 2 sources of this record
