@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayGeometry, Dictionary, angle_grid, sector_or_full, \
-    steering_matrix, steering_stack
+    steering_stack
 from .errors import ConfigError
 from .estimators import CBF_GUARD, SolverConfig, SpatialSpectrum, _pick, \
     check_estimator, fixed_grid_powers, qspice_solve
@@ -181,24 +181,22 @@ def gnr2_estimate(data, geometry: ArrayGeometry, frequency: float, k: int,
                   refine_cfg: RefineConfig | None = None):
     """Narrowband refinement on a snapshot z (M,) or sample covariance
     (M, M), which gets its RefineResult, or on each covariance of a stack
-    (P, M, M), which gets a tuple of P. A stack's refinements run in
-    lockstep, with one qspice_solve per round and grid size on a bare
+    (P, M, M), which gets a tuple of P; one input (a snapshot as z z^H) is
+    the stack of one. Each round makes one qspice_solve per grid size on a
     (P, M, G) steering stack; each problem's result is that of it alone."""
     check_estimator("gnr2", k)
     sector = sector_or_full(sector, convention)
-    if np.ndim(data) < 3:
-        def solve(angles):
-            A = steering_matrix(geometry, frequency, angles, convention)
-            return qspice_solve(data, A, solver_cfg).powers.signal
-
-        return _refine_result(refine_loop(solve, sector, k, refine_cfg), frequency)
-
     covs = np.asarray(data)
+    if single := covs.ndim < 3:
+        covs = (np.outer(covs, covs.conj()) if covs.ndim == 1 else covs)[None]
 
     def solve_group(idx, grids):
         A = steering_stack(geometry, frequency, grids, convention)
         return qspice_solve(covs[idx], A, solver_cfg).powers.signal
 
+    if single:  # the lockstep of one, through refine_loop for perfbench's tracer
+        return _refine_result(refine_loop(lambda grid: solve_group([0], [grid])[0],
+                                          sector, k, refine_cfg), frequency)
     return tuple(_refine_result(res, frequency) for res in
                  refine_lockstep(solve_group, len(covs), sector, k, refine_cfg))
 

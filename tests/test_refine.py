@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from dasdoa.arrays import angle_grid, half_wavelength_spacing, uniform_line_array, \
-    steering_matrix
+from dasdoa.arrays import angle_grid, full_sector, half_wavelength_spacing, \
+    uniform_line_array, steering_matrix
 from dasdoa.errors import ConfigError
 from dasdoa.estimators import _pick
 from dasdoa.refine import NEIGHBORHOOD_HALFWIDTH, RefineConfig, refine_lockstep, \
@@ -131,27 +131,49 @@ def test_lockstep_groups_by_size_and_drops_finished_problems():
                      ((0, 3), 197), ((2,), 196), ((0, 2, 3), 186)]
 
 
-def test_gnr2_stack_matches_each_problem_alone():
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 16), m=st.integers(3, 12), k=st.integers(1, 2),
+       p=st.integers(1, 6), convention=st.sampled_from(["broadside", "endfire"]),
+       initial_step=st.sampled_from([0.5, 1.0, 2.0]),
+       target_fraction=st.sampled_from([0.05, 0.25, 0.6]))
+def test_gnr2_stack_matches_each_problem_alone(seed, m, k, p, convention, initial_step,
+                                               target_fraction):
     # the stacked refinements run in lockstep; rounds in which the problems'
-    # grids differ in size make one solve per size, and every result is the
-    # single-covariance result bit for bit
-    geom = uniform_line_array(12, spacing=0.25)
-    rng = np.random.default_rng(5)
+    # grids differ in size make one solve per size, and every covariance
+    # alone, the stack of one, gets its row's result bit for bit
+    geom = uniform_line_array(m, half_wavelength_spacing(3000.0))
+    lo, hi = full_sector(convention)
+    rng = np.random.default_rng(seed)
     covs = []
-    for truth in ([2.36, 27.62], [-30.4, -28.9], [2.36, 27.62], [71.0, 89.2]):
-        a = steering_matrix(geom, 3000.0, np.array(truth))
-        z = a @ (rng.standard_normal((2, 40)) + 1j * rng.standard_normal((2, 40)))
-        z += 0.5 * (rng.standard_normal((12, 40)) + 1j * rng.standard_normal((12, 40)))
+    for _ in range(p):
+        a = steering_matrix(geom, 3000.0, rng.uniform(lo, hi, k), convention)
+        z = a @ (rng.standard_normal((k, 40)) + 1j * rng.standard_normal((k, 40)))
+        z += 0.5 * (rng.standard_normal((m, 40)) + 1j * rng.standard_normal((m, 40)))
         covs.append(z @ z.conj().T / 40)
     covs = np.array(covs)
-    stacked = gnr2_estimate(covs, geom, 3000.0, 2)
-    assert len({res.spectrum.angles.size for res in stacked}) >= 2
+    cfg = RefineConfig(initial_step, initial_step * target_fraction)
+    stacked = gnr2_estimate(covs, geom, 3000.0, k, convention=convention, refine_cfg=cfg)
+    assert len(stacked) == p
     for cov, res in zip(covs, stacked):
-        one = gnr2_estimate(cov, geom, 3000.0, 2)
+        one = gnr2_estimate(cov, geom, 3000.0, k, convention=convention, refine_cfg=cfg)
         assert np.array_equal(one.angles, res.angles)
-        assert (len(one.angles), one.rounds) == (len(res.angles), res.rounds)
+        assert one.rounds == res.rounds
         assert np.array_equal(one.spectrum.angles, res.spectrum.angles)
         assert np.array_equal(one.spectrum.power, res.spectrum.power)
+
+
+def test_gnr2_on_a_snapshot_is_gnr2_on_its_outer_product():
+    geom = uniform_line_array(12, half_wavelength_spacing(3000.0))
+    rng = np.random.default_rng(4)
+    a = steering_matrix(geom, 3000.0, np.array([-20.0, 14.5]))
+    z = a @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    z += 0.3 * (rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    snapshot = gnr2_estimate(z, geom, 3000.0, 2)
+    outer = gnr2_estimate(np.outer(z, z.conj()), geom, 3000.0, 2)
+    assert np.array_equal(snapshot.angles, outer.angles)
+    assert snapshot.rounds == outer.rounds
+    assert np.array_equal(snapshot.spectrum.angles, outer.spectrum.angles)
+    assert np.array_equal(snapshot.spectrum.power, outer.spectrum.power)
 
 
 def test_refine_grid_stays_sparse():
