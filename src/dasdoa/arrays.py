@@ -15,10 +15,12 @@ itself an offset, which is the uniform line array: there a steering
 matrix's row l is the phase of lag l.
 
 `positive_finite` states the rule that a rate, frequency, spacing or step
-must be positive and finite, and `two_numbers` that a band or sector is a pair.
+must be positive and finite, `integer` that a count is a whole number, and
+`two_numbers` that a band or sector is a pair.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,8 +76,8 @@ def uniform_line_array(n_elements: int, spacing: float = ArrayGeometry.spacing,
 def half_wavelength_spacing(frequency: float,
                             sound_speed: float = ArrayGeometry.sound_speed) -> float:
     """d = lambda/2 at the given frequency."""
-    if frequency <= 0:
-        raise ConfigError("frequency must be positive")
+    positive_finite(frequency, "frequency")
+    positive_finite(sound_speed, "sound speed")
     return sound_speed / (2.0 * frequency)
 
 
@@ -83,6 +85,13 @@ def positive_finite(value, what: str) -> None:
     """A ConfigError naming `what` unless value > 0 and it is finite."""
     if not (value > 0 and np.isfinite(value)):
         raise ConfigError(f"{what} must be a positive finite number, got {value}")
+
+
+def integer(value, what: str) -> None:
+    """A ConfigError naming `what` unless value is an integer (a Python or
+    numpy int), not a float or a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def two_numbers(pair, what: str) -> tuple[float, float]:
@@ -157,7 +166,8 @@ def angle_grid(sector: tuple[float, float], step: float) -> np.ndarray:
     """Regular grid over [sector[0], sector[1]] inclusive of both ends.
 
     Values are rounded to 1e-9 deg so unions of grids from different rounds
-    deduplicate exactly.
+    deduplicate exactly; a finer step, which that rounding would merge, is
+    rejected.
     """
     lo, hi = two_numbers(sector, "sector")
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -165,6 +175,8 @@ def angle_grid(sector: tuple[float, float], step: float) -> np.ndarray:
     if not (hi > lo):
         raise ConfigError("sector upper bound must exceed lower bound")
     positive_finite(step, "grid step")
+    if step < 1e-9:
+        raise ConfigError(f"grid step {step} is below the grid's 1e-9 deg rounding")
     return np.arange(lo, hi + 1e-9, step).round(9)
 
 
@@ -207,8 +219,9 @@ def perturb_geometry(geometry: ArrayGeometry, level: float, rng) -> ArrayGeometr
     The reference element stays fixed. `level` must be below half the minimum
     inter-element gap, which keeps the perturbed offsets strictly increasing.
     """
-    if level < 0:
-        raise ConfigError("perturbation level must be non-negative")
+    if not (level >= 0 and np.isfinite(level)):
+        raise ConfigError(f"perturbation level must be a non-negative finite number, "
+                          f"got {level}")
     min_gap = float(np.min(np.diff(geometry.offsets)))
     if level >= 0.5 * min_gap:
         raise ConfigError(

@@ -48,7 +48,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Dictionary
+from .arrays import ArrayGeometry, Dictionary, integer, positive_finite
 from .errors import ConfigError, DegenerateInputError, SingularModelError
 
 DB_FLOOR = 1e-300
@@ -66,14 +66,14 @@ class SolverConfig:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.r >= 1:
-            raise ConfigError("signal norm order r must be >= 1 (convexity)")
+        if not 1 <= self.r < np.inf:
+            raise ConfigError("signal norm order r must be finite and >= 1 (convexity)")
         if not 1 <= self.q <= 2:
             raise ConfigError("noise norm order q must lie in [1, 2]")
+        integer(self.max_iter, "max_iter")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-        if not self.rel_tol > 0:
-            raise ConfigError("rel_tol must be positive")
+        positive_finite(self.rel_tol, "rel_tol")
 
 
 @dataclass(frozen=True)
@@ -495,6 +495,7 @@ def _pick(power, angles, k, guard=0.0):
 
 def peak_pick(spectrum: SpatialSpectrum, k: int, guard_deg: float = 0.0):
     """Sorted angles of the K strongest spectral peaks, fewer on a shortfall."""
+    integer(k, "peak count")
     if k < 1:
         raise ConfigError("peak count must be >= 1")
     if guard_deg < 0:
@@ -541,8 +542,10 @@ def check_estimator(name: str, k: int | None) -> Estimator:
     count k below 1, or a missing k for the estimators that need one."""
     if (entry := ESTIMATORS.get(name)) is None:
         raise ConfigError(f"unknown estimator {name!r}; use one of {tuple(ESTIMATORS)}")
-    if k is not None and k < 1:
-        raise ConfigError(f"source count k must be >= 1, got {k}")
+    if k is not None:
+        integer(k, "source count k")
+        if k < 1:
+            raise ConfigError(f"source count k must be >= 1, got {k}")
     if entry.needs_k and k is None:
         raise ConfigError(f"{name} needs the source count k")
     return entry

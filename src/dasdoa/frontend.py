@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import positive_finite, two_numbers
+from .arrays import integer, positive_finite, two_numbers
 from .errors import ConfigError
 
 
@@ -178,6 +178,8 @@ def select_bins(covariances: np.ndarray, k: int, count: int) -> np.ndarray:
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ConfigError("covariances must be a (P, M, M) stack")
     p_bins, m = covs.shape[0], covs.shape[1]
+    integer(k, "source count k")
+    integer(count, "bin count")
     if not 1 <= k < m:
         raise ConfigError(f"source count k must satisfy 1 <= k < M={m}")
     if not 1 <= count <= p_bins:

@@ -215,8 +215,7 @@ def harmonic_lines(base_hz: float, band: tuple) -> tuple:
     """Harmonic line series base, 2*base, ... inside [f_lo, f_hi], each
     10 dB over the continuum in its slot."""
     f_lo, f_hi = band
-    if base_hz <= 0:
-        raise ConfigError("line base frequency must be positive")
+    positive_finite(base_hz, "line base frequency")
     freqs = np.arange(base_hz, f_hi + 1e-9, base_hz)
     freqs = freqs[freqs >= f_lo]
     return tuple((float(f), 10.0) for f in freqs)

@@ -8,30 +8,33 @@ from dasdoa.arrays import ArrayGeometry, Dictionary, angle_grid, build_dictionar
     uniform_line_array
 from dasdoa.errors import ConfigError
 from dasdoa.frontend import FrequencyBinSet
-from dasdoa.simulate import SnapshotMatrix, SourceSpec
+from dasdoa.simulate import SnapshotMatrix, SourceSpec, harmonic_lines
 
 C = 1500.0
 
-# every site of the positive-finite rule: what it names, and a call of it
+# every site of the positive-finite rule: what it names, and the calls of it
 POSITIVE_FINITE_SITES = {
-    "snapshot rate": lambda v: SourceSpec("tonal", (0.0,), (1.0,), (100.0,), v),
-    "a record's sample rate": lambda v: SnapshotMatrix(np.zeros((2, 3)), v),
-    "sample rate": lambda v: FrequencyBinSet(8, np.array([1]), v),
-    "frequency": lambda v: steering_matrix(uniform_line_array(3), v, [10.0]),
-    "grid step": lambda v: angle_grid((0.0, 10.0), v),
-    "spacing": lambda v: ArrayGeometry(np.arange(3.0), v),
-    "sound speed": lambda v: ArrayGeometry(np.arange(3.0), 1.0, v),
+    "snapshot rate": (lambda v: SourceSpec("tonal", (0.0,), (1.0,), (100.0,), v),),
+    "a record's sample rate": (lambda v: SnapshotMatrix(np.zeros((2, 3)), v),),
+    "sample rate": (lambda v: FrequencyBinSet(8, np.array([1]), v),),
+    "frequency": (lambda v: steering_matrix(uniform_line_array(3), v, [10.0]),
+                  half_wavelength_spacing),
+    "grid step": (lambda v: angle_grid((0.0, 10.0), v),),
+    "spacing": (lambda v: ArrayGeometry(np.arange(3.0), v),),
+    "sound speed": (lambda v: ArrayGeometry(np.arange(3.0), 1.0, v),
+                    lambda v: half_wavelength_spacing(3000.0, v)),
+    "line base frequency": (lambda v: harmonic_lines(v, (100.0, 1000.0)),),
 }
 
 
 @pytest.mark.parametrize("what", POSITIVE_FINITE_SITES)
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
 def test_every_site_of_the_positive_finite_rule_states_it_alike(what, value):
-    site = POSITIVE_FINITE_SITES[what]
-    with pytest.raises(ConfigError) as err:
-        site(value)
-    assert str(err.value) == f"{what} must be a positive finite number, got {value}"
-    site(2.0)
+    for site in POSITIVE_FINITE_SITES[what]:
+        with pytest.raises(ConfigError) as err:
+            site(value)
+        assert str(err.value) == f"{what} must be a positive finite number, got {value}"
+        site(2.0)
 
 
 def test_uniform_line_array_offsets():
@@ -150,6 +153,12 @@ def test_angle_grid_validation():
     for step in (np.nan, np.inf):
         with pytest.raises(ConfigError, match="positive finite"):
             angle_grid((0.0, 10.0), step)
+    # a step the grid's 1e-9 deg rounding would merge
+    for step in (1e-10, 1e-300):
+        with pytest.raises(ConfigError) as err:
+            angle_grid((0.0, 10.0), step)
+        assert str(err.value) == f"grid step {step} is below the grid's 1e-9 deg rounding"
+    assert angle_grid((0.0, 1e-6), 1e-9).size == 1001
     for sector in ((np.nan, 10.0), (0.0, np.inf), (-np.inf, 0.0)):
         with pytest.raises(ConfigError, match="finite"):
             angle_grid(sector, 1.0)
@@ -192,7 +201,11 @@ def _dictionary(angles, rows, convention="broadside", elements=None):
 @pytest.mark.parametrize("call, message", [
     (lambda: ArrayGeometry(np.array([0.0, np.inf])), "geometry offsets must be finite"),
     (lambda: perturb_geometry(uniform_line_array(4), -0.1, 0),
-     "perturbation level must be non-negative"),
+     "perturbation level must be a non-negative finite number, got -0.1"),
+    (lambda: perturb_geometry(uniform_line_array(4), np.nan, 0),
+     "perturbation level must be a non-negative finite number, got nan"),
+    (lambda: perturb_geometry(uniform_line_array(4), np.inf, 0),
+     "perturbation level must be a non-negative finite number, got inf"),
     (lambda: _dictionary(np.linspace(-90.0, 90.0, 41), 4, elements=5),
      "dictionary matrix shape (4, 41) != (5, 41): one row per element, one column "
      "per angle"),
@@ -200,7 +213,8 @@ def _dictionary(angles, rows, convention="broadside", elements=None):
      "dictionary angles must be 1-D, got shape (2, 5)"),
     (lambda: _dictionary(np.linspace(0.0, 90.0, 10), 4, "sideways"),
      "unknown convention 'sideways'; use one of ('broadside', 'endfire')"),
-], ids=["offsets-not-finite", "negative-perturbation", "dictionary-matrix-shape",
+], ids=["offsets-not-finite", "negative-perturbation", "nan-perturbation",
+        "inf-perturbation", "dictionary-matrix-shape",
         "dictionary-angles-not-1d", "dictionary-convention"])
 def test_each_rejection_states_its_rule(call, message):
     with pytest.raises(ConfigError) as err:

@@ -734,6 +734,28 @@ def test_bin_count_below_one_exits_2(command, by_config, records, tmp_path):
     assert "count must lie in [1, " in err
 
 
+@pytest.mark.parametrize("record, argv, config, step", [
+    (0, ["estimate", "--frequency", "3000", "--estimator", "cbf", "--step", "1e-300"],
+     {}, 1e-300),
+    (0, ["estimate", "--frequency", "3000", "--step", "1e-10"], {}, 1e-10),
+    (1, ["btr", "--spacing", "1.25", "--step", "1e-300", "--out", "{tmp}/b.csv"],
+     {}, 1e-300),
+    (None, ["bench", "--preset", "table1", "--trials", "1", "--methods", "cbf",
+            "--sweep-values", "9"], {"baseline_step": 1e-300}, 1e-300),
+], ids=["estimate-cbf", "estimate-qspice", "btr", "bench-baseline"])
+def test_grid_step_below_the_grid_rounding_exits_2(record, argv, config, step, records,
+                                                   tmp_path):
+    # numpy would refuse the grid's size or its allocation, with a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--config", str(cfg)]
+    if record is not None:
+        argv += ["--input", str(records[record])]
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: grid step {step} is below the grid's 1e-9 deg rounding\n"
+
+
 @pytest.mark.parametrize("key, flag, value", [
     ("select_bins", "--select-bins", 2), ("n_fft", "--n-fft", 256),
     ("band", "--band", (100.0, 1000.0))], ids=["select_bins", "n_fft", "band"])

@@ -12,8 +12,9 @@ from dasdoa.arrays import ArrayGeometry, Dictionary, build_dictionary, full_sect
 from dasdoa.errors import ConfigError, DegenerateInputError, EstimationError, \
     SingularModelError, ToolkitError
 from dasdoa.estimators import DB_FLOOR, SolverConfig, SpatialSpectrum, _Model, \
-    _block_minimize, _pick, cbf_spectrum, fixed_grid_powers, fixed_grid_spectrum, \
-    kkt_residual, music_spectrum, objective_value, peak_pick, qspice_solve
+    _block_minimize, _pick, cbf_spectrum, check_estimator, fixed_grid_powers, \
+    fixed_grid_spectrum, kkt_residual, music_spectrum, objective_value, peak_pick, \
+    qspice_solve
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -598,7 +599,15 @@ def test_spatial_spectrum_db_floor():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: SolverConfig(rel_tol=0.0), "rel_tol must be positive"),
+    (lambda: SolverConfig(rel_tol=0.0), "rel_tol must be a positive finite number, got 0.0"),
+    (lambda: SolverConfig(rel_tol=np.inf),
+     "rel_tol must be a positive finite number, got inf"),
+    (lambda: SolverConfig(r=np.inf), "signal norm order r must be finite and >= 1 (convexity)"),
+    (lambda: SolverConfig(max_iter=2.5), "max_iter must be an integer, got 2.5"),
+    (lambda: SolverConfig(max_iter=True), "max_iter must be an integer, got True"),
+    (lambda: check_estimator("qspice", 1.5), "source count k must be an integer, got 1.5"),
+    (lambda: peak_pick(_spectrum([0, 1, 0, 1, 0]), 1.5),
+     "peak count must be an integer, got 1.5"),
     (lambda: SpatialSpectrum(np.zeros(3), np.zeros(2)),
      "angle grid and power must have matching shapes"),
     (lambda: SpatialSpectrum(np.zeros(2), np.array([1.0, np.nan])),
@@ -609,7 +618,8 @@ def test_spatial_spectrum_db_floor():
     (lambda: objective_value(np.ones((2, 4)), np.ones((2, 2)),
                              np.stack([np.eye(2)] * 2), np.ones((2, 4))),
      "the objective is evaluated for one problem, not a stack"),
-], ids=["rel-tol", "spectrum-shapes", "spectrum-not-finite", "dictionary-ndim",
+], ids=["rel-tol", "rel-tol-inf", "r-inf", "max-iter-float", "max-iter-bool",
+        "estimator-k-float", "peak-count-float", "spectrum-shapes", "spectrum-not-finite", "dictionary-ndim",
         "snapshot-length", "objective-of-a-stack"])
 def test_each_rejection_states_its_rule(call, message):
     with pytest.raises(ConfigError) as err:

@@ -275,7 +275,12 @@ def test_select_bins_validation():
     (lambda: band_transform(np.zeros(64), FrequencyBinSet(8, [1], 100.0)),
      "record must be an M x n matrix"),
     (lambda: select_bins(np.zeros((2, 3, 4)), 1, 1), "covariances must be a (P, M, M) stack"),
-], ids=["dft-length", "no-bins", "frame-length", "record-1d", "covariance-shape"])
+    (lambda: select_bins(np.stack([np.eye(4)] * 3), 1, 2.5),
+     "bin count must be an integer, got 2.5"),
+    (lambda: select_bins(np.stack([np.eye(4)] * 3), 1.5, 2),
+     "source count k must be an integer, got 1.5"),
+], ids=["dft-length", "no-bins", "frame-length", "record-1d", "covariance-shape",
+        "bin-count-float", "k-float"])
 def test_each_rejection_states_its_rule(call, message):
     with pytest.raises(ConfigError) as err:
         call()

@@ -308,7 +308,8 @@ def test_noise_model_validation():
      "lines, when given, need one list per source"),
     (lambda: NoiseModel("nonuniform-gaussian"),
      "non-uniform noise needs a positive variance per element"),
-    (lambda: harmonic_lines(0.0, (100.0, 1000.0)), "line base frequency must be positive"),
+    (lambda: harmonic_lines(0.0, (100.0, 1000.0)),
+     "line base frequency must be a positive finite number, got 0.0"),
     (lambda: propeller_waveform(4096, 5120.0, (100.0, 1000.0), [(50.0, 10.0)], 0),
      "line at 50.0 Hz falls outside the band (100.0, 1000.0)"),
     (lambda: measure_snr(0.0, NoiseModel("uniform-gaussian")),
