@@ -539,7 +539,8 @@ ESTIMATORS = {
 
 def check_estimator(name: str, k: int | None) -> Estimator:
     """The entry of estimator `name`. Rejects an unknown name, a source
-    count k below 1, or a missing k for the estimators that need one."""
+    count k that is not an integer >= 1, or a missing k for the estimators
+    that need one."""
     if (entry := ESTIMATORS.get(name)) is None:
         raise ConfigError(f"unknown estimator {name!r}; use one of {tuple(ESTIMATORS)}")
     if k is not None:
