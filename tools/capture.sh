@@ -52,9 +52,15 @@
 # with a config key that the estimator does not read, or gnr2 with --step
 # on a snapshot record, and btr with a k that cbf and qspice do not read
 # without --select-bins, and grid steps below the grid's 1e-9 deg rounding
-# for estimate, btr and a bench baseline); a propeller record
-# with lines from a config; and gnr2 over a sector that its grid step
-# does not divide. BLAS
+# for estimate, btr and a bench baseline, a grid step of 1e-9 deg, whose
+# grid has more points than a grid may have, and a bench position-error
+# sweep value below 0); a propeller record
+# with lines from a config; gnr2 over a sector that its grid step
+# does not divide; cbf on a 900,001-point grid (a step of 2e-4 deg), whose
+# last point a running sum would put past 90 deg; and one-CPU twins (under
+# `taskset -c 0`) of the gnr2 estimate on a time record, the gnr2 btr and
+# the table1 bench at --jobs 1, whose files must equal their default
+# runs'. BLAS
 # runs on one thread unless the environment says otherwise. Takes a few
 # minutes on a 2-vCPU host.
 set -u
@@ -74,12 +80,12 @@ export OPENBLAS_NUM_THREADS="${OPENBLAS_NUM_THREADS:-1}"
 export OMP_NUM_THREADS="${OMP_NUM_THREADS:-1}"
 PY="${PYTHON:-python3}"
 
-# run NAME ARGS...: dasdoa ARGS in OUTDIR/NAME
+# run NAME ARGS...: dasdoa ARGS in OUTDIR/NAME, under the command $ON if set
 run() {
     local name="$1"
     shift
     mkdir -p "$out/$name"
-    (cd "$out/$name" && "$PY" -m dasdoa.cli "$@" >stdout 2>stderr
+    (cd "$out/$name" && ${ON:-} "$PY" -m dasdoa.cli "$@" >stdout 2>stderr
      echo $? >exit)
 }
 
@@ -186,6 +192,9 @@ run est-snap-qspice-solver-config estimate --input "$SNAP" --frequency 3000 \
     --estimator qspice --k 2 --config ../solver-keys.json --out spec.csv
 run est-snap-gnuplot estimate --input "$SNAP" --frequency 3000 --estimator cbf \
     --k 2 --out spec.csv --gnuplot
+# 900,001 angles, about 170 MB of steering matrix
+run est-snap-cbf-step-2e-4 estimate --input "$SNAP" --frequency 3000 --estimator cbf \
+    --k 2 --step 2e-4 --out spec.csv
 
 # broadband estimates
 TIME=../sim-propeller/rec.bin
@@ -256,6 +265,15 @@ for preset in table1 table2 table3 table4 impulsive; do
             --jobs "$jobs" --out table.csv
     done
 done
+
+# one-CPU twins: a stacked solve runs in pieces on the CPUs of the
+# process's affinity, and its outputs must not depend on how many there are
+ON="taskset -c 0" run est-time-gnr2-cpu0 estimate --input "$TIME" --estimator gnr2 \
+    --k 2 --spacing 1.25 --out spec.csv
+ON="taskset -c 0" run btr-gnr2-cpu0 btr --input "$TIME" --spacing 1.25 --estimator gnr2 \
+    --k 2 --select-bins 20 --out btr.csv
+ON="taskset -c 0" run bench-table1-jobs1-cpu0 bench --preset table1 --trials 2 --jobs 1 \
+    --out table.csv
 
 run bench-gnuplot bench --preset table1 --trials 1 --methods cbf,qspice \
     --sweep-values 9 --out table.csv --gnuplot
@@ -367,10 +385,17 @@ run rej-est-snap-gnr2-step estimate --input "$SNAP" --frequency 3000 \
 # check fails in numpy, which refuses the grid's size or its allocation
 run rej-est-step-tiny estimate --input "$SNAP" --frequency 3000 --k 2 --step 1e-10 \
     --out spec.csv
+# a grid of 1.8e11 points: a version without the bound on its size fails
+# in numpy's allocation
+run rej-est-step-1e-9 estimate --input "$SNAP" --frequency 3000 --k 2 --step 1e-9 \
+    --out spec.csv
 run rej-btr-step-tiny btr --input "$TIME" --spacing 1.25 --step 1e-300 --out btr.csv
 echo '{"baseline_step": 1e-300}' >"$out/baseline-step-tiny.json"
 run rej-bench-baseline-step-tiny bench --preset table1 --trials 1 --methods cbf \
     --sweep-values 9 --config ../baseline-step-tiny.json --out table.csv
+# a version without the check runs the sweep with no position error
+run rej-bench-pos-error-negative bench --preset table2 --trials 1 --methods cbf \
+    --sweep-values=-0.1 --out table.csv
 run rej-est-input-missing estimate --input ../no-such-record.bin --frequency 3000 \
     --estimator cbf --k 2
 # gnr2 on 8 selected bins resolves 1 of the 2 sources of this record
