@@ -29,6 +29,9 @@ import numpy as np
 from .errors import ConfigError
 
 CONVENTIONS = ("broadside", "endfire")
+# the most points an angle grid may have: a step of 1.8e-4 deg over the full
+# sector; a 12-element steering matrix on it takes 192 MB
+MAX_GRID_POINTS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,7 @@ class ArrayGeometry:
 def uniform_line_array(n_elements: int, spacing: float = ArrayGeometry.spacing,
                        sound_speed: float = ArrayGeometry.sound_speed) -> ArrayGeometry:
     """ULA with offsets 0, 1, ..., n-1 (units of `spacing`)."""
+    integer(n_elements, "element count")
     return ArrayGeometry(np.arange(n_elements, dtype=float), spacing, sound_speed)
 
 
@@ -163,11 +167,12 @@ def steering_stack(geometry: ArrayGeometry, frequencies, angles,
 
 
 def angle_grid(sector: tuple[float, float], step: float) -> np.ndarray:
-    """Regular grid over [sector[0], sector[1]] inclusive of both ends.
+    """Regular grid over [sector[0], sector[1]] inclusive of both ends: the
+    points lo + i step, as many as fit within 1e-9 of a step past hi.
 
     Values are rounded to 1e-9 deg so unions of grids from different rounds
     deduplicate exactly; a finer step, which that rounding would merge, is
-    rejected.
+    rejected, as is a grid of more than MAX_GRID_POINTS points.
     """
     lo, hi = two_numbers(sector, "sector")
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -177,7 +182,13 @@ def angle_grid(sector: tuple[float, float], step: float) -> np.ndarray:
     positive_finite(step, "grid step")
     if step < 1e-9:
         raise ConfigError(f"grid step {step} is below the grid's 1e-9 deg rounding")
-    return np.arange(lo, hi + 1e-9, step).round(9)
+    n = int((hi - lo) / step + 1e-9) + 1
+    if n > MAX_GRID_POINTS:
+        raise ConfigError(f"a grid step of {step} deg makes {n} points over "
+                          f"[{lo}, {hi}], more than {MAX_GRID_POINTS}")
+    # i * step, not np.arange's running sum of (lo + step) - lo, which drifts
+    # past hi on a long grid
+    return (lo + np.arange(n) * step).round(9)
 
 
 @dataclass(frozen=True)

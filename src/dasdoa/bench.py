@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .arrays import build_dictionary, half_wavelength_spacing, perturb_geometry, \
-    uniform_line_array
+from .arrays import build_dictionary, half_wavelength_spacing, integer, \
+    perturb_geometry, uniform_line_array
 from .errors import ConfigError, DataError, EstimationError
 from .estimators import CBF_GUARD, ESTIMATORS, SolverConfig
 from .frontend import sample_covariance
@@ -125,8 +125,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown sweep parameter {self.sweep!r}")
         if len(self.sweep_values) == 0:
             raise ConfigError("sweep_values must be non-empty")
+        integer(self.trials, "trial count")
         if self.trials < 1:
             raise ConfigError("trial count must be >= 1")
+        integer(self.n_elements, "element count")
         if len(self.doas) < 1:
             raise ConfigError("need at least one source angle")
         if self.noise == "nonuniform-gaussian" and len(self.noise_diag) != self.n_elements:
@@ -145,6 +147,12 @@ class ScenarioConfig:
         bad = [n for n in counts if not (float(n).is_integer() and n >= 1)]
         if bad:
             raise ConfigError(f"snapshot counts must be whole numbers >= 1, got {bad}")
+        levels = [self.pos_error_level,
+                  *(self.sweep_values if self.sweep == "pos_error" else ())]
+        bad = [v for v in levels if not (v >= 0 and np.isfinite(v))]
+        if bad:
+            raise ConfigError(f"position-error levels must be non-negative finite "
+                              f"numbers, got {bad}")
 
     def noise_model(self) -> NoiseModel:
         """The trials' noise; an unknown kind raises ConfigError."""

@@ -44,6 +44,11 @@ reads, and every dispatch on an estimator, its picks too, reads the entry.
 from __future__ import annotations
 
 import functools
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -212,9 +217,11 @@ def _music_power(A, R_hat, k) -> np.ndarray:
 
 class _Model:
     """The model R(p, s) = A diag(p) A^H + diag(s) of a stack of P problems
-    on one angle grid (see _as_problems); one problem is the stack of one
-    and runs the same calls. Holds A (P, M, G), R_hat (P, M, M),
-    tr(R_hat) and the weights w_p (P, G), w_s (P, M).
+    on one angle grid, from their checked R_hat (P, M, M) and A (P, M, G)
+    (_as_problems); one problem is the stack of one and runs the same
+    calls. Holds A, R_hat, tr(R_hat) and the weights w_p (P, G), w_s (P, M).
+    The stack may be the piece of a caller's stack of n_problems that
+    begins at its problem `first`. `evaluations` counts evaluate's calls.
 
     evaluate(p, s) gives, per problem, f(p, s) at the config's norm orders
     (a list), a_g^H Q a_g per atom and diag(Q), with Q = R^-1 R_hat R^-1;
@@ -226,10 +233,11 @@ class _Model:
     bits of every result), called and their errors raised as scipy.linalg's
     wrappers do, minus the wrappers' checks."""
 
-    def __init__(self, data, dictionary, config: SolverConfig | None = None):
+    def __init__(self, R_hat, A, config: SolverConfig | None = None, first=0,
+                 n_problems=None):
         cfg = config or SolverConfig()
         self.r, self.q = float(cfg.r), float(cfg.q)
-        self.R_hat, A, self.single = _as_problems(data, dictionary)
+        self.R_hat = R_hat
         P, M = A.shape[:2]
         self.tr = np.trace(self.R_hat, axis1=-2, axis2=-1).real
         self.w_p = np.add.reduce(np.abs(A) ** 2, axis=-2) / self.tr[:, None]
@@ -237,8 +245,10 @@ class _Model:
         # w ** t of each block, for its closed form
         self.w_pt, self.w_st = self.w_p ** self.r, self.w_s ** self.q
         self.A = A
-        self.n_problems = P
         self.rows = np.arange(P)          # problem index of each stacked row
+        # where the stack begins in the caller's, and the caller's size
+        self.first, self.n_problems = first, n_problems or P
+        self.evaluations = 0
 
         dtype = np.result_type(A.dtype, np.float64)
         self._eye = np.eye(M, dtype=dtype)
@@ -271,6 +281,7 @@ class _Model:
                       Rt, list(Rt.swapaxes(-1, -2)), Ri, T1, Q)
 
     def evaluate(self, p, s):
+        self.evaluations += 1
         A, Ac, AH, R_hat, w_p, w_s, Ap, QA, AAH, AAHt, diag, Rt, R, Ri, T1, Q = self._live
         np.multiply(A, p[..., None, :], out=Ap)
         np.matmul(Ap, AH, out=AAH)
@@ -286,7 +297,8 @@ class _Model:
                 Ri[i], info = potrs(c, eye, 1)    # lower; reports only info <= 0
             if info > 0:
                 # a stack of one has no other problem to tell it from
-                where = f" (problem {self.rows[i]})" if self.n_problems > 1 else ""
+                where = (f" (problem {self.first + self.rows[i]})"
+                         if self.n_problems > 1 else "")
                 raise SingularModelError(
                     f"{info}-th leading minor of the array is not positive "
                     f"definite{where}")
@@ -372,9 +384,30 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None) -> Solver
     problems run in one loop, each leaving it at the iteration its own solve
     stops at: `problems` holds their results, powers.signal is (P, G),
     n_iter the sum of their iterations and converged whether all converged.
+    A stack of P >= 4 runs in contiguous pieces on the process's CPUs
+    (_split_width, _solve_forked), with the results and errors of the one
+    loop.
     """
     cfg = config or SolverConfig()
-    model = _Model(data, dictionary, cfg)
+    R_hat, A, single = _as_problems(data, dictionary)
+    width = _split_width(len(R_hat))
+    if width == 1:
+        problems = _solve(_Model(R_hat, A, cfg), cfg)
+    else:
+        problems = _solve_forked(R_hat, A, cfg, width)
+    if single:
+        return problems[0]
+    return SolverResult(
+        PowerVector(np.stack([res.powers.signal for res in problems]),
+                    np.stack([res.powers.noise for res in problems])),
+        np.concatenate([res.trace for res in problems]),
+        sum(res.n_iter for res in problems), all(res.converged for res in problems),
+        np.array([res.floor for res in problems]), problems=tuple(problems))
+
+
+def _solve(model, cfg) -> list:
+    """The solver loop on the problems `model` holds: their results, in
+    order (the per-problem SolverResults of qspice_solve)."""
     P, M, G = model.A.shape
     # CBF initialization; strictly positive noise start keeps R invertible
     p = _cbf_power(model.A, model.R_hat)
@@ -416,14 +449,99 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None) -> Solver
     else:
         p_out[model.rows], s_out[model.rows] = p, s
 
-    results = [SolverResult(PowerVector(p_out[i], s_out[i]), np.asarray(trace),
-                            len(trace), bool(converged[i]), floor_i)
-               for i, (trace, floor_i) in enumerate(zip(traces, floors.tolist()))]
-    if model.single:
-        return results[0]
-    return SolverResult(PowerVector(p_out, s_out), np.concatenate(traces),
-                        sum(res.n_iter for res in results), bool(converged.all()),
-                        floors, problems=tuple(results))
+    return [SolverResult(PowerVector(p_out[i], s_out[i]), np.asarray(trace),
+                         len(trace), bool(converged[i]), floor_i)
+            for i, (trace, floor_i) in enumerate(zip(traces, floors.tolist()))]
+
+
+def _split_width(n_problems) -> int:
+    """How many pieces a stack of n_problems runs in: min(CPUs, P // 2),
+    so that each holds at least two problems, where the process may fork,
+    else 1. The CPUs are those of the process's affinity (so `taskset -c 0`
+    runs serially). It forks only with one thread running, since a fork
+    copies no other thread, and not in a process that multiprocessing
+    started (a bench --jobs worker), which keeps the busy processes within
+    the CPUs. A process that multiprocessing started has it imported."""
+    if n_problems < 4 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    mp = sys.modules.get("multiprocessing")
+    if cpus < 2 or threading.active_count() > 1 or (
+            mp is not None and mp.parent_process() is not None):
+        return 1
+    return min(cpus, n_problems // 2)
+
+
+def _run_piece(model, cfg):
+    """(results, None) from _solve on the piece `model` holds, or (None,
+    (evaluations, exception)) if it raised: the evaluation it raised in
+    orders it among the pieces' errors."""
+    try:
+        return _solve(model, cfg), None
+    except Exception as exc:
+        return None, (model.evaluations, exc)
+
+
+def _solve_forked(R_hat, A, cfg, width) -> list:
+    """_solve on a checked stack (R_hat, A) split into `width` contiguous
+    pieces: the first solved here, each other in a forked child that sends
+    back its _run_piece outcome, pickled, through a pipe and exits. The
+    results are _solve's on the whole stack, bit for bit, since a problem's
+    result does not depend on which problems share its stack. A piece whose
+    child exits without an outcome (killed, out of memory, an error that
+    does not pickle) is solved here. Of the pieces' errors, the one raised
+    is the one loop's: from the earliest evaluation and, among those, from
+    the first piece, which holds the lowest problem index; each names the
+    problem by its index in the whole stack. Every child is reaped before
+    this returns or raises, on an interrupt too."""
+    P = len(R_hat)
+    bounds = [P * k // width for k in range(width + 1)]
+    pieces = list(zip(bounds[:-1], bounds[1:]))
+
+    def model(lo, hi):
+        return _Model(R_hat[lo:hi], A[lo:hi], cfg, lo, P)
+
+    own = model(*pieces[0])    # before forking: its first call loads LAPACK
+    children = []              # (pid, read end of its pipe, piece) of each unreaped child
+    try:
+        for piece in pieces[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:        # no process to spare: the rest are solved here
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    with open(w, "wb") as out:
+                        out.write(pickle.dumps(_run_piece(model(*piece), cfg)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, r, piece))
+        outcomes = [_run_piece(own, cfg)]
+        while children:
+            pid, r, piece = children[0]
+            with open(r, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            written = os.waitpid(pid, 0)[1] == 0 and payload   # exit status 0
+            children.pop(0)
+            os.close(r)
+            outcomes.append(pickle.loads(payload) if written
+                            else _run_piece(model(*piece), cfg))
+        outcomes += [_run_piece(model(*piece), cfg) for piece in pieces[len(outcomes):]]
+    finally:
+        for pid, r, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+    errors = [(err[0], k, err[1]) for k, (_, err) in enumerate(outcomes) if err]
+    if errors:
+        raise min(errors, key=lambda e: e[:2])[2]
+    return [res for results, _ in outcomes for res in results]
 
 
 def _evaluate_at(p, s, data, dictionary, config):
@@ -431,9 +549,10 @@ def _evaluate_at(p, s, data, dictionary, config):
     single problem."""
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
         raise ConfigError("p and sigma must be finite")
-    model = _Model(data, dictionary, config)
-    if not model.single:
+    R_hat, A, single = _as_problems(data, dictionary)
+    if not single:
         raise ConfigError("the objective is evaluated for one problem, not a stack")
+    model = _Model(R_hat, A, config)
     (obj,), (t_sig,), (t_noi,) = model.evaluate(np.asarray(p)[None], np.asarray(s)[None])
     return obj, t_sig, t_noi, model.w_p[0], model.w_s[0]
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from dasdoa.arrays import ArrayGeometry, Dictionary, angle_grid, build_dictionary, \
-    half_wavelength_spacing, perturb_geometry, steering_matrix, steering_stack, \
-    uniform_line_array
+from dasdoa.arrays import MAX_GRID_POINTS, ArrayGeometry, Dictionary, angle_grid, \
+    build_dictionary, half_wavelength_spacing, perturb_geometry, steering_matrix, \
+    steering_stack, uniform_line_array
 from dasdoa.errors import ConfigError
 from dasdoa.frontend import FrequencyBinSet
 from dasdoa.simulate import SnapshotMatrix, SourceSpec, harmonic_lines
@@ -142,6 +142,20 @@ def test_angle_grid_endpoints_and_step():
     assert_allclose(np.diff(fine), 0.05)
 
 
+def test_a_long_grid_ends_on_its_sector():
+    # np.arange's running sum put the last point of these past 90 deg
+    for step, n in ((1e-3, 180001), (5e-4, 360001), (2e-4, 900001)):
+        grid = angle_grid((-90.0, 90.0), step)
+        assert (grid.size, grid[0], grid[-1]) == (n, -90.0, 90.0)
+    assert build_dictionary(uniform_line_array(3), 1000.0, (-90.0, 90.0),
+                            1e-3).angles[-1] == 90.0
+    # and left the last point of this one short of 90 deg
+    assert angle_grid((-90.0, 90.0), 3e-4)[-1] == 90.0
+    # the longest grid allowed
+    assert angle_grid((-90.0, 89.99982), 1.8e-4).size == MAX_GRID_POINTS
+    assert angle_grid((-90.0, 90.0), 0.1).size == 1801
+
+
 def test_angle_grid_validation():
     with pytest.raises(ConfigError):
         angle_grid((30.0, 10.0), 1.0)
@@ -213,9 +227,17 @@ def _dictionary(angles, rows, convention="broadside", elements=None):
      "dictionary angles must be 1-D, got shape (2, 5)"),
     (lambda: _dictionary(np.linspace(0.0, 90.0, 10), 4, "sideways"),
      "unknown convention 'sideways'; use one of ('broadside', 'endfire')"),
+    (lambda: uniform_line_array(2.5, 1.0), "element count must be an integer, got 2.5"),
+    (lambda: angle_grid((-90.0, 90.0), 1.8e-4),
+     "a grid step of 0.00018 deg makes 1000001 points over [-90.0, 90.0], more than "
+     "1000000"),
+    (lambda: angle_grid((-90.0, 90.0), 1e-9),
+     "a grid step of 1e-09 deg makes 180000000001 points over [-90.0, 90.0], more "
+     "than 1000000"),
 ], ids=["offsets-not-finite", "negative-perturbation", "nan-perturbation",
         "inf-perturbation", "dictionary-matrix-shape",
-        "dictionary-angles-not-1d", "dictionary-convention"])
+        "dictionary-angles-not-1d", "dictionary-convention", "elements-float",
+        "grid-too-long", "grid-step-1e-9"])
 def test_each_rejection_states_its_rule(call, message):
     with pytest.raises(ConfigError) as err:
         call()

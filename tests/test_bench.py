@@ -386,7 +386,20 @@ def test_a_configuration_fault_in_a_trial_ends_the_run(monkeypatch, scene, messa
 
 @pytest.mark.parametrize("call, message", [
     (lambda: ScenarioConfig(doas=()), "need at least one source angle"),
-], ids=["no-source"])
+    (lambda: ScenarioConfig(trials=2.5), "trial count must be an integer, got 2.5"),
+    (lambda: ScenarioConfig(trials=True), "trial count must be an integer, got True"),
+    (lambda: ScenarioConfig(n_elements=2.5), "element count must be an integer, got 2.5"),
+    (lambda: ScenarioConfig(pos_error_level=-0.1),
+     "position-error levels must be non-negative finite numbers, got [-0.1]"),
+    (lambda: ScenarioConfig(pos_error_level=np.nan),
+     "position-error levels must be non-negative finite numbers, got [nan]"),
+    (lambda: ScenarioConfig(sweep="pos_error", sweep_values=(0.1, -0.1, np.inf)),
+     "position-error levels must be non-negative finite numbers, got [-0.1, inf]"),
+    (lambda: ScenarioConfig(sweep="pos_error", sweep_values=(np.nan,)),
+     "position-error levels must be non-negative finite numbers, got [nan]"),
+], ids=["no-source", "trials-float", "trials-bool", "elements-float",
+        "pos-error-level-negative", "pos-error-level-nan", "pos-error-sweep-negative",
+        "pos-error-sweep-nan"])
 def test_each_rejection_states_its_rule(call, message):
     with pytest.raises(ConfigError) as err:
         call()

@@ -756,6 +756,31 @@ def test_grid_step_below_the_grid_rounding_exits_2(record, argv, config, step, r
     assert err == f"error: grid step {step} is below the grid's 1e-9 deg rounding\n"
 
 
+@pytest.mark.parametrize("record, argv, config, message", [
+    (0, ["estimate", "--frequency", "3000", "--k", "2", "--step", "1e-9"], {},
+     "a grid step of 1e-09 deg makes 180000000001 points over [-90.0, 90.0], more "
+     "than 1000000"),
+    (None, ["bench", "--preset", "table2", "--trials", "1", "--methods", "cbf",
+            "--sweep-values=-0.1"], {},
+     "position-error levels must be non-negative finite numbers, got [-0.1]"),
+    (None, ["bench", "--preset", "table4", "--trials", "1", "--methods", "cbf",
+            "--sweep-values", "9"], {"pos_error_level": -0.25},
+     "position-error levels must be non-negative finite numbers, got [-0.25]"),
+], ids=["estimate-grid-too-long", "bench-pos-error-negative", "bench-pos-error-level"])
+def test_a_grid_too_long_or_a_bad_scenario_exits_2(record, argv, config, message,
+                                                    records, tmp_path):
+    # a traceback (numpy's allocation error), or a sweep run with no
+    # position error at all, at exit 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = argv + ["--config", str(cfg)]
+    if record is not None:
+        argv += ["--input", str(records[record])]
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("key, flag, value", [
     ("select_bins", "--select-bins", 2), ("n_fft", "--n-fft", 256),
     ("band", "--band", (100.0, 1000.0))], ids=["select_bins", "n_fft", "band"])

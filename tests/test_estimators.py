@@ -1,5 +1,12 @@
+import contextlib
 import json
+import multiprocessing
+import os
 import pathlib
+import signal
+import threading
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +19,7 @@ from dasdoa.arrays import ArrayGeometry, Dictionary, build_dictionary, full_sect
 from dasdoa.errors import ConfigError, DegenerateInputError, EstimationError, \
     SingularModelError, ToolkitError
 from dasdoa.estimators import DB_FLOOR, SolverConfig, SpatialSpectrum, _Model, \
-    _block_minimize, _pick, cbf_spectrum, check_estimator, fixed_grid_powers, \
+    _as_problems, _block_minimize, _pick, cbf_spectrum, check_estimator, fixed_grid_powers, \
     fixed_grid_spectrum, kkt_residual, music_spectrum, objective_value, peak_pick, \
     qspice_solve
 
@@ -305,6 +312,215 @@ def test_stack_with_a_singular_problem_names_it(monkeypatch):
     _assert_singular_model_error(err.value)
 
 
+def _stack(rng, n, m, g, shared):
+    """(covariances (n, m, m), the dictionary argument) of a random stack,
+    on one shared matrix or a steering stack."""
+    A = np.exp(-1j * np.pi * rng.uniform(0.5, 1.5, (n, m, 1))
+               * np.arange(m)[:, None] * np.sin(np.linspace(-1.4, 1.4, g)))
+    y = rng.standard_normal((n, m, 20)) + 1j * rng.standard_normal((n, m, 20))
+    return y @ y.conj().transpose(0, 2, 1) / 20, A[0] if shared else A
+
+
+@contextlib.contextmanager
+def _cpus(n):
+    """Make the solver see n CPUs in this process's affinity, and count
+    the forks it makes: yields the list of forked pids."""
+    forks, real = [], os.fork
+
+    def counted():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n))), \
+            mock.patch.object(os, "fork", counted):
+        yield forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 12), m=st.integers(3, 8),
+       g=st.integers(1, 40), r=st.floats(1.0, 3.0), q=st.floats(1.0, 2.0),
+       max_iter=st.sampled_from([3, 12, 500]), shared=st.booleans())
+def test_a_split_stack_has_the_bits_of_the_serial_solve(seed, n, m, g, r, q, max_iter,
+                                                        shared):
+    # pieces on 2, 3 or 5 CPUs give every field of the one loop's result,
+    # and of each problem's, bit for bit; a max_iter of 3 or 12 caps some
+    covs, dictionary = _stack(np.random.default_rng(seed), n, m, g, shared)
+    cfg = SolverConfig(r=r, q=q, max_iter=max_iter)
+    with _cpus(1) as forks:
+        serial = qspice_solve(covs, dictionary, cfg)
+    assert not forks
+    for cpus in (2, 3, 5):
+        with _cpus(cpus) as forks:
+            split = qspice_solve(covs, dictionary, cfg)
+        assert len(forks) == (min(cpus, n // 2) - 1 if n >= 4 else 0)
+        for res, ref in zip(split.problems + (split,), serial.problems + (serial,)):
+            assert _same_bits(res.powers.signal, ref.powers.signal)
+            assert _same_bits(res.powers.noise, ref.powers.noise)
+            assert _same_bits(res.trace, ref.trace)
+            assert _same_bits(res.floor, ref.floor)
+            assert (res.n_iter, res.converged) == (ref.n_iter, ref.converged)
+        assert len(split.problems) == len(serial.problems) == n
+    _assert_no_child_left()
+
+
+def _fail_on_content(fails):
+    """Patch the solver's potrf to report a non-positive-definite 2nd
+    leading minor at the given evaluations of the given problems, which
+    it tells apart by their scale (see _tagged): {problem: evaluation}.
+    It counts each problem's own calls, which a forked child counts alike."""
+    real, calls = estimators.get_lapack_funcs, {}
+
+    def lapack(names, **kwargs):
+        potrf, potrs = real(names, **kwargs)
+
+        def failing_potrf(a, *flags):
+            tag = round(np.log10(abs(a[0, 0])) / 6)
+            calls[tag] = calls.get(tag, 0) + 1
+            return (a, 2) if fails.get(tag) == calls[tag] else potrf(a, *flags)
+        return failing_potrf, potrs
+
+    return mock.patch.object(estimators, "get_lapack_funcs", lapack)
+
+
+def _tagged(covs, problems):
+    """The stack with problem problems[k] scaled by 1e6 ** (k + 1), so that
+    its model covariance's first entry tells it apart."""
+    covs = covs.copy()
+    for k, i in enumerate(problems):
+        covs[i] *= 1e6 ** (k + 1)
+    return covs
+
+
+@pytest.mark.parametrize("fails, named", [
+    ({6: 1}, 6), ({1: 3, 6: 1}, 6), ({1: 2, 6: 2}, 1), ({6: 2, 1: 5}, 6),
+    ({1: 2}, 1), ({7: 4, 5: 4}, 5)],
+    ids=["child", "child-earlier", "tie-lowest-index", "child-first", "parent",
+         "two-in-a-child"])
+def test_a_split_stack_raises_the_serial_solves_error(fails, named):
+    # problems tagged by content fail at given evaluations, in the parent's
+    # piece (0-3), a child's (4-7) or both: the split raises the serial
+    # solve's error, from the earliest evaluation and then the lowest index,
+    # and names the problem by its index in the whole stack
+    covs, A = _stack(np.random.default_rng(4), 8, 5, 9, False)
+    covs = _tagged(covs, sorted(fails))
+    fails = {k + 1: fails[i] for k, i in enumerate(sorted(fails))}
+    errors = []
+    for cpus in (1, 2):
+        with _cpus(cpus) as forks, _fail_on_content(fails), \
+                pytest.raises(SingularModelError) as err:
+            qspice_solve(covs, A, SolverConfig(max_iter=10))
+        assert len(forks) == cpus - 1
+        errors.append(err.value)
+        _assert_no_child_left()
+    assert type(errors[0]) is type(errors[1])
+    assert str(errors[0]) == str(errors[1]) == (
+        f"2-th leading minor of the array is not positive definite (problem {named})")
+
+
+@pytest.mark.parametrize("end", ["exit-0", "exit-3", "sigkill"])
+def test_a_child_that_ends_without_a_result_is_solved_here(end):
+    # a child that exits or is killed before it writes its outcome: its
+    # piece is solved in this process, with the same bits
+    covs, A = _stack(np.random.default_rng(2), 9, 6, 30, False)
+    with _cpus(1):
+        serial = qspice_solve(covs, A)
+    parent, real = os.getpid(), estimators._run_piece
+
+    def dying(model, cfg):
+        if os.getpid() != parent:
+            if end == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(3 if end == "exit-3" else 0)
+        return real(model, cfg)
+
+    with _cpus(3) as forks, mock.patch.object(estimators, "_run_piece", dying):
+        split = qspice_solve(covs, A)
+    assert len(forks) == 2
+    _assert_no_child_left()
+    assert _same_bits(split.powers.signal, serial.powers.signal)
+    assert _same_bits(split.trace, serial.trace)
+    assert [res.n_iter for res in split.problems] == [res.n_iter for res in serial.problems]
+
+
+def test_a_failed_fork_solves_the_piece_here():
+    covs, A = _stack(np.random.default_rng(2), 8, 6, 30, True)
+    with _cpus(1):
+        serial = qspice_solve(covs, A)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    with _cpus(4), mock.patch.object(os, "fork", no_fork):
+        split = qspice_solve(covs, A)
+    assert _same_bits(split.powers.signal, serial.powers.signal)
+    assert _same_bits(split.trace, serial.trace)
+
+
+def test_an_interrupt_in_this_process_reaps_every_child():
+    # the children, still busy for 30 s, are killed rather than awaited
+    covs, A = _stack(np.random.default_rng(2), 8, 6, 30, False)
+    parent, real = os.getpid(), estimators._solve
+
+    def interrupted(model, cfg):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)
+        return real(model, cfg)
+
+    t0 = time.perf_counter()
+    with _cpus(4) as forks, mock.patch.object(estimators, "_solve", interrupted), \
+            pytest.raises(KeyboardInterrupt):
+        qspice_solve(covs, A)
+    assert len(forks) == 3 and time.perf_counter() - t0 < 20
+    _assert_no_child_left()
+
+
+def _forks_in_a_multiprocessing_child(conn):
+    covs, A = _stack(np.random.default_rng(1), 8, 4, 10, True)
+    with _cpus(2) as forks:
+        qspice_solve(covs, A)
+    conn.send(len(forks))
+
+
+def test_the_solver_forks_only_where_it_may():
+    covs, A = _stack(np.random.default_rng(1), 8, 4, 10, True)
+    with _cpus(2) as forks:
+        qspice_solve(covs, A)             # the control: 2 CPUs, 8 problems
+        qspice_solve(covs[:3], A)         # too few problems
+        qspice_solve(covs[0], A)          # one problem
+    assert len(forks) == 1
+    with _cpus(1) as forks:
+        qspice_solve(covs, A)
+    assert not forks
+    # a second thread alive
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with _cpus(2) as forks:
+            qspice_solve(covs, A)
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive() and not forks
+    # a process that multiprocessing started, such as a bench --jobs worker
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_forks_in_a_multiprocessing_child, args=(send,))
+    proc.start()
+    assert receive.poll(60) and receive.recv() == 0
+    proc.join(10)
+    assert proc.exitcode == 0
+    _assert_no_child_left()
+
+
 def test_fixed_grid_spice_is_the_solver_at_r1_q1():
     # spice keeps the caller's max_iter and rel_tol and sets r = q = 1
     z, *_ = next(_oracle_instances())
@@ -463,7 +679,7 @@ def test_fixed_grid_powers_check_every_problem(name):
 def test_spice_weights_convention():
     a = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
     r_hat = 2.0 * np.eye(2, dtype=complex)
-    model = _Model(r_hat, a)
+    model = _Model(*_as_problems(r_hat, a)[:2])
     assert_allclose(model.w_p, [[2.0 / 4.0, 2.0 / 4.0]])   # ||a_g||^2 / tr
     assert_allclose(model.w_s, [[0.25, 0.25]])             # 1 / tr
 
