@@ -34,10 +34,13 @@ view), and a (P, M, G) array (arrays.steering_stack) gives each its own.
 qspice_solve has one path: the P problems share one loop, in which each
 numpy step is one call for all of them, and each problem leaves the stack
 at the iteration its own solve stops at, so its result is that of its
-solve as the stack of one, bit for bit. It starts every problem from its
-CBF spectrum and returns powers, power floors and, per problem, the
-objective of each evaluation it ran in, its iteration count and whether it
-converged; a spectrum on a Dictionary's angles is fixed_grid_spectrum's.
+solve as the stack of one, bit for bit. So a stack of four or more can
+run in contiguous pieces on the process's CPUs, each piece the same loop
+in a forked child or the calling process, with the same results and
+errors (_solve_forked). It starts every problem from its CBF spectrum
+and returns powers, power floors and, per problem, the objective of each
+evaluation it ran in, its iteration count and whether it converged; a
+spectrum on a Dictionary's angles is fixed_grid_spectrum's.
 ESTIMATORS is the registry: each estimator's entry says what it needs and
 reads, and every dispatch on an estimator, its picks too, reads the entry.
 """
