@@ -182,10 +182,12 @@ def angle_grid(sector: tuple[float, float], step: float) -> np.ndarray:
     positive_finite(step, "grid step")
     if step < 1e-9:
         raise ConfigError(f"grid step {step} is below the grid's 1e-9 deg rounding")
-    n = int((hi - lo) / step + 1e-9) + 1
-    if n > MAX_GRID_POINTS:
-        raise ConfigError(f"a grid step of {step} deg makes {n} points over "
+    span = (hi - lo) / step + 1e-9      # the grid has int(span) + 1 points
+    if not span < MAX_GRID_POINTS:      # inf where hi - lo overflows
+        count = int(span) + 1 if np.isfinite(span) else "over 1e308"
+        raise ConfigError(f"a grid step of {step} deg makes {count} points over "
                           f"[{lo}, {hi}], more than {MAX_GRID_POINTS}")
+    n = int(span) + 1
     # i * step, not np.arange's running sum of (lo + step) - lo, which drifts
     # past hi on a long grid
     return (lo + np.arange(n) * step).round(9)

@@ -34,10 +34,10 @@ view), and a (P, M, G) array (arrays.steering_stack) gives each its own.
 qspice_solve has one path: the P problems share one loop, in which each
 numpy step is one call for all of them, and each problem leaves the stack
 at the iteration its own solve stops at, so its result is that of its
-solve as the stack of one, bit for bit. So a stack of four or more can
-run in contiguous pieces on the process's CPUs, each piece the same loop
-in a forked child or the calling process, with the same results and
-errors (_solve_forked). It starts every problem from its CBF spectrum
+solve as the stack of one, bit for bit. So a stack of 2 * SPLIT_MIN or
+more can run in contiguous pieces on the process's CPUs, each piece the
+same loop in a forked child or the calling process, with the same results
+and errors (_solve_forked). It starts every problem from its CBF spectrum
 and returns powers, power floors and, per problem, the objective of each
 evaluation it ran in, its iteration count and whether it converged; a
 spectrum on a Dictionary's angles is fixed_grid_spectrum's.
@@ -49,9 +49,10 @@ from __future__ import annotations
 import functools
 import os
 import pickle
+import select
 import signal
 import sys
-import threading
+import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -61,6 +62,13 @@ from .errors import ConfigError, DegenerateInputError, SingularModelError
 
 DB_FLOOR = 1e-300
 CBF_GUARD = 1.0     # the least separation in degrees of CBF's picks, by default
+# the fewest problems a forked piece of a stacked solve holds: on 2 CPUs,
+# splitting stacks of 4-12 problems in halves lost in 23 of 81 measured
+# calls, and stacks of 13-20 in none of 30 (BENCH_split_solve.json)
+SPLIT_MIN = 7
+# how long a split solve awaits its children once it has solved its own
+# piece: (seconds, factor), 1 s plus 10 times that piece's time
+CHILD_WAIT = (1.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -387,9 +395,9 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None) -> Solver
     problems run in one loop, each leaving it at the iteration its own solve
     stops at: `problems` holds their results, powers.signal is (P, G),
     n_iter the sum of their iterations and converged whether all converged.
-    A stack of P >= 4 runs in contiguous pieces on the process's CPUs
-    (_split_width, _solve_forked), with the results and errors of the one
-    loop.
+    A stack of P >= 2 * SPLIT_MIN runs in contiguous pieces on the
+    process's CPUs (_split_width, _solve_forked), with the results and
+    errors of the one loop.
     """
     cfg = config or SolverConfig()
     R_hat, A, single = _as_problems(data, dictionary)
@@ -458,21 +466,32 @@ def _solve(model, cfg) -> list:
 
 
 def _split_width(n_problems) -> int:
-    """How many pieces a stack of n_problems runs in: min(CPUs, P // 2),
-    so that each holds at least two problems, where the process may fork,
-    else 1. The CPUs are those of the process's affinity (so `taskset -c 0`
-    runs serially). It forks only with one thread running, since a fork
-    copies no other thread, and not in a process that multiprocessing
+    """How many pieces a stack of n_problems runs in: min(CPUs, P //
+    SPLIT_MIN), so that each holds at least SPLIT_MIN problems, where the
+    process may fork, else 1. The CPUs are those of the process's affinity (so `taskset -c 0`
+    runs serially). It forks only while the process runs one OS thread,
+    since a fork copies no other thread: a Python thread, a BLAS or OpenMP
+    pool (OpenBLAS's, unless OPENBLAS_NUM_THREADS=1) or any other keeps
+    the solve serial. Nor does it fork in a process that multiprocessing
     started (a bench --jobs worker), which keeps the busy processes within
     the CPUs. A process that multiprocessing started has it imported."""
-    if n_problems < 4 or not hasattr(os, "sched_getaffinity"):
+    if n_problems < 2 * SPLIT_MIN or not hasattr(os, "sched_getaffinity"):
         return 1
     cpus = len(os.sched_getaffinity(0))
     mp = sys.modules.get("multiprocessing")
-    if cpus < 2 or threading.active_count() > 1 or (
+    if cpus < 2 or _os_threads() != 1 or (
             mp is not None and mp.parent_process() is not None):
         return 1
-    return min(cpus, n_problems // 2)
+    return min(cpus, n_problems // SPLIT_MIN)
+
+
+def _os_threads() -> int:
+    """The OS threads this process runs (Linux's /proc/self/task), native
+    ones too; 0 where that is unknown."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
 
 
 def _run_piece(model, cfg):
@@ -492,11 +511,13 @@ def _solve_forked(R_hat, A, cfg, width) -> list:
     results are _solve's on the whole stack, bit for bit, since a problem's
     result does not depend on which problems share its stack. A piece whose
     child exits without an outcome (killed, out of memory, an error that
-    does not pickle) is solved here. Of the pieces' errors, the one raised
-    is the one loop's: from the earliest evaluation and, among those, from
-    the first piece, which holds the lowest problem index; each names the
-    problem by its index in the whole stack. Every child is reaped before
-    this returns or raises, on an interrupt too."""
+    does not pickle), or has not sent it by CHILD_WAIT after this process
+    has solved its own piece, is solved here; such a child is killed. Of
+    the pieces' errors, the one raised is the one loop's: from the earliest
+    evaluation and, among those, from the first piece, which holds the
+    lowest problem index; each names the problem by its index in the whole
+    stack. Every child is reaped before this returns or raises, on an
+    interrupt too."""
     P = len(R_hat)
     bounds = [P * k // width for k in range(width + 1)]
     pieces = list(zip(bounds[:-1], bounds[1:]))
@@ -525,15 +546,20 @@ def _solve_forked(R_hat, A, cfg, width) -> list:
                     os._exit(status)
             os.close(w)
             children.append((pid, r, piece))
+        start = time.monotonic()
         outcomes = [_run_piece(own, cfg)]
+        seconds, factor = CHILD_WAIT
+        now = time.monotonic()
+        payloads = _read_to_end([r for _, r, _ in children],
+                                now + seconds + factor * (now - start))
         while children:
             pid, r, piece = children[0]
-            with open(r, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            written = os.waitpid(pid, 0)[1] == 0 and payload   # exit status 0
+            if payloads[r] is None:        # no outcome by the deadline
+                os.kill(pid, signal.SIGKILL)
+            written = os.waitpid(pid, 0)[1] == 0 and payloads[r]   # exit status 0
             children.pop(0)
             os.close(r)
-            outcomes.append(pickle.loads(payload) if written
+            outcomes.append(pickle.loads(written) if written
                             else _run_piece(model(*piece), cfg))
         outcomes += [_run_piece(model(*piece), cfg) for piece in pieces[len(outcomes):]]
     finally:
@@ -545,6 +571,29 @@ def _solve_forked(R_hat, A, cfg, width) -> list:
     if errors:
         raise min(errors, key=lambda e: e[:2])[2]
     return [res for results, _ in outcomes for res in results]
+
+
+def _read_to_end(fds, deadline) -> dict:
+    """The bytes each pipe of fds holds up to its end, read until the
+    time.monotonic() deadline: None for a pipe whose end did not come."""
+    chunks = {fd: [] for fd in fds}
+    poll = select.poll()
+    for fd in fds:
+        poll.register(fd, select.POLLIN)
+    left = set(fds)
+    while left:
+        wait = deadline - time.monotonic()
+        ready = poll.poll(int(wait * 1000) + 1 if wait > 0 else 0)
+        if not ready:
+            break
+        for fd, _ in ready:
+            chunk = os.read(fd, 1 << 20)
+            if chunk:
+                chunks[fd].append(chunk)
+            else:                  # end of pipe: the child closed it
+                poll.unregister(fd)
+                left.discard(fd)
+    return {fd: None if fd in left else b"".join(chunks[fd]) for fd in fds}
 
 
 def _evaluate_at(p, s, data, dictionary, config):

@@ -234,10 +234,13 @@ def _dictionary(angles, rows, convention="broadside", elements=None):
     (lambda: angle_grid((-90.0, 90.0), 1e-9),
      "a grid step of 1e-09 deg makes 180000000001 points over [-90.0, 90.0], more "
      "than 1000000"),
+    (lambda: angle_grid((-1e308, 1e308), 1.0),
+     "a grid step of 1.0 deg makes over 1e308 points over [-1e+308, 1e+308], "
+     "more than 1000000"),
 ], ids=["offsets-not-finite", "negative-perturbation", "nan-perturbation",
         "inf-perturbation", "dictionary-matrix-shape",
         "dictionary-angles-not-1d", "dictionary-convention", "elements-float",
-        "grid-too-long", "grid-step-1e-9"])
+        "grid-too-long", "grid-step-1e-9", "grid-span-overflows"])
 def test_each_rejection_states_its_rule(call, message):
     with pytest.raises(ConfigError) as err:
         call()

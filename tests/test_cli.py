@@ -760,13 +760,18 @@ def test_grid_step_below_the_grid_rounding_exits_2(record, argv, config, step, r
     (0, ["estimate", "--frequency", "3000", "--k", "2", "--step", "1e-9"], {},
      "a grid step of 1e-09 deg makes 180000000001 points over [-90.0, 90.0], more "
      "than 1000000"),
+    (0, ["estimate", "--frequency", "3000", "--k", "2", "--sector=-1e308,1e308",
+         "--step", "1"], {},
+     "a grid step of 1.0 deg makes over 1e308 points over [-1e+308, 1e+308], more "
+     "than 1000000"),
     (None, ["bench", "--preset", "table2", "--trials", "1", "--methods", "cbf",
             "--sweep-values=-0.1"], {},
      "position-error levels must be non-negative finite numbers, got [-0.1]"),
     (None, ["bench", "--preset", "table4", "--trials", "1", "--methods", "cbf",
             "--sweep-values", "9"], {"pos_error_level": -0.25},
      "position-error levels must be non-negative finite numbers, got [-0.25]"),
-], ids=["estimate-grid-too-long", "bench-pos-error-negative", "bench-pos-error-level"])
+], ids=["estimate-grid-too-long", "estimate-grid-span-overflows",
+        "bench-pos-error-negative", "bench-pos-error-level"])
 def test_a_grid_too_long_or_a_bad_scenario_exits_2(record, argv, config, message,
                                                     records, tmp_path):
     # a traceback (numpy's allocation error), or a sweep run with no

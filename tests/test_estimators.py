@@ -1,4 +1,5 @@
 import contextlib
+import faulthandler
 import json
 import multiprocessing
 import os
@@ -322,10 +323,14 @@ def _stack(rng, n, m, g, shared):
 
 
 @contextlib.contextmanager
-def _cpus(n):
-    """Make the solver see n CPUs in this process's affinity, and count
-    the forks it makes: yields the list of forked pids."""
-    forks, real = [], os.fork
+def _cpus(n, split_min=2):
+    """Make the solver see n CPUs in this process's affinity and split
+    stacks into pieces of at least split_min problems, and count the forks
+    it makes: yields the list of forked pids. The OS threads alive on entry
+    (an unpinned OpenBLAS's pools) count as none, so a thread started
+    inside counts as a second."""
+    forks, real, threads = [], os.fork, estimators._os_threads
+    extra = threads() - 1
 
     def counted():
         pid = real()
@@ -334,7 +339,9 @@ def _cpus(n):
         return pid
 
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n))), \
-            mock.patch.object(os, "fork", counted):
+            mock.patch.object(os, "fork", counted), \
+            mock.patch.object(estimators, "_os_threads", lambda: threads() - extra), \
+            mock.patch.object(estimators, "SPLIT_MIN", split_min):
         yield forks
 
 
@@ -449,6 +456,29 @@ def test_a_child_that_ends_without_a_result_is_solved_here(end):
     assert [res.n_iter for res in split.problems] == [res.n_iter for res in serial.problems]
 
 
+def test_a_child_that_sends_nothing_in_time_is_killed_and_solved_here():
+    # a child stuck for 60 s is killed once this process has waited
+    # CHILD_WAIT after its own piece; its piece is solved here
+    covs, A = _stack(np.random.default_rng(2), 8, 6, 30, False)
+    with _cpus(1):
+        serial = qspice_solve(covs, A)
+    parent, real = os.getpid(), estimators._run_piece
+
+    def stuck(model, cfg):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return real(model, cfg)
+
+    t0 = time.perf_counter()
+    with _cpus(2) as forks, mock.patch.object(estimators, "_run_piece", stuck), \
+            mock.patch.object(estimators, "CHILD_WAIT", (0.5, 0.0)):
+        split = qspice_solve(covs, A)
+    assert len(forks) == 1 and time.perf_counter() - t0 < 30
+    _assert_no_child_left()
+    assert _same_bits(split.powers.signal, serial.powers.signal)
+    assert _same_bits(split.trace, serial.trace)
+
+
 def test_a_failed_fork_solves_the_piece_here():
     covs, A = _stack(np.random.default_rng(2), 8, 6, 30, True)
     with _cpus(1):
@@ -496,20 +526,39 @@ def test_the_solver_forks_only_where_it_may():
         qspice_solve(covs[:3], A)         # too few problems
         qspice_solve(covs[0], A)          # one problem
     assert len(forks) == 1
+    # at the module's own SPLIT_MIN, on 2 CPUs
+    more, _ = _stack(np.random.default_rng(1), 2 * estimators.SPLIT_MIN, 4, 10, True)
+    with _cpus(2, estimators.SPLIT_MIN) as forks:
+        qspice_solve(more[:-1], A)
+    assert not forks
+    with _cpus(2, estimators.SPLIT_MIN) as forks:
+        qspice_solve(more, A)
+    assert len(forks) == 1
     with _cpus(1) as forks:
         qspice_solve(covs, A)
     assert not forks
-    # a second thread alive
+    # a second thread alive: a Python thread, or a native one, such as
+    # faulthandler's watchdog (or a BLAS pool), which threading does not list
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        with _cpus(2) as forks:
+    with _cpus(2) as forks:
+        thread.start()
+        try:
             qspice_solve(covs, A)
-    finally:
-        release.set()
-        thread.join(10)
+        finally:
+            release.set()
+            thread.join(10)
     assert not thread.is_alive() and not forks
+    python_threads = threading.active_count()
+    with _cpus(2) as forks:
+        faulthandler.dump_traceback_later(600)
+        try:
+            assert threading.active_count() == python_threads
+            qspice_solve(covs, A)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+    assert not forks
+    assert estimators._os_threads() >= threading.active_count()
     # a process that multiprocessing started, such as a bench --jobs worker
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
