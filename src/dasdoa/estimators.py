@@ -469,12 +469,15 @@ def _split_width(n_problems) -> int:
     """How many pieces a stack of n_problems runs in: min(CPUs, P //
     SPLIT_MIN), so that each holds at least SPLIT_MIN problems, where the
     process may fork, else 1. The CPUs are those of the process's affinity (so `taskset -c 0`
-    runs serially). It forks only while the process runs one OS thread,
-    since a fork copies no other thread: a Python thread, a BLAS or OpenMP
-    pool (OpenBLAS's, unless OPENBLAS_NUM_THREADS=1) or any other keeps
-    the solve serial. Nor does it fork in a process that multiprocessing
-    started (a bench --jobs worker), which keeps the busy processes within
-    the CPUs. A process that multiprocessing started has it imported."""
+    runs serially), and no more than this process and the CPUs that no
+    other runnable task holds (_spare_cpus), since a piece that waits for
+    a busy CPU costs more than it saves. It forks only while the process
+    runs one OS thread, since a fork copies no other thread: a Python
+    thread, a BLAS or OpenMP pool (OpenBLAS's, unless
+    OPENBLAS_NUM_THREADS=1) or any other keeps the solve serial. Nor does
+    it fork in a process that multiprocessing started (a bench --jobs
+    worker), which keeps the busy processes within the CPUs. A process
+    that multiprocessing started has it imported."""
     if n_problems < 2 * SPLIT_MIN or not hasattr(os, "sched_getaffinity"):
         return 1
     cpus = len(os.sched_getaffinity(0))
@@ -482,7 +485,7 @@ def _split_width(n_problems) -> int:
     if cpus < 2 or _os_threads() != 1 or (
             mp is not None and mp.parent_process() is not None):
         return 1
-    return min(cpus, n_problems // SPLIT_MIN)
+    return max(1, min(cpus, n_problems // SPLIT_MIN, 1 + _spare_cpus()))
 
 
 def _os_threads() -> int:
@@ -492,6 +495,18 @@ def _os_threads() -> int:
         return len(os.listdir("/proc/self/task"))
     except OSError:
         return 0
+
+
+def _spare_cpus() -> int:
+    """The CPUs that no runnable task but this one holds now: the online
+    CPUs less the runnable tasks of /proc/loadavg, this one among them;
+    0 where that is unknown."""
+    try:
+        with open("/proc/loadavg") as f:
+            runnable = int(f.read().split()[3].split("/")[0])
+    except (OSError, ValueError, IndexError):
+        return 0
+    return (os.cpu_count() or 1) - runnable
 
 
 def _run_piece(model, cfg):

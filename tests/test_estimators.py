@@ -324,9 +324,9 @@ def _stack(rng, n, m, g, shared):
 
 @contextlib.contextmanager
 def _cpus(n, split_min=2):
-    """Make the solver see n CPUs in this process's affinity and split
-    stacks into pieces of at least split_min problems, and count the forks
-    it makes: yields the list of forked pids. The OS threads alive on entry
+    """Make the solver see n CPUs in this process's affinity, n - 1 of
+    them idle, and split stacks into pieces of at least split_min
+    problems, and count the forks it makes: yields the list of forked pids. The OS threads alive on entry
     (an unpinned OpenBLAS's pools) count as none, so a thread started
     inside counts as a second."""
     forks, real, threads = [], os.fork, estimators._os_threads
@@ -341,7 +341,8 @@ def _cpus(n, split_min=2):
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n))), \
             mock.patch.object(os, "fork", counted), \
             mock.patch.object(estimators, "_os_threads", lambda: threads() - extra), \
-            mock.patch.object(estimators, "SPLIT_MIN", split_min):
+            mock.patch.object(estimators, "SPLIT_MIN", split_min), \
+            mock.patch.object(estimators, "_spare_cpus", lambda: n - 1):
         yield forks
 
 
@@ -537,6 +538,13 @@ def test_the_solver_forks_only_where_it_may():
     with _cpus(1) as forks:
         qspice_solve(covs, A)
     assert not forks
+    # 4 CPUs, as many runnable tasks as spare CPUs, or but one spare CPU
+    for spare, n_forks in ((0, 0), (-2, 0), (1, 1)):
+        with _cpus(4) as forks, mock.patch.object(estimators, "_spare_cpus",
+                                                  lambda: spare):
+            qspice_solve(covs, A)
+        assert len(forks) == n_forks
+    assert estimators._spare_cpus() <= os.cpu_count() - 1    # this one runs
     # a second thread alive: a Python thread, or a native one, such as
     # faulthandler's watchdog (or a BLAS pool), which threading does not list
     release = threading.Event()
