@@ -8,9 +8,9 @@ against CBF and MUSIC baselines, and a small physics utility models the
 pressure sensitivity of a spiral-wound sensing cable.
 """
 
-from .arrays import ArrayGeometry, Dictionary, angle_grid, build_dictionary, \
+from .arrays import ArrayGeometry, Steering, angle_grid, build_dictionary, \
     half_wavelength_spacing, perturb_geometry, steering_matrix, \
-    steering_stack, uniform_line_array
+    uniform_line_array
 from .bench import BenchResult, BenchRow, PRESETS, ScenarioConfig, \
     pair_errors, rmse, run_monte_carlo, run_trial, success_ratio, \
     timing_ratios

@@ -8,7 +8,11 @@ alpha_0 = 0. A steering vector at frequency f and direction theta has entries
 
 with cos(theta) replacing sin(theta) in the endfire convention. Broadside
 angles live in [-90, 90] degrees, endfire angles in [0, 180] degrees; the
-convention is fixed per dictionary.
+convention is fixed per steering.
+
+`Steering` is the one steering type: the geometry, its P frequencies, one
+angle grid or P of them and the convention, with the (P, M, G) matrix that
+steering_matrix builds from them, row by row, when it is made.
 
 `ArrayGeometry.lags_are_offsets` says whether every element pair's lag is
 itself an offset, which is the uniform line array: there a steering
@@ -20,6 +24,7 @@ must be positive and finite, `integer` that a count is a whole number, and
 """
 from __future__ import annotations
 
+import copy
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,6 +37,10 @@ CONVENTIONS = ("broadside", "endfire")
 # the most points an angle grid may have: a step of 1.8e-4 deg over the full
 # sector; a 12-element steering matrix on it takes 192 MB
 MAX_GRID_POINTS = 10 ** 6
+# the most complex values a Steering's matrix may hold, P x M x G: 512 MiB,
+# 2.8 times a 12-element matrix on the longest grid; a solve on it holds
+# several more arrays of its size
+MAX_STEERING_VALUES = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -144,28 +153,6 @@ def steering_matrix(geometry: ArrayGeometry, frequency: float,
     return np.exp(-1j * phase)
 
 
-def steering_stack(geometry: ArrayGeometry, frequencies, angles,
-                   convention: str = "broadside") -> np.ndarray:
-    """Contiguous (P, M, G) stack of steering_matrix at frequencies[i] on
-    the grid angles[i]; a scalar frequency or one (G,) grid is shared by
-    every row."""
-    freqs = np.asarray(frequencies, dtype=float)
-    grids = np.asarray(angles, dtype=float)
-    if freqs.ndim > 1 or grids.ndim > 2:
-        raise ConfigError("a steering stack takes a frequency or P of them, and "
-                          "a (G,) grid or a (P, G) stack of grids")
-    grids = np.atleast_2d(grids)
-    try:
-        (P,) = np.broadcast_shapes(freqs.shape, grids.shape[:1])
-    except ValueError:
-        raise ConfigError(f"{freqs.size} frequencies for {len(grids)} grids") from None
-    grids = np.broadcast_to(grids, (P, grids.shape[1]))
-    A = np.empty((P, geometry.n_elements, grids.shape[1]), dtype=complex)
-    for i, (f, grid) in enumerate(zip(np.broadcast_to(freqs, P).tolist(), grids)):
-        A[i] = steering_matrix(geometry, f, grid, convention)
-    return A
-
-
 def angle_grid(sector: tuple[float, float], step: float) -> np.ndarray:
     """Regular grid over [sector[0], sector[1]] inclusive of both ends: the
     points lo + i step, as many as fit within 1e-9 of a step past hi.
@@ -193,37 +180,58 @@ def angle_grid(sector: tuple[float, float], step: float) -> np.ndarray:
     return (lo + np.arange(n) * step).round(9)
 
 
-@dataclass(frozen=True)
-class Dictionary:
-    """Steering dictionary: angles (deg), matrix A (M x G), and its provenance.
-    Rejects a convention outside CONVENTIONS, angles that are not 1-D and a
-    matrix that is not geometry.n_elements by angles.size."""
+@dataclass(frozen=True, eq=False)       # equal and hashed by identity: no array compares
+class Steering:
+    """Steering vectors of `geometry`: matrix[i] (M, G) is steering_matrix
+    at frequencies[i] on `angles`, one (G,) grid or row i of a (P, G) stack;
+    a frequency or grid given once is shared by every row. The read-only
+    matrix is built once, a steering_matrix call per row; steering[rows]
+    (an index array or a slice) takes rows of it and builds none. A matrix
+    of over MAX_STEERING_VALUES values is rejected before it is allocated."""
 
-    angles: np.ndarray
-    matrix: np.ndarray
-    frequency: float
-    convention: str
     geometry: ArrayGeometry = field(repr=False)
+    frequencies: np.ndarray
+    angles: np.ndarray
+    convention: str = "broadside"
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.convention not in CONVENTIONS:
-            raise ConfigError(f"unknown convention {self.convention!r}; "
-                              f"use one of {CONVENTIONS}")
-        if np.ndim(self.angles) != 1:
-            raise ConfigError(f"dictionary angles must be 1-D, got shape "
-                              f"{np.shape(self.angles)}")
-        shape = (self.geometry.n_elements, np.size(self.angles))
-        if np.shape(self.matrix) != shape:
-            raise ConfigError(f"dictionary matrix shape {np.shape(self.matrix)} != "
-                              f"{shape}: one row per element, one column per angle")
+        freqs = np.array(self.frequencies, dtype=float, ndmin=1)
+        grids = np.array(self.angles, dtype=float)
+        if freqs.ndim != 1 or grids.ndim not in (1, 2):
+            raise ConfigError(f"a steering takes 1 or P frequencies and a (G,) or (P, G) "
+                              f"grid, got {np.shape(self.frequencies)} and {grids.shape}")
+        P = len(grids) if grids.ndim == 2 else freqs.size
+        if freqs.size not in (1, P):
+            raise ConfigError(f"{freqs.size} frequencies for {P} grids")
+        M, G = self.geometry.n_elements, grids.shape[-1]
+        if (size := 16 * P * M * G) > 16 * MAX_STEERING_VALUES:
+            raise ConfigError(f"a steering of P={P}, M={M} and G={G} takes {size} bytes "
+                              f"({size / 2 ** 30:.1f} GiB), over {MAX_STEERING_VALUES} values")
+        freqs = np.full(P, freqs[0]) if freqs.size == 1 else freqs
+        A = np.empty((P, M, G), dtype=complex)
+        for i, f in enumerate(freqs.tolist()):
+            A[i] = steering_matrix(self.geometry, f, grids[i] if grids.ndim == 2 else grids,
+                                   self.convention)
+        self._set(frequencies=freqs, angles=grids, matrix=A)
+
+    def __getitem__(self, rows) -> Steering:
+        picked = copy.copy(self)
+        picked._set(frequencies=self.frequencies[rows], matrix=self.matrix[rows],
+                    angles=self.angles[rows] if self.angles.ndim == 2 else self.angles)
+        return picked
+
+    def _set(self, **arrays):
+        for name, value in arrays.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def build_dictionary(geometry: ArrayGeometry, frequency: float,
                      sector: tuple[float, float], step: float,
-                     convention: str = "broadside") -> Dictionary:
-    angles = angle_grid(sector, step)
-    A = steering_matrix(geometry, frequency, angles, convention)
-    return Dictionary(angles, A, float(frequency), convention, geometry)
+                     convention: str = "broadside") -> Steering:
+    """The Steering of one frequency on angle_grid(sector, step)."""
+    return Steering(geometry, frequency, angle_grid(sector, step), convention)
 
 
 def perturb_geometry(geometry: ArrayGeometry, level: float, rng) -> ArrayGeometry:

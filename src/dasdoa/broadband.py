@@ -7,25 +7,24 @@ broadband_spectrum turns a fixed-grid estimator's bins on one angle grid
 into the fused spectrum, with the solver's bins (spice, qspice) as one
 stacked solve; the refinement estimator calls it with qspice on each
 round's grid and picks peaks on the fused spectrum. The bins are a stack
-in the estimators' sense: covariances (P, M, M) on the steering stack
-(P, M, G) that arrays.steering_stack builds, a matrix per bin.
+in the estimators' sense: covariances (P, M, M) on the arrays.Steering of
+their P frequencies, a matrix per bin.
 
 A broadband request (broadband_estimate, or btr over all its frames) takes
 `bins` as an (f_lo, f_hi) band in Hz and builds its bin set at the record's
 own sample rate. It builds what does not depend on the frame once: the bins
 and their real half basis, the angle grid and, for the fixed-grid
-estimators, all its bins' steering stack, whether or not its frames select
+estimators, the Steering of all its bins, whether or not its frames select
 bins. Overlapping frames share their snapshots: when the frame hop is a
 multiple of the DFT hop N/2, a frame keeps the snapshots at the sample
 offsets of the frame before and runs frontend.band_transform only on the
 segment of its new ones, so a record's snapshots are each computed once.
-Each frame then runs the bin covariances, the bin selection (which indexes
-the stack) and estimators.fixed_grid_powers: one covariance check for the
-kept bins and one (P, G) power matrix (for CBF one batched product, in its
-coarray form when the geometry that the stack was built from is a uniform
-line array), fused in one reduction and picked (Estimator.picks). A
-broadband_gnr2 frame builds its own stack per refine round, since the
-round's grid changes.
+Each frame then runs the bin covariances, the bin selection (which selects
+the steering's rows of its kept bins) and estimators.fixed_grid_powers: one
+covariance check for the kept bins and one (P, G) power matrix (for CBF one
+batched product, in its coarray form on a uniform line array), fused in one
+reduction and picked (Estimator.picks). A broadband_gnr2 frame builds its
+own steering per refine round, since the round's grid changes.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, angle_grid, sector_or_full, steering_stack
+from .arrays import ArrayGeometry, Steering, angle_grid, sector_or_full
 from .errors import ConfigError
 from .estimators import CBF_GUARD, SolverConfig, SpatialSpectrum, check_estimator, \
     fixed_grid_powers
@@ -80,18 +79,18 @@ def broadband_spectrum(covs, freqs, geometry: ArrayGeometry, angles,
                        k: int | None = None,
                        solver_cfg: SolverConfig | None = None) -> SpatialSpectrum:
     """Fused spectrum of a fixed-grid estimator over the frequency bins
-    (covariance covs[i] at freqs[i]) on one angle grid; spice and qspice
+    (covariance covs[i] at freqs[i]) on one 1-D angle grid; spice and qspice
     solve the bins as one stack."""
     check_estimator(estimator, k)
     if not len(freqs):
         raise ConfigError("need at least one frequency bin")
     if len(covs) != len(freqs):
         raise ConfigError(f"{len(covs)} covariances for {len(freqs)} frequency bins")
-    grid = np.asarray(angles, dtype=float)
-    power, _ = fixed_grid_powers(estimator, covs,
-                                 steering_stack(geometry, freqs, grid, convention),
-                                 k, solver_cfg, geometry)
-    return SpatialSpectrum(grid, _fuse_rows(power), estimator, 0.0)
+    if np.ndim(angles) != 1:
+        raise ConfigError(f"a broadband spectrum takes one 1-D grid, got {np.shape(angles)}")
+    steering = Steering(geometry, freqs, angles, convention)
+    power, _ = fixed_grid_powers(estimator, covs, steering, k, solver_cfg)
+    return SpatialSpectrum(steering.angles, _fuse_rows(power), estimator, 0.0)
 
 
 def broadband_gnr2(covs, freqs, geometry: ArrayGeometry, k: int,
@@ -132,7 +131,7 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
     angles = angle_grid(sector_or_full(sector, convention), step)
     freqs = bins.frequencies
     if not entry.refines:
-        A = steering_stack(geometry, freqs, angles, convention)
+        steering = Steering(geometry, freqs, angles, convention)
 
     def frame(snapshots):
         """covariances -> select -> fused spectrum."""
@@ -152,7 +151,7 @@ def _frame_pipeline(record, geometry, bins, n_fft, estimator, k, sector, step,
             power = np.interp(angles, res.spectrum.angles, res.spectrum.power)
             fused = SpatialSpectrum(angles, power, "qspice-gnr2", 0.0)
             return fused, tuple(res.angles)
-        power, _ = fixed_grid_powers(estimator, covs, A[pos], k, solver_cfg, geometry)
+        power, _ = fixed_grid_powers(estimator, covs, steering[pos], k, solver_cfg)
         fused = SpatialSpectrum(angles, _fuse_rows(power), estimator, 0.0)
         return fused, tuple(entry.picks(fused, k, cbf_guard))
     return bins, angles, frame

@@ -29,18 +29,19 @@ Setting r = q = 1 recovers SPICE exactly.
 The data decides what every estimator here solves: one snapshot (M,) or
 covariance (M, M) is one problem, the stack of one; P covariances (P, M, M)
 are a stack, such as the bins of a broadband spectrum, on one angle grid.
-A Dictionary or an M x G matrix is shared by every problem (a broadcast
-view), and a (P, M, G) array (arrays.steering_stack) gives each its own.
-qspice_solve has one path: the P problems share one loop, in which each
-numpy step is one call for all of them, and each problem leaves the stack
-at the iteration its own solve stops at, so its result is that of its
-solve as the stack of one, bit for bit. So a stack of 2 * SPLIT_MIN or
+The fixed-grid estimators take an arrays.Steering, the solver its matrix:
+one of one frequency is shared by every problem (a broadcast view), and
+one of P gives each its own. qspice_solve has one path: the P problems
+share one loop, in which each numpy step is one call for all of them, and
+each problem leaves the stack at the iteration its own solve stops at, so
+its result is that of its solve as the stack of one, bit for bit. So a
+stack of 2 * SPLIT_MIN or
 more can run in contiguous pieces on the process's CPUs, each piece the
 same loop in a forked child or the calling process, with the same results
 and errors (_solve_forked). It starts every problem from its CBF spectrum
 and returns powers, power floors and, per problem, the objective of each
 evaluation it ran in, its iteration count and whether it converged; a
-spectrum on a Dictionary's angles is fixed_grid_spectrum's.
+spectrum on a steering's angles is fixed_grid_spectrum's.
 ESTIMATORS is the registry: each estimator's entry says what it needs and
 reads, and every dispatch on an estimator, its picks too, reads the entry.
 """
@@ -57,7 +58,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Dictionary, integer, positive_finite
+from .arrays import Steering, integer, positive_finite
 from .errors import ConfigError, DegenerateInputError, SingularModelError
 
 DB_FLOOR = 1e-300
@@ -137,11 +138,11 @@ def _as_problems(data, dictionary):
     docstring), and whether it is one problem. A snapshot z is kept as the
     unsymmetrized z z^H; covariances are Hermitian-symmetrized, with one
     call per step for all P."""
-    A = dictionary.matrix if isinstance(dictionary, Dictionary) else np.asarray(dictionary)
+    A = np.asarray(dictionary)
     if A.ndim not in (2, 3):
         raise ConfigError("dictionary must be an M x G matrix or a P x M x G stack")
     M = A.shape[-2]
-    if A.ndim == 3 and np.shape(data) != (len(A), M, M):
+    if A.ndim == 3 and len(A) != 1 and np.shape(data) != (len(A), M, M):
         raise ConfigError(f"a stack of {len(A)} dictionaries needs covariances of "
                           f"shape ({len(A)}, {M}, {M}), got {np.shape(data)}")
     data = np.asarray(data, dtype=complex)
@@ -174,13 +175,13 @@ def get_lapack_funcs(names, dtype=None):
     return lapack_funcs(names, dtype=dtype)
 
 
-def _cbf_power(A, R_hat, geometry: ArrayGeometry | None = None) -> np.ndarray:
+def _cbf_power(A, R_hat, coarray: bool = False) -> np.ndarray:
     """Delay-and-sum power a_g^H R_hat a_g / M^2, clipped at zero, per
     problem of a stack.
 
-    On a steering stack built from `geometry` whose element-pair lags are
-    its offsets (a uniform line array), conj(a_i) a_j is A[j - i], so the
-    form folds over the superdiagonals of the Hermitian R_hat (the coarray
+    With `coarray`, A is the steering of an array whose element-pair lags
+    are its offsets (a uniform line array): conj(a_i) a_j is A[j - i], so
+    the form folds over the superdiagonals of the Hermitian R_hat (the coarray
     form): tr R_hat + 2 Re sum_{l>=1} rho_l A[l, g], rho_l the sum of the
     l-th superdiagonal. Row 0 of A is all ones (offset 0 is the
     reference), so with tr R_hat / 2 in place of rho_0 it is one batched
@@ -188,10 +189,7 @@ def _cbf_power(A, R_hat, geometry: ArrayGeometry | None = None) -> np.ndarray:
     product: Re sum_m a conj(R_hat a) has the bits of Re sum_m conj(a)
     (R_hat a) and needs no conj(A) copy."""
     M = A.shape[-2]
-    if geometry is not None and geometry.n_elements != M:
-        raise ConfigError(f"a steering stack of {M} rows for a "
-                          f"{geometry.n_elements}-element geometry")
-    if geometry is not None and geometry.lags_are_offsets:
+    if coarray:
         flat, starts = _superdiagonals(M)
         rho = np.add.reduceat(R_hat.reshape(len(R_hat), -1)[:, flat], starts, axis=1)
         rho[:, 0] = 0.5 * rho[:, 0].real
@@ -387,8 +385,8 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None) -> Solver
     the CBF spectrum.
 
     data: snapshot (M,) or covariance (M, M), or a stack (P, M, M)
-    dictionary: Dictionary or steering matrix (M, G) shared by every
-    problem, or a (P, M, G) steering stack
+    dictionary: steering matrix (M, G) or (1, M, G) shared by every problem,
+    or a (P, M, G) stack, such as an arrays.Steering's matrix
     Returns SolverResult; `powers.signal` over the dictionary grid is the
     spatial estimate, `trace` the per-iteration objective (non-increasing).
     One problem is the stack of one and gets its one result back. A stack's
@@ -738,17 +736,15 @@ def check_estimator(name: str, k: int | None) -> Estimator:
     return entry
 
 
-def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
-                      solver_cfg: SolverConfig | None = None,
-                      geometry: ArrayGeometry | None = None):
+def fixed_grid_powers(name: str, data, dictionary: Steering, k: int | None = None,
+                      solver_cfg: SolverConfig | None = None):
     """(power, floor) of the fixed-grid estimator `name` on one problem or a
-    stack, data and dictionary as qspice_solve takes them: power (P, G), a
-    row per problem, and floor (P,), the dB floor of each row. `geometry`:
-    the array a steering stack was built from (arrays.steering_stack), if
-    one was.
+    stack, data as qspice_solve takes it and the problems' steering, of one
+    frequency or of one per problem: power (P, G), a row per problem, and
+    floor (P,), the dB floor of each row.
 
-    CBF is one batched product for the stack (its coarray form on a
-    stack built from a uniform line array) and MUSIC (it needs k) one
+    CBF is one batched product for the stack (its coarray form where the
+    steering's geometry is a uniform line array) and MUSIC (it needs k) one
     eigendecomposition per problem; spice and qspice read the solver keys and
     run the solver once for the stack, with the fields their entry fixes
     (SPICE's r = q = 1), and keep its power floor as their dB floor.
@@ -756,15 +752,16 @@ def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
     if (entry := ESTIMATORS.get(name)) is None or entry.refines:
         raise ConfigError(f"{name!r} is not a fixed-grid estimator")
     if entry.reads & _SOLVER_KEYS:
-        res = qspice_solve(data, dictionary,
+        res = qspice_solve(data, dictionary.matrix,
                            replace(solver_cfg or SolverConfig(), **dict(entry.fixes)))
         power = res.powers.signal
         return (power.reshape(-1, power.shape[-1]),
                 np.maximum(np.reshape(res.floor, -1), DB_FLOOR))
-    R_hat, A, _ = _as_problems(data, dictionary)
+    R_hat, A, _ = _as_problems(data, dictionary.matrix)
     P, M, G = A.shape
     if not entry.needs_k:
-        return _cbf_power(A, R_hat, geometry), np.full(P, DB_FLOOR)
+        return (_cbf_power(A, R_hat, dictionary.geometry.lags_are_offsets),
+                np.full(P, DB_FLOOR))
     if not 1 <= (k or 0) < M:
         raise ConfigError(f"source count k must satisfy 1 <= k < M={M}, got {k}")
     power = np.empty((P, G))
@@ -773,14 +770,13 @@ def fixed_grid_powers(name: str, data, dictionary, k: int | None = None,
     return power, np.full(P, DB_FLOOR)
 
 
-def fixed_grid_spectrum(name: str, R_hat, dictionary, k: int | None = None,
+def fixed_grid_spectrum(name: str, R_hat, dictionary: Steering, k: int | None = None,
                         solver_cfg: SolverConfig | None = None) -> SpatialSpectrum:
     """Spectrum of a fixed-grid estimator on one snapshot or covariance and
-    `dictionary` (a Dictionary, or an M x G matrix whose angles are its
-    column indices), tagged `name`: fixed_grid_powers of the stack of one."""
+    a steering of one frequency, tagged `name`: fixed_grid_powers of the
+    stack of one."""
     if np.ndim(R_hat) > 2:
         raise ConfigError("a spectrum is of one snapshot or covariance, not a stack")
     (power,), (floor,) = fixed_grid_powers(name, R_hat, dictionary, k, solver_cfg)
-    if isinstance(dictionary, Dictionary):
-        return SpatialSpectrum(dictionary.angles, power, name, dictionary.frequency, floor)
-    return SpatialSpectrum(np.arange(power.size, dtype=float), power, name, 0.0, floor)
+    return SpatialSpectrum(dictionary.angles, power, name, dictionary.frequencies.item(),
+                           floor)

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, Dictionary, angle_grid, sector_or_full, \
-    steering_stack
+from .arrays import ArrayGeometry, Steering, angle_grid, sector_or_full
 from .errors import ConfigError
 from .estimators import CBF_GUARD, SolverConfig, SpatialSpectrum, _pick, \
     check_estimator, fixed_grid_powers, qspice_solve
@@ -183,7 +182,7 @@ def gnr2_estimate(data, geometry: ArrayGeometry, frequency: float, k: int,
     (M, M), which gets its RefineResult, or on each covariance of a stack
     (P, M, M), which gets a tuple of P; one input (a snapshot as z z^H) is
     the stack of one. Each round makes one qspice_solve per grid size on a
-    (P, M, G) steering stack; each problem's result is that of it alone."""
+    Steering of those grids; each problem's result is that of it alone."""
     check_estimator("gnr2", k)
     sector = sector_or_full(sector, convention)
     covs = np.asarray(data)
@@ -191,7 +190,7 @@ def gnr2_estimate(data, geometry: ArrayGeometry, frequency: float, k: int,
         covs = (np.outer(covs, covs.conj()) if covs.ndim == 1 else covs)[None]
 
     def solve_group(idx, grids):
-        A = steering_stack(geometry, frequency, grids, convention)
+        A = Steering(geometry, frequency, grids, convention).matrix
         return qspice_solve(covs[idx], A, solver_cfg).powers.signal
 
     if single:  # the lockstep of one, through refine_loop for perfbench's tracer
@@ -206,17 +205,17 @@ def _refine_result(loop_result, frequency) -> RefineResult:
     return RefineResult(est, SpatialSpectrum(grid, power, "qspice-gnr2", frequency), rounds)
 
 
-def narrowband_estimate(name: str, data, dictionary: Dictionary, sector,
+def narrowband_estimate(name: str, data, dictionary: Steering, sector,
                         k: int | None = None,
                         solver_cfg: SolverConfig | None = None,
                         refine_cfg: RefineConfig | None = None,
                         cbf_guard: float = CBF_GUARD):
     """Any estimator of estimators.ESTIMATORS on one snapshot or covariance,
-    or on each covariance of a stack (P, M, M), all on one dictionary.
+    or on each covariance of a stack (P, M, M), all on one frequency's steering.
 
     The fixed-grid estimators run on `dictionary` (a stack shares it, in one
     fixed_grid_powers call); gnr2 refines over `sector` with the
-    dictionary's geometry, frequency and convention, a stack in lockstep
+    steering's geometry, frequency and convention, a stack in lockstep
     (see gnr2_estimate). With a source count k, a fixed-grid spectrum gets
     its entry's picks (Estimator.picks, `cbf_guard` degrees apart for CBF).
     Each problem of a stack gets what it would alone.
@@ -225,15 +224,16 @@ def narrowband_estimate(name: str, data, dictionary: Dictionary, sector,
     """
     entry = check_estimator(name, k)
     stack = np.ndim(data) == 3
+    frequency = dictionary.frequencies.item()
     if entry.refines:
-        res = gnr2_estimate(data, dictionary.geometry, dictionary.frequency, k,
+        res = gnr2_estimate(data, dictionary.geometry, frequency, k,
                             sector, dictionary.convention, solver_cfg, refine_cfg)
         out = [(r.spectrum, r.angles) for r in (res if stack else (res,))]
     else:
         power, floor = fixed_grid_powers(name, data, dictionary, k, solver_cfg)
         out = []
         for power_i, floor_i in zip(power, floor):
-            spectrum = SpatialSpectrum(dictionary.angles, power_i, name,
-                                       dictionary.frequency, floor_i)
+            spectrum = SpatialSpectrum(dictionary.angles, power_i, name, frequency,
+                                       floor_i)
             out.append((spectrum, entry.picks(spectrum, k, cbf_guard)))
     return tuple(out) if stack else out[0]

@@ -114,7 +114,7 @@ def test_c03_music_exact_on_grid_recovery():
     dic = build_dictionary(geom, 3000.0, (-90.0, 90.0), 0.5)
     truth = (-10.5, 24.0)
     idx = [int(np.flatnonzero(np.isclose(dic.angles, t))[0]) for t in truth]
-    a_true = dic.matrix[:, idx]
+    a_true = dic.matrix[0][:, idx]
     r = a_true @ np.diag([1.0, 1.5]) @ a_true.conj().T + 0.01 * np.eye(12)
 
     noise_subspace = np.linalg.eigh(r)[1][:, :10]
@@ -277,8 +277,8 @@ def test_c08_runtime_ordering_at_equal_resolution():
         return min(samples)
 
     t_cbf = best_of(lambda: peak_pick(cbf_spectrum(r_hat, fine), 2, 1.0))
-    t_spice = best_of(lambda: qspice_solve(r_hat, fine, SolverConfig(r=1, q=1)))
-    t_qspice = best_of(lambda: qspice_solve(r_hat, fine, SolverConfig()))
+    t_spice = best_of(lambda: qspice_solve(r_hat, fine.matrix, SolverConfig(r=1, q=1)))
+    t_qspice = best_of(lambda: qspice_solve(r_hat, fine.matrix, SolverConfig()))
     t_gnr2 = best_of(lambda: gnr2_estimate(
         r_hat, geom, 3000.0, 2, (0.0, 180.0), "endfire", SolverConfig(),
         RefineConfig(initial_step=1.0, target_step=0.1)))

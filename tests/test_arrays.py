@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from dasdoa.arrays import MAX_GRID_POINTS, ArrayGeometry, Dictionary, angle_grid, \
-    build_dictionary, half_wavelength_spacing, perturb_geometry, steering_matrix, \
-    steering_stack, uniform_line_array
+from dasdoa import arrays
+from dasdoa.arrays import MAX_GRID_POINTS, MAX_STEERING_VALUES, ArrayGeometry, Steering, \
+    angle_grid, build_dictionary, half_wavelength_spacing, perturb_geometry, \
+    steering_matrix, uniform_line_array
 from dasdoa.errors import ConfigError
 from dasdoa.frontend import FrequencyBinSet
 from dasdoa.simulate import SnapshotMatrix, SourceSpec, harmonic_lines
@@ -101,7 +104,7 @@ def test_steering_rejects_a_frequency_that_is_not_positive_finite(frequency):
     with pytest.raises(ConfigError, match="frequency must be a positive finite number"):
         steering_matrix(geom, frequency, np.array([10.0]))
     with pytest.raises(ConfigError, match="frequency must be a positive finite number"):
-        steering_stack(geom, [3000.0, frequency], np.array([10.0]))
+        Steering(geom, [3000.0, frequency], np.array([10.0]))
 
 
 @settings(max_examples=40)
@@ -110,27 +113,71 @@ def test_steering_rejects_a_frequency_that_is_not_positive_finite(frequency):
        convention=st.sampled_from(["broadside", "endfire"]))
 def test_each_steering_stack_row_is_its_steering_matrix(seed, p, g, per_row_frequency,
                                                         per_row_grid, convention):
+    # a Steering's matrix row i is steering_matrix at its frequency on its
+    # grid, per problem or shared; it is read-only, and selecting rows, by
+    # an index array or a slice, builds none
     rng = np.random.default_rng(seed)
     geom = ArrayGeometry(np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, 4))]),
                          rng.uniform(0.1, 2.0))
     lo, hi = (-90.0, 90.0) if convention == "broadside" else (0.0, 180.0)
     freqs = rng.uniform(10.0, 4000.0, p) if per_row_frequency else rng.uniform(10.0, 4000.0)
     grids = rng.uniform(lo, hi, (p, g) if per_row_grid else g)
-    A = steering_stack(geom, freqs, grids, convention)
+    steering = Steering(geom, freqs, grids, convention)
+    A = steering.matrix
     rows = p if per_row_frequency or per_row_grid else 1
     assert A.shape == (rows, 5, g) and A.flags.c_contiguous
+    assert steering.frequencies.shape == (rows,) and steering.geometry is geom
     for i in range(rows):
         f = freqs[i] if per_row_frequency else freqs
         grid = grids[i] if per_row_grid else grids
         assert A[i].tobytes() == steering_matrix(geom, f, grid, convention).tobytes()
+        assert steering.frequencies[i] == f
+        assert steering.angles[i if per_row_grid else ...].tobytes() == grid.tobytes()
+    for array in (A, steering.frequencies, steering.angles):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    built = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrays, "steering_matrix", lambda *args: built.append(args))
+        for pick in (rng.permutation(rows)[: rows // 2 + 1], slice(rows - 1, None),
+                     slice(None)):
+            kept = steering[pick]
+            assert kept.matrix.tobytes() == A[pick].tobytes()
+            assert not kept.matrix.flags.writeable
+            assert kept.frequencies.tolist() == steering.frequencies[pick].tolist()
+            want = steering.angles[pick] if per_row_grid else steering.angles
+            assert kept.angles.tobytes() == want.tobytes()
+            assert (kept.geometry, kept.convention) == (geom, convention)
+    assert not built
 
 
 def test_steering_stack_rejects_mismatched_rows():
     geom = uniform_line_array(3, spacing=0.25)
     with pytest.raises(ConfigError, match="2 frequencies for 3 grids"):
-        steering_stack(geom, [1000.0, 2000.0], np.zeros((3, 4)))
-    with pytest.raises(ConfigError, match="a steering stack takes"):
-        steering_stack(geom, np.ones((2, 2)), np.zeros(4))
+        Steering(geom, [1000.0, 2000.0], np.zeros((3, 4)))
+    with pytest.raises(ConfigError, match="a steering takes"):
+        Steering(geom, np.ones((2, 2)), np.zeros(4))
+
+
+def test_a_steering_over_its_cap_is_rejected_before_it_is_allocated(monkeypatch):
+    # 101 bins of a 12-element array on a 900,001-point grid take 16.3 GiB:
+    # the check comes before the matrix and any of its rows, so the grid's
+    # copy is all that is allocated
+    grid = angle_grid((-90.0, 90.0), 2e-4)
+    monkeypatch.setattr(arrays, "steering_matrix", None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as err:
+            Steering(uniform_line_array(12), np.linspace(50.0, 1050.0, 101), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("a steering of P=101, M=12 and G=900001 takes 17452819392 "
+                              f"bytes (16.3 GiB), over {MAX_STEERING_VALUES} values")
+    assert peak < 2 * grid.nbytes
+    # the largest matrix of a capture command, one frequency on that grid,
+    # fits
+    assert 12 * grid.size <= MAX_STEERING_VALUES
 
 
 def test_angle_grid_endpoints_and_step():
@@ -181,11 +228,11 @@ def test_angle_grid_validation():
 def test_build_dictionary_fields():
     geom = uniform_line_array(4, spacing=0.25)
     dic = build_dictionary(geom, 3000.0, (-10.0, 10.0), 0.5)
-    assert dic.frequency == 3000.0
-    assert dic.matrix.shape == (4, dic.angles.size)
+    assert dic.frequencies.tolist() == [3000.0] and dic.convention == "broadside"
+    assert dic.matrix.shape == (1, 4, dic.angles.size)
     assert dic.angles[0] == -10.0 and dic.angles[-1] == 10.0
     A = steering_matrix(geom, 3000.0, dic.angles)
-    assert_allclose(dic.matrix, A)
+    assert_allclose(dic.matrix[0], A)
 
 
 def test_perturb_geometry_properties():
@@ -204,14 +251,6 @@ def test_perturb_geometry_rejects_order_breaking_level():
         perturb_geometry(geom, 0.5, np.random.default_rng(0))
 
 
-def _dictionary(angles, rows, convention="broadside", elements=None):
-    """A Dictionary of `rows` steering rows on `angles` for an array of
-    `elements` (by default `rows`), built by hand."""
-    matrix = np.ones((rows, np.size(angles)), dtype=complex)
-    return Dictionary(angles, matrix, 1000.0, convention,
-                      uniform_line_array(elements or rows))
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: ArrayGeometry(np.array([0.0, np.inf])), "geometry offsets must be finite"),
     (lambda: perturb_geometry(uniform_line_array(4), -0.1, 0),
@@ -220,12 +259,13 @@ def _dictionary(angles, rows, convention="broadside", elements=None):
      "perturbation level must be a non-negative finite number, got nan"),
     (lambda: perturb_geometry(uniform_line_array(4), np.inf, 0),
      "perturbation level must be a non-negative finite number, got inf"),
-    (lambda: _dictionary(np.linspace(-90.0, 90.0, 41), 4, elements=5),
-     "dictionary matrix shape (4, 41) != (5, 41): one row per element, one column "
-     "per angle"),
-    (lambda: _dictionary(np.zeros((2, 5)), 4),
-     "dictionary angles must be 1-D, got shape (2, 5)"),
-    (lambda: _dictionary(np.linspace(0.0, 90.0, 10), 4, "sideways"),
+    (lambda: Steering(uniform_line_array(5), [1000.0, 2000.0], np.zeros((3, 41))),
+     "2 frequencies for 3 grids"),
+    (lambda: Steering(uniform_line_array(4), 1000.0, np.zeros((2, 2, 5))),
+     "a steering takes 1 or P frequencies and a (G,) or (P, G) grid, got () and "
+     "(2, 2, 5)"),
+    (lambda: Steering(uniform_line_array(4), 1000.0, np.linspace(0.0, 90.0, 10),
+                      "sideways"),
      "unknown convention 'sideways'; use one of ('broadside', 'endfire')"),
     (lambda: uniform_line_array(2.5, 1.0), "element count must be an integer, got 2.5"),
     (lambda: angle_grid((-90.0, 90.0), 1.8e-4),

@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from dasdoa.arrays import Dictionary, uniform_line_array, steering_matrix
+from dasdoa.arrays import Steering, uniform_line_array, steering_matrix
 from dasdoa.broadband import _fuse_rows, broadband_estimate, broadband_gnr2, \
     broadband_spectrum, btr, fuse_spectra
 from dasdoa.errors import ConfigError, DegenerateInputError
@@ -97,9 +97,8 @@ def test_broadband_spectrum_peaks_at_truth():
         if estimator == "cbf":
             continue
         # the stacked solve fuses the bits of the per-bin solves
-        per_bin = [fixed_grid_spectrum(estimator, R, Dictionary(
-            angles, steering_matrix(geom, f, angles), f, "broadside", geom))
-            for R, f in zip(covs, freqs)]
+        per_bin = [fixed_grid_spectrum(estimator, R, Steering(geom, f, angles))
+                   for R, f in zip(covs, freqs)]
         assert spec.power.tobytes() == fuse_spectra(per_bin).power.tobytes()
 
 
@@ -401,7 +400,12 @@ def test_btr_rejects_bad_frame_options(seconds, hop, match):
     (lambda: broadband_spectrum(np.zeros((0, 4, 4)), [], uniform_line_array(4),
                                 np.arange(3.0)),
      "need at least one frequency bin"),
-], ids=["no-bins"])
+    # per-bin grids: rejected before a steering is built or a bin solved
+    (lambda: broadband_spectrum(_plane_wave_covs(uniform_line_array(4), [200.0] * 3, 0.0),
+                                [200.0] * 3, uniform_line_array(4), np.zeros((3, 121)),
+                                estimator="qspice"),
+     "a broadband spectrum takes one 1-D grid, got (3, 121)"),
+], ids=["no-bins", "per-bin-grids"])
 def test_each_rejection_states_its_rule(call, message):
     with pytest.raises(ConfigError) as err:
         call()

@@ -15,14 +15,14 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dasdoa import estimators
-from dasdoa.arrays import ArrayGeometry, Dictionary, build_dictionary, full_sector, \
-    steering_stack, uniform_line_array
+from dasdoa.arrays import ArrayGeometry, Steering, build_dictionary, full_sector, \
+    uniform_line_array
 from dasdoa.errors import ConfigError, DegenerateInputError, EstimationError, \
     SingularModelError, ToolkitError
 from dasdoa.estimators import DB_FLOOR, SolverConfig, SpatialSpectrum, _Model, \
-    _as_problems, _block_minimize, _pick, cbf_spectrum, check_estimator, fixed_grid_powers, \
-    fixed_grid_spectrum, kkt_residual, music_spectrum, objective_value, peak_pick, \
-    qspice_solve
+    _as_problems, _block_minimize, _cbf_power, _pick, cbf_spectrum, check_estimator, \
+    fixed_grid_powers, fixed_grid_spectrum, kkt_residual, music_spectrum, objective_value, \
+    peak_pick, qspice_solve
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -219,12 +219,11 @@ def _same_bits(x, y):
 def _dictionaries(A, shared):
     """The dictionary argument of a stack on the steering stack A (P, M, G),
     and that of its problem i: each problem's own A[i], or A[0] shared by
-    all as a bare matrix or as a Dictionary."""
+    all as a matrix (M, G) or as a stack of one (1, M, G), the matrix of a
+    Steering of one frequency."""
     if shared is None:
         return A, lambda i: A[i]
-    dic = A[0] if shared == "matrix" else Dictionary(
-        np.linspace(-80.0, 80.0, A.shape[-1]), A[0], 1000.0, "broadside",
-        uniform_line_array(A.shape[1], 0.5))
+    dic = A[0] if shared == "matrix" else A[:1]
     return dic, lambda i: dic
 
 
@@ -232,10 +231,10 @@ def _dictionaries(A, shared):
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 4), m=st.integers(3, 8),
        g=st.integers(1, 40), r=st.floats(1.0, 3.0), q=st.floats(1.0, 2.0),
        max_iter=st.sampled_from([4, 30, 500]), dead=st.booleans(),
-       shared=st.sampled_from([None, "matrix", "dictionary"]))
+       shared=st.sampled_from([None, "matrix", "stack-of-one"]))
 def test_stacked_solve_equals_single_solves(seed, n, m, g, r, q, max_iter, dead, shared):
     # every problem of a stack gets its single solve's result, bit for bit,
-    # on a steering stack or on one shared matrix or Dictionary; with
+    # on a steering stack or on one shared matrix or stack of one; with
     # `dead`, problem 0 has an all-zero steering column, so its CBF start
     # holds a zero atom and the masked block update runs
     rng = np.random.default_rng(seed)
@@ -263,23 +262,22 @@ def test_stacked_solve_equals_single_solves(seed, n, m, g, r, q, max_iter, dead,
 
 
 def test_a_shared_dictionary_gives_each_problem_its_solo_spectrum():
-    # a stack of covariances on one Dictionary: each problem gets the powers
-    # of its solve alone, and fixed_grid_spectrum tags them with the
-    # Dictionary's angles, frequency and the solve's power floor
+    # a stack of covariances on one steering of one frequency: each problem
+    # gets the powers of its solve alone, and fixed_grid_spectrum tags them
+    # with the steering's angles, frequency and the solve's power floor
     geom = uniform_line_array(6, 0.5)
     dic = build_dictionary(geom, 1300.0, (-60.0, 60.0), 2.0)
     rng = np.random.default_rng(3)
     y = rng.standard_normal((2, 6, 30)) + 1j * rng.standard_normal((2, 6, 30))
     covs = y @ y.conj().transpose(0, 2, 1) / 30
-    stacked = qspice_solve(covs, dic)
+    stacked = qspice_solve(covs, dic.matrix)
     for res, cov in zip(stacked.problems, covs):
-        single = qspice_solve(cov, dic)
+        single = qspice_solve(cov, dic.matrix)
         assert _same_bits(res.powers.signal, single.powers.signal)
         spectrum = fixed_grid_spectrum("qspice", cov, dic)
         assert _same_bits(spectrum.power, res.powers.signal)
         assert _same_bits(spectrum.angles, dic.angles)
-        assert (spectrum.frequency, spectrum.floor) == (dic.frequency,
-                                                        max(res.floor, DB_FLOOR))
+        assert (spectrum.frequency, spectrum.floor) == (1300.0, max(res.floor, DB_FLOOR))
 
 
 def test_stack_validation():
@@ -299,7 +297,8 @@ def test_stack_validation():
     with pytest.raises(ConfigError, match="at least one problem"):
         qspice_solve(covs[:0], a[0])
     with pytest.raises(ConfigError, match="a spectrum is of one"):
-        fixed_grid_spectrum("cbf", covs, a[0])
+        fixed_grid_spectrum("cbf", covs, build_dictionary(uniform_line_array(3), 1000.0,
+                                                          (-60.0, 60.0), 30.0))
 
 
 def test_stack_with_a_singular_problem_names_it(monkeypatch):
@@ -584,36 +583,42 @@ def test_fixed_grid_spice_is_the_solver_at_r1_q1():
     dic = build_dictionary(uniform_line_array(z.size, 0.5), 1000.0, (-60.0, 60.0), 3.0)
     spec = fixed_grid_spectrum("spice", z, dic, solver_cfg=SolverConfig(
         r=2.0, q=2.0, max_iter=50, rel_tol=1e-12))
-    res = qspice_solve(z, dic, SolverConfig(r=1.0, q=1.0, max_iter=50, rel_tol=1e-12))
+    res = qspice_solve(z, dic.matrix, SolverConfig(r=1.0, q=1.0, max_iter=50,
+                                                   rel_tol=1e-12))
     assert spec.estimator == "spice"
     assert _same_bits(spec.power, res.powers.signal)
-    assert (spec.frequency, spec.floor) == (dic.frequency, max(res.floor, DB_FLOOR))
+    assert (spec.frequency, spec.floor) == (1000.0, max(res.floor, DB_FLOOR))
 
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 4), m=st.integers(3, 7),
        g=st.integers(1, 30), name=st.sampled_from(["cbf", "music", "spice", "qspice"]),
-       shared=st.sampled_from([None, "matrix", "dictionary"]))
+       shared=st.booleans(), uniform=st.booleans())
 def test_fixed_grid_powers_of_a_stack_are_each_problems_spectrum(seed, n, m, g, name,
-                                                                 shared):
+                                                                 shared, uniform):
     # a stack is checked and symmetrized at once, and each of its rows keeps
-    # the bits of its problem run alone, on a steering stack or on one shared
-    # matrix or Dictionary; the covariances are not Hermitian
+    # the bits of its problem run alone, on a steering of a frequency per
+    # problem or of one shared by all, of a uniform line array or not; the
+    # covariances are not Hermitian
     rng = np.random.default_rng(seed)
-    A = np.exp(-1j * np.pi * rng.uniform(0.5, 1.5, (n, m, 1))
-               * np.arange(m)[:, None] * np.sin(np.linspace(-1.4, 1.4, g)))
+    geometry = uniform_line_array(m, 0.5) if uniform else ArrayGeometry(
+        np.cumsum(np.r_[0.0, rng.uniform(0.5, 1.5, m - 1)]), 0.5)
+    steering = Steering(geometry, rng.uniform(500.0, 1500.0, 1 if shared else n),
+                        np.linspace(-80.0, 80.0, g))
     y = rng.standard_normal((n, m, 20)) + 1j * rng.standard_normal((n, m, 20))
     covs = y @ y.conj().transpose(0, 2, 1) / 20 \
         + 1e-3 * (rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)))
     cfg = SolverConfig(r=1.5, max_iter=30)
-    dictionary, dictionary_of = _dictionaries(A, shared)
-    power, floor = fixed_grid_powers(name, covs, dictionary, 1, cfg)
+    power, floor = fixed_grid_powers(name, covs, steering, 1, cfg)
     assert power.shape == (n, g) and floor.shape == (n,)
     for i in range(n):
-        spec = fixed_grid_spectrum(name, covs[i], dictionary_of(i), 1, cfg)
+        alone = steering if shared else steering[i:i + 1]
+        spec = fixed_grid_spectrum(name, covs[i], alone, 1, cfg)
         assert _same_bits(power[i], spec.power)
         assert floor[i] == spec.floor
         assert spec.estimator == name
+        assert spec.frequency == steering.frequencies[0 if shared else i]
+        assert _same_bits(spec.angles, steering.angles)
 
 
 @settings(max_examples=60)
@@ -621,56 +626,63 @@ def test_fixed_grid_powers_of_a_stack_are_each_problems_spectrum(seed, n, m, g, 
        g=st.integers(1, 60), shared=st.booleans())
 def test_stacked_cbf_has_the_bits_of_each_bins_spectrum(seed, n, m, g, shared):
     # one batched product for the stack, conjugating R_hat A in place, gives
-    # each bin's cbf_spectrum and a_g^H R_hat a_g / M^2 summed per bin as
+    # each bin's product alone and a_g^H R_hat a_g / M^2 summed per bin as
     # Re sum_m conj(a) (R_hat a), bit for bit
     rng = np.random.default_rng(seed)
     A = np.exp(-1j * np.pi * rng.uniform(0.5, 1.5, (1 if shared else n, m, 1))
                * np.arange(m)[:, None] * np.sin(np.linspace(-1.4, 1.4, g)))
     y = rng.standard_normal((n, m, 20)) + 1j * rng.standard_normal((n, m, 20))
     covs = y @ y.conj().transpose(0, 2, 1) / 20
-    stack = A[0] if shared else A
-    power, _ = fixed_grid_powers("cbf", covs, stack)
+    power = _product(covs, A[0] if shared else A)
     for i in range(n):
         A_i = A[0 if shared else i]
-        assert power[i].tobytes() == cbf_spectrum(covs[i], A_i).power.tobytes()
+        assert power[i].tobytes() == _product(covs[i], A_i)[0].tobytes()
         R_i = 0.5 * (covs[i] + covs[i].conj().T)
         per_bin = np.add.reduce(A_i.conj() * (R_i @ A_i), axis=0).real / m ** 2
         assert power[i].tobytes() == np.maximum(per_bin, 0.0).tobytes()
 
 
-def _cbf_stack(rng, geometry, p, g, convention):
-    """Covariances (P, M, M) and a steering stack (P, M, G) of `geometry` at P
-    drawn frequencies over the convention's sector; the covariances are not
-    Hermitian, so the check symmetrizes them."""
+def _product(covs, A):
+    """CBF's batched product on the covariances covs and steering A, checked
+    and shared as the estimators take them."""
+    R_hat, A, _ = _as_problems(covs, A)
+    return _cbf_power(A, R_hat)
+
+
+def _cbf_stack(rng, geometry, p, g, convention, shared=False):
+    """Covariances (P, M, M) and the Steering of `geometry` at P drawn
+    frequencies, or one shared by all, over the convention's sector; the
+    covariances are not Hermitian, so the check symmetrizes them."""
     m = geometry.n_elements
-    A = steering_stack(geometry, rng.uniform(10.0, 3000.0, p),
-                       np.linspace(*full_sector(convention), g), convention)
+    steering = Steering(geometry, rng.uniform(10.0, 3000.0, 1 if shared else p),
+                        np.linspace(*full_sector(convention), g), convention)
     y = rng.standard_normal((p, m, 20)) + 1j * rng.standard_normal((p, m, 20))
     covs = y @ y.conj().transpose(0, 2, 1) / 20 \
         + 1e-3 * (rng.standard_normal((p, m, m)) + 1j * rng.standard_normal((p, m, m)))
-    return covs, A
+    return covs, steering
 
 
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 16), p=st.integers(1, 12), m=st.integers(2, 16),
        g=st.integers(1, 400), spacing=st.floats(0.05, 5.0),
-       convention=st.sampled_from(["broadside", "endfire"]))
+       convention=st.sampled_from(["broadside", "endfire"]), shared=st.booleans())
 def test_coarray_cbf_on_a_uniform_array_is_the_product(seed, p, m, g, spacing,
-                                                        convention):
-    # on a stack built from a ULA, CBF folds R_hat over its superdiagonals:
-    # within 1e-12 of each row's maximum of the batched product, and each
-    # row with the bits of its bin alone
+                                                        convention, shared):
+    # on a steering of a ULA, a frequency per covariance or one shared by
+    # all, CBF folds R_hat over its superdiagonals: within 1e-12 of each
+    # row's maximum of the batched product, and each row with the bits of
+    # its bin alone
     rng = np.random.default_rng(seed)
     geometry = uniform_line_array(m, spacing)
-    covs, A = _cbf_stack(rng, geometry, p, g, convention)
-    folded, floor = fixed_grid_powers("cbf", covs, A, geometry=geometry)
-    product, _ = fixed_grid_powers("cbf", covs, A)
+    covs, steering = _cbf_stack(rng, geometry, p, g, convention, shared)
+    folded, floor = fixed_grid_powers("cbf", covs, steering)
+    product = _product(covs, steering.matrix)
     assert folded.shape == (p, g) and _same_bits(floor, np.full(p, DB_FLOOR))
     assert np.all(np.abs(folded - product) <= 1e-12 * product.max(axis=1, keepdims=True))
     for i in range(p):
-        (alone,), _ = fixed_grid_powers("cbf", covs[i:i + 1], A[i:i + 1],
-                                        geometry=geometry)
-        assert _same_bits(folded[i], alone)
+        alone = steering if shared else steering[i:i + 1]
+        (power,), _ = fixed_grid_powers("cbf", covs[i:i + 1], alone)
+        assert _same_bits(folded[i], power)
 
 
 PAIR_OFFSETS = (0, 1.9, 3.5, 5.3, 7.85, 10, 11.8, 14.1, 16, 17.7, 20, 22.0)
@@ -684,40 +696,19 @@ PAIR_OFFSETS = (0, 1.9, 3.5, 5.3, 7.85, 10, 11.8, 14.1, 16, 17.7, 20, 22.0)
 def test_cbf_on_a_non_uniform_array_keeps_the_products_bits(seed, p, gaps, g,
                                                             convention):
     # the c06 pair array and drawn offsets have lags that are not their
-    # offsets: their stacks keep the batched product, bit for bit
+    # offsets: their steerings keep the batched product, bit for bit, and
+    # cbf_spectrum has its bits
     geometry = ArrayGeometry(np.cumsum([0.0] + gaps), 1.25)
     assume(not geometry.lags_are_offsets)
-    covs, A = _cbf_stack(np.random.default_rng(seed), geometry, p, g, convention)
-    product, _ = fixed_grid_powers("cbf", covs, A)
-    assert _same_bits(fixed_grid_powers("cbf", covs, A, geometry=geometry)[0], product)
-
-
-def test_cbf_without_a_geometry_keeps_the_products_bits():
-    # a bare matrix or a Dictionary carries no promise of how its matrix was
-    # built: the product, whose bits cbf_spectrum has, on a ULA's matrix too
-    geometry = uniform_line_array(8, 1.25)
-    covs, A = _cbf_stack(np.random.default_rng(3), geometry, 1, 181, "broadside")
-    dic = Dictionary(np.linspace(-90.0, 90.0, 181), A[0], 500.0, "broadside", geometry)
-    R = 0.5 * (covs[0] + covs[0].conj().T)
-    product = np.maximum(np.add.reduce(A[0].conj() * (R @ A[0]), axis=0).real / 64, 0.0)
-    for dictionary in (A[0], dic):
-        assert cbf_spectrum(covs[0], dictionary).power.tobytes() == product.tobytes()
-    folded, _ = fixed_grid_powers("cbf", covs, A, geometry=geometry)
-    assert folded.tobytes() != product.tobytes()
-
-
-def test_cbf_rejects_a_geometry_of_another_size():
-    covs, A = _cbf_stack(np.random.default_rng(3), uniform_line_array(4), 2, 9,
-                         "broadside")
-    with pytest.raises(ConfigError, match="a steering stack of 4 rows for a "
-                                          "5-element geometry"):
-        fixed_grid_powers("cbf", covs, A, geometry=uniform_line_array(5))
+    covs, steering = _cbf_stack(np.random.default_rng(seed), geometry, p, g, convention)
+    product = _product(covs, steering.matrix)
+    assert _same_bits(fixed_grid_powers("cbf", covs, steering)[0], product)
+    assert _same_bits(cbf_spectrum(covs[0], steering[:1]).power, product[0])
 
 
 @pytest.mark.parametrize("name", ["cbf", "music", "spice", "qspice"])
 def test_fixed_grid_powers_check_every_problem(name):
-    A = np.exp(-1j * np.pi * np.arange(4)[:, None] * np.sin(np.linspace(-1, 1, 5)))
-    A = np.stack([A] * 3)
+    A = Steering(uniform_line_array(4, 0.5), [1000.0] * 3, np.linspace(-60.0, 60.0, 5))
     covs = np.stack([np.eye(4, dtype=complex)] * 3)
     nan_bin = covs.copy()
     nan_bin[2, 1, 0] = np.nan
@@ -781,7 +772,7 @@ def test_music_recovers_on_grid_sources():
     dic = build_dictionary(geom, 3000.0, (-90.0, 90.0), 0.5)
     truth = np.array([-20.0, 14.5])
     idx = [int(np.argmin(np.abs(dic.angles - t))) for t in truth]
-    a_true = dic.matrix[:, idx]
+    a_true = dic.matrix[0][:, idx]
     r = a_true @ a_true.conj().T + 0.01 * np.eye(12)
     spec = music_spectrum(r, dic, 2)
     est = peak_pick(spec, 2)

@@ -53,8 +53,9 @@
 # on a snapshot record, and btr with a k that cbf and qspice do not read
 # without --select-bins, and grid steps below the grid's 1e-9 deg rounding
 # for estimate, btr and a bench baseline, a grid step of 1e-9 deg, whose
-# grid has more points than a grid may have, and a bench position-error
-# sweep value below 0); a propeller record
+# grid has more points than a grid may have, cbf on a time record at a
+# step of 2e-4 deg, whose 101-bin steering has more values than a steering
+# may hold, and a bench position-error sweep value below 0); a propeller record
 # with lines from a config; gnr2 over a sector that its grid step
 # does not divide; cbf on a 900,001-point grid (a step of 2e-4 deg), whose
 # last point a running sum would put past 90 deg; and one-CPU twins (under
@@ -390,6 +391,11 @@ run rej-est-step-tiny estimate --input "$SNAP" --frequency 3000 --k 2 --step 1e-
 run rej-est-step-1e-9 estimate --input "$SNAP" --frequency 3000 --k 2 --step 1e-9 \
     --out spec.csv
 run rej-btr-step-tiny btr --input "$TIME" --spacing 1.25 --step 1e-300 --out btr.csv
+# 101 bins x 12 elements x 900,001 angles, 16.3 GiB of steering: a version
+# without the bound on its size fails in numpy's allocation, or, on a host
+# that grants it, in filling it
+run rej-est-time-cbf-step-2e-4 estimate --input "$TIME" --spacing 1.25 --estimator cbf \
+    --k 2 --step 2e-4 --out spec.csv
 echo '{"baseline_step": 1e-300}' >"$out/baseline-step-tiny.json"
 run rej-bench-baseline-step-tiny bench --preset table1 --trials 1 --methods cbf \
     --sweep-values 9 --config ../baseline-step-tiny.json --out table.csv
