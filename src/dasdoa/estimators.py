@@ -35,13 +35,13 @@ one of P gives each its own. qspice_solve has one path: the P problems
 share one loop, in which each numpy step is one call for all of them, and
 each problem leaves the stack at the iteration its own solve stops at, so
 its result is that of its solve as the stack of one, bit for bit. So a
-stack of 2 * SPLIT_MIN or
-more can run in contiguous pieces on the process's CPUs, each piece the
-same loop in a forked child or the calling process, with the same results
-and errors (_solve_forked). It starts every problem from its CBF spectrum
-and returns powers, power floors and, per problem, the objective of each
-evaluation it ran in, its iteration count and whether it converged; a
-spectrum on a steering's angles is fixed_grid_spectrum's.
+stack of 2 * SPLIT_MIN or more can run in interleaved pieces on the
+process's CPUs, each piece the same loop in a forked child or the calling
+process, with the same results and errors (_solve_forked). It starts
+every problem from its CBF spectrum and returns powers, power floors and,
+per problem, the objective of each evaluation it ran in, its iteration
+count and whether it converged; a spectrum on a steering's angles is
+fixed_grid_spectrum's.
 ESTIMATORS is the registry: each estimator's entry says what it needs and
 reads, and every dispatch on an estimator, its picks too, reads the entry.
 """
@@ -64,8 +64,9 @@ from .errors import ConfigError, DegenerateInputError, SingularModelError
 DB_FLOOR = 1e-300
 CBF_GUARD = 1.0     # the least separation in degrees of CBF's picks, by default
 # the fewest problems a forked piece of a stacked solve holds: on 2 CPUs,
-# splitting stacks of 4-12 problems in halves lost in 23 of 81 measured
-# calls, and stacks of 13-20 in none of 30 (BENCH_split_solve.json)
+# splitting stacks of 8-13 problems in interleaved halves still lost in 7
+# of 102 measured calls (at P = 8 and 10), and stacks of 14-20 in none of
+# 33 (BENCH_balanced_split.json)
 SPLIT_MIN = 7
 # how long a split solve awaits its children once it has solved its own
 # piece: (seconds, factor), 1 s plus 10 times that piece's time
@@ -229,8 +230,11 @@ class _Model:
     on one angle grid, from their checked R_hat (P, M, M) and A (P, M, G)
     (_as_problems); one problem is the stack of one and runs the same
     calls. Holds A, R_hat, tr(R_hat) and the weights w_p (P, G), w_s (P, M).
-    The stack may be the piece of a caller's stack of n_problems that
-    begins at its problem `first`. `evaluations` counts evaluate's calls.
+    The stack may be a piece of a caller's stack: `index` gives the
+    caller's problem index of each of its rows, by which an error names the
+    problem (a stack of one alone is not named). `evaluations` counts
+    evaluate's calls, and `failed` is the index of the problem whose factor
+    failed, before that the stack's first.
 
     evaluate(p, s) gives, per problem, f(p, s) at the config's norm orders
     (a list), a_g^H Q a_g per atom and diag(Q), with Q = R^-1 R_hat R^-1;
@@ -242,8 +246,7 @@ class _Model:
     bits of every result), called and their errors raised as scipy.linalg's
     wrappers do, minus the wrappers' checks."""
 
-    def __init__(self, R_hat, A, config: SolverConfig | None = None, first=0,
-                 n_problems=None):
+    def __init__(self, R_hat, A, config: SolverConfig | None = None, index=None):
         cfg = config or SolverConfig()
         self.r, self.q = float(cfg.r), float(cfg.q)
         self.R_hat = R_hat
@@ -254,9 +257,10 @@ class _Model:
         # w ** t of each block, for its closed form
         self.w_pt, self.w_st = self.w_p ** self.r, self.w_s ** self.q
         self.A = A
-        self.rows = np.arange(P)          # problem index of each stacked row
-        # where the stack begins in the caller's, and the caller's size
-        self.first, self.n_problems = first, n_problems or P
+        self.rows = np.arange(P)          # row of each stacked problem
+        self.named = index is not None or P > 1
+        self.index = self.rows if index is None else index
+        self.failed = int(self.index[0])
         self.evaluations = 0
 
         dtype = np.result_type(A.dtype, np.float64)
@@ -304,10 +308,11 @@ class _Model:
             c, info = potrf(R_i, 1, 0, 1)      # lower, no clean-up, in place
             if info == 0:
                 Ri[i], info = potrs(c, eye, 1)    # lower; reports only info <= 0
+            if info:
+                self.failed = int(self.index[self.rows[i]])
             if info > 0:
                 # a stack of one has no other problem to tell it from
-                where = (f" (problem {self.first + self.rows[i]})"
-                         if self.n_problems > 1 else "")
+                where = f" (problem {self.failed})" if self.named else ""
                 raise SingularModelError(
                     f"{info}-th leading minor of the array is not positive "
                     f"definite{where}")
@@ -393,9 +398,10 @@ def qspice_solve(data, dictionary, config: SolverConfig | None = None) -> Solver
     problems run in one loop, each leaving it at the iteration its own solve
     stops at: `problems` holds their results, powers.signal is (P, G),
     n_iter the sum of their iterations and converged whether all converged.
-    A stack of P >= 2 * SPLIT_MIN runs in contiguous pieces on the
-    process's CPUs (_split_width, _solve_forked), with the results and
-    errors of the one loop.
+    A stack of P >= 2 * SPLIT_MIN runs in interleaved pieces on the
+    process's CPUs (_split_width, _solve_forked): piece k of W holds problems
+    k, k + W, ..., so that each gets a share of a stack in sweep order, with
+    the results and errors of the one loop.
     """
     cfg = config or SolverConfig()
     R_hat, A, single = _as_problems(data, dictionary)
@@ -509,39 +515,41 @@ def _spare_cpus() -> int:
 
 def _run_piece(model, cfg):
     """(results, None) from _solve on the piece `model` holds, or (None,
-    (evaluations, exception)) if it raised: the evaluation it raised in
-    orders it among the pieces' errors."""
+    (evaluations, problem, exception)) if it raised: the evaluation it
+    raised in, then the index of the problem it names (model.failed), order
+    it among the pieces' errors."""
     try:
         return _solve(model, cfg), None
     except Exception as exc:
-        return None, (model.evaluations, exc)
+        return None, (model.evaluations, model.failed, exc)
 
 
 def _solve_forked(R_hat, A, cfg, width) -> list:
-    """_solve on a checked stack (R_hat, A) split into `width` contiguous
-    pieces: the first solved here, each other in a forked child that sends
-    back its _run_piece outcome, pickled, through a pipe and exits. The
-    results are _solve's on the whole stack, bit for bit, since a problem's
-    result does not depend on which problems share its stack. A piece whose
-    child exits without an outcome (killed, out of memory, an error that
-    does not pickle), or has not sent it by CHILD_WAIT after this process
-    has solved its own piece, is solved here; such a child is killed. Of
-    the pieces' errors, the one raised is the one loop's: from the earliest
-    evaluation and, among those, from the first piece, which holds the
-    lowest problem index; each names the problem by its index in the whole
-    stack. Every child is reaped before this returns or raises, on an
-    interrupt too."""
+    """_solve on a checked stack (R_hat, A) split into `width` interleaved
+    pieces, piece k the problems k, k + width, k + 2 width, ... (views of
+    the stack): the first solved here, each other in a forked child that
+    sends back its _run_piece outcome, pickled, through a pipe and exits.
+    A stack holds its problems in the order they were made, such as a
+    Monte Carlo chunk's trials in sweep order, whose solves run longer as
+    the SNR rises, so contiguous pieces would give one CPU most of the work.
+    The results, put back in input order, are _solve's on the whole stack,
+    bit for bit, since a problem's result does not depend on which problems
+    share its stack. A piece whose child exits without an outcome (killed,
+    out of memory, an error that does not pickle), or has not sent it by
+    CHILD_WAIT after this process has solved its own piece, is solved here;
+    such a child is killed. Of the pieces' errors, the one raised is the one
+    loop's: from the earliest evaluation and, among those, the one whose
+    problem has the lowest index in the whole stack, which names it. Every
+    child is reaped before this returns or raises, on an interrupt too."""
     P = len(R_hat)
-    bounds = [P * k // width for k in range(width + 1)]
-    pieces = list(zip(bounds[:-1], bounds[1:]))
 
-    def model(lo, hi):
-        return _Model(R_hat[lo:hi], A[lo:hi], cfg, lo, P)
+    def model(k):
+        return _Model(R_hat[k::width], A[k::width], cfg, np.arange(k, P, width))
 
-    own = model(*pieces[0])    # before forking: its first call loads LAPACK
+    own = model(0)             # before forking: its first call loads LAPACK
     children = []              # (pid, read end of its pipe, piece) of each unreaped child
     try:
-        for piece in pieces[1:]:
+        for k in range(1, width):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -553,12 +561,12 @@ def _solve_forked(R_hat, A, cfg, width) -> list:
                 status = 1
                 try:
                     with open(w, "wb") as out:
-                        out.write(pickle.dumps(_run_piece(model(*piece), cfg)))
+                        out.write(pickle.dumps(_run_piece(model(k), cfg)))
                     status = 0
                 finally:
                     os._exit(status)
             os.close(w)
-            children.append((pid, r, piece))
+            children.append((pid, r, k))
         start = time.monotonic()
         outcomes = [_run_piece(own, cfg)]
         seconds, factor = CHILD_WAIT
@@ -566,24 +574,27 @@ def _solve_forked(R_hat, A, cfg, width) -> list:
         payloads = _read_to_end([r for _, r, _ in children],
                                 now + seconds + factor * (now - start))
         while children:
-            pid, r, piece = children[0]
+            pid, r, k = children[0]
             if payloads[r] is None:        # no outcome by the deadline
                 os.kill(pid, signal.SIGKILL)
             written = os.waitpid(pid, 0)[1] == 0 and payloads[r]   # exit status 0
             children.pop(0)
             os.close(r)
             outcomes.append(pickle.loads(written) if written
-                            else _run_piece(model(*piece), cfg))
-        outcomes += [_run_piece(model(*piece), cfg) for piece in pieces[len(outcomes):]]
+                            else _run_piece(model(k), cfg))
+        outcomes += [_run_piece(model(k), cfg) for k in range(len(outcomes), width)]
     finally:
         for pid, r, _ in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(r)
-    errors = [(err[0], k, err[1]) for k, (_, err) in enumerate(outcomes) if err]
+    errors = [err for _, err in outcomes if err]
     if errors:
         raise min(errors, key=lambda e: e[:2])[2]
-    return [res for results, _ in outcomes for res in results]
+    problems = [None] * P
+    for k, (results, _) in enumerate(outcomes):
+        problems[k::width] = results
+    return problems
 
 
 def _read_to_end(fds, deadline) -> dict:

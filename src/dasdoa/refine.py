@@ -224,6 +224,9 @@ def narrowband_estimate(name: str, data, dictionary: Steering, sector,
     """
     entry = check_estimator(name, k)
     stack = np.ndim(data) == 3
+    if dictionary.frequencies.size != 1:
+        raise ConfigError(f"a narrowband estimate takes the steering of one frequency, "
+                          f"got {dictionary.frequencies.size} frequencies")
     frequency = dictionary.frequencies.item()
     if entry.refines:
         res = gnr2_estimate(data, dictionary.geometry, frequency, k,

@@ -406,29 +406,81 @@ def _tagged(covs, problems):
 
 
 @pytest.mark.parametrize("fails, named", [
-    ({6: 1}, 6), ({1: 3, 6: 1}, 6), ({1: 2, 6: 2}, 1), ({6: 2, 1: 5}, 6),
-    ({1: 2}, 1), ({7: 4, 5: 4}, 5)],
-    ids=["child", "child-earlier", "tie-lowest-index", "child-first", "parent",
-         "two-in-a-child"])
+    ({5: 1}, 5), ({2: 3, 5: 1}, 5), ({2: 2, 5: 2}, 2), ({1: 2, 6: 2}, 1),
+    ({5: 2, 2: 5}, 5), ({2: 2}, 2), ({7: 4, 5: 4}, 5)],
+    ids=["child", "child-earlier", "tie-lowest-index", "tie-lowest-index-in-a-child",
+         "child-first", "parent", "two-in-a-child"])
 def test_a_split_stack_raises_the_serial_solves_error(fails, named):
     # problems tagged by content fail at given evaluations, in the parent's
-    # piece (0-3), a child's (4-7) or both: the split raises the serial
-    # solve's error, from the earliest evaluation and then the lowest index,
-    # and names the problem by its index in the whole stack
+    # piece (the even problems on 2 CPUs), a child's (the odd ones) or both:
+    # the split raises the serial solve's error, from the earliest
+    # evaluation and then the lowest index, which may be a child's, and
+    # names the problem by its index in the whole stack; 3 CPUs cut it
+    # into (0, 3, 6), (1, 4, 7) and (2, 5)
     covs, A = _stack(np.random.default_rng(4), 8, 5, 9, False)
     covs = _tagged(covs, sorted(fails))
     fails = {k + 1: fails[i] for k, i in enumerate(sorted(fails))}
     errors = []
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         with _cpus(cpus) as forks, _fail_on_content(fails), \
                 pytest.raises(SingularModelError) as err:
             qspice_solve(covs, A, SolverConfig(max_iter=10))
         assert len(forks) == cpus - 1
         errors.append(err.value)
         _assert_no_child_left()
-    assert type(errors[0]) is type(errors[1])
-    assert str(errors[0]) == str(errors[1]) == (
-        f"2-th leading minor of the array is not positive definite (problem {named})")
+    assert {type(e) for e in errors} == {SingularModelError}
+    assert {str(e) for e in errors} == {
+        f"2-th leading minor of the array is not positive definite (problem {named})"}
+
+
+@pytest.mark.parametrize("n, cpus", [(15, 2), (16, 3)])
+@pytest.mark.parametrize("shared", [False, True], ids=["stack", "shared"])
+def test_pieces_of_unequal_size_keep_the_serial_bits(n, cpus, shared):
+    # a stack whose size the width does not divide: 8 and 7 problems on 2
+    # CPUs, 6, 5 and 5 on 3
+    covs, dictionary = _stack(np.random.default_rng(n), n, 6, 25, shared)
+    with _cpus(1):
+        serial = qspice_solve(covs, dictionary)
+    with _cpus(cpus) as forks:
+        split = qspice_solve(covs, dictionary)
+    assert len(forks) == cpus - 1
+    _assert_no_child_left()
+    assert len(split.problems) == n
+    for res, ref in zip(split.problems + (split,), serial.problems + (serial,)):
+        assert _same_bits(res.powers.signal, ref.powers.signal)
+        assert _same_bits(res.powers.noise, ref.powers.noise)
+        assert _same_bits(res.trace, ref.trace)
+        assert _same_bits(res.floor, ref.floor)
+        assert (res.n_iter, res.converged) == (ref.n_iter, ref.converged)
+
+
+@pytest.mark.parametrize("n, cpus", [(9, 2), (16, 3)])
+def test_piece_k_holds_every_width_th_problem_from_k(tmp_path, n, cpus):
+    # each piece's model, made here or in a child, is told it holds the
+    # problems k, k + W, ... and holds their covariances and steering; this
+    # process solves piece 0
+    covs, A = _stack(np.random.default_rng(3), n, 5, 12, False)
+    R_hat, A_full, _ = _as_problems(covs, A)
+    log, real = tmp_path / "pieces", estimators._Model
+
+    def recorded(R_hat_k, A_k, cfg=None, index=None):
+        assert index is not None
+        same = (R_hat_k.tobytes() == R_hat[index].tobytes()
+                and A_k.tobytes() == A_full[index].tobytes())
+        with open(log, "a") as f:
+            f.write(json.dumps([os.getpid(), index.tolist(), same]) + "\n")
+        return real(R_hat_k, A_k, cfg, index)
+
+    with _cpus(cpus) as forks, mock.patch.object(estimators, "_Model", recorded):
+        qspice_solve(covs, A)
+    assert len(forks) == cpus - 1
+    _assert_no_child_left()
+    pieces = [json.loads(line) for line in log.read_text().splitlines()]
+    assert sorted(index for _, index, _ in pieces) == [
+        list(range(k, n, cpus)) for k in range(cpus)]
+    assert all(same for _, _, same in pieces)
+    assert [index for pid, index, _ in pieces if pid == os.getpid()] == [
+        list(range(0, n, cpus))]
 
 
 @pytest.mark.parametrize("end", ["exit-0", "exit-3", "sigkill"])

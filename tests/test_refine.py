@@ -1,14 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from dasdoa.arrays import angle_grid, full_sector, half_wavelength_spacing, \
+from dasdoa import estimators, refine
+from dasdoa.arrays import Steering, angle_grid, full_sector, half_wavelength_spacing, \
     uniform_line_array, steering_matrix
 from dasdoa.errors import ConfigError
 from dasdoa.estimators import _pick
-from dasdoa.refine import NEIGHBORHOOD_HALFWIDTH, RefineConfig, refine_lockstep, \
-    refine_loop, gnr2_estimate
+from dasdoa.refine import NEIGHBORHOOD_HALFWIDTH, RefineConfig, narrowband_estimate, \
+    refine_lockstep, refine_loop, gnr2_estimate
 
 
 def bumps(centers, width=0.8):
@@ -224,6 +227,19 @@ def test_gnr2_estimate_k_validation():
     geom = uniform_line_array(4, spacing=0.25)
     with pytest.raises(ConfigError):
         gnr2_estimate(np.eye(4, dtype=complex), geom, 3000.0, 0)
+
+
+@pytest.mark.parametrize("name", ["cbf", "qspice", "gnr2"])
+def test_narrowband_estimate_rejects_a_steering_of_several_frequencies(name):
+    # the stack of two covariances matches the steering's two rows, and no
+    # solve runs before the error
+    steering = Steering(uniform_line_array(4, spacing=0.25), [2000.0, 3000.0],
+                        angle_grid((-60.0, 60.0), 1.0))
+    covs = np.stack([np.eye(4, dtype=complex)] * 2)
+    with mock.patch.object(estimators, "qspice_solve", side_effect=AssertionError), \
+            mock.patch.object(refine, "qspice_solve", side_effect=AssertionError), \
+            pytest.raises(ConfigError, match="one frequency, got 2 frequencies"):
+        narrowband_estimate(name, covs, steering, (-60.0, 60.0), 1)
 
 
 @pytest.mark.parametrize("convention, truth", [("broadside", -31.7), ("endfire", 121.3)])
