@@ -310,15 +310,14 @@ class _Model:
                 Ri[i], info = potrs(c, eye, 1)    # lower; reports only info <= 0
             if info:
                 self.failed = int(self.index[self.rows[i]])
-            if info > 0:
+                if info < 0:
+                    raise ValueError(f"LAPACK reported an illegal value in the "
+                                     f"{-info}-th argument of potrf/potrs")
                 # a stack of one has no other problem to tell it from
                 where = f" (problem {self.failed})" if self.named else ""
                 raise SingularModelError(
                     f"{info}-th leading minor of the array is not positive "
                     f"definite{where}")
-            if info:
-                raise ValueError(f"LAPACK reported an illegal value in the {-info}-th "
-                                 f"argument of potrf/potrs")
         np.matmul(Ri, R_hat, out=T1)
         np.matmul(T1, Ri, out=Q)                       # R^-1 R_hat R^-1, Hermitian
         quad = np.add.reduce(T1.diagonal(0, -2, -1), axis=-1).real  # tr(T1)

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from dasdoa import estimators
@@ -354,10 +354,14 @@ def _assert_no_child_left():
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 12), m=st.integers(3, 8),
        g=st.integers(1, 40), r=st.floats(1.0, 3.0), q=st.floats(1.0, 2.0),
        max_iter=st.sampled_from([3, 12, 500]), shared=st.booleans())
+@example(seed=15, n=15, m=6, g=25, r=1.0, q=2.0, max_iter=500, shared=False)
+@example(seed=16, n=16, m=6, g=25, r=1.5, q=1.0, max_iter=500, shared=True)
 def test_a_split_stack_has_the_bits_of_the_serial_solve(seed, n, m, g, r, q, max_iter,
                                                         shared):
     # pieces on 2, 3 or 5 CPUs give every field of the one loop's result,
-    # and of each problem's, bit for bit; a max_iter of 3 or 12 caps some
+    # and of each problem's, bit for bit; a max_iter of 3 or 12 caps some.
+    # The examples' stacks do not divide into equal pieces: 15 problems
+    # into 8 and 7 on 2 CPUs, 16 into 6, 5 and 5 on 3
     covs, dictionary = _stack(np.random.default_rng(seed), n, m, g, shared)
     cfg = SolverConfig(r=r, q=q, max_iter=max_iter)
     with _cpus(1) as forks:
@@ -431,27 +435,6 @@ def test_a_split_stack_raises_the_serial_solves_error(fails, named):
     assert {type(e) for e in errors} == {SingularModelError}
     assert {str(e) for e in errors} == {
         f"2-th leading minor of the array is not positive definite (problem {named})"}
-
-
-@pytest.mark.parametrize("n, cpus", [(15, 2), (16, 3)])
-@pytest.mark.parametrize("shared", [False, True], ids=["stack", "shared"])
-def test_pieces_of_unequal_size_keep_the_serial_bits(n, cpus, shared):
-    # a stack whose size the width does not divide: 8 and 7 problems on 2
-    # CPUs, 6, 5 and 5 on 3
-    covs, dictionary = _stack(np.random.default_rng(n), n, 6, 25, shared)
-    with _cpus(1):
-        serial = qspice_solve(covs, dictionary)
-    with _cpus(cpus) as forks:
-        split = qspice_solve(covs, dictionary)
-    assert len(forks) == cpus - 1
-    _assert_no_child_left()
-    assert len(split.problems) == n
-    for res, ref in zip(split.problems + (split,), serial.problems + (serial,)):
-        assert _same_bits(res.powers.signal, ref.powers.signal)
-        assert _same_bits(res.powers.noise, ref.powers.noise)
-        assert _same_bits(res.trace, ref.trace)
-        assert _same_bits(res.floor, ref.floor)
-        assert (res.n_iter, res.converged) == (ref.n_iter, ref.converged)
 
 
 @pytest.mark.parametrize("n, cpus", [(9, 2), (16, 3)])

@@ -9,11 +9,12 @@ Run from the root of a checkout. It makes the seeded inputs of perfbench's
 `pair-gnr2` and `nb-montecarlo` workloads (perfbench/workloads.py, imported
 as it is), runs the first input of each once, serially, and keeps every
 stacked `qspice_solve` call it makes (its covariances, steering and
-config). Then, on the calls of at least --min-problems problems:
+config). Then, on the calls that the solver splits (2 * SPLIT_MIN
+problems or more):
 
-  * per call: the serial time; for the contiguous layout (piece k of W the
-    k-th block of the stack) and the interleaved one (piece k the problems
-    k, k + W, ...), each piece's time, solved alone here, and its
+  * per call: the serial time; for the contiguous layout (piece k of two
+    the k-th half of the stack) and the interleaved one (piece k the
+    problems k, k + 2, ...), each piece's time, solved alone here, and its
     problem-iterations;
   * the threshold table: for each P, the call's first P problems solved
     serially and in two forked pieces (the solver's own split), alternating;
@@ -38,7 +39,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
-from contextlib import contextmanager  # noqa: E402
+from contextlib import ExitStack, contextmanager  # noqa: E402
 from pathlib import Path  # noqa: E402
 from unittest import mock  # noqa: E402
 
@@ -63,19 +64,6 @@ def _width(width):
         yield
 
 
-@contextmanager
-def _patched(modules, fn):
-    """Replace qspice_solve in each of `modules` by fn."""
-    patches = [mock.patch.object(m, "qspice_solve", fn) for m in modules]
-    for p in patches:
-        p.start()
-    try:
-        yield
-    finally:
-        for p in patches:
-            p.stop()
-
-
 def capture(name, seed):
     """[(data, dictionary, config)] of each stacked qspice_solve call that
     the first input of workload `name` makes, run serially."""
@@ -94,7 +82,9 @@ def capture(name, seed):
     with tempfile.TemporaryDirectory() as work:
         wl.generate(seed, work)
         ctx = wl.prepare(work)
-        with _width(1), _patched(holders, recorded):
+        with _width(1), ExitStack() as patches:
+            for module in holders:
+                patches.enter_context(mock.patch.object(module, "qspice_solve", recorded))
             wl.request(ctx, 0)
     return calls
 
@@ -117,14 +107,14 @@ def _same_bits(a, b):
                for x, y in zip(a.problems, b.problems))
 
 
-def per_call(call, repeats, width):
+def per_call(call, repeats):
     data, dictionary, cfg = call
     P = len(data)
     serial = min(_solve(data, dictionary, cfg)[0] for _ in range(repeats))
     row = {"P": P, "G": dictionary.shape[-1], "serial_s": round(serial, 5)}
     for layout, pieces in LAYOUTS.items():
         times, iters = [], []
-        for idx in pieces(P, width):
+        for idx in pieces(P, 2):
             best, res = min((_solve(data[idx], _rows(dictionary, idx), cfg)
                              for _ in range(repeats)), key=lambda tr: tr[0])
             times.append(round(best, 5))
@@ -176,9 +166,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--width", type=int, default=2, help="pieces per call (default 2)")
-    ap.add_argument("--min-problems", type=int, default=14,
-                    help="the calls timed hold at least this many problems (default 14)")
     ap.add_argument("--sizes", default="4,5,6,7,8,9,10,11,12,13,14",
                     help="comma-separated P of the threshold table")
     ap.add_argument("--json", help="write the tables and the machine here")
@@ -191,9 +178,9 @@ def main(argv=None):
     calls, rows = [], []
     for name in WORKLOADS:
         for call in capture(name, args.seed):
-            if len(call[0]) >= args.min_problems:
+            if len(call[0]) >= 2 * estimators.SPLIT_MIN:
                 calls.append(call)
-                rows.append({"workload": name, **per_call(call, args.repeats, args.width)})
+                rows.append({"workload": name, **per_call(call, args.repeats)})
     print(f"{'workload':<14} {'P':>3} {'G':>4} {'serial_s':>9}  "
           f"{'contiguous piece_s (iters)':<34} interleaved piece_s (iters)")
     for row in rows:
@@ -216,7 +203,7 @@ def main(argv=None):
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"machine": machine(), "seed": args.seed, "repeats": args.repeats,
-                       "width": args.width, "per_call": rows,
+                       "per_call": rows,
                        "summed_s": {"serial": serial, "slower_piece": slowest},
                        "threshold": table}, fh, indent=1)
             fh.write("\n")
